@@ -11,7 +11,10 @@ Six analyses over one normalized program:
 
 All reuse the abstract stepper; the pushdown ones embed it into an
 RPDSOracle by running astep with an empty stack (push/ε transitions) or a
-singleton stack (pop transitions).
+singleton stack (pop transitions), and run it on the one ε-closure-graph
+engine, pushdown.Worklist.  The widened and approximate-GC oracles read
+state that grows while the engine runs (the global store, the root
+cache); they re-step the nodes whose input grew and resume the engine.
 """
 from __future__ import annotations
 
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import Exp, Let1
-from .abstract import (AConf, AEnv, AStore, AFrame, EMPTY_ENV, EMPTY_STORE,
-                       FState, K_HALT, astep, astep_finite, finject, skey,
-                       store_join, _intern, KAddr)
+from .abstract import (AConf, AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState,
+                       K_HALT, astep, astep_finite, finject, store_join,
+                       _intern)
 from .gc import gc_store, touches
-from .pushdown import (Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
+from .pushdown import (Push, Pop, UNCH, RPDSOracle, CRPDS, ECG, Worklist,
                        compact_worklist)
 
 
@@ -218,72 +221,50 @@ def _ps_of(c: AConf) -> PState:
     return PState.make(c.exp, c.env, c.ctx)
 
 
-def analyze_pdcfa_widened(e: Exp, policy, deadline=None) -> AnalysisResult:
-    """Iterate the widened transfer function to its least fixed point:
-    a single global store, partial (exp, env) states, and an ε-closure
-    graph whose bridges enable pops against recorded pushes."""
+def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
+                          node_limit=None) -> AnalysisResult:
+    """Least fixed point of the widened transfer function: a single global
+    store and partial (exp, env) states.  The engine saturates under the
+    current store; if the successor stores grew it, every node is
+    re-stepped under the joined store and the engine resumes."""
     root = PState.make(e, EMPTY_ENV, ())
-    graph = CRPDS(root)
-    ecg = ECG()
-    ecg.add(root, root)
     store = EMPTY_STORE
-    saturated = True
-    changed = True
-    while changed:
-        if deadline is not None and time.monotonic() > deadline:
-            saturated = False
+    out_stores = {}  # successor stores reached under `store`
+
+    def stepped(psi, kont):
+        c = AConf.make(psi.exp, psi.env, store, kont, psi.ctx)
+        return astep(c, policy)
+
+    def nop_delta(psi):
+        out = []
+        for c2 in stepped(psi, ()):
+            out_stores[c2.store] = None
+            act = Push(c2.kont[0]) if c2.kont else UNCH
+            out.append((_ps_of(c2), act))
+        return out
+
+    def top_delta(psi, fr):
+        out = []
+        for c2 in stepped(psi, (fr,)):
+            if not c2.kont:
+                out_stores[c2.store] = None
+                out.append((_ps_of(c2), Pop(fr)))
+        return out
+
+    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), check_every=64)
+    while True:
+        saturated = wl.run(deadline, node_limit)
+        grown = store
+        for s in out_stores:
+            grown = store_join(grown, s)
+        if not saturated or grown is store:
             break
-        changed = False
-        stores = [store]
-        new_edges = []
-        new_pairs = []
-        for psi in list(graph.nodes):
-            c = AConf.make(psi.exp, psi.env, store, (), psi.ctx)
-            for c2 in astep(c, policy):
-                stores.append(c2.store)
-                if c2.kont:
-                    new_edges.append((psi, Push(c2.kont[0]), _ps_of(c2)))
-                else:
-                    tgt = _ps_of(c2)
-                    new_edges.append((psi, UNCH, tgt))
-                    new_pairs.append((psi, tgt))
-        for edge in new_edges:
-            changed |= graph.add_edge(edge)
-        # pops: a frame pushed into a node's ε-class may be popped there
-        for (src, act, dst) in list(graph.edges):
-            if not isinstance(act, Push):
-                continue
-            fr = act.frame
-            for psi2 in ecg.descendants(dst):
-                c = AConf.make(psi2.exp, psi2.env, store, (fr,), psi2.ctx)
-                for c2 in astep(c, policy):
-                    if c2.kont:
-                        continue
-                    stores.append(c2.store)
-                    tgt = _ps_of(c2)
-                    changed |= graph.add_edge((psi2, Pop(fr), tgt))
-                    new_pairs.append((src, tgt))
-        for psi in list(graph.nodes):
-            new_pairs.append((psi, psi))
-        for p in new_pairs:
-            changed |= ecg.add(*p)
-        # transitive closure of the ε summary
-        closing = True
-        while closing:
-            closing = False
-            for (a, b) in list(ecg.pairs):
-                for c3 in ecg.fwd(b):
-                    if ecg.add(a, c3):
-                        closing = True
-                        changed = True
-        merged = store
-        for s in stores:
-            merged = store_join(merged, s)
-        if merged is not store:
-            store = merged
-            changed = True
-    return AnalysisResult("pdcfa-widened", policy, False, graph, ecg, e,
-                          saturated, global_store=store)
+        store = grown
+        out_stores.clear()
+        for psi in list(wl.graph.nodes):
+            wl.restep(psi)
+    return AnalysisResult("pdcfa-widened", policy, False, wl.graph, wl.ecg,
+                          e, saturated, global_store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -320,165 +301,78 @@ def compute_root_cache(nodes, guarded_edges, hpairs) -> dict:
 def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                       snapshot_cb=None) -> AnalysisResult:
     """GC pushdown analysis over plain control states: each node caches an
-    over-approximate root set R; edges record the guard (R at emission);
-    when R grows the node is re-stepped and recorded guards go stale but
-    stay in the graph."""
+    over-approximate root set R, the least solution of compute_root_cache's
+    equations over what the engine has recorded so far.  Each edge records
+    one guard, R of its source when the edge lands.  When R grows the node
+    is re-stepped; its old successors and guards stay in the graph, and a
+    guard below the final R is counted as stale."""
     root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
-    graph = CRPDS(root)
-    ecg = ECG()
-    guarded = {}  # (src, guard-key, act, dst) -> (src, guard, act, dst)
-    R = {root: frozenset()}
-    # root-flow successors: H pairs and push edges
-    push_out = {}  # src -> {(frame, dst): None}
-    # frames that may sit on top at a node, with their pusher
-    frame_cands = {}  # node -> {(frame, pusher): None}
-    dS, dE, dH = deque(), deque(), deque()
-    queued_s, queued_e, queued_h = {root}, set(), set()
-    dS.append(root)
-    saturated = True
-    ecg.add(root, root)
+    R = {}
+    guards = {}  # edge -> R of its source when it landed
+    push_out = {}  # src -> {(frame, dst): None}, the push half of root flow
 
-    def snapshot():
-        if snapshot_cb is not None:
-            snapshot_cb(list(guarded.values()), list(ecg.pairs), dict(R))
+    def roots(q):
+        return R.get(q, frozenset())
 
-    def nop(q):
-        c = AConf.make(q.exp, q.env, gc_store(q.env, q.store, R[q]), (), q.ctx)
-        out = []
-        for c2 in astep(c, policy):
-            if c2.kont:
-                out.append((_cs_of(c2), Push(c2.kont[0])))
-            else:
-                out.append((_cs_of(c2), UNCH))
-        return out
+    def stepped(q, kont):
+        c = AConf.make(q.exp, q.env, gc_store(q.env, q.store, roots(q)),
+                       kont, q.ctx)
+        return astep(c, policy)
 
-    def top(q, fr):
-        c = AConf.make(q.exp, q.env, gc_store(q.env, q.store, R[q]), (fr,),
-                       q.ctx)
-        return [(_cs_of(c2), Pop(fr)) for c2 in astep(c, policy)
+    def nop_delta(q):
+        return [(_cs_of(c2), Push(c2.kont[0]) if c2.kont else UNCH)
+                for c2 in stepped(q, ())]
+
+    def top_delta(q, fr):
+        return [(_cs_of(c2), Pop(fr)) for c2 in stepped(q, (fr,))
                 if not c2.kont]
 
-    def enq_state(q):
-        if q not in R:
-            R[q] = frozenset()
-        if q not in graph.nodes:
-            graph.add_node(q)
-            enq_pair((q, q))
-        if q not in queued_s:
-            queued_s.add(q)
-            dS.append(q)
-
-    def enq_edge(el):
-        key = (el[0], _roots_key(el[1]), el[2], el[3])
-        if key not in guarded and key not in queued_e:
-            queued_e.add(key)
-            dE.append(el)
-
-    def enq_pair(p):
-        if p not in queued_h and not ecg.has(*p):
-            queued_h.add(p)
-            dH.append(p)
-
-    def grow_roots(q, addrs):
-        """Monotone root propagation along H and push edges; grown nodes
-        are re-stepped and re-matched against their candidate top frames."""
+    def grow(q, addrs):
+        """Monotone root flow along ε pairs and push edges; every node
+        whose R grows is re-stepped."""
         work = deque()
-        if not addrs <= R.get(q, frozenset()):
-            R[q] = R.get(q, frozenset()) | addrs
-            work.append(q)
+
+        def flow(y, addrs):
+            if not addrs <= roots(y):
+                R[y] = roots(y) | addrs
+                work.append(y)
+
+        flow(q, addrs)
         while work:
             x = work.popleft()
-            enq_state(x)
-            for (fr, pusher) in list(frame_cands.get(x, ())):
-                for q2, pact in top(x, fr):
-                    enq_edge((x, R[x], pact, q2))
-                    enq_pair((pusher, q2))
-            for y in ecg.fwd(x):
-                if not R[x] <= R[y]:
-                    R[y] |= R[x]
-                    work.append(y)
-            for (fr, y) in push_out.get(x, ()):
-                flow = R[x] | touches(fr)
-                if not flow <= R.get(y, frozenset()):
-                    R[y] = R.get(y, frozenset()) | flow
-                    work.append(y)
+            wl.restep(x)
+            for y in wl.ecg.fwd(x):
+                flow(y, R[x])
+            for fr, y in push_out.get(x, ()):
+                flow(y, R[x] | touches(fr))
 
-    def match_push(src, fr, dst):
-        """Pop-matching for a push edge across the ε-closure of its target."""
-        for q1 in ecg.descendants(dst):
-            frame_cands.setdefault(q1, {})[(fr, src)] = None
-            for q2, pact in top(q1, fr):
-                enq_edge((q1, R[q1], pact, q2))
-                enq_pair((src, q2))
-
-    ticks = 0
-    while dH or dE or dS:
-        ticks += 1
-        if ticks % 64 == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                saturated = False
-                break
-            if node_limit is not None and len(graph.nodes) > node_limit:
-                saturated = False
-                break
-        if dH:
-            p = dH.popleft()
-            queued_h.discard(p)
-            if ecg.has(*p):
-                snapshot()
-                continue
-            s2, s3 = p
-            enq_state(s2)
-            enq_state(s3)
-            anc = ecg.ancestors(s2)
-            desc = ecg.descendants(s3)
-            ecg.add(*p)
-            grow_roots(s3, R.get(s2, frozenset()))
-            for s1 in anc:
-                for src, fr in graph.push_into(s1):
-                    for s4 in desc:
-                        frame_cands.setdefault(s4, {})[(fr, src)] = None
-                        for q2, pact in top(s4, fr):
-                            enq_edge((s4, R[s4], pact, q2))
-                            enq_pair((src, q2))
-            for s1 in anc:
-                for s4 in desc:
-                    enq_pair((s1, s4))
-        elif dE:
-            el = dE.popleft()
-            src, guard, act, dst = el
-            key = (src, _roots_key(guard), act, dst)
-            queued_e.discard(key)
-            if key in guarded:
-                snapshot()
-                continue
-            guarded[key] = el
-            graph.add_edge((src, act, dst))
-            enq_state(dst)
-            if act is UNCH:
-                # roots flow once the ε pair lands, not at edge insertion
-                enq_pair((src, dst))
-            elif isinstance(act, Push):
-                push_out.setdefault(src, {})[(act.frame, dst)] = None
-                grow_roots(dst, R.get(src, frozenset()) | touches(act.frame))
-                match_push(src, act.frame, dst)
-            else:
-                for s1 in ecg.ancestors(src):
-                    for psrc, fr in graph.push_into(s1):
-                        if fr == act.frame:
-                            enq_pair((psrc, dst))
+    def on_record(item):
+        if len(item) == 2:  # ε pair: the source's roots reach the target
+            grow(item[1], roots(item[0]))
         else:
-            q = dS.popleft()
-            queued_s.discard(q)
-            for q2, act in nop(q):
-                enq_edge((q, R[q], act, q2))
-        snapshot()
-    res = AnalysisResult("pdcfa-gc-approx", policy, True, graph, ecg, e,
-                         saturated, root_cache=dict(R),
-                         guarded_edges=list(guarded.values()))
-    stale = sum(1 for (s, g, a, d) in res.guarded_edges
-                if g != R.get(s, frozenset()))
-    res.extras["stale_guards"] = stale
+            src, act, dst = item
+            guards[item] = roots(src)
+            if isinstance(act, Push):
+                push_out.setdefault(src, {})[(act.frame, dst)] = None
+                grow(dst, roots(src) | touches(act.frame))
+        if snapshot_cb is not None:
+            snapshot_cb(guarded_edges(), list(wl.ecg.pairs), root_cache())
+
+    def guarded_edges():
+        return [(s, g, a, d) for (s, a, d), g in guards.items()]
+
+    def root_cache():
+        return {q: roots(q) for q in (*wl.graph.nodes, *R)}
+
+    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), on_record,
+                  check_every=64)
+    saturated = wl.run(deadline, node_limit)
+    res = AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
+                         e, saturated,
+                         root_cache=root_cache(),
+                         guarded_edges=guarded_edges())
+    res.extras["stale_guards"] = sum(1 for (s, g, a, d) in res.guarded_edges
+                                     if g != roots(s))
     return res
 
 

@@ -14,19 +14,17 @@ from ..syntax import parse_and_normalize
 class BenchmarkEntry:
     name: str
     path: str
-    fuel: int  # concrete evaluation terminates within this many steps
-    tags: tuple
 
 
 BENCHMARKS = [
-    BenchmarkEntry("fig1", "fig1.scm", 100_000, ("toy", "recursion")),
-    BenchmarkEntry("mj09", "mj09.scm", 100_000, ("polyvariance",)),
-    BenchmarkEntry("eta", "eta.scm", 100_000, ("return-flow",)),
-    BenchmarkEntry("kcfa2", "kcfa2.scm", 100_000, ("worst-case",)),
-    BenchmarkEntry("kcfa3", "kcfa3.scm", 100_000, ("worst-case",)),
-    BenchmarkEntry("blur", "blur.scm", 100_000, ("eta", "loop")),
-    BenchmarkEntry("loop2", "loop2.scm", 100_000, ("loop",)),
-    BenchmarkEntry("sat", "sat.scm", 100_000, ("boolean", "search")),
+    BenchmarkEntry("fig1", "fig1.scm"),
+    BenchmarkEntry("mj09", "mj09.scm"),
+    BenchmarkEntry("eta", "eta.scm"),
+    BenchmarkEntry("kcfa2", "kcfa2.scm"),
+    BenchmarkEntry("kcfa3", "kcfa3.scm"),
+    BenchmarkEntry("blur", "blur.scm"),
+    BenchmarkEntry("loop2", "loop2.scm"),
+    BenchmarkEntry("sat", "sat.scm"),
 ]
 
 BY_NAME = {b.name: b for b in BENCHMARKS}

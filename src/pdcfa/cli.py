@@ -43,7 +43,7 @@ def run_one(kind, e, policy, deadline=None, node_limit=None):
     if kind == "pdcfa-gc-approx":
         return analyze_gc_approx(e, policy, deadline, node_limit)
     if kind == "pdcfa-widened":
-        return analyze_pdcfa_widened(e, policy, deadline)
+        return analyze_pdcfa_widened(e, policy, deadline, node_limit)
     raise ValueError(kind)
 
 

@@ -8,7 +8,7 @@ like a return of the computed value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
@@ -67,9 +67,6 @@ class Conf:
     env: tuple
     store: tuple  # sorted tuple of (Addr, Value)
     kont: tuple  # of Frame, top first
-
-    def store_dict(self):
-        return dict(self.store)
 
 
 def store_make(d):

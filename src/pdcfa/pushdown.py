@@ -6,7 +6,10 @@ A rooted pushdown system is given intensionally by an RPDSOracle:
 `compact_naive` explores (state, stack) configurations breadth-first within
 bounds and serves as a test oracle; `compact_worklist` computes the same
 compacted system and ε-closure graph with the sprout/addPush/addPop/addEmpty
-worklist algorithm, processing ΔH before ΔE before ΔS.
+worklist algorithm, processing ΔH before ΔE before ΔS.  That algorithm is
+one resumable engine, `Worklist`, which every pushdown analysis runs: an
+analysis whose transfer function grows between runs (widened store,
+approximate GC roots) re-steps the affected nodes and resumes it.
 """
 from __future__ import annotations
 
@@ -83,8 +86,6 @@ class CRPDS:
         self.root = root
         self.nodes = {root: None}  # insertion-ordered set
         self.edges = {}  # (src, act, dst) -> None
-        self._fwd = {}  # q -> {(act, q2): None}
-        self._bwd = {}
         self._push_into = {}  # q2 -> {(src, frame): None}
 
     def add_node(self, q):
@@ -103,17 +104,9 @@ class CRPDS:
         self.edges[edge] = None
         self.add_node(s)
         self.add_node(d)
-        self._fwd.setdefault(s, {})[(act, d)] = None
-        self._bwd.setdefault(d, {})[(act, s)] = None
         if isinstance(act, Push):
             self._push_into.setdefault(d, {})[(s, act.frame)] = None
         return True
-
-    def forward(self, q):
-        return list(self._fwd.get(q, ()))
-
-    def backward(self, q):
-        return list(self._bwd.get(q, ()))
 
     def push_into(self, q):
         """All (src, frame) with an edge src --Push(frame)--> q."""
@@ -142,9 +135,6 @@ class ECG:
     def fwd(self, q):
         return list(self._fwd.get(q, ()))
 
-    def bwd(self, q):
-        return list(self._bwd.get(q, ()))
-
     def descendants(self, q):
         """ε-reachable states including q itself."""
         out = {q: None}
@@ -161,137 +151,134 @@ class ECG:
 # worklist algorithm
 
 
-def sprout(oracle, q):
-    """Push/ε edges out of a newly discovered state."""
-    d_edges, d_pairs = [], []
-    for q2, act in oracle.nop_delta(q):
-        assert not isinstance(act, Pop), "nop_delta must not pop"
-        d_edges.append((q, act, q2))
-        if act is UNCH:
-            d_pairs.append((q, q2))
-    return d_edges, d_pairs
+class Worklist:
+    """The ε-closure-graph worklist (sprout/addPush/addPop/addEmpty) as a
+    resumable engine; ΔH before ΔE before ΔS.
 
+    `run` may be called again after it returns.  An oracle whose answers
+    grow between runs (a larger store, a larger root set) tells the engine
+    with `restep`.  `on_record(item)`, if given, is called once each ε
+    pair (s, d) or edge (s, act, d) is recorded, before its pops are
+    computed.  Limits are checked every `check_every` work items.
+    """
 
-def add_push(graph, ecg, oracle, edge):
-    """Pops enabled at the ε-descendants of a new push edge's target."""
-    s, act, q = edge
-    gamma = act.frame
-    d_edges, d_pairs = [], []
-    for q1 in ecg.descendants(q):
-        for q2, pact in oracle.top_delta(q1, gamma):
-            if isinstance(pact, Pop) and pact.frame == gamma:
-                d_edges.append((q1, pact, q2))
-                d_pairs.append((s, q2))
-    return d_edges, d_pairs
+    def __init__(self, oracle, on_record=None, check_every=256):
+        self.oracle = oracle
+        self.on_record = on_record
+        self.check_every = check_every
+        self.graph = CRPDS(oracle.root)
+        self.ecg = ECG()
+        self._dS, self._dE, self._dH = deque(), deque(), deque()
+        self._queued_s, self._queued_e, self._queued_h = set(), set(), set()
+        self._seen = set()  # states given a first sprout and (q, q)
+        self._ticks = 0
+        self._add_state(oracle.root)
 
+    def _add_state(self, q):
+        if q not in self._seen:
+            self._seen.add(q)
+            self.graph.add_node(q)
+            self._enq_sprout(q)
+            self._enq_pair((q, q))  # ε-closure graphs are reflexive
 
-def add_pop(graph, ecg, oracle, edge):
-    """ε pairs closed by a new pop edge through upstream matching pushes."""
-    s2, act, q = edge
-    gamma = act.frame
-    d_pairs = []
-    for s1 in ecg.ancestors(s2):
-        for src, frame in graph.push_into(s1):
-            if frame == gamma:
-                d_pairs.append((src, q))
-    return [], d_pairs
+    def _enq_sprout(self, q):
+        if q not in self._queued_s:
+            self._queued_s.add(q)
+            self._dS.append(q)
 
+    def _enq_edge(self, e):
+        if e not in self._queued_e and not self.graph.has_edge(e):
+            self._queued_e.add(e)
+            self._dE.append(e)
 
-def add_empty(graph, ecg, oracle, pair):
-    """Transitive ε pairs and pops newly enabled across an ε bridge."""
-    s2, s3 = pair
-    d_edges, d_pairs = [], []
-    anc = ecg.ancestors(s2)
-    desc = ecg.descendants(s3)
-    for s1 in anc:
-        for src, gamma in graph.push_into(s1):
-            for s4 in desc:
-                for q, pact in oracle.top_delta(s4, gamma):
-                    if isinstance(pact, Pop) and pact.frame == gamma:
-                        d_edges.append((s4, pact, q))
-                        d_pairs.append((src, q))
-    for s1 in anc:
-        for s4 in desc:
-            d_pairs.append((s1, s4))
-    return d_edges, d_pairs
+    def _enq_pair(self, p):
+        if p not in self._queued_h and not self.ecg.has(*p):
+            self._queued_h.add(p)
+            self._dH.append(p)
+
+    def _pops(self, src, gamma, q):
+        """Pops of γ at q, for a push src --γ--> into an ε-ancestor of q."""
+        for q2, act in self.oracle.top_delta(q, gamma):
+            if isinstance(act, Pop) and act.frame == gamma:
+                self._enq_edge((q, act, q2))
+                self._enq_pair((src, q2))
+
+    def restep(self, q):
+        """q's transitions grew: sprout it again, and match it now against
+        every frame pushed into its ε-ancestors."""
+        self._enq_sprout(q)
+        for s1 in self.ecg.ancestors(q):
+            for src, gamma in self.graph.push_into(s1):
+                self._pops(src, gamma, q)
+
+    def run(self, deadline: Optional[float] = None,
+            node_limit: Optional[int] = None) -> bool:
+        """Work until every queue is empty (True) or a limit hits (False)."""
+        graph, ecg, oracle = self.graph, self.ecg, self.oracle
+        dS, dE, dH = self._dS, self._dE, self._dH
+        while dH or dE or dS:
+            self._ticks += 1
+            if self._ticks % self.check_every == 0:
+                if deadline is not None and time.monotonic() > deadline:
+                    return False
+                if node_limit is not None and len(graph.nodes) > node_limit:
+                    return False
+            if dH:  # addEmpty: transitive pairs, pops across the bridge
+                p = dH.popleft()
+                self._queued_h.discard(p)
+                added = ecg.add(*p)
+                assert added, f"duplicate ε pair {p}"
+                if self.on_record is not None:
+                    self.on_record(p)
+                s2, s3 = p
+                anc, desc = ecg.ancestors(s2), ecg.descendants(s3)
+                for s1 in anc:
+                    for src, gamma in graph.push_into(s1):
+                        for s4 in desc:
+                            self._pops(src, gamma, s4)
+                for s1 in anc:
+                    for s4 in desc:
+                        self._enq_pair((s1, s4))
+            elif dE:
+                e = dE.popleft()
+                self._queued_e.discard(e)
+                added = graph.add_edge(e)
+                assert added, f"duplicate edge {e}"
+                if self.on_record is not None:
+                    self.on_record(e)
+                s, act, d = e
+                if act is UNCH:
+                    self._enq_pair((s, d))
+                elif isinstance(act, Push):  # addPush
+                    for q1 in ecg.descendants(d):
+                        self._pops(s, act.frame, q1)
+                else:  # addPop: close pairs through matching pushes
+                    for s1 in ecg.ancestors(s):
+                        for src, frame in graph.push_into(s1):
+                            if frame == act.frame:
+                                self._enq_pair((src, d))
+                self._add_state(d)
+            else:  # sprout: push/ε edges out of a state
+                q = dS.popleft()
+                self._queued_s.discard(q)
+                for q2, act in oracle.nop_delta(q):
+                    assert not isinstance(act, Pop), "nop_delta must not pop"
+                    self._enq_edge((q, act, q2))
+                    if act is UNCH:
+                        self._enq_pair((q, q2))
+        return True
 
 
 def compact_worklist(oracle, deadline: Optional[float] = None,
                      node_limit: Optional[int] = None):
-    """Fixed point of the ε-closure-graph worklist; ΔH before ΔE before ΔS.
+    """Fixed point of the ε-closure-graph worklist.
 
     Returns (CRPDS, ECG, saturated); saturated is False only when a limit
     aborted the loop.
     """
-    root = oracle.root
-    graph = CRPDS(root)
-    ecg = ECG()
-    dS, dE, dH = deque(), deque(), deque()
-    queued_e, queued_h = set(), set()
-    seen = set()
-    saturated = True
-
-    def enq_state(q):
-        if q not in seen:
-            seen.add(q)
-            graph.add_node(q)
-            dS.append(q)
-            enq_pair((q, q))  # ε-closure graphs are reflexive
-
-    def enq_edge(e):
-        if e not in queued_e and not graph.has_edge(e):
-            queued_e.add(e)
-            dE.append(e)
-
-    def enq_pair(p):
-        if p not in queued_h and not ecg.has(*p):
-            queued_h.add(p)
-            dH.append(p)
-
-    def enq_deltas(d_edges, d_pairs):
-        for p in d_pairs:
-            enq_pair(p)
-        for e in d_edges:
-            enq_edge(e)
-
-    enq_state(root)
-    ticks = 0
-    while dH or dE or dS:
-        ticks += 1
-        if ticks % 256 == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                saturated = False
-                break
-            if node_limit is not None and len(graph.nodes) > node_limit:
-                saturated = False
-                break
-        if dH:
-            p = dH.popleft()
-            queued_h.discard(p)
-            d_edges, d_pairs = add_empty(graph, ecg, oracle, p)
-            added = ecg.add(*p)
-            assert added, f"duplicate ε pair {p}"
-            enq_deltas(d_edges, d_pairs)
-        elif dE:
-            e = dE.popleft()
-            queued_e.discard(e)
-            s, act, d = e
-            if act is UNCH:
-                enq_pair((s, d))
-            elif isinstance(act, Push):
-                d_edges, d_pairs = add_push(graph, ecg, oracle, e)
-                enq_deltas(d_edges, d_pairs)
-            else:
-                d_edges, d_pairs = add_pop(graph, ecg, oracle, e)
-                enq_deltas(d_edges, d_pairs)
-            added = graph.add_edge(e)
-            assert added, f"duplicate edge {e}"
-            enq_state(d)
-        else:
-            q = dS.popleft()
-            d_edges, d_pairs = sprout(oracle, q)
-            enq_deltas(d_edges, d_pairs)
-    return graph, ecg, saturated
+    wl = Worklist(oracle)
+    saturated = wl.run(deadline, node_limit)
+    return wl.graph, wl.ecg, saturated
 
 
 # ---------------------------------------------------------------------------

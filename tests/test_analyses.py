@@ -4,9 +4,10 @@ import time
 import pytest
 
 from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import AAddr, AEnv, AFrame, Mono, OneCFA
+from pdcfa.abstract import AAddr, AConf, AEnv, AFrame, Mono, OneCFA, astep, leq
 from pdcfa.analyses import (
     ControlState,
+    PState,
     analyze_finite,
     analyze_gc_approx,
     analyze_gc_precise,
@@ -16,7 +17,7 @@ from pdcfa.analyses import (
 )
 from pdcfa.bench import load
 from pdcfa.gc import touches
-from pdcfa.pushdown import Push, UNCH
+from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,44 @@ def test_widened_has_single_global_store(fig1):
     assert r.stores() == [r.global_store]
 
 
+def _let_chain(n):
+    """A straight-line let* whose n bindings all call one identity."""
+    binds = ["(f (lambda (x) x))", "(v0 (f 0))"]
+    binds += [f"(v{i} (f v{i - 1}))" for i in range(1, n)]
+    return parse_and_normalize(f"(let* ({' '.join(binds)}) v{n - 1})")
+
+
+def test_widened_is_fixpoint_under_its_global_store(fig1):
+    # one more pass under the final store must find nothing new: every
+    # node was re-stepped after the last time the store grew
+    for e in (fig1, _let_chain(8)):
+        r = analyze_pdcfa_widened(e, Mono())
+        assert r.saturated
+        store = r.global_store
+        succ_stores = []
+
+        def successors(psi, kont):
+            c = AConf.make(psi.exp, psi.env, store, kont, psi.ctx)
+            for c2 in astep(c, Mono()):
+                if not (kont and c2.kont):  # under a frame, pops only
+                    succ_stores.append(c2.store)
+                    yield PState.make(c2.exp, c2.env, c2.ctx), c2.kont
+
+        def nop_delta(psi):
+            return [(q, Push(k[0]) if k else UNCH)
+                    for q, k in successors(psi, ())]
+
+        def top_delta(psi, fr):
+            return [(q, Pop(fr)) for q, _ in successors(psi, (fr,))]
+
+        g, _, sat = compact_worklist(RPDSOracle(r.graph.root, top_delta,
+                                                nop_delta))
+        assert sat
+        assert set(g.nodes) == set(r.nodes)
+        assert set(g.edges) == set(r.edges)
+        assert all(leq(s, store) for s in succ_stores)
+
+
 # ---------------------------------------------------------------------------
 # approximate GC analysis
 
@@ -119,6 +158,7 @@ def test_approx_root_cache_is_fixpoint_of_recorded_structure(fig1):
                                 list(r.ecg.pairs))
         for q in r.nodes:
             assert rc.get(q, frozenset()) == r.root_cache.get(q, frozenset())
+            assert r.ecg.has(q, q)
 
 
 def test_approx_equals_precise_on_eta():
@@ -138,8 +178,10 @@ def test_approx_records_stale_guards_when_roots_grow(fig1):
     assert r.extras["stale_guards"] > 0  # loops re-enter states with more roots
 
 
-def test_approx_within_node_limit_reports_unsaturated(fig1):
-    r = analyze_gc_approx(fig1, Mono(), node_limit=5)
+@pytest.mark.parametrize("analyze", [analyze_gc_approx, analyze_pdcfa_widened],
+                         ids=["approx", "widened"])
+def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
+    r = analyze(fig1, Mono(), node_limit=5)
     assert not r.saturated
     assert len(r.nodes) <= 5 + 64  # limit is checked every 64 work items
 

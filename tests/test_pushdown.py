@@ -11,6 +11,7 @@ from pdcfa.pushdown import (
     Push,
     RPDSOracle,
     UNCH,
+    Worklist,
     compact_naive,
     compact_worklist,
     net,
@@ -220,3 +221,36 @@ def test_random_systems_agree():
         assert set(en.pairs) == set(ew.pairs)
         compared += 1
     assert compared >= 20
+
+
+def test_worklist_resumes_after_transitions_grow():
+    # saturate on every other transition of a random system, reveal the
+    # rest, re-step every node: the resumed run must reach the fixed point
+    # of a fresh run on the full system
+    rng = random.Random(20261017)
+    grew = 0
+    for _ in range(40):
+        full = random_oracle(rng)
+        hidden = [True]
+
+        def part(out):
+            return out[::2] if hidden[0] else out
+
+        wl = Worklist(RPDSOracle(
+            root=full.root,
+            nop_delta=lambda q: part(full.nop_delta(q)),
+            top_delta=lambda q, g: part(full.top_delta(q, g)),
+        ))
+        assert wl.run()
+        edges_before = len(wl.graph.edges)
+        hidden[0] = False
+        for q in list(wl.graph.nodes):
+            wl.restep(q)
+        assert wl.run()
+        gw, ew, sw = compact_worklist(full)
+        assert sw
+        assert set(wl.graph.nodes) == set(gw.nodes)
+        assert set(wl.graph.edges) == set(gw.edges)
+        assert set(wl.ecg.pairs) == set(ew.pairs)
+        grew += len(wl.graph.edges) > edges_before
+    assert grew >= 20
