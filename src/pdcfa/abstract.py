@@ -9,6 +9,7 @@ callee's closure set, If forks on boolean top.
 All abstract domain objects are hash-consed (interned), so equality is
 pointer equality; every container used for iteration is kept in a canonical
 sort order (see skey) to make analyses deterministic across processes.
+Each interned object builds its sort key once (see _keyed).
 """
 from __future__ import annotations
 
@@ -41,6 +42,23 @@ def _intern(cls, key, *args):
         obj = cls(*args)
         tab[key] = obj
     return obj
+
+
+def _keyed(build):
+    """Make build(self) the body of a class's skey method, run once.
+
+    Interned domain objects are immutable, so the key is built on first
+    use, from the children's stored keys, and kept on the instance; shared
+    sub-keys are then one tuple, not a copy per caller.
+    """
+    def skey(self):
+        try:
+            return self._skey
+        except AttributeError:
+            key = build(self)
+            object.__setattr__(self, "_skey", key)
+            return key
+    return skey
 
 
 def skey(x):
@@ -101,6 +119,7 @@ class AClo:
     def make(cls, lam, env):
         return _intern(cls, (id(lam), env), lam, env)
 
+    @_keyed
     def skey(self):
         return ("clo", self.lam.skey(), self.env.skey())
 
@@ -117,6 +136,7 @@ class APrim:
     def make(cls, op, args=()):
         return _intern(cls, (op, args), op, args)
 
+    @_keyed
     def skey(self):
         return ("prim", self.op, tuple(a.skey() for a in self.args))
 
@@ -138,6 +158,7 @@ class AAddr:
     def make(cls, tag, var, extra=()):
         return _intern(cls, (tag, var, extra), tag, var, extra)
 
+    @_keyed
     def skey(self):
         return ("addr", self.tag, self.var.skey(), self.extra)
 
@@ -170,6 +191,7 @@ class AEnv:
     def range(self):
         return [a for _, a in self.items]
 
+    @_keyed
     def skey(self):
         return tuple((v.skey(), a.skey()) for v, a in self.items)
 
@@ -206,6 +228,7 @@ class AStore:
     def restrict(self, keep):
         return AStore.make((a, vs) for a, vs in self.items if a in keep)
 
+    @_keyed
     def skey(self):
         return tuple((a.skey(), tuple(v.skey() for v in vs))
                      for a, vs in self.items)
@@ -235,6 +258,7 @@ class AFrame:
     def make(cls, var, exp, env):
         return _intern(cls, (var, id(exp), env), var, exp, env)
 
+    @_keyed
     def skey(self):
         return ("frame", self.var.skey(), self.exp.label, self.env.skey())
 
@@ -255,6 +279,7 @@ class AConf:
         return _intern(cls, (id(exp), env, store, kont, ctx),
                        exp, env, store, kont, ctx)
 
+    @_keyed
     def skey(self):
         return (self.exp.label, self.env.skey(), self.store.skey(),
                 tuple(f.skey() for f in self.kont), self.ctx)
@@ -587,6 +612,7 @@ class KAddr:
     def make(cls, exp, env):
         return _intern(cls, (id(exp), env), exp, env)
 
+    @_keyed
     def skey(self):
         return ("kaddr", self.exp.label, self.env.skey())
 
@@ -608,6 +634,7 @@ class FState:
         return _intern(cls, (id(exp), env, store, ctx, id(kaddr)),
                        exp, env, store, ctx, kaddr)
 
+    @_keyed
     def skey(self):
         return (self.exp.label, self.env.skey(), self.store.skey(), self.ctx,
                 kaddr_skey(self.kaddr))

@@ -26,7 +26,7 @@ from typing import Optional
 from .syntax import Exp, Let1
 from .abstract import (AConf, AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState,
                        K_HALT, astep, astep_finite, finject, store_join,
-                       _intern)
+                       _intern, _keyed)
 from .gc import gc_store, touches
 from .pushdown import (Push, Pop, UNCH, RPDSOracle, CRPDS, ECG, Worklist,
                        compact_worklist)
@@ -43,6 +43,7 @@ class ControlState:
     def make(cls, exp, env, store, ctx=()):
         return _intern(cls, (id(exp), env, store, ctx), exp, env, store, ctx)
 
+    @_keyed
     def skey(self):
         return (self.exp.label, self.env.skey(), self.store.skey(), self.ctx)
 
@@ -60,6 +61,7 @@ class PState:
     def make(cls, exp, env, ctx=()):
         return _intern(cls, (id(exp), env, ctx), exp, env, ctx)
 
+    @_keyed
     def skey(self):
         return (self.exp.label, self.env.skey(), self.ctx)
 
@@ -80,6 +82,7 @@ class OPState:
     def make(cls, state, roots):
         return _intern(cls, (state, roots), state, roots)
 
+    @_keyed
     def skey(self):
         return (self.state.skey(), _roots_key(self.roots))
 

@@ -90,6 +90,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        return _run(args)
+    except RecursionError:
+        # the normalizer and the analyses recurse on program depth
+        print(f"pdcfa: {args.file}: program nested too deeply to analyze",
+              file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
+    try:
         name, e = _load_program(args.file)
     except FileNotFoundError as ex:
         print(f"pdcfa: no such program: {ex}", file=sys.stderr)
@@ -102,8 +112,6 @@ def main(argv=None) -> int:
         _emit(print_anf(e), args.out)
         return 0
 
-    deadline = (time.monotonic() + args.timeout_secs
-                if args.timeout_secs else None)
     policy = policy_for_k(args.k)
 
     if args.analysis == "concrete":
@@ -121,6 +129,8 @@ def main(argv=None) -> int:
     last = None
     for kind in kinds:
         t0 = time.monotonic()
+        # each analysis gets the whole budget
+        deadline = t0 + args.timeout_secs if args.timeout_secs else None
         r = run_one(kind, e, policy, deadline)
         wall = (time.monotonic() - t0) * 1000.0
         m = compute_metrics(name, r, args.k, wall)

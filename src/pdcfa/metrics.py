@@ -5,9 +5,8 @@ import json
 from dataclasses import dataclass, asdict
 
 from .syntax import binders
-from .abstract import AClo, skey
 from .analyses import AnalysisResult, OPState, act_skey
-from .pushdown import Push, Pop, UNCH
+from .pushdown import Push, UNCH
 
 
 @dataclass

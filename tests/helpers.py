@@ -11,9 +11,11 @@ a raw trace store carries dead bindings the analysis rightly dropped.
 """
 from pdcfa.concrete import Clo, PrimVal, Conf
 from pdcfa.abstract import (alpha, leq, run_abstracted, IncomparableKinds,
-                            AConf, K_HALT, Mono, OneCFA)
+                            AConf, K_HALT, Mono, OneCFA, AScalarTop, ABool,
+                            AClo, APrim, AAddr, AEnv, AStore, AFrame, KAddr,
+                            FState)
 from pdcfa.gc import gc
-from pdcfa.analyses import OPState
+from pdcfa.analyses import OPState, ControlState, PState
 
 
 def concrete_gc(c: Conf) -> Conf:
@@ -151,3 +153,42 @@ def coverage_violations(e, policy, result):
 
 def policy_for(k):
     return Mono() if k == 0 else OneCFA()
+
+
+def ref_skey(x):
+    """The canonical sort key rebuilt from fields on every call, never from
+    a stored key: the reference for the keys domain objects keep."""
+    if isinstance(x, AScalarTop):
+        return ("num",)
+    if isinstance(x, ABool):
+        return ("bool", {False: 0, True: 1, None: 2}[x.value])
+    if isinstance(x, AClo):
+        return ("clo", x.lam.skey(), ref_skey(x.env))
+    if isinstance(x, APrim):
+        return ("prim", x.op, tuple(ref_skey(a) for a in x.args))
+    if isinstance(x, AAddr):
+        return ("addr", x.tag, x.var.skey(), x.extra)
+    if isinstance(x, AEnv):
+        return tuple((v.skey(), ref_skey(a)) for v, a in x.items)
+    if isinstance(x, AStore):
+        return tuple((ref_skey(a), tuple(ref_skey(v) for v in vs))
+                     for a, vs in x.items)
+    if isinstance(x, AFrame):
+        return ("frame", x.var.skey(), x.exp.label, ref_skey(x.env))
+    if isinstance(x, AConf):
+        return (x.exp.label, ref_skey(x.env), ref_skey(x.store),
+                tuple(ref_skey(f) for f in x.kont), x.ctx)
+    if x is K_HALT:
+        return ("kaddr-halt",)
+    if isinstance(x, KAddr):
+        return ("kaddr", x.exp.label, ref_skey(x.env))
+    if isinstance(x, FState):
+        return (x.exp.label, ref_skey(x.env), ref_skey(x.store), x.ctx,
+                ref_skey(x.kaddr))
+    if isinstance(x, ControlState):
+        return (x.exp.label, ref_skey(x.env), ref_skey(x.store), x.ctx)
+    if isinstance(x, PState):
+        return (x.exp.label, ref_skey(x.env), x.ctx)
+    if isinstance(x, OPState):
+        return (ref_skey(x.state), tuple(sorted(ref_skey(a) for a in x.roots)))
+    raise TypeError(x)

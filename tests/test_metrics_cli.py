@@ -2,15 +2,24 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from pdcfa import cli
 from pdcfa.syntax import parse_and_normalize
-from pdcfa.abstract import Mono
-from pdcfa.analyses import analyze_finite, analyze_gc_approx, analyze_pdcfa
+from pdcfa.abstract import KAddr, Mono
+from pdcfa.analyses import (OPState, analyze_finite, analyze_gc_approx,
+                            analyze_pdcfa)
 from pdcfa.bench import load
 from pdcfa.cli import main
-from pdcfa.metrics import Metrics, compute_metrics, singleton_count, to_dot, to_json
+from pdcfa.metrics import (Metrics, _node_label, compute_metrics,
+                           singleton_count, to_dot, to_json)
+
+from helpers import ref_skey
+
+KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
+         "pdcfa-widened")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +111,40 @@ def test_json_result_roundtrip():
         assert edge["src"] in ids and edge["dst"] in ids
 
 
+def _keyed_parts(n):
+    """n and the environments, stores and continuation address it holds."""
+    st = n.state if isinstance(n, OPState) else n
+    parts = [n, st, st.env]
+    if hasattr(st, "store"):
+        parts.append(st.store)
+    if isinstance(getattr(st, "kaddr", None), KAddr):
+        parts += [st.kaddr, st.kaddr.env]
+    return parts
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_stored_skey_equals_reference_key(prog, k):
+    e = load(prog)
+    for kind in KINDS:
+        r = cli.run_one(kind, e, cli.policy_for_k(k), node_limit=2_000)
+        parts = [p for n in r.graph.nodes for p in _keyed_parts(n)]
+        if r.global_store is not None:
+            parts.append(r.global_store)
+        for x in parts:
+            assert x.skey() is x.skey()
+            assert x.skey() == ref_skey(x), (kind, x)
+        # to_json numbers nodes in reference-key order
+        order = sorted(r.graph.nodes, key=ref_skey)
+        ids = {n: i for i, n in enumerate(order)}
+        doc = json.loads(to_json(r))
+        assert [d["id"] for d in doc["nodes"]] == list(range(len(order)))
+        assert ({(d["src"], d["dst"]) for d in doc["edges"]}
+                == {(ids[s], ids[d]) for s, _, d in r.graph.edges})
+        assert [d["label"] for d in doc["nodes"]] == \
+            [_node_label(n) for n in order]
+
+
 def test_json_metrics_roundtrip():
     m = compute_metrics("eta", analyze_pdcfa(load("eta"), Mono()), 1, 5.0)
     doc = json.loads(to_json(m))
@@ -188,6 +231,39 @@ def test_cli_parse_error_exits_1(tmp_path, capsys):
     bad.write_text("((")
     code, _, err = run_cli(["run", str(bad)], capsys)
     assert code == 1
+
+
+def test_cli_all_gives_each_analysis_its_own_budget(monkeypatch, capsys):
+    now = [100.0]
+    calls = []
+    real_run_one = cli.run_one
+
+    def run_one(kind, e, policy, deadline=None, node_limit=None):
+        calls.append((kind, now[0], deadline))
+        now[0] += 7.0  # every analysis uses most of its budget
+        return real_run_one(kind, e, policy)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(cli, "run_one", run_one)
+    code, _, _ = run_cli(["run", "eta", "--analysis", "all",
+                          "--timeout-secs", "10"], capsys)
+    assert code == 0
+    assert [kind for kind, _, _ in calls] == list(KINDS)
+    for kind, start, deadline in calls:
+        assert deadline == start + 10.0, kind
+
+
+def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
+    # a 200-binding let* chain of calls through one shared closure
+    n = 200
+    binds = ["(f (lambda (x) x))", "(v0 (f 0))"]
+    binds += [f"(v{i} (f v{i - 1}))" for i in range(1, n)]
+    prog = tmp_path / "chain200.scm"
+    prog.write_text("(let* (" + "\n".join(binds) + f")\n  v{n - 1})\n")
+    code, out, err = run_cli(["run", str(prog), "--analysis", "all"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdcfa: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_unknown_flag_exits_2():
