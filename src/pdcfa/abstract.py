@@ -186,7 +186,8 @@ class AEnv:
         return AEnv.make([(x, y) for x, y in self.items if x != v] + [(v, a)])
 
     def restrict(self, keep):
-        return AEnv.make([(x, y) for x, y in self.items if x in keep])
+        items = tuple(p for p in self.items if p[0] in keep)  # still sorted
+        return _intern(AEnv, items, items)
 
     def range(self):
         return [a for _, a in self.items]
@@ -226,7 +227,8 @@ class AStore:
         return AStore.make(d.items())
 
     def restrict(self, keep):
-        return AStore.make((a, vs) for a, vs in self.items if a in keep)
+        items = tuple(p for p in self.items if p[0] in keep)  # still sorted
+        return _intern(AStore, items, items)
 
     @_keyed
     def skey(self):

@@ -11,10 +11,12 @@ Six analyses over one normalized program:
 
 All reuse the abstract stepper; the pushdown ones embed it into an
 RPDSOracle by running astep with an empty stack (push/ε transitions) or a
-singleton stack (pop transitions), and run it on the one ε-closure-graph
-engine, pushdown.Worklist.  The widened and approximate-GC oracles read
-state that grows while the engine runs (the global store, the root
-cache); they re-step the nodes whose input grew and resume the engine.
+singleton stack (pop transitions), and run it on the one reachability
+engine, pushdown.Worklist, which keeps path edges per entry and one-step
+same-level summaries; their ε-closure graph is a view of those, built
+only when read.  The widened and approximate-GC oracles read state that
+grows while the engine runs (the global store, the root cache); they
+re-step the nodes whose input grew and resume the engine.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .abstract import (AConf, AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState,
                        K_HALT, astep, astep_finite, finject, store_join,
                        _intern, _keyed)
 from .gc import gc_store, touches
-from .pushdown import (Push, Pop, UNCH, RPDSOracle, CRPDS, ECG, Worklist,
-                       compact_worklist)
+from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
+                       Worklist, compact_worklist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +256,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
                 out.append((_ps_of(c2), Pop(fr)))
         return out
 
-    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), check_every=64)
+    wl = Worklist(RPDSOracle(root, top_delta, nop_delta))
     while True:
         saturated = wl.run(deadline, node_limit)
         grown = store
@@ -276,7 +278,11 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
 
 def compute_root_cache(nodes, guarded_edges, hpairs) -> dict:
     """From-scratch least fixed point of the root-transfer equations:
-    R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}."""
+    R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}.
+
+    H may be the engine's one-step same-level pairs (ε edges and push…pop
+    summaries) or their transitive closure, the ε-closure graph: R flows
+    along both alike, so the least fixed point is the same."""
     R = {n: frozenset() for n in nodes}
     for (src, _g, act, dst) in guarded_edges:
         R.setdefault(src, frozenset())
@@ -305,7 +311,8 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                       snapshot_cb=None) -> AnalysisResult:
     """GC pushdown analysis over plain control states: each node caches an
     over-approximate root set R, the least solution of compute_root_cache's
-    equations over what the engine has recorded so far.  Each edge records
+    equations over what the engine has recorded so far (its edges and
+    one-step same-level pairs).  Each edge records
     one guard, R of its source when the edge lands.  When R grows the node
     is re-stepped; its old successors and guards stay in the graph, and a
     guard below the final R is counted as stale."""
@@ -331,8 +338,8 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                 if not c2.kont]
 
     def grow(q, addrs):
-        """Monotone root flow along ε pairs and push edges; every node
-        whose R grows is re-stepped."""
+        """Monotone root flow along same-level steps and push edges; every
+        node whose R grows is re-stepped."""
         work = deque()
 
         def flow(y, addrs):
@@ -344,13 +351,13 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
         while work:
             x = work.popleft()
             wl.restep(x)
-            for y in wl.ecg.fwd(x):
+            for y in wl.same.get(x, ()):
                 flow(y, R[x])
             for fr, y in push_out.get(x, ()):
                 flow(y, R[x] | touches(fr))
 
     def on_record(item):
-        if len(item) == 2:  # ε pair: the source's roots reach the target
+        if len(item) == 2:  # same pair: the source's roots reach the target
             grow(item[1], roots(item[0]))
         else:
             src, act, dst = item
@@ -359,16 +366,18 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                 push_out.setdefault(src, {})[(act.frame, dst)] = None
                 grow(dst, roots(src) | touches(act.frame))
         if snapshot_cb is not None:
-            snapshot_cb(guarded_edges(), list(wl.ecg.pairs), root_cache())
+            snapshot_cb(guarded_edges(), same_pairs(), root_cache())
 
     def guarded_edges():
         return [(s, g, a, d) for (s, a, d), g in guards.items()]
 
+    def same_pairs():
+        return [(s, d) for s, ds in wl.same.items() for d in ds]
+
     def root_cache():
         return {q: roots(q) for q in (*wl.graph.nodes, *R)}
 
-    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), on_record,
-                  check_every=64)
+    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), on_record)
     saturated = wl.run(deadline, node_limit)
     res = AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
                          e, saturated,
@@ -395,7 +404,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     ticks = 0
     while queue:
         ticks += 1
-        if ticks % 64 == 0:
+        if ticks % CHECK_EVERY == 0:
             if deadline is not None and time.monotonic() > deadline:
                 saturated = False
                 break

@@ -84,18 +84,29 @@ def _act_label(act):
 
 
 def _sorted_nodes(r: AnalysisResult):
-    return sorted(r.graph.nodes, key=lambda n: n.skey())
+    """Nodes in canonical order, and each node's rank in it (equal keys
+    share one), so that edges sort on ints rather than on deep keys."""
+    nodes = sorted(r.graph.nodes, key=lambda n: n.skey())
+    rank = {}
+    for i, n in enumerate(nodes):
+        same = i and n.skey() == nodes[i - 1].skey()
+        rank[n] = rank[nodes[i - 1]] if same else i
+    return nodes, rank
 
 
-def _edge_key(e):
-    src, act, dst = e
-    ak = (act,) if isinstance(act, str) else act_skey(act)
-    return (src.skey(), ak, dst.skey())
+def _edge_key(rank):
+    """Sort key of an edge: the canonical order of (src, act, dst)."""
+    def key(e):
+        src, act, dst = e
+        ak = (act,) if isinstance(act, str) else act_skey(act)
+        return (rank[src], ak, rank[dst])
+    return key
 
 
 def to_dot(r: AnalysisResult) -> str:
     """Deterministic DOT rendering of the reachable transition graph."""
-    nodes = _sorted_nodes(r)
+    nodes, rank = _sorted_nodes(r)
+    edge_key = _edge_key(rank)
     ids = {n: f"n{i}" for i, n in enumerate(nodes)}
     lines = ["digraph pdcfa {", '  rankdir="LR";']
     for n in nodes:
@@ -105,40 +116,59 @@ def to_dot(r: AnalysisResult) -> str:
         rendered = sorted(
             ((src, act, dst, len(guard))
              for (src, guard, act, dst) in r.guarded_edges),
-            key=lambda t: (_edge_key(t[:3]), t[3]))
+            key=lambda t: (edge_key(t[:3]), t[3]))
         for src, act, dst, gsize in rendered:
             lbl = f"{_act_label(act)} ⟨{gsize}⟩"
             lines.append(f'  {ids[src]} -> {ids[dst]} [label="{lbl}"];')
     else:
-        for src, act, dst in sorted(r.graph.edges, key=_edge_key):
+        for src, act, dst in sorted(r.graph.edges, key=edge_key):
             lines.append(
                 f'  {ids[src]} -> {ids[dst]} [label="{_act_label(act)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+_NODE = '    {\n      "id": %d,\n      "label": %s\n    }'
+_EDGE = '    {\n      "src": %d,\n      "act": %s,\n      "dst": %d\n    }'
+
+
 def to_json(obj) -> str:
-    """Stable-order JSON for a Metrics record or a full AnalysisResult."""
+    """Stable-order JSON for a Metrics record or a full AnalysisResult.
+
+    A result is written exactly as json.dumps(doc, indent=2) writes it,
+    but row by row: with indent= json.dumps runs its pure-Python encoder,
+    so each value is encoded on its own by the C one instead."""
     if isinstance(obj, Metrics):
         doc = {"schema": 1, "metrics": asdict(obj)}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     r = obj
-    nodes = _sorted_nodes(r)
+    nodes, rank = _sorted_nodes(r)
     ids = {n: i for i, n in enumerate(nodes)}
-    edges = sorted(r.graph.edges, key=_edge_key)
-    doc = {
+    edges = sorted(r.graph.edges, key=_edge_key(rank))
+    head = {
         "schema": 1,
         "kind": r.kind,
         "saturated": r.saturated,
         "node_count": len(nodes),
         "edge_count": len(edges),
-        "nodes": [{"id": ids[n], "label": _node_label(n)} for n in nodes],
-        "edges": [{"src": ids[s], "act": _act_label(a), "dst": ids[d]}
-                  for (s, a, d) in edges],
     }
+    tail = {}
     if r.guarded_edges is not None:
-        doc["guarded_edge_count"] = len(r.guarded_edges)
-        doc["stale_guards"] = r.extras.get("stale_guards", 0)
+        tail["guarded_edge_count"] = len(r.guarded_edges)
+        tail["stale_guards"] = r.extras.get("stale_guards", 0)
     if r.ecg is not None:
-        doc["ecg_pairs"] = len(r.ecg.pairs)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        tail["ecg_pairs"] = r.ecg.pair_count()
+    dumps = json.dumps
+    rows = [f"  {dumps(k)}: {dumps(v)}" for k, v in head.items()]
+    rows.append('  "nodes": ' + _array(
+        [_NODE % (i, dumps(_node_label(n))) for i, n in enumerate(nodes)]))
+    rows.append('  "edges": ' + _array(
+        [_EDGE % (ids[s], dumps(_act_label(a)), ids[d])
+         for (s, a, d) in edges]))
+    rows += [f"  {dumps(k)}: {dumps(v)}" for k, v in tail.items()]
+    return "{\n" + ",\n".join(rows) + "\n}\n"
+
+
+def _array(items):
+    """A top-level field's JSON array of rendered items, as indent=2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"

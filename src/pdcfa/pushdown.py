@@ -1,15 +1,18 @@
-"""Generic pushdown reachability via ε-closure graphs.
+"""Generic pushdown reachability by entry-relative summaries.
 
 A rooted pushdown system is given intensionally by an RPDSOracle:
 `nop_delta(q)` enumerates push/no-change transitions (no stack needed) and
 `top_delta(q, γ)` enumerates the pop transitions enabled when γ is on top.
 `compact_naive` explores (state, stack) configurations breadth-first within
-bounds and serves as a test oracle; `compact_worklist` computes the same
-compacted system and ε-closure graph with the sprout/addPush/addPop/addEmpty
-worklist algorithm, processing ΔH before ΔE before ΔS.  That algorithm is
-one resumable engine, `Worklist`, which every pushdown analysis runs: an
-analysis whose transfer function grows between runs (widened store,
-approximate GC roots) re-steps the affected nodes and resumes it.
+bounds and serves as a test oracle.  `compact_worklist` computes the same
+compacted system and ε-closure graph with one resumable engine,
+`Worklist`, which every pushdown analysis runs: RHS-style tabulation that
+keeps path edges (entry, q) from the root and each push target, and the
+one-step same-level relation `same` (ε edges plus push…pop summaries).
+The reflexive-transitive ε-closure is never stored; `ECG` reads it from
+`same` when a caller asks.  An analysis whose transfer function grows
+between runs (widened store, approximate GC roots) re-steps the affected
+nodes and resumes the engine.
 """
 from __future__ import annotations
 
@@ -113,73 +116,114 @@ class CRPDS:
         return list(self._push_into.get(q, ()))
 
 
-class ECG:
-    """ε-closure graph: reflexive, transitive at fixpoint."""
+def _closure(q, step):
+    """q and every state reachable from it through `step` (q -> {q2})."""
+    seen = {q: None}
+    stack = [q]
+    while stack:
+        for d in step.get(stack.pop(), ()):
+            if d not in seen:
+                seen[d] = None
+                stack.append(d)
+    return seen
 
-    def __init__(self):
-        self._fwd = {}
-        self._bwd = {}
-        self.pairs = {}
+
+class ECG:
+    """ε-closure graph, read on demand from a one-step same-level relation.
+
+    `same[q]` holds the states one same-level step after q.  (s, d) is a
+    pair when s is a node and d is reachable from s in zero or more
+    `same` steps; at the engine's fixpoint that is the reflexive,
+    transitive ε-closure.  Nothing is built until a caller asks:
+    `descendants`/`ancestors`/`has` search from one state (and keep what
+    they found), `pair_count` counts the closure without storing it, and
+    only `pairs` materializes it.
+    """
+
+    def __init__(self, nodes, same):
+        self._nodes, self._same = nodes, same
+        self._desc, self._anc, self._pred = {}, {}, None
+
+    def _from(self, q):
+        if q not in self._desc:
+            self._desc[q] = _closure(q, self._same)
+        return self._desc[q]
 
     def has(self, s, d):
-        return (s, d) in self.pairs
-
-    def add(self, s, d):
-        if (s, d) in self.pairs:
-            return False
-        self.pairs[(s, d)] = None
-        self._fwd.setdefault(s, {})[d] = None
-        self._bwd.setdefault(d, {})[s] = None
-        return True
-
-    def fwd(self, q):
-        return list(self._fwd.get(q, ()))
+        return s in self._nodes and d in self._from(s)
 
     def descendants(self, q):
         """ε-reachable states including q itself."""
-        out = {q: None}
-        out.update(self._fwd.get(q, {}))
-        return list(out)
+        return list(self._from(q))
 
     def ancestors(self, q):
-        out = {q: None}
-        out.update(self._bwd.get(q, {}))
-        return list(out)
+        if self._pred is None:
+            self._pred = {}
+            for s, ds in self._same.items():
+                for d in ds:
+                    self._pred.setdefault(d, {})[s] = None
+        if q not in self._anc:
+            self._anc[q] = [s for s in _closure(q, self._pred)
+                            if s in self._nodes]
+        return list(self._anc[q])
+
+    def pair_count(self):
+        """len(self.pairs), one closure at a time."""
+        return sum(len(_closure(s, self._same)) for s in self._nodes)
+
+    @property
+    def pairs(self):
+        return {(s, d): None for s in self._nodes
+                for d in _closure(s, self._same)}
 
 
 # ---------------------------------------------------------------------------
 # worklist algorithm
 
+CHECK_EVERY = 64  # work items between deadline / node-limit checks
+
 
 class Worklist:
-    """The ε-closure-graph worklist (sprout/addPush/addPop/addEmpty) as a
-    resumable engine; ΔH before ΔE before ΔS.
+    """Pushdown reachability by entry-relative summaries (RHS tabulation),
+    as a resumable worklist engine.
 
-    `run` may be called again after it returns.  An oracle whose answers
-    grow between runs (a larger store, a larger root set) tells the engine
-    with `restep`.  `on_record(item)`, if given, is called once each ε
-    pair (s, d) or edge (s, act, d) is recorded, before its pops are
-    computed.  Limits are checked every `check_every` work items.
+    An *entry* is the root or the target of a push edge.  The engine keeps
+    - `paths[e]`: the states same-level reachable from entry e (its path
+      edges), and the reverse index `entries_of[q]`;
+    - `same[q]`: the one-step same-level successors of q: its ε edges, and
+      a summary src → r for each push src --γ--> e, path (e, x) and pop
+      x --pop γ--> r;
+    - the graph's `push_into`.
+    Each pop is tried once per path edge (e, x) and push into e, so the
+    work grows with the path edges, not with the ε-closure; `ecg` is the
+    closure as a view of `same`, built only when read.
+
+    Work is taken ΔH (same pairs) before ΔE (edges) before ΔS (sprouts);
+    a new path edge is followed at once through `same`.  `run` may be
+    called again after it returns.  An oracle whose answers grow between
+    runs (a larger store, a larger root set) tells the engine with
+    `restep`.  `on_record(item)`, if given, is called once each same pair
+    (s, d) or edge (s, act, d) is recorded, before its consequences are
+    worked out.  Limits are checked every CHECK_EVERY work items.
     """
 
-    def __init__(self, oracle, on_record=None, check_every=256):
+    def __init__(self, oracle, on_record=None):
         self.oracle = oracle
         self.on_record = on_record
-        self.check_every = check_every
         self.graph = CRPDS(oracle.root)
-        self.ecg = ECG()
+        self.paths = {}  # entry -> {q: None}
+        self.entries_of = {}  # q -> {entry: None}
+        self.same = {}  # q -> {q2: None}
         self._dS, self._dE, self._dH = deque(), deque(), deque()
         self._queued_s, self._queued_e, self._queued_h = set(), set(), set()
-        self._seen = set()  # states given a first sprout and (q, q)
         self._ticks = 0
-        self._add_state(oracle.root)
+        self._enq_sprout(oracle.root)
+        self._enter(oracle.root)
 
-    def _add_state(self, q):
-        if q not in self._seen:
-            self._seen.add(q)
-            self.graph.add_node(q)
-            self._enq_sprout(q)
-            self._enq_pair((q, q))  # ε-closure graphs are reflexive
+    @property
+    def ecg(self):
+        """The ε-closure graph of what has been found so far."""
+        return ECG(self.graph.nodes, self.same)
 
     def _enq_sprout(self, q):
         if q not in self._queued_s:
@@ -191,73 +235,88 @@ class Worklist:
             self._queued_e.add(e)
             self._dE.append(e)
 
-    def _enq_pair(self, p):
-        if p not in self._queued_h and not self.ecg.has(*p):
+    def _enq_same(self, p):
+        if p not in self._queued_h and p[1] not in self.same.get(p[0], ()):
             self._queued_h.add(p)
             self._dH.append(p)
 
+    def _enter(self, e):
+        """Make e an entry; False if it already was one."""
+        if e in self.paths:
+            return False
+        self.paths[e] = {}
+        self._reach(e, e)
+        return True
+
+    def _reach(self, e, q):
+        """Path edge (e, q) and every path edge after it through `same`;
+        each new one matches its state against the pushes into e."""
+        path = self.paths[e]
+        pushes = self.graph.push_into(e)
+        stack = [q]
+        while stack:
+            x = stack.pop()
+            if x in path:
+                continue
+            path[x] = None
+            self.entries_of.setdefault(x, {})[e] = None
+            for src, gamma in pushes:
+                self._pops(src, gamma, x)
+            stack.extend(self.same.get(x, ()))
+
     def _pops(self, src, gamma, q):
-        """Pops of γ at q, for a push src --γ--> into an ε-ancestor of q."""
+        """Pops of γ at q, for a push src --γ--> into an entry of q."""
         for q2, act in self.oracle.top_delta(q, gamma):
             if isinstance(act, Pop) and act.frame == gamma:
                 self._enq_edge((q, act, q2))
-                self._enq_pair((src, q2))
+                self._enq_same((src, q2))
 
     def restep(self, q):
         """q's transitions grew: sprout it again, and match it now against
-        every frame pushed into its ε-ancestors."""
+        every frame pushed into its entries."""
         self._enq_sprout(q)
-        for s1 in self.ecg.ancestors(q):
-            for src, gamma in self.graph.push_into(s1):
+        for e in self.entries_of.get(q, ()):
+            for src, gamma in self.graph.push_into(e):
                 self._pops(src, gamma, q)
 
     def run(self, deadline: Optional[float] = None,
             node_limit: Optional[int] = None) -> bool:
         """Work until every queue is empty (True) or a limit hits (False)."""
-        graph, ecg, oracle = self.graph, self.ecg, self.oracle
+        graph, oracle = self.graph, self.oracle
         dS, dE, dH = self._dS, self._dE, self._dH
         while dH or dE or dS:
             self._ticks += 1
-            if self._ticks % self.check_every == 0:
+            if self._ticks % CHECK_EVERY == 0:
                 if deadline is not None and time.monotonic() > deadline:
                     return False
                 if node_limit is not None and len(graph.nodes) > node_limit:
                     return False
-            if dH:  # addEmpty: transitive pairs, pops across the bridge
+            if dH:  # a same-level step s → d extends every path through s
                 p = dH.popleft()
                 self._queued_h.discard(p)
-                added = ecg.add(*p)
-                assert added, f"duplicate ε pair {p}"
+                s, d = p
+                succ = self.same.setdefault(s, {})
+                assert d not in succ, f"duplicate same pair {p}"
+                succ[d] = None
                 if self.on_record is not None:
                     self.on_record(p)
-                s2, s3 = p
-                anc, desc = ecg.ancestors(s2), ecg.descendants(s3)
-                for s1 in anc:
-                    for src, gamma in graph.push_into(s1):
-                        for s4 in desc:
-                            self._pops(src, gamma, s4)
-                for s1 in anc:
-                    for s4 in desc:
-                        self._enq_pair((s1, s4))
+                for e in list(self.entries_of.get(s, ())):
+                    self._reach(e, d)
             elif dE:
                 e = dE.popleft()
                 self._queued_e.discard(e)
+                s, act, d = e
+                new = d not in graph.nodes
                 added = graph.add_edge(e)
                 assert added, f"duplicate edge {e}"
                 if self.on_record is not None:
                     self.on_record(e)
-                s, act, d = e
-                if act is UNCH:
-                    self._enq_pair((s, d))
-                elif isinstance(act, Push):  # addPush
-                    for q1 in ecg.descendants(d):
-                        self._pops(s, act.frame, q1)
-                else:  # addPop: close pairs through matching pushes
-                    for s1 in ecg.ancestors(s):
-                        for src, frame in graph.push_into(s1):
-                            if frame == act.frame:
-                                self._enq_pair((src, d))
-                self._add_state(d)
+                # an ε edge's same pair was queued, and so recorded, first
+                if isinstance(act, Push) and not self._enter(d):
+                    for x in list(self.paths[d]):  # a new caller of d
+                        self._pops(s, act.frame, x)
+                if new:
+                    self._enq_sprout(d)
             else:  # sprout: push/ε edges out of a state
                 q = dS.popleft()
                 self._queued_s.discard(q)
@@ -265,13 +324,13 @@ class Worklist:
                     assert not isinstance(act, Pop), "nop_delta must not pop"
                     self._enq_edge((q, act, q2))
                     if act is UNCH:
-                        self._enq_pair((q, q2))
+                        self._enq_same((q, q2))
         return True
 
 
 def compact_worklist(oracle, deadline: Optional[float] = None,
                      node_limit: Optional[int] = None):
-    """Fixed point of the ε-closure-graph worklist.
+    """Fixed point of the reachability engine.
 
     Returns (CRPDS, ECG, saturated); saturated is False only when a limit
     aborted the loop.
@@ -294,7 +353,7 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
     """
     root = oracle.root
     graph = CRPDS(root)
-    ecg = ECG()
+    balanced = {}  # s -> {q: None}, already transitive
     saturated = True
     steps = 0
 
@@ -341,7 +400,7 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
                 break
             q, rel = sub_q.popleft()
             if not rel:
-                ecg.add(s, q)
+                balanced.setdefault(s, {})[q] = None
             for q2, act in transitions(q, rel):
                 if isinstance(act, Push):
                     if len(rel) >= depth_bound:
@@ -355,4 +414,4 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
                 if (q2, rel2) not in sub_seen:
                     sub_seen.add((q2, rel2))
                     sub_q.append((q2, rel2))
-    return graph, ecg, saturated
+    return graph, ECG(graph.nodes, balanced), saturated

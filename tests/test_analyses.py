@@ -16,6 +16,7 @@ from pdcfa.analyses import (
     compute_root_cache,
 )
 from pdcfa.bench import load
+from pdcfa import pushdown
 from pdcfa.gc import touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
@@ -76,6 +77,25 @@ def test_fused_gc_beats_plain_by_wide_margin_at_k1():
     count = len(plain.nodes)
     assert not plain.saturated or count >= 3 * len(fused.nodes)
     assert count >= 3 * len(fused.nodes)
+
+
+def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
+    # blur k=0 has 21,229 ε-closure pairs; the engine stores only its path
+    # edges (entry, q) and one-step same-level pairs
+    engines = []
+
+    class Kept(pushdown.Worklist):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+    monkeypatch.setattr(pushdown, "Worklist", Kept)
+    r = analyze_pdcfa(load("blur"), Mono())
+    (wl,) = engines
+    assert r.saturated
+    assert r.ecg.pair_count() == 21_229
+    stored = (sum(len(p) for p in wl.paths.values())
+              + sum(len(s) for s in wl.same.values()))
+    assert stored < 1_500
 
 
 # ---------------------------------------------------------------------------

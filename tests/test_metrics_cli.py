@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from pdcfa import cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
-from pdcfa.analyses import (OPState, analyze_finite, analyze_gc_approx,
-                            analyze_pdcfa)
+from pdcfa.analyses import (OPState, act_skey, analyze_finite,
+                            analyze_gc_approx, analyze_pdcfa)
 from pdcfa.bench import load
 from pdcfa.cli import main
-from pdcfa.metrics import (Metrics, _node_label, compute_metrics,
+from pdcfa.metrics import (Metrics, _act_label, _node_label, compute_metrics,
                            singleton_count, to_dot, to_json)
 
 from helpers import ref_skey
@@ -143,6 +144,67 @@ def test_stored_skey_equals_reference_key(prog, k):
                 == {(ids[s], ids[d]) for s, _, d in r.graph.edges})
         assert [d["label"] for d in doc["nodes"]] == \
             [_node_label(n) for n in order]
+
+
+@pytest.mark.parametrize("prog, kind, k, pairs", [
+    ("fig1", "pdcfa", 0, 710),
+    ("fig1", "pdcfa-gc", 0, 336),
+    ("blur", "pdcfa", 0, 21_229),
+    ("kcfa2", "pdcfa", 1, 27_348),
+])
+def test_json_ecg_pairs_counts_the_closure(prog, kind, k, pairs):
+    r = cli.run_one(kind, load(prog), cli.policy_for_k(k))
+    assert r.saturated
+    assert r.ecg.pair_count() == pairs
+    assert json.loads(to_json(r))["ecg_pairs"] == pairs
+    assert len(r.ecg.pairs) == pairs
+
+
+def _reference_json(r):
+    """to_json's document as json.dumps(indent=2) writes it, nodes and
+    edges ordered by their full keys."""
+    nodes = sorted(r.graph.nodes, key=lambda n: n.skey())
+    ids = {n: i for i, n in enumerate(nodes)}
+
+    def edge_key(e):
+        s, a, d = e
+        return (s.skey(), (a,) if isinstance(a, str) else act_skey(a),
+                d.skey())
+    edges = sorted(r.graph.edges, key=edge_key)
+    doc = {
+        "schema": 1,
+        "kind": r.kind,
+        "saturated": r.saturated,
+        "node_count": len(nodes),
+        "edge_count": len(edges),
+        "nodes": [{"id": ids[n], "label": _node_label(n)} for n in nodes],
+        "edges": [{"src": ids[s], "act": _act_label(a), "dst": ids[d]}
+                  for (s, a, d) in edges],
+    }
+    if r.guarded_edges is not None:
+        doc["guarded_edge_count"] = len(r.guarded_edges)
+        doc["stale_guards"] = r.extras.get("stale_guards", 0)
+    if r.ecg is not None:
+        doc["ecg_pairs"] = len(r.ecg.pairs)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_to_json_equals_indented_json_dumps(prog, k):
+    e = load(prog)
+    for kind in KINDS:
+        r = cli.run_one(kind, e, cli.policy_for_k(k), node_limit=2_000)
+        assert to_json(r) == _reference_json(r), kind
+    m = compute_metrics(prog, r, k, 1.5)
+    assert to_json(m) == json.dumps({"schema": 1, "metrics": asdict(m)},
+                                    indent=2) + "\n"
+
+
+def test_to_json_of_edgeless_result_equals_indented_json_dumps():
+    r = analyze_pdcfa(parse_and_normalize("42"), Mono())
+    assert not r.edges
+    assert to_json(r) == _reference_json(r)
 
 
 def test_json_metrics_roundtrip():

@@ -254,3 +254,64 @@ def test_worklist_resumes_after_transitions_grow():
         assert set(wl.ecg.pairs) == set(ew.pairs)
         grew += len(wl.graph.edges) > edges_before
     assert grew >= 20
+
+
+# ---------------------------------------------------------------------------
+# seeded differential test: the engine against the configuration search
+
+
+@st.composite
+def systems(draw):
+    """A random RPDS over ≤ 8 states and ≤ 3 frames, and which of its
+    transitions start hidden."""
+    n = draw(st.integers(1, 8))
+    frames = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
+    state = st.integers(0, n - 1)
+    rules = draw(st.lists(
+        st.tuples(state, state, st.sampled_from(("eps", "push", "pop")),
+                  st.sampled_from(frames), st.booleans()),
+        max_size=16, unique_by=lambda t: t[:4]))
+    return rules
+
+
+def system_oracle(rules, reveal):
+    """The oracle of `rules`, less the hidden ones until reveal[0]."""
+    def shown(rule):
+        return reveal[0] or not rule[4]
+
+    def nop_delta(q):
+        return [(q2, UNCH if kind == "eps" else Push(g))
+                for rule in rules if shown(rule)
+                for (q1, q2, kind, g, _) in [rule]
+                if q1 == q and kind != "pop"]
+
+    def top_delta(q, gamma):
+        return [(q2, Pop(g)) for rule in rules if shown(rule)
+                for (q1, q2, kind, g, _) in [rule]
+                if q1 == q and kind == "pop" and g == gamma]
+    return RPDSOracle(0, top_delta, nop_delta)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems())
+def test_engine_matches_naive_and_resumes(rules):
+    full = system_oracle(rules, [True])
+    gw, ew, sw = compact_worklist(full)
+    assert sw
+    gn, en, sn = compact_naive(full, depth_bound=8, step_bound=20_000)
+    if sn:
+        assert set(gn.nodes) == set(gw.nodes)
+        assert set(gn.edges) == set(gw.edges)
+        assert set(en.pairs) == set(ew.pairs)
+        assert ew.pair_count() == len(ew.pairs)
+    # saturate on the shown part, reveal the rest, re-step every node
+    reveal = [False]
+    wl = Worklist(system_oracle(rules, reveal))
+    assert wl.run()
+    reveal[0] = True
+    for q in list(wl.graph.nodes):
+        wl.restep(q)
+    assert wl.run()
+    assert set(wl.graph.nodes) == set(gw.nodes)
+    assert set(wl.graph.edges) == set(gw.edges)
+    assert set(wl.ecg.pairs) == set(ew.pairs)
