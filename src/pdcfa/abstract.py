@@ -10,9 +10,17 @@ All abstract domain objects are hash-consed (interned), so equality is
 pointer equality; every container used for iteration is kept in a canonical
 sort order (see skey) to make analyses deterministic across processes.
 Each interned object builds its sort key once (see _keyed).
+
+Stores and environments are updated in place of one entry, not rebuilt:
+each keeps a key -> position index built on first use (see _positions),
+so lookup and get are O(1); bind and extend return self when nothing
+changes and otherwise replace one entry or insert it at its sorted
+position; an environment memoizes restrict per keep-set.  make builds
+one from scratch (alpha, the empty ones).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,6 +175,30 @@ class AAddr:
         return f"⟨{self.var}{ex}⟩"
 
 
+def _positions(m):
+    """key -> position in the items of an interned map (AEnv, AStore),
+    built on first use and kept on the instance."""
+    try:
+        return m._pos
+    except AttributeError:
+        pos = {k: i for i, (k, _) in enumerate(m.items)}
+        object.__setattr__(m, "_pos", pos)
+        return pos
+
+
+def _put(cls, items, i, k, v):
+    """Intern items with entry i replaced by (k, v), or, when i is None,
+    with (k, v) inserted at its place in skey order.  Distinct interned
+    keys have distinct skeys, so this is the tuple make would build."""
+    if i is None:
+        i = bisect_left(items, k.skey(), key=lambda p: p[0].skey())
+        rest = items[i:]
+    else:
+        rest = items[i + 1:]
+    new = items[:i] + ((k, v),) + rest
+    return _intern(cls, new, new)
+
+
 @dataclass(frozen=True, eq=False)
 class AEnv:
     items: tuple  # of (Var, AAddr), sorted by var skey
@@ -177,17 +209,29 @@ class AEnv:
         return _intern(cls, items, items)
 
     def get(self, v):
-        for var, a in self.items:
-            if var == v:
-                return a
-        raise concrete.UnboundVariableError(repr(v))
+        i = _positions(self).get(v)
+        if i is None:
+            raise concrete.UnboundVariableError(repr(v))
+        return self.items[i][1]
 
     def extend(self, v, a):
-        return AEnv.make([(x, y) for x, y in self.items if x != v] + [(v, a)])
+        i = _positions(self).get(v)
+        if i is not None and self.items[i][1] is a:
+            return self
+        return _put(AEnv, self.items, i, v, a)
 
     def restrict(self, keep):
-        items = tuple(p for p in self.items if p[0] in keep)  # still sorted
-        return _intern(AEnv, items, items)
+        """The env on the vars in keep; memoized per env and keep-set."""
+        try:
+            memo = self._restricted
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_restricted", memo)
+        out = memo.get(keep)
+        if out is None:
+            items = tuple(p for p in self.items if p[0] in keep)  # sorted
+            out = memo[keep] = _intern(AEnv, items, items)
+        return out
 
     def range(self):
         return [a for _, a in self.items]
@@ -214,17 +258,17 @@ class AStore:
         return _intern(cls, items, items)
 
     def lookup(self, a):
-        for addr, vs in self.items:
-            if addr is a:
-                return vs
-        return ()
+        i = _positions(self).get(a)
+        return () if i is None else self.items[i][1]
 
     def bind(self, a, vals):
-        if not vals:
+        """Join vals into a's entry; self when every value is already there."""
+        i = _positions(self).get(a)
+        old = () if i is None else self.items[i][1]
+        new = tuple(v for v in vals if v not in old)
+        if not new:
             return self
-        d = dict(self.items)
-        d[a] = vset(d.get(a, ()) + tuple(vals))
-        return AStore.make(d.items())
+        return _put(AStore, self.items, i, a, vset(old + new))
 
     def restrict(self, keep):
         items = tuple(p for p in self.items if p[0] in keep)  # still sorted
@@ -244,10 +288,9 @@ EMPTY_STORE = AStore.make([])
 
 def store_join(s1: AStore, s2: AStore) -> AStore:
     """Pointwise union of store images."""
-    d = dict(s1.items)
     for a, vs in s2.items:
-        d[a] = vset(d.get(a, ()) + vs)
-    return AStore.make(d.items())
+        s1 = s1.bind(a, vs)
+    return s1
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +478,7 @@ def astep(c: AConf, policy):
         for t in sorted(branches, key=lambda x: x.label):
             succs.append(AConf.make(t, env.restrict(t.free), store, kont, ctx))
     elif isinstance(e, Let1):
-        fr = AFrame.make(e.var, e.body, env.restrict(e.body.free - {e.var}))
+        fr = AFrame.make(e.var, e.body, env.restrict(e.frame_free))
         succs.append(AConf.make(e.rhs, env.restrict(e.rhs.free), store,
                                 (fr,) + kont, ctx))
     elif isinstance(e, TailCall):
@@ -681,7 +724,7 @@ def astep_finite(state: FState, kstore: dict, policy):
         for t in sorted(branches, key=lambda x: x.label):
             succs.append(FState.make(t, env.restrict(t.free), store, ctx, ka))
     elif isinstance(e, Let1):
-        fr = AFrame.make(e.var, e.body, env.restrict(e.body.free - {e.var}))
+        fr = AFrame.make(e.var, e.body, env.restrict(e.frame_free))
         ka2 = KAddr.make(e.body, fr.env)
         cur = kstore.get(ka2, ())
         entry = (fr, ka)

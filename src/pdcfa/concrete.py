@@ -194,7 +194,7 @@ def step(c: Conf) -> Step:
             return Step("stuck", reason="branch on a non-boolean")
         return Step("next", Conf(t, env_trim(c.env, t.free), c.store, c.kont))
     if isinstance(e, Let1):
-        fr = Frame(e.var, e.body, env_trim(c.env, e.body.free - {e.var}))
+        fr = Frame(e.var, e.body, env_trim(c.env, e.frame_free))
         return Step("next", Conf(e.rhs, env_trim(c.env, e.rhs.free), c.store,
                                  (fr,) + c.kont))
     if isinstance(e, TailCall):

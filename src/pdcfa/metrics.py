@@ -33,7 +33,7 @@ def singleton_count(r: AnalysisResult):
     Returns (singleton count, {Var: value set}).
     """
     table = {v: set() for v in binders(r.exp)}
-    for store in r.stores():
+    for store in dict.fromkeys(r.stores()):
         for addr, vals in store.items:
             if addr.var in table:
                 table[addr.var].update(vals)
@@ -85,13 +85,30 @@ def _act_label(act):
 
 def _sorted_nodes(r: AnalysisResult):
     """Nodes in canonical order, and each node's rank in it (equal keys
-    share one), so that edges sort on ints rather than on deep keys."""
-    nodes = sorted(r.graph.nodes, key=lambda n: n.skey())
+    share one), so that edges sort on ints rather than on deep keys.
+
+    The distinct stores are sorted once; a node then sorts on its key with
+    the store's key replaced by the store's rank, which keeps the order."""
+    stores = sorted({q.store for q in map(_state, r.graph.nodes)
+                     if hasattr(q, "store")}, key=lambda s: s.skey())
+    srank = {s: i for i, s in enumerate(stores)}
+
+    def key(q):  # ControlState and FState keys hold the store's key third
+        k = q.skey()
+        return k[:2] + (srank[q.store],) + k[3:] if hasattr(q, "store") else k
+
+    keys = {n: (key(n.state), n.skey()[1]) if isinstance(n, OPState)
+            else key(n) for n in r.graph.nodes}  # OPState: (state, roots)
+    nodes = sorted(keys, key=keys.__getitem__)
     rank = {}
     for i, n in enumerate(nodes):
-        same = i and n.skey() == nodes[i - 1].skey()
+        same = i and keys[n] == keys[nodes[i - 1]]
         rank[n] = rank[nodes[i - 1]] if same else i
     return nodes, rank
+
+
+def _state(n):
+    return n.state if isinstance(n, OPState) else n
 
 
 def _edge_key(rank):

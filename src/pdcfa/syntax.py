@@ -225,11 +225,11 @@ class Let1(Exp):
     body: Exp
     label: int
     free: frozenset = field(default=None)
+    frame_free: frozenset = field(default=None)  # what the return frame keeps
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "free", self.rhs.free | (self.body.free - {self.var})
-        )
+        object.__setattr__(self, "frame_free", self.body.free - {self.var})
+        object.__setattr__(self, "free", self.rhs.free | self.frame_free)
 
     @property
     def call(self) -> Call:

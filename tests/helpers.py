@@ -9,7 +9,7 @@ For the GC analyses the concrete configuration is garbage-collected
 first: the collected machine is the thing those analyses abstract, and
 a raw trace store carries dead bindings the analysis rightly dropped.
 """
-from pdcfa.concrete import Clo, PrimVal, Conf
+from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
 from pdcfa.abstract import (alpha, leq, run_abstracted, IncomparableKinds,
                             AConf, K_HALT, Mono, OneCFA, AScalarTop, ABool,
                             AClo, APrim, AAddr, AEnv, AStore, AFrame, KAddr,
@@ -192,3 +192,49 @@ def ref_skey(x):
     if isinstance(x, OPState):
         return (ref_skey(x.state), tuple(sorted(ref_skey(a) for a in x.roots)))
     raise TypeError(x)
+
+
+# ---------------------------------------------------------------------------
+# from-scratch store and environment operations: every result is rebuilt by
+# the from-scratch constructors, the reference for the indexed ones
+
+
+def ref_vset(vals):
+    return tuple(sorted(dict.fromkeys(vals), key=ref_skey))
+
+
+def ref_lookup(store, a):
+    for addr, vs in store.items:
+        if addr is a:
+            return vs
+    return ()
+
+
+def ref_get(env, v):
+    for var, a in env.items:
+        if var == v:
+            return a
+    raise UnboundVariableError(repr(v))
+
+
+def ref_bind(store, a, vals):
+    if not vals:
+        return store
+    d = dict(store.items)
+    d[a] = ref_vset(d.get(a, ()) + tuple(vals))
+    return AStore.make(d.items())
+
+
+def ref_store_join(s1, s2):
+    d = dict(s1.items)
+    for a, vs in s2.items:
+        d[a] = ref_vset(d.get(a, ()) + vs)
+    return AStore.make(d.items())
+
+
+def ref_extend(env, v, a):
+    return AEnv.make([(x, y) for x, y in env.items if x != v] + [(v, a)])
+
+
+def ref_restrict(env, keep):
+    return AEnv.make([(x, y) for x, y in env.items if x in keep])

@@ -8,10 +8,18 @@ from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
                             run_abstracted, IncomparableKinds,
                             AConf, AEnv, AStore, AClo, AAddr, A_TRUE, A_FALSE,
                             EMPTY_ENV, EMPTY_STORE, SCALAR_TOP, A_BOOL_TOP,
-                            astep_finite, finject, vset)
+                            astep_finite, finject, vset, APrim, AFrame)
+from pdcfa.analyses import OPState
+from pdcfa.cli import policy_for_k, run_one
+from pdcfa.concrete import UnboundVariableError
 from pdcfa import bench
 
+from helpers import (ref_bind, ref_extend, ref_get, ref_lookup,
+                     ref_restrict, ref_store_join)
+
 ID_ON_ID = "((lambda (x) x) (lambda (y) y))"
+KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
+         "pdcfa-widened")
 X = Var("x", 1)
 
 
@@ -285,3 +293,105 @@ def test_astep_finite_let_roundtrip():
         frontier.extend(succs)
     assert kstore  # the Let1 stored its continuation
     assert halted  # and the Ret popped back out through it
+
+
+# ---------------------------------------------------------------------------
+# indexed stores and environments: the same interned objects the
+# from-scratch constructors build
+
+D_VARS = VARS + [Var("a", 9), Var("d", 4)]
+D_ADDRS = ADDRS + [AAddr.make("1cfa", v, (site,))
+                   for v in D_VARS for site in (3, 8)]
+D_VALS = VALS + [A_BOOL_TOP, APrim.make("+"), APrim.make("+", (SCALAR_TOP,)),
+                 AClo.make(LAM, EMPTY_ENV.extend(VARS[0], ADDRS[0]))]
+
+_pick = st.integers(0, 63)  # an earlier result, taken modulo the pool size
+d_ops = st.lists(st.one_of(
+    st.tuples(st.just("bind"), _pick, st.sampled_from(D_ADDRS),
+              st.lists(st.sampled_from(D_VALS), max_size=3)),
+    st.tuples(st.just("join"), _pick, _pick),
+    st.tuples(st.just("lookup"), _pick, st.sampled_from(D_ADDRS)),
+    st.tuples(st.just("extend"), _pick, st.sampled_from(D_VARS),
+              st.sampled_from(D_ADDRS)),
+    st.tuples(st.just("restrict"), _pick,
+              st.frozensets(st.sampled_from(D_VARS))),
+    st.tuples(st.just("get"), _pick, st.sampled_from(D_VARS)),
+), max_size=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(d_ops)
+def test_store_and_env_ops_match_from_scratch_reference(ops):
+    stores, envs = [EMPTY_STORE], [EMPTY_ENV]
+    for op, i, *args in ops:
+        s, env = stores[i % len(stores)], envs[i % len(envs)]
+        if op == "bind":
+            a, vals = args
+            stores.append(s.bind(a, tuple(vals)))
+            assert stores[-1] is ref_bind(s, a, tuple(vals))
+        elif op == "join":
+            s2 = stores[args[0] % len(stores)]
+            stores.append(store_join(s, s2))
+            assert stores[-1] is ref_store_join(s, s2)
+        elif op == "lookup":
+            assert s.lookup(args[0]) is ref_lookup(s, args[0])
+        elif op == "extend":
+            envs.append(env.extend(*args))
+            assert envs[-1] is ref_extend(env, *args)
+        elif op == "restrict":
+            envs.append(env.restrict(args[0]))
+            assert envs[-1] is ref_restrict(env, args[0])
+            assert env.restrict(args[0]) is envs[-1]
+        else:
+            try:
+                want = ref_get(env, args[0])
+            except UnboundVariableError:
+                with pytest.raises(UnboundVariableError):
+                    env.get(args[0])
+            else:
+                assert env.get(args[0]) is want
+
+
+def _reached_maps(r):
+    """Every store and env an analysis result holds: node stores and envs,
+    frame envs (pushed frames or the continuation store's), closure envs
+    inside stored values, and the widened global store."""
+    stores, envs, frames, vals = [], [], [], []
+    for n in r.graph.nodes:
+        q = n.state if isinstance(n, OPState) else n
+        envs.append(q.env)
+        if hasattr(q, "store"):
+            stores.append(q.store)
+    for _, act, _ in r.graph.edges:
+        fr = getattr(act, "frame", None)
+        frames.append(fr[0] if isinstance(fr, tuple) else fr)
+    for ka, entries in (r.kstore or {}).items():
+        envs.append(ka.env)
+        frames += [fr for fr, _ in entries]
+    if r.global_store is not None:
+        stores.append(r.global_store)
+    envs += [fr.env for fr in frames if isinstance(fr, AFrame)]
+    for s in stores:
+        for _, vs in s.items:
+            vals += vs
+    while vals:
+        v = vals.pop()
+        if isinstance(v, AClo):
+            envs.append(v.env)
+        elif isinstance(v, APrim):
+            vals += v.args
+    return stores, envs
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_reached_stores_and_envs_are_canonical(prog, k):
+    e = bench.load(prog)
+    for kind in KINDS:
+        r = run_one(kind, e, policy_for_k(k), node_limit=2_000)
+        stores, envs = _reached_maps(r)
+        assert stores and envs
+        for s in dict.fromkeys(stores):
+            assert AStore.make(s.items) is s, (kind, s)
+        for env in dict.fromkeys(envs):
+            assert AEnv.make(env.items) is env, (kind, env)
