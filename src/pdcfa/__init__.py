@@ -2,8 +2,8 @@
 
 from .syntax import parse_program, normalize, parse_and_normalize, free_vars
 from .concrete import inject, step, run
-from .abstract import (Mono, OneCFA, KCFA, PolySplit, astep, astep_finite,
-                       alpha, leq, store_join)
+from .abstract import (Mono, OneCFA, KCFA, PolySplit, astep, areturn,
+                       step_conf, alpha, leq, store_join)
 from .pushdown import net, stackify, compact_naive, compact_worklist
 from .gc import touches, stack_root, reachable_addrs, gc, gc_step
 from .analyses import (analyze_pdcfa, analyze_gc_precise, analyze_gc_approx,

@@ -6,6 +6,13 @@ primitives.  Stores map abstract addresses to finite value sets and update
 by join.  Transitions are nondeterministic: tail calls fork over the
 callee's closure set, If forks on boolean top.
 
+astep is the one transfer function of every analysis.  It steps (exp, env,
+store, ctx) and leaves the continuation to its caller: it returns the moves
+(each pushing at most one frame) and the values returned to whatever frame
+is on top, which areturn binds into a frame.  The pushdown analyses keep
+the continuation as an exact stack, the finite baselines allocate it in a
+continuation store; step_conf steps a whole configuration.
+
 All abstract domain objects are hash-consed (interned), so equality is
 pointer equality; every container used for iteration is kept in a canonical
 sort order (see skey) to make analyses deterministic across processes.
@@ -448,39 +455,25 @@ def _apply_aprim(p: APrim, avals, store, policy, actx):
     return []
 
 
-def astep(c: AConf, policy):
-    """All abstract successors of c, in canonical order."""
-    e, env, store, kont, ctx = c.exp, c.env, c.store, c.kont, c.ctx
-    succs = []
+def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
+    """The abstract transfer function; the continuation is the caller's.
 
-    def do_return(vals, store2):
-        if not kont:
-            return
-        fr = kont[0]
-        actx = AllocCtx(e.label, None, False, ctx)
-        addr = aalloc(policy, fr.var, actx)
-        env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
-        succs.append(AConf.make(fr.exp, env2, store2.bind(addr, vals),
-                                kont[1:], ctx))
-
+    Returns (moves, returns).  A move is (pushed AFrame or None, exp',
+    env', store', ctx'); a return is (vals, store') for whatever frame is
+    on top of the caller's continuation (see areturn).  Either list may
+    repeat an entry; callers deduplicate the nodes they build.
+    """
+    moves, returns = [], []
     if isinstance(e, Ret):
-        do_return(aeval(e.atom, env, store), store)
+        returns.append((aeval(e.atom, env, store), store))
     elif isinstance(e, If):
-        branches = {}
-        for v in aeval(e.cond, env, store):
-            if v is A_TRUE:
-                branches[e.then] = None
-            elif v is A_FALSE:
-                branches[e.els] = None
-            elif v is A_BOOL_TOP:
-                branches[e.then] = None
-                branches[e.els] = None
-        for t in sorted(branches, key=lambda x: x.label):
-            succs.append(AConf.make(t, env.restrict(t.free), store, kont, ctx))
+        vals = aeval(e.cond, env, store)
+        for t, v in ((e.then, A_TRUE), (e.els, A_FALSE)):
+            if v in vals or A_BOOL_TOP in vals:
+                moves.append((None, t, env.restrict(t.free), store, ctx))
     elif isinstance(e, Let1):
         fr = AFrame.make(e.var, e.body, env.restrict(e.frame_free))
-        succs.append(AConf.make(e.rhs, env.restrict(e.rhs.free), store,
-                                (fr,) + kont, ctx))
+        moves.append((fr, e.rhs, env.restrict(e.rhs.free), store, ctx))
     elif isinstance(e, TailCall):
         fvals = aeval(e.call.fun, env, store)
         avals = aeval(e.call.arg, env, store)
@@ -491,15 +484,33 @@ def astep(c: AConf, policy):
                 addr = aalloc(policy, f.lam.param, actx)
                 body = f.lam.body
                 env2 = f.env.extend(f.lam.param, addr).restrict(body.free)
-                succs.append(AConf.make(body, env2, store.bind(addr, avals),
-                                        kont, ctx2))
+                moves.append((None, body, env2, store.bind(addr, avals), ctx2))
             elif isinstance(f, APrim):
                 actx = AllocCtx(e.label, None, False, ctx)
-                for vals, store2 in _apply_aprim(f, avals, store, policy, actx):
-                    do_return(vals, store2)
+                returns.extend(_apply_aprim(f, avals, store, policy, actx))
     else:
         raise TypeError(e)
-    # canonical order, deduplicated (interning makes dict dedup exact)
+    return moves, returns
+
+
+def areturn(fr: AFrame, vals, store: AStore, e: Exp, ctx: tuple, policy):
+    """Bind vals, returned by a step from e, into frame fr: (exp', env',
+    store'), under the same ctx."""
+    addr = aalloc(policy, fr.var, AllocCtx(e.label, None, False, ctx))
+    env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
+    return fr.exp, env2, store.bind(addr, vals)
+
+
+def step_conf(c: AConf, policy):
+    """All abstract successors of a configuration, in canonical order."""
+    moves, returns = astep(c.exp, c.env, c.store, c.ctx, policy)
+    succs = [AConf.make(e2, env2, s2, c.kont if fr is None else (fr,) + c.kont,
+                        ctx2)
+             for fr, e2, env2, s2, ctx2 in moves]
+    if c.kont:
+        for vals, s in returns:
+            e2, env2, s2 = areturn(c.kont[0], vals, s, c.exp, c.ctx, policy)
+            succs.append(AConf.make(e2, env2, s2, c.kont[1:], c.ctx))
     return sorted(dict.fromkeys(succs), key=skey)
 
 
@@ -687,69 +698,3 @@ class FState:
 
 def finject(e: Exp) -> FState:
     return FState.make(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT)
-
-
-def astep_finite(state: FState, kstore: dict, policy):
-    """Finite-state baseline step: continuations live in kstore.
-
-    Mutates kstore by joining new (frame, return-kaddr) entries; returns
-    (successors, kstore).
-    """
-    e, env, store, ctx, ka = (state.exp, state.env, state.store, state.ctx,
-                              state.kaddr)
-    succs = []
-
-    def do_return(vals, store2):
-        if ka is K_HALT:
-            return
-        for fr, ka2 in kstore.get(ka, ()):
-            actx = AllocCtx(e.label, None, False, ctx)
-            addr = aalloc(policy, fr.var, actx)
-            env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
-            succs.append(FState.make(fr.exp, env2, store2.bind(addr, vals),
-                                     ctx, ka2))
-
-    if isinstance(e, Ret):
-        do_return(aeval(e.atom, env, store), store)
-    elif isinstance(e, If):
-        branches = {}
-        for v in aeval(e.cond, env, store):
-            if v is A_TRUE:
-                branches[e.then] = None
-            elif v is A_FALSE:
-                branches[e.els] = None
-            elif v is A_BOOL_TOP:
-                branches[e.then] = None
-                branches[e.els] = None
-        for t in sorted(branches, key=lambda x: x.label):
-            succs.append(FState.make(t, env.restrict(t.free), store, ctx, ka))
-    elif isinstance(e, Let1):
-        fr = AFrame.make(e.var, e.body, env.restrict(e.frame_free))
-        ka2 = KAddr.make(e.body, fr.env)
-        cur = kstore.get(ka2, ())
-        entry = (fr, ka)
-        if entry not in cur:
-            kstore[ka2] = tuple(sorted(
-                cur + (entry,),
-                key=lambda p: (p[0].skey(), kaddr_skey(p[1]))))
-        succs.append(FState.make(e.rhs, env.restrict(e.rhs.free), store, ctx,
-                                 ka2))
-    elif isinstance(e, TailCall):
-        fvals = aeval(e.call.fun, env, store)
-        avals = aeval(e.call.arg, env, store)
-        for f in fvals:
-            if isinstance(f, AClo):
-                ctx2 = push_ctx(policy, ctx, e.label)
-                actx = AllocCtx(e.label, e.label, e.call.let_bound_callee, ctx2)
-                addr = aalloc(policy, f.lam.param, actx)
-                body = f.lam.body
-                env2 = f.env.extend(f.lam.param, addr).restrict(body.free)
-                succs.append(FState.make(body, env2, store.bind(addr, avals),
-                                         ctx2, ka))
-            elif isinstance(f, APrim):
-                actx = AllocCtx(e.label, None, False, ctx)
-                for vals, store2 in _apply_aprim(f, avals, store, policy, actx):
-                    do_return(vals, store2)
-    else:
-        raise TypeError(e)
-    return sorted(dict.fromkeys(succs), key=skey), kstore

@@ -9,14 +9,18 @@ Six analyses over one normalized program:
 - analyze_finite:         store-allocated continuations (plain k-CFA baseline),
                           with or without GC
 
-All reuse the abstract stepper; the pushdown ones embed it into an
-RPDSOracle by running astep with an empty stack (push/ε transitions) or a
-singleton stack (pop transitions), and run it on the one reachability
-engine, pushdown.Worklist, which keeps path edges per entry and one-step
+All run the one transfer function, abstract.astep, which leaves the
+continuation to its caller, and intern only their own nodes.  The
+pushdown ones build an RPDSOracle from it: nop_delta takes its moves
+(push or ε transitions), top_delta(q, γ) binds its returns into γ with
+areturn (pop transitions).  They run on the one reachability engine,
+pushdown.Worklist, which keeps path edges per entry and one-step
 same-level summaries; their ε-closure graph is a view of those, built
 only when read.  The widened and approximate-GC oracles read state that
 grows while the engine runs (the global store, the root cache); they
-re-step the nodes whose input grew and resume the engine.
+re-step the nodes whose input grew and resume the engine.  The finite
+baselines join each pushed frame into a continuation store and return
+through every frame stored at the state's continuation address.
 """
 from __future__ import annotations
 
@@ -26,12 +30,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import Exp, Let1
-from .abstract import (AConf, AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState,
-                       K_HALT, astep, astep_finite, finject, store_join,
-                       _intern, _keyed)
+from .abstract import (AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState, KAddr,
+                       K_HALT, areturn, astep, finject, kaddr_skey, skey,
+                       store_join, _intern, _keyed)
 from .gc import gc_store, touches
 from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
                        Worklist, compact_worklist)
+
+# perfbench/tracing.py wraps the astep of this module and also reads the
+# name astep_finite; the alias goes when that tracer stops reading it.
+astep_finite = astep
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,32 +153,36 @@ class AnalysisResult:
 # per-state-store pushdown analysis
 
 
-def _cs_of(c: AConf) -> ControlState:
-    return ControlState.make(c.exp, c.env, c.store, c.ctx)
+def _in_order(succs):
+    """Distinct (node, act) successors of one step, in canonical node
+    order.  One step's successors share ctx and push at most one frame, so
+    a node fixes its act and this is the order of the configurations the
+    nodes stand for."""
+    return sorted(dict(succs).items(), key=lambda p: p[0].skey())
+
+
+def _oracle(root, store_of, node, policy):
+    """The pushdown system whose node q steps as (q.exp, q.env,
+    store_of(q), q.ctx) and whose successors are node(exp, env, store,
+    ctx): moves for nop_delta, returns into γ for top_delta."""
+    def nop_delta(q):
+        moves, _ = astep(q.exp, q.env, store_of(q), q.ctx, policy)
+        return _in_order((node(e2, env2, s2, ctx2),
+                          UNCH if fr is None else Push(fr))
+                         for fr, e2, env2, s2, ctx2 in moves)
+
+    def top_delta(q, fr):
+        _, returns = astep(q.exp, q.env, store_of(q), q.ctx, policy)
+        return _in_order((node(*areturn(fr, vals, s, q.exp, q.ctx, policy),
+                               q.ctx), Pop(fr))
+                         for vals, s in returns)
+
+    return RPDSOracle(root, top_delta, nop_delta)
 
 
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
     root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
-
-    def nop_delta(q):
-        c = AConf.make(q.exp, q.env, q.store, (), q.ctx)
-        out = []
-        for c2 in astep(c, policy):
-            if c2.kont:
-                out.append((_cs_of(c2), Push(c2.kont[0])))
-            else:
-                out.append((_cs_of(c2), UNCH))
-        return out
-
-    def top_delta(q, gamma):
-        c = AConf.make(q.exp, q.env, q.store, (gamma,), q.ctx)
-        out = []
-        for c2 in astep(c, policy):
-            if not c2.kont:
-                out.append((_cs_of(c2), Pop(gamma)))
-        return out
-
-    oracle = RPDSOracle(root, top_delta, nop_delta)
+    oracle = _oracle(root, lambda q: q.store, ControlState.make, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", policy, False, graph, ecg, e, sat)
 
@@ -186,32 +198,33 @@ def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> Analys
     root = OPState.make(ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ()),
                         frozenset())
 
-    def _collected(om: OPState):
+    def stepped(om):
         q = om.state
-        return gc_store(q.env, q.store, om.roots)
+        return astep(q.exp, q.env, gc_store(q.env, q.store, om.roots), q.ctx,
+                     policy)
 
     def nop_delta(om):
-        q = om.state
-        c = AConf.make(q.exp, q.env, _collected(om), (), q.ctx)
+        moves, _ = stepped(om)
         out = []
-        for c2 in astep(c, policy):
-            if c2.kont:
-                fr = c2.kont[0]
-                tgt = OPState.make(_cs_of(c2), om.roots | touches(fr))
-                out.append((tgt, Push((fr, om.roots))))
+        for fr, e2, env2, s2, ctx2 in moves:
+            q2 = ControlState.make(e2, env2, s2, ctx2)
+            if fr is None:
+                out.append((OPState.make(q2, om.roots), UNCH))
             else:
-                out.append((OPState.make(_cs_of(c2), om.roots), UNCH))
-        return out
+                out.append((OPState.make(q2, om.roots | touches(fr)),
+                            Push((fr, om.roots))))
+        return _in_order(out)
 
     def top_delta(om, gamma):
         fr, below = gamma
         q = om.state
-        c = AConf.make(q.exp, q.env, _collected(om), (fr,), q.ctx)
+        _, returns = stepped(om)
         out = []
-        for c2 in astep(c, policy):
-            if not c2.kont:
-                out.append((OPState.make(_cs_of(c2), below), Pop(gamma)))
-        return out
+        for vals, s in returns:
+            e2, env2, s2 = areturn(fr, vals, s, q.exp, q.ctx, policy)
+            out.append((OPState.make(ControlState.make(e2, env2, s2, q.ctx),
+                                     below), Pop(gamma)))
+        return _in_order(out)
 
     oracle = RPDSOracle(root, top_delta, nop_delta)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
@@ -220,10 +233,6 @@ def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> Analys
 
 # ---------------------------------------------------------------------------
 # store-widened pushdown analysis
-
-
-def _ps_of(c: AConf) -> PState:
-    return PState.make(c.exp, c.env, c.ctx)
 
 
 def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
@@ -236,27 +245,11 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
 
-    def stepped(psi, kont):
-        c = AConf.make(psi.exp, psi.env, store, kont, psi.ctx)
-        return astep(c, policy)
+    def node(e2, env2, s2, ctx2):
+        out_stores[s2] = None
+        return PState.make(e2, env2, ctx2)
 
-    def nop_delta(psi):
-        out = []
-        for c2 in stepped(psi, ()):
-            out_stores[c2.store] = None
-            act = Push(c2.kont[0]) if c2.kont else UNCH
-            out.append((_ps_of(c2), act))
-        return out
-
-    def top_delta(psi, fr):
-        out = []
-        for c2 in stepped(psi, (fr,)):
-            if not c2.kont:
-                out_stores[c2.store] = None
-                out.append((_ps_of(c2), Pop(fr)))
-        return out
-
-    wl = Worklist(RPDSOracle(root, top_delta, nop_delta))
+    wl = Worklist(_oracle(root, lambda psi: store, node, policy))
     while True:
         saturated = wl.run(deadline, node_limit)
         grown = store
@@ -324,19 +317,6 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     def roots(q):
         return R.get(q, frozenset())
 
-    def stepped(q, kont):
-        c = AConf.make(q.exp, q.env, gc_store(q.env, q.store, roots(q)),
-                       kont, q.ctx)
-        return astep(c, policy)
-
-    def nop_delta(q):
-        return [(_cs_of(c2), Push(c2.kont[0]) if c2.kont else UNCH)
-                for c2 in stepped(q, ())]
-
-    def top_delta(q, fr):
-        return [(_cs_of(c2), Pop(fr)) for c2 in stepped(q, (fr,))
-                if not c2.kont]
-
     def grow(q, addrs):
         """Monotone root flow along same-level steps and push edges; every
         node whose R grows is re-stepped."""
@@ -377,7 +357,8 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     def root_cache():
         return {q: roots(q) for q in (*wl.graph.nodes, *R)}
 
-    wl = Worklist(RPDSOracle(root, top_delta, nop_delta), on_record)
+    wl = Worklist(_oracle(root, lambda q: gc_store(q.env, q.store, roots(q)),
+                          ControlState.make, policy), on_record)
     saturated = wl.run(deadline, node_limit)
     res = AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
                          e, saturated,
@@ -414,7 +395,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
         st = queue.popleft()
         queued.discard(st)
         used_kas = {st.kaddr}
-        stepped = st
+        store = st.store
         if gc:
             roots = set()
             work = [st.kaddr]
@@ -427,19 +408,28 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                     if ka2 not in used_kas:
                         used_kas.add(ka2)
                         work.append(ka2)
-            store2 = gc_store(st.env, st.store, frozenset(roots))
-            stepped = FState.make(st.exp, st.env, store2, st.ctx, st.kaddr)
+            store = gc_store(st.env, st.store, frozenset(roots))
         for ka in used_kas:
             deps.setdefault(ka, {})[st] = None
+        moves, returns = astep(st.exp, st.env, store, st.ctx, policy)
+        succs = []
         grew_ka = None
-        if isinstance(st.exp, Let1):
-            before = {ka: len(v) for ka, v in kstore.items()}
-        succs, _ = astep_finite(stepped, kstore, policy)
-        if isinstance(st.exp, Let1):
-            for ka, v in kstore.items():
-                if len(v) != before.get(ka, 0):
-                    grew_ka = ka
-        for s2 in succs:
+        for fr, e2, env2, s2, ctx2 in moves:
+            ka2 = st.kaddr
+            if fr is not None:  # allocate the frame's continuation
+                ka2 = KAddr.make(fr.exp, fr.env)
+                cur = kstore.get(ka2, ())
+                if (fr, st.kaddr) not in cur:
+                    kstore[ka2] = tuple(sorted(
+                        cur + ((fr, st.kaddr),),
+                        key=lambda p: (p[0].skey(), kaddr_skey(p[1]))))
+                    grew_ka = ka2
+            succs.append(FState.make(e2, env2, s2, ctx2, ka2))
+        for vals, s in returns:
+            for fr, ka2 in kstore.get(st.kaddr, ()):
+                e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
+                succs.append(FState.make(e2, env2, s2, st.ctx, ka2))
+        for s2 in sorted(dict.fromkeys(succs), key=skey):
             if isinstance(st.exp, Let1):
                 act = "push"
             elif s2.kaddr is not st.kaddr:

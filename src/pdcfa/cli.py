@@ -29,6 +29,14 @@ def policy_for_k(k: int):
     return KCFA(k)
 
 
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def run_one(kind, e, policy, deadline=None, node_limit=None):
     if kind == "plain":
         return analyze_finite(e, policy, gc=False, deadline=deadline,
@@ -78,8 +86,8 @@ def main(argv=None) -> int:
     runp.add_argument("file", help="path to a .scm program, or a bundled "
                                    "benchmark name (e.g. fig1)")
     runp.add_argument("--analysis", choices=ANALYSES, default="pdcfa-gc")
-    runp.add_argument("--k", type=int, default=0)
-    runp.add_argument("--fuel", type=int, default=100_000,
+    runp.add_argument("--k", type=_count, default=0)
+    runp.add_argument("--fuel", type=_count, default=100_000,
                       help="step budget for --analysis concrete")
     runp.add_argument("--format", choices=("summary", "json", "dot"),
                       default="summary")
@@ -95,6 +103,13 @@ def main(argv=None) -> int:
         # the normalizer and the analyses recurse on program depth
         print(f"pdcfa: {args.file}: program nested too deeply to analyze",
               file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as ex:
+        print(f"pdcfa: {args.file}: not UTF-8 text ({ex.reason} at byte "
+              f"{ex.start})", file=sys.stderr)
+        return 1
+    except OSError as ex:  # a program we cannot read, an --out we cannot write
+        print(f"pdcfa: {ex.filename}: {ex.strerror}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,7 @@ canonicalized by dropping empty entries, so collected states intern equal.
 """
 from __future__ import annotations
 
-from .abstract import (AClo, APrim, AConf, AStore, AFrame, astep)
+from .abstract import AClo, APrim, AConf, AStore, AFrame, step_conf
 
 
 def touches(f: AFrame):
@@ -59,4 +59,4 @@ def gc(c: AConf) -> AConf:
 
 def gc_step(c: AConf, policy):
     """The GC-composed transition: step the collected configuration."""
-    return astep(gc(c), policy)
+    return step_conf(gc(c), policy)

@@ -131,6 +131,13 @@ class Var:
     name: str
     id: int
 
+    # Vars key environments, addresses and tables: hash once, not per lookup
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.id)))
+
+    def __hash__(self):
+        return self._hash
+
     def skey(self):
         return (self.name, self.id)
 

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
 from pdcfa.concrete import inject, step
 from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
-                            aeval, astep, store_join, leq, alpha, ainject,
+                            aeval, step_conf, store_join, leq, alpha, ainject,
                             run_abstracted, IncomparableKinds,
                             AConf, AEnv, AStore, AClo, AAddr, A_TRUE, A_FALSE,
                             EMPTY_ENV, EMPTY_STORE, SCALAR_TOP, A_BOOL_TOP,
-                            astep_finite, finject, vset, APrim, AFrame)
-from pdcfa.analyses import OPState
+                            K_HALT, vset, APrim, AFrame)
+from pdcfa.analyses import OPState, analyze_finite
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
 from pdcfa import bench
@@ -58,11 +58,11 @@ def test_astep_let_pushes_one_frame():
     pol = Mono()
     seen = [c]
     while not isinstance(seen[-1].exp, Let1):
-        succs = astep(seen[-1], pol)
+        succs = step_conf(seen[-1], pol)
         assert succs
         seen.append(succs[0])
     lc = seen[-1]
-    succs = astep(lc, pol)
+    succs = step_conf(lc, pol)
     assert len(succs) == 1
     assert len(succs[0].kont) == len(lc.kont) + 1
     assert succs[0].kont[0].var is lc.exp.var
@@ -81,7 +81,7 @@ def test_astep_forks_on_two_closures():
     store = EMPTY_STORE.bind(
         a, (AClo.make(lam1, EMPTY_ENV), AClo.make(lam2, EMPTY_ENV)))
     c = AConf.make(call, env, store, ())
-    succs = astep(c, Mono())
+    succs = step_conf(c, Mono())
     assert len(succs) == 2
     assert {s.exp for s in succs} == {lam1.body, lam2.body}
 
@@ -90,7 +90,7 @@ def test_astep_final_state_no_successors():
     e = parse_and_normalize("42")
     c = ainject(e)
     assert isinstance(c.exp, Ret)
-    assert astep(c, Mono()) == []
+    assert step_conf(c, Mono()) == []
 
 
 def test_astep_if_on_bool_top_forks():
@@ -100,7 +100,7 @@ def test_astep_if_on_bool_top_forks():
     env = EMPTY_ENV.extend(lam.param, a)
     store = EMPTY_STORE.bind(a, (A_BOOL_TOP,))
     c = AConf.make(lam.body, env, store, ())
-    succs = astep(c, Mono())
+    succs = step_conf(c, Mono())
     assert len(succs) == 2
 
 
@@ -173,7 +173,7 @@ def test_leq_reflexive_on_reached_confs():
             continue
         seen.add(c)
         assert leq(c, c)
-        frontier.extend(astep(c, pol))
+        frontier.extend(step_conf(c, pol))
 
 
 def test_bool_top_orders():
@@ -210,7 +210,7 @@ def test_single_step_simulation(name, k):
     for i in range(len(trace) - 1):
         ac = alpha(trace[i], pol, addr_map, ctxs[i])
         ac2 = alpha(trace[i + 1], pol, addr_map, ctxs[i + 1])
-        succs = astep(ac, pol)
+        succs = step_conf(ac, pol)
         assert any(_leq_conf(ac2, s) for s in succs), (name, i)
 
 
@@ -232,10 +232,10 @@ def test_astep_monotone_in_store():
         if c in seen:
             continue
         seen.add(c)
-        succs = astep(c, pol)
+        succs = step_conf(c, pol)
         big = AConf.make(c.exp, c.env, store_join(c.store, extra), c.kont,
                          c.ctx)
-        bsuccs = astep(big, pol)
+        bsuccs = step_conf(big, pol)
         for s in succs:
             assert any(_leq_conf(s, b) for b in bsuccs)
         frontier.extend(succs)
@@ -251,7 +251,7 @@ def test_astep_stack_discipline():
         if c in seen or len(seen) > 500:
             continue
         seen.add(c)
-        for s in astep(c, pol):
+        for s in step_conf(c, pol):
             assert len(s.kont) - len(c.kont) in (-1, 0, 1)
             frontier.append(s)
 
@@ -260,39 +260,28 @@ def test_astep_stack_discipline():
 # finite-baseline stepper
 
 
-def test_astep_finite_no_let_no_kstore_growth():
+def test_finite_no_let_no_kstore_growth():
     e = parse_and_normalize(ID_ON_ID)
-    st0 = finject(e)
-    kstore = {}
-    cur = [st0]
-    for _ in range(5):
-        nxt = []
-        for s in cur:
-            succs, kstore = astep_finite(s, kstore, Mono())
-            nxt.extend(succs)
-        cur = nxt
-    assert kstore == {}
+    r = analyze_finite(e, Mono())
+    assert r.saturated
+    assert r.kstore == {}
+    assert all(act == "eps" for _, act, _ in r.edges)
 
 
-def test_astep_finite_let_roundtrip():
+def test_finite_let_roundtrip():
     src = "(let* ((u ((lambda (x) x) 1))) u)"
     e = parse_and_normalize(src)
-    kstore = {}
-    pol = Mono()
-    frontier = [finject(e)]
-    seen = set()
-    halted = []
-    while frontier:
-        s = frontier.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        succs, kstore = astep_finite(s, kstore, pol)
-        if not succs and isinstance(s.exp, Ret):
-            halted.append(s)
-        frontier.extend(succs)
-    assert kstore  # the Let1 stored its continuation
-    assert halted  # and the Ret popped back out through it
+    r = analyze_finite(e, Mono())
+    assert r.saturated
+    # the Let1 stored its continuation
+    (ka, entries), = r.kstore.items()
+    assert [act for _, act, _ in r.edges].count("push") == 1
+    # and the Ret popped back out through it, to a halting Ret
+    pops = [(s, d) for s, act, d in r.edges if act == "pop"]
+    assert pops
+    assert all(s.kaddr is ka and d.kaddr is K_HALT for s, d in pops)
+    assert any(isinstance(d.exp, Ret) and not any(s is d for s, _, _ in r.edges)
+               for _, d in pops)
 
 
 # ---------------------------------------------------------------------------

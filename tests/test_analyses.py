@@ -4,7 +4,8 @@ import time
 import pytest
 
 from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import AAddr, AConf, AEnv, AFrame, Mono, OneCFA, astep, leq
+from pdcfa.abstract import (AAddr, AConf, AEnv, AFrame, Mono, OneCFA, leq,
+                            step_conf)
 from pdcfa.analyses import (
     ControlState,
     PState,
@@ -135,7 +136,7 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
 
         def successors(psi, kont):
             c = AConf.make(psi.exp, psi.env, store, kont, psi.ctx)
-            for c2 in astep(c, Mono()):
+            for c2 in step_conf(c, Mono()):
                 if not (kont and c2.kont):  # under a frame, pops only
                     succ_stores.append(c2.store)
                     yield PState.make(c2.exp, c2.env, c2.ctx), c2.kont

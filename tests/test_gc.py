@@ -15,8 +15,8 @@ from pdcfa.abstract import (
     Mono,
     SCALAR_TOP,
     ainject,
-    astep,
     leq,
+    step_conf,
 )
 from pdcfa.gc import gc, gc_step, gc_store, reachable_addrs, stack_root, touches
 
@@ -91,7 +91,7 @@ def test_gc_idempotent_and_below_identity():
     for _ in range(12):
         nxt = []
         for s in seen[-4:]:
-            nxt.extend(astep(s, Mono()))
+            nxt.extend(step_conf(s, Mono()))
         if not nxt:
             break
         seen.extend(nxt)
@@ -118,7 +118,7 @@ def test_gc_collects_dead_let_binding():
     for _ in range(40):
         nxt = []
         for s in frontier:
-            nxt.extend(astep(s, policy))
+            nxt.extend(step_conf(s, policy))
         if not nxt:
             break
         for s in nxt:
@@ -138,8 +138,8 @@ def test_gc_step_agrees_with_astep_when_no_garbage():
         nxt = []
         for s in frontier:
             assert gc(s) is s
-            assert set(gc_step(s, policy)) == set(astep(s, policy))
-            nxt.extend(astep(s, policy))
+            assert set(gc_step(s, policy)) == set(step_conf(s, policy))
+            nxt.extend(step_conf(s, policy))
         frontier = nxt
         if not frontier:
             break

@@ -328,6 +328,33 @@ def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["non-utf8", "directory", "out-dir-missing",
+                                  "negative-k", "negative-fuel"])
+def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
+    prog = tmp_path / "p.scm"
+    prog.write_text("(+ 1 2)")
+    if case == "non-utf8":
+        prog.write_bytes(b"(+ 1 \xff\xfe)")
+        argv, want = [str(prog)], 1
+    elif case == "directory":
+        argv, want = [str(tmp_path)], 1
+    elif case == "out-dir-missing":
+        argv, want = [str(prog), "--out", str(tmp_path / "no" / "g.dot")], 1
+    elif case == "negative-k":
+        argv, want = [str(prog), "--k", "-1"], 2
+    else:
+        argv, want = [str(prog), "--analysis", "concrete", "--fuel", "-5"], 2
+    try:
+        code = main(["run", *argv])
+    except SystemExit as ex:  # argparse's usage errors
+        code = ex.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    if want == 1:
+        assert err.startswith("pdcfa: ") and err.count("\n") == 1
+
+
 def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["run", "eta", "--bogus"])
