@@ -22,12 +22,16 @@ Stores and environments are updated in place of one entry, not rebuilt:
 each keeps a key -> position index built on first use (see _positions),
 so lookup and get are O(1); bind and extend return self when nothing
 changes and otherwise replace one entry or insert it at its sorted
-position; an environment memoizes restrict per keep-set.  make builds
-one from scratch (alpha, the empty ones).
+position; restrict returns self when it keeps every entry, and an
+environment memoizes it per keep-set.  A map derived by bind, extend or
+restrict from a parent whose sort key is built takes its key from the
+parent's, splicing in or selecting entry keys (see _inherit_key).  make
+builds one from scratch (alpha, the empty ones).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,11 +51,11 @@ class UnmappedAddress(Exception):
 # ---------------------------------------------------------------------------
 # interning
 
-_TABLES = {}
+_TABLES = defaultdict(dict)  # class -> {intern key: object}
 
 
 def _intern(cls, key, *args):
-    tab = _TABLES.setdefault(cls, {})
+    tab = _TABLES[cls]
     obj = tab.get(key)
     if obj is None:
         obj = cls(*args)
@@ -193,17 +197,40 @@ def _positions(m):
         return pos
 
 
-def _put(cls, items, i, k, v):
-    """Intern items with entry i replaced by (k, v), or, when i is None,
-    with (k, v) inserted at its place in skey order.  Distinct interned
-    keys have distinct skeys, so this is the tuple make would build."""
+def _inherit_key(child, parent, derive):
+    """child, given the key derive(parent's key) when the parent's key is
+    built and the child's is not."""
+    pkey = parent.__dict__.get("_skey")
+    if pkey is not None and "_skey" not in child.__dict__:
+        object.__setattr__(child, "_skey", derive(pkey))
+    return child
+
+
+def _put(m, i, k, v):
+    """m (an AEnv or AStore) with entry i replaced by (k, v), or, when i is
+    None, with (k, v) inserted at its place in skey order.  Distinct
+    interned keys have distinct skeys, so this is the map make would
+    build."""
+    items = m.items
     if i is None:
         i = bisect_left(items, k.skey(), key=lambda p: p[0].skey())
-        rest = items[i:]
+        j = i
     else:
-        rest = items[i + 1:]
-    new = items[:i] + ((k, v),) + rest
-    return _intern(cls, new, new)
+        j = i + 1
+    new = items[:i] + ((k, v),) + items[j:]
+    return _inherit_key(_intern(type(m), new, new), m,
+                        lambda key: key[:i] + (m.entry_key(k, v),) + key[j:])
+
+
+def _select(m, keep):
+    """m (an AEnv or AStore) on the keys in keep; m itself when keep
+    covers every key."""
+    idx = [i for i, (k, _) in enumerate(m.items) if k in keep]
+    if len(idx) == len(m.items):
+        return m
+    items = tuple(m.items[i] for i in idx)  # still sorted
+    return _inherit_key(_intern(type(m), items, items), m,
+                        lambda key: tuple(key[i] for i in idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +252,7 @@ class AEnv:
         i = _positions(self).get(v)
         if i is not None and self.items[i][1] is a:
             return self
-        return _put(AEnv, self.items, i, v, a)
+        return _put(self, i, v, a)
 
     def restrict(self, keep):
         """The env on the vars in keep; memoized per env and keep-set."""
@@ -236,16 +263,19 @@ class AEnv:
             object.__setattr__(self, "_restricted", memo)
         out = memo.get(keep)
         if out is None:
-            items = tuple(p for p in self.items if p[0] in keep)  # sorted
-            out = memo[keep] = _intern(AEnv, items, items)
+            out = memo[keep] = _select(self, keep)
         return out
 
     def range(self):
         return [a for _, a in self.items]
 
+    @staticmethod
+    def entry_key(v, a):
+        return (v.skey(), a.skey())
+
     @_keyed
     def skey(self):
-        return tuple((v.skey(), a.skey()) for v, a in self.items)
+        return tuple(AEnv.entry_key(v, a) for v, a in self.items)
 
     def __repr__(self):
         return "{" + ", ".join(f"{v}↦{a}" for v, a in self.items) + "}"
@@ -275,16 +305,18 @@ class AStore:
         new = tuple(v for v in vals if v not in old)
         if not new:
             return self
-        return _put(AStore, self.items, i, a, vset(old + new))
+        return _put(self, i, a, vset(old + new))
 
     def restrict(self, keep):
-        items = tuple(p for p in self.items if p[0] in keep)  # still sorted
-        return _intern(AStore, items, items)
+        return _select(self, keep)
+
+    @staticmethod
+    def entry_key(a, vs):
+        return (a.skey(), tuple(v.skey() for v in vs))
 
     @_keyed
     def skey(self):
-        return tuple((a.skey(), tuple(v.skey() for v in vs))
-                     for a, vs in self.items)
+        return tuple(AStore.entry_key(a, vs) for a, vs in self.items)
 
     def __repr__(self):
         return "[" + ", ".join(f"{a}↦{list(vs)}" for a, vs in self.items) + "]"

@@ -13,7 +13,11 @@ All run the one transfer function, abstract.astep, which leaves the
 continuation to its caller, and intern only their own nodes.  The
 pushdown ones build an RPDSOracle from it: nop_delta takes its moves
 (push or ε transitions), top_delta(q, γ) binds its returns into γ with
-areturn (pop transitions).  They run on the one reachability engine,
+areturn (pop transitions).  Each steps through _stepper, which keeps one
+astep result per input (exp, env, store, ctx): a node's sprout and all
+its pops, and every node whose (collected) store is the same, share one
+call; widened and approximate-GC re-steps call astep again only when the
+node's store changed.  They run on the one reachability engine,
 pushdown.Worklist, which keeps path edges per entry and one-step
 same-level summaries; their ε-closure graph is a view of those, built
 only when read.  The widened and approximate-GC oracles read state that
@@ -161,18 +165,34 @@ def _in_order(succs):
     return sorted(dict(succs).items(), key=lambda p: p[0].skey())
 
 
+def _stepper(policy):
+    """astep under policy, run once per input (exp, env, store, ctx)."""
+    steps = {}
+
+    def step(e, env, store, ctx):
+        key = (e, env, store, ctx)
+        out = steps.get(key)
+        if out is None:
+            out = steps[key] = astep(e, env, store, ctx, policy)
+        return out
+
+    return step
+
+
 def _oracle(root, store_of, node, policy):
     """The pushdown system whose node q steps as (q.exp, q.env,
     store_of(q), q.ctx) and whose successors are node(exp, env, store,
     ctx): moves for nop_delta, returns into γ for top_delta."""
+    step = _stepper(policy)
+
     def nop_delta(q):
-        moves, _ = astep(q.exp, q.env, store_of(q), q.ctx, policy)
+        moves, _ = step(q.exp, q.env, store_of(q), q.ctx)
         return _in_order((node(e2, env2, s2, ctx2),
                           UNCH if fr is None else Push(fr))
                          for fr, e2, env2, s2, ctx2 in moves)
 
     def top_delta(q, fr):
-        _, returns = astep(q.exp, q.env, store_of(q), q.ctx, policy)
+        _, returns = step(q.exp, q.env, store_of(q), q.ctx)
         return _in_order((node(*areturn(fr, vals, s, q.exp, q.ctx, policy),
                                q.ctx), Pop(fr))
                          for vals, s in returns)
@@ -198,10 +218,11 @@ def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> Analys
     root = OPState.make(ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ()),
                         frozenset())
 
+    step = _stepper(policy)
+
     def stepped(om):
         q = om.state
-        return astep(q.exp, q.env, gc_store(q.env, q.store, om.roots), q.ctx,
-                     policy)
+        return step(q.exp, q.env, gc_store(q.env, q.store, om.roots), q.ctx)
 
     def nop_delta(om):
         moves, _ = stepped(om)

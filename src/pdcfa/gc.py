@@ -2,6 +2,9 @@
 
 The collected store maps unreachable addresses to the empty set; stores are
 canonicalized by dropping empty entries, so collected states intern equal.
+Stores are interned and immutable, so gc_store memoizes its result on the
+store, per root set, as AEnv.restrict does per keep-set: a store that
+several nodes, steps or re-steps collect under one root set is walked once.
 """
 from __future__ import annotations
 
@@ -46,9 +49,18 @@ def reachable_addrs(roots, store: AStore):
 
 
 def gc_store(env, store, extra_roots=frozenset()):
-    """Restrict store to what env plus extra roots can reach."""
+    """Restrict store to what env plus extra roots can reach; memoized per
+    store and root set."""
     roots = frozenset(env.range()) | extra_roots
-    return store.restrict(reachable_addrs(roots, store))
+    try:
+        memo = store._collected
+    except AttributeError:
+        memo = {}
+        object.__setattr__(store, "_collected", memo)
+    out = memo.get(roots)
+    if out is None:
+        out = memo[roots] = store.restrict(reachable_addrs(roots, store))
+    return out
 
 
 def gc(c: AConf) -> AConf:

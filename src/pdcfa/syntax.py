@@ -114,6 +114,8 @@ def read_sexprs(text: str) -> list:
                 items.append(read_one())
         if tok in ")]":
             raise ParseError(span, "unexpected closing bracket")
+        if tok.startswith("'"):
+            raise ParseError(span, "quote is not supported")
         return SExpr(tok, None, span)
 
     out = []
@@ -376,7 +378,11 @@ class _Frontend:
         if head in ("let", "let*"):
             if len(sx.items) != 3 or sx.items[1].is_atom:
                 raise ParseError(sx.span, "let expects (let (bindings) body)")
-            return self._let(list(sx.items[1].items), sx.items[2], env, k)
+            bindings = list(sx.items[1].items)
+            if head == "let":  # parallel: every rhs sees the enclosing scope
+                self._distinct_names(bindings)
+                return self._let(bindings, sx.items[2], env, k, env)
+            return self._let(bindings, sx.items[2], env, k)
         if head == "define":
             raise ParseError(sx.span, "define only allowed at top level")
 
@@ -418,35 +424,48 @@ class _Frontend:
         join = Lambda(cv, body)
         return self._finish_call(Call(Lam(join), ca), k)
 
-    def _let(self, bindings, body_sx, env, k) -> Exp:
+    def _distinct_names(self, bindings):
+        seen = set()
+        for b in bindings:
+            if not b.is_atom and b.items and b.items[0].is_atom:
+                name = b.items[0].atom
+                if name in seen:
+                    raise ParseError(b.span, f"duplicate let binding {name!r}")
+                seen.add(name)
+
+    def _let(self, bindings, body_sx, env, k, rhs_env=None) -> Exp:
+        """Bind left to right; each rhs is read in rhs_env (let's enclosing
+        scope), or, when it is None, in env with the earlier bindings
+        (let*)."""
         if not bindings:
             return self.anf(body_sx, env, k)
         b = bindings[0]
         if b.is_atom or len(b.items) != 2 or not b.items[0].is_atom:
             raise ParseError(b.span, "bad let binding")
         name, rhs = b.items[0].atom, b.items[1]
-        if self._atomish(rhs):
-            # beta-redex: ((lambda (name) rest) rhs) — Let1 can only bind calls
-            v = self.fresh_var(name)
-            env2 = dict(env)
-            env2[name] = v
-            ratom = self.to_atom(rhs, env)
-            return self._beta(v, ratom, bindings[1:], body_sx, env2, k)
+        scope = env if rhs_env is None else rhs_env
         v = self.fresh_var(name)
         env2 = dict(env)
         env2[name] = v
+        if self._atomish(rhs):
+            # beta-redex: ((lambda (name) rest) rhs) — Let1 can only bind calls
+            return self._beta(v, self.to_atom(rhs, scope), bindings[1:],
+                              body_sx, env2, k, rhs_env)
 
         def fn(atom):
             if isinstance(atom, Ref) and atom.var is v:
                 # the rhs call was Let1-bound directly to v via the hint
-                return self._let(bindings[1:], body_sx, env2, k)
+                return self._let(bindings[1:], body_sx, env2, k, rhs_env)
             # rhs collapsed to some other atom (e.g. nested let over an atom)
-            return self._beta(v, atom, bindings[1:], body_sx, env2, k)
+            return self._beta(v, atom, bindings[1:], body_sx, env2, k,
+                              rhs_env)
 
-        return self.anf(rhs, env, (v, fn))
+        return self.anf(rhs, scope, (v, fn))
 
-    def _beta(self, v, ratom, rest_bindings, body_sx, env2, k) -> Exp:
-        lam = Lambda(v, self._let(rest_bindings, body_sx, env2, _TAIL))
+    def _beta(self, v, ratom, rest_bindings, body_sx, env2, k,
+              rhs_env) -> Exp:
+        lam = Lambda(v, self._let(rest_bindings, body_sx, env2, _TAIL,
+                                  rhs_env))
         return self._finish_call(Call(Lam(lam), ratom), k)
 
     def _desugar_cond(self, sx: SExpr) -> SExpr:

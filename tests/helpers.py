@@ -238,3 +238,23 @@ def ref_extend(env, v, a):
 
 def ref_restrict(env, keep):
     return AEnv.make([(x, y) for x, y in env.items if x in keep])
+
+
+def ref_gc_store(env, store, extra_roots=frozenset()):
+    """The collected store rebuilt from scratch: reachability by linear
+    lookups, the result by AStore.make, nothing memoized."""
+    seen = set()
+    work = [a for _, a in env.items] + list(extra_roots)
+    while work:
+        a = work.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        vals = list(ref_lookup(store, a))
+        while vals:
+            v = vals.pop()
+            if isinstance(v, AClo):
+                work.extend(a2 for _, a2 in v.env.items)
+            elif isinstance(v, APrim):
+                vals.extend(v.args)
+    return AStore.make((a, vs) for a, vs in store.items if a in seen)

@@ -1,5 +1,6 @@
 """End-to-end behavior of the six analyses on small programs and benchmarks."""
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,8 @@ from pdcfa.analyses import (
     compute_root_cache,
 )
 from pdcfa.bench import load
-from pdcfa import pushdown
+from pdcfa.cli import policy_for_k, run_one
+from pdcfa import analyses, pushdown
 from pdcfa.gc import touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
@@ -236,3 +238,22 @@ def test_compute_root_cache_no_edges_is_all_empty():
     a, b = _mk_state(1), _mk_state(2)
     rc = compute_root_cache([a, b], [], [(a, a), (b, b)])
     assert rc[a] == rc[b] == frozenset()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_pushdown_analyses_step_each_input_once(prog, k, monkeypatch):
+    """A node's sprout and pops, nodes that collect to one store, and
+    re-steps under an unchanged store all share one astep call."""
+    inputs = Counter()
+    real_astep = analyses.astep
+
+    def astep(e, env, store, ctx, policy):
+        inputs[(e, env, store, ctx)] += 1
+        return real_astep(e, env, store, ctx, policy)
+    monkeypatch.setattr(analyses, "astep", astep)
+    for kind in ("pdcfa", "pdcfa-gc", "pdcfa-gc-approx", "pdcfa-widened"):
+        inputs.clear()
+        r = run_one(kind, load(prog), policy_for_k(k))
+        assert r.saturated and inputs
+        assert max(inputs.values()) == 1, kind

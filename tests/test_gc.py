@@ -1,5 +1,6 @@
 """Root computation, address reachability, and store collection."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcfa.syntax import Var, parse_and_normalize
 from pdcfa.abstract import (
@@ -12,6 +13,7 @@ from pdcfa.abstract import (
     APrim,
     AStore,
     EMPTY_ENV,
+    EMPTY_STORE,
     Mono,
     SCALAR_TOP,
     ainject,
@@ -19,6 +21,8 @@ from pdcfa.abstract import (
     step_conf,
 )
 from pdcfa.gc import gc, gc_step, gc_store, reachable_addrs, stack_root, touches
+
+from helpers import ref_gc_store, ref_skey
 
 
 def addr(name, uid):
@@ -152,3 +156,48 @@ def test_collection_monotone_in_roots():
     big = gc_store(env, store, extra_roots=frozenset({A2}))
     assert leq(small, big)
     assert leq(big, store)
+
+
+# ---------------------------------------------------------------------------
+# the memoized collector against a from-scratch one
+
+G_VARS = [Var(n, i) for i, n in enumerate("pqrst", start=20)]
+G_ADDRS = [addr(n, i) for i, n in enumerate("ghijkl", start=30)]
+_LAM = lam_of("(lambda (x) x)")
+_CLOS = [AClo.make(_LAM, AEnv.make(((G_VARS[0], a),))) for a in G_ADDRS[:4]]
+G_VALS = [SCALAR_TOP, A_TRUE, *_CLOS,
+          AClo.make(_LAM, AEnv.make(((G_VARS[1], G_ADDRS[4]),
+                                     (G_VARS[2], G_ADDRS[0])))),
+          APrim.make("+", (_CLOS[3],))]
+G_ENVS = [EMPTY_ENV] + [AEnv.make(zip(G_VARS, G_ADDRS[i:i + 2]))
+                        for i in range(5)]
+
+_pick = st.integers(0, 63)  # an earlier store, taken modulo the pool size
+# keyed: build the store's key first, so that what is derived inherits it
+gc_ops = st.lists(st.one_of(
+    st.tuples(st.just("bind"), _pick, st.booleans(), st.sampled_from(G_ADDRS),
+              st.lists(st.sampled_from(G_VALS), min_size=1, max_size=3)),
+    st.tuples(st.just("gc"), _pick, st.booleans(), st.sampled_from(G_ENVS),
+              st.frozensets(st.sampled_from(G_ADDRS), max_size=2)),
+), max_size=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gc_ops)
+def test_gc_store_matches_from_scratch_reference(ops):
+    stores = [EMPTY_STORE]
+    for op, i, keyed, *args in ops:
+        s = stores[i % len(stores)]
+        if keyed:
+            s.skey()
+        if op == "bind":
+            stores.append(s.bind(args[0], tuple(args[1])))
+        else:
+            env, extra = args
+            out = gc_store(env, s, extra)
+            assert out is ref_gc_store(env, s, extra)
+            assert gc_store(env, s, extra) is out  # a memo hit
+            assert out.skey() == ref_skey(out)
+            stores.append(out)
+    for s in stores:
+        assert s.skey() == ref_skey(s)

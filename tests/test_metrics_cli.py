@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pdcfa import cli
+from pdcfa import analyses, cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
 from pdcfa.analyses import (OPState, act_skey, analyze_finite,
@@ -125,13 +125,23 @@ def _keyed_parts(n):
 
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
-def test_stored_skey_equals_reference_key(prog, k):
+def test_stored_skey_equals_reference_key(prog, k, monkeypatch):
     e = load(prog)
+    collected = []  # every store gc_store returns: most inherit their keys
+    real_gc_store = analyses.gc_store
+
+    def gc_store(env, store, extra_roots=frozenset()):
+        collected.append(real_gc_store(env, store, extra_roots))
+        return collected[-1]
+    monkeypatch.setattr(analyses, "gc_store", gc_store)
     for kind in KINDS:
+        collected.clear()
         r = cli.run_one(kind, e, cli.policy_for_k(k), node_limit=2_000)
         parts = [p for n in r.graph.nodes for p in _keyed_parts(n)]
         if r.global_store is not None:
             parts.append(r.global_store)
+        assert bool(collected) == r.gc_mode
+        parts += collected
         for x in parts:
             assert x.skey() is x.skey()
             assert x.skey() == ref_skey(x), (kind, x)
@@ -326,6 +336,19 @@ def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
     assert out == ""
     assert err.startswith("pdcfa: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("(let ((x 1) (x 2)) x)", "duplicate let binding 'x'"),
+    ("'(1 2)", "quote is not supported"),
+])
+def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
+    prog = tmp_path / "p.scm"
+    prog.write_text(src)
+    code, out, err = run_cli(["run", str(prog)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("pdcfa: ") and err.count("\n") == 1
+    assert msg in err
 
 
 @pytest.mark.parametrize("case", ["non-utf8", "directory", "out-dir-missing",

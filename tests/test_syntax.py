@@ -5,6 +5,7 @@ from pdcfa.syntax import (parse_program, normalize, parse_and_normalize,
                           count_let1, ParseError, UnboundVariable,
                           Ret, TailCall, Let1, If, Ref, Lam, Lit, PrimRef)
 from pdcfa import bench
+from pdcfa.concrete import run
 
 
 def walk(e):
@@ -142,3 +143,24 @@ def test_let_bound_callee_flag():
     calls2 = [x.call for x in walk(e2) if isinstance(x, TailCall)]
     assert all(not c.let_bound_callee for c in calls2
                if isinstance(c.fun, Ref) and c.fun.var.name == "g")
+
+
+def test_let_binds_in_parallel_let_star_in_sequence():
+    # let's right-hand sides see the enclosing x, not the x bound beside them
+    e = parse_and_normalize("(let ((x 1)) (let ((x #t) (y x)) (+ y 1)))")
+    assert run(e)[1] == ("halt", 2)
+    e = parse_and_normalize("(let* ((x 1) (x #t) (y x)) (not y))")
+    assert run(e)[1] == ("halt", False)
+    e = parse_and_normalize("(let* ((x 1) (x 2)) x)")  # let* may rebind
+    assert run(e)[1] == ("halt", 2)
+
+
+def test_let_rejects_a_repeated_name():
+    with pytest.raises(ParseError, match="duplicate let binding 'x'"):
+        parse_program("(let ((x 1) (x 2)) x)")
+
+
+@pytest.mark.parametrize("src", ["'x", "'(1 2)", "(+ 1 'x)", "(f '())"])
+def test_quote_is_reported_unsupported(src):
+    with pytest.raises(ParseError, match="quote is not supported"):
+        parse_program(src)
