@@ -211,9 +211,10 @@ def _put(m, i, k, v):
     None, with (k, v) inserted at its place in skey order.  Distinct
     interned keys have distinct skeys, so this is the map make would
     build."""
-    items = m.items
-    if i is None:
-        i = bisect_left(items, k.skey(), key=lambda p: p[0].skey())
+    items, pkey = m.items, m.__dict__.get("_skey")
+    if i is None:  # entry keys start with their key's skey
+        i = (bisect_left(pkey, (k.skey(),)) if pkey is not None else
+             bisect_left(items, k.skey(), key=lambda p: p[0].skey()))
         j = i
     else:
         j = i + 1

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .syntax import Exp, Let1
 from .abstract import (AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState, KAddr,
-                       K_HALT, areturn, astep, finject, kaddr_skey, skey,
+                       K_HALT, areturn, astep, finject, kaddr_skey,
                        store_join, _intern, _keyed)
 from .gc import gc_store, touches
 from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
@@ -161,8 +161,9 @@ def _in_order(succs):
     """Distinct (node, act) successors of one step, in canonical node
     order.  One step's successors share ctx and push at most one frame, so
     a node fixes its act and this is the order of the configurations the
-    nodes stand for."""
-    return sorted(dict(succs).items(), key=lambda p: p[0].skey())
+    nodes stand for.  A lone successor builds no key."""
+    out = list(dict(succs).items())
+    return sorted(out, key=lambda p: p[0].skey()) if len(out) > 1 else out
 
 
 def _stepper(policy):
@@ -339,19 +340,22 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
         return R.get(q, frozenset())
 
     def grow(q, addrs):
-        """Monotone root flow along same-level steps and push edges; every
-        node whose R grows is re-stepped."""
-        work = deque()
+        """Monotone root flow along same-level steps and push edges; a node
+        is re-stepped when its collection roots (env range ∪ R) grow."""
+        work, grown = deque(), {}
 
         def flow(y, addrs):
             if not addrs <= roots(y):
+                if not addrs <= roots(y).union(y.env.range()):
+                    grown[y] = True
                 R[y] = roots(y) | addrs
                 work.append(y)
 
         flow(q, addrs)
         while work:
             x = work.popleft()
-            wl.restep(x)
+            if grown.pop(x, False):
+                wl.restep(x)
             for y in wl.same.get(x, ()):
                 flow(y, R[x])
             for fr, y in push_out.get(x, ()):
@@ -450,7 +454,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
             for fr, ka2 in kstore.get(st.kaddr, ()):
                 e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
                 succs.append(FState.make(e2, env2, s2, st.ctx, ka2))
-        for s2 in sorted(dict.fromkeys(succs), key=skey):
+        for s2, _ in _in_order((s2, None) for s2 in succs):
             if isinstance(st.exp, Let1):
                 act = "push"
             elif s2.kaddr is not st.kaddr:

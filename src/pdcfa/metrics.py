@@ -1,11 +1,19 @@
-"""Precision metrics and graph serialization (JSON / DOT)."""
+"""Precision metrics and graph serialization (JSON / DOT).
+
+Both formats list nodes and edges in canonical (skey) order, sorted on
+ranks: each distinct env, store, continuation address, root set and act
+is ranked once by its key, and equal keys share a rank.  A node sorts on
+its exp label, ctx and its parts' ranks, in the order its skey compares
+them (_PARTS); an edge on one int packed from its src, act and dst ranks."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from json.encoder import encode_basestring_ascii as _escape
 
 from .syntax import binders
-from .analyses import AnalysisResult, OPState, act_skey
+from .abstract import kaddr_skey, skey
+from .analyses import AnalysisResult, OPState, _roots_key, act_skey
 from .pushdown import Push, UNCH
 
 
@@ -83,70 +91,74 @@ def _act_label(act):
     return f"{word} {_frame_label(act.frame)}"
 
 
-def _sorted_nodes(r: AnalysisResult):
-    """Nodes in canonical order, and each node's rank in it (equal keys
-    share one), so that edges sort on ints rather than on deep keys.
-
-    The distinct stores are sorted once; a node then sorts on its key with
-    the store's key replaced by the store's rank, which keeps the order."""
-    stores = sorted({q.store for q in map(_state, r.graph.nodes)
-                     if hasattr(q, "store")}, key=lambda s: s.skey())
-    srank = {s: i for i, s in enumerate(stores)}
-
-    def key(q):  # ControlState and FState keys hold the store's key third
-        k = q.skey()
-        return k[:2] + (srank[q.store],) + k[3:] if hasattr(q, "store") else k
-
-    keys = {n: (key(n.state), n.skey()[1]) if isinstance(n, OPState)
-            else key(n) for n in r.graph.nodes}  # OPState: (state, roots)
-    nodes = sorted(keys, key=keys.__getitem__)
-    rank = {}
-    for i, n in enumerate(nodes):
-        same = i and keys[n] == keys[nodes[i - 1]]
-        rank[n] = rank[nodes[i - 1]] if same else i
-    return nodes, rank
+def _ranks(xs, key):
+    """{x: rank} over the distinct xs in key order; equal keys share a
+    rank."""
+    keys = {x: key(x) for x in dict.fromkeys(xs)}
+    ranks, rank, prev = {}, 0, None
+    for i, x in enumerate(sorted(keys, key=keys.__getitem__)):
+        rank = rank if i and keys[x] == prev else i
+        ranks[x], prev = rank, keys[x]
+    return ranks
 
 
 def _state(n):
     return n.state if isinstance(n, OPState) else n
 
 
-def _edge_key(rank):
-    """Sort key of an edge: the canonical order of (src, act, dst)."""
-    def key(e):
-        src, act, dst = e
-        ak = (act,) if isinstance(act, str) else act_skey(act)
-        return (rank[src], ak, rank[dst])
-    return key
+_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", kaddr_skey))
+
+
+def _order(r: AnalysisResult):
+    """The nodes in canonical order, and each one's position in it, which
+    is its rank: distinct interned nodes have distinct keys."""
+    nodes = list(r.graph.nodes)
+    qs = [_state(n) for n in nodes]
+    cols = [[q.exp.label for q in qs]]
+    for part, key in _PARTS:
+        if hasattr(qs[0], part):
+            xs = [getattr(q, part) for q in qs]
+            cols.append(xs if key is None else [*map(_ranks(xs, key).get, xs)])
+    if qs[0] is not nodes[0]:
+        xs = [n.roots for n in nodes]
+        cols.append([*map(_ranks(xs, _roots_key).get, xs)])
+    keys = list(zip(*cols))
+    nodes = [nodes[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    return nodes, {n: i for i, n in enumerate(nodes)}
+
+
+def _edge_key(edges, pos):
+    """Sort key of an edge (src, act, dst, ...) in canonical (src, act,
+    dst) order: one int packed from their ranks."""
+    acts = _ranks((e[1] for e in edges),
+                  lambda a: (a,) if isinstance(a, str) else act_skey(a))
+    na, nn = len(acts), len(pos)
+    return lambda e: (pos[e[0]] * na + acts[e[1]]) * nn + pos[e[2]]
 
 
 def to_dot(r: AnalysisResult) -> str:
     """Deterministic DOT rendering of the reachable transition graph."""
-    nodes, rank = _sorted_nodes(r)
-    edge_key = _edge_key(rank)
-    ids = {n: f"n{i}" for i, n in enumerate(nodes)}
+    nodes, pos = _order(r)
     lines = ["digraph pdcfa {", '  rankdir="LR";']
-    for n in nodes:
+    for i, n in enumerate(nodes):
         shape = "doublecircle" if n is r.graph.root else "circle"
-        lines.append(f'  {ids[n]} [label="{_node_label(n)}", shape={shape}];')
-    if r.guarded_edges is not None:
-        rendered = sorted(
-            ((src, act, dst, len(guard))
-             for (src, guard, act, dst) in r.guarded_edges),
-            key=lambda t: (edge_key(t[:3]), t[3]))
-        for src, act, dst, gsize in rendered:
-            lbl = f"{_act_label(act)} ⟨{gsize}⟩"
-            lines.append(f'  {ids[src]} -> {ids[dst]} [label="{lbl}"];')
+        lines.append(f'  n{i} [label="{_node_label(n)}", shape={shape}];')
+    if r.guarded_edges is not None:  # one guard per edge
+        rendered = [(src, act, dst, len(guard))
+                    for (src, guard, act, dst) in r.guarded_edges]
     else:
-        for src, act, dst in sorted(r.graph.edges, key=edge_key):
-            lines.append(
-                f'  {ids[src]} -> {ids[dst]} [label="{_act_label(act)}"];')
+        rendered = r.graph.edges
+    for src, act, dst, *gsize in sorted(rendered,
+                                        key=_edge_key(rendered, pos)):
+        lbl = _act_label(act) + "".join(f" ⟨{g}⟩" for g in gsize)
+        lines.append(f'  n{pos[src]} -> n{pos[dst]} [label="{lbl}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 _NODE = '    {\n      "id": %d,\n      "label": %s\n    }'
 _EDGE = '    {\n      "src": %d,\n      "act": %s,\n      "dst": %d\n    }'
+_CHUNK = 2048  # rows joined into one piece of the document
 
 
 def to_json(obj) -> str:
@@ -154,38 +166,46 @@ def to_json(obj) -> str:
 
     A result is written exactly as json.dumps(doc, indent=2) writes it,
     but row by row: with indent= json.dumps runs its pure-Python encoder,
-    so each value is encoded on its own by the C one instead."""
+    so each distinct label is escaped once by the C one instead.  Rows are
+    joined _CHUNK at a time, so few row strings are alive at once."""
     if isinstance(obj, Metrics):
         doc = {"schema": 1, "metrics": asdict(obj)}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     r = obj
-    nodes, rank = _sorted_nodes(r)
-    ids = {n: i for i, n in enumerate(nodes)}
-    edges = sorted(r.graph.edges, key=_edge_key(rank))
-    head = {
-        "schema": 1,
-        "kind": r.kind,
-        "saturated": r.saturated,
-        "node_count": len(nodes),
-        "edge_count": len(edges),
-    }
-    tail = {}
+    nodes, pos = _order(r)
+    edges = sorted(r.graph.edges, key=_edge_key(r.graph.edges, pos))
+    labels = {}  # (exp label, env, ctx, |roots|) -> escaped node label
+    acts = {a: _escape(_act_label(a))
+            for a in dict.fromkeys(e[1] for e in edges)}
+
+    def node_row(i):
+        n = nodes[i]
+        q = _state(n)  # all a node's label reads
+        key = (q.exp.label, q.env, q.ctx, len(getattr(n, "roots", ())))
+        if key not in labels:
+            labels[key] = _escape(_node_label(n))
+        return _NODE % (i, labels[key])
+
+    fields = {"schema": 1, "kind": r.kind, "saturated": r.saturated,
+              "node_count": len(nodes), "edge_count": len(edges),
+              "nodes": (range(len(nodes)), node_row),
+              "edges": (edges, lambda e: _EDGE % (pos[e[0]], acts[e[1]],
+                                                  pos[e[2]]))}
     if r.guarded_edges is not None:
-        tail["guarded_edge_count"] = len(r.guarded_edges)
-        tail["stale_guards"] = r.extras.get("stale_guards", 0)
+        fields["guarded_edge_count"] = len(r.guarded_edges)
+        fields["stale_guards"] = r.extras.get("stale_guards", 0)
     if r.ecg is not None:
-        tail["ecg_pairs"] = r.ecg.pair_count()
-    dumps = json.dumps
-    rows = [f"  {dumps(k)}: {dumps(v)}" for k, v in head.items()]
-    rows.append('  "nodes": ' + _array(
-        [_NODE % (i, dumps(_node_label(n))) for i, n in enumerate(nodes)]))
-    rows.append('  "edges": ' + _array(
-        [_EDGE % (ids[s], dumps(_act_label(a)), ids[d])
-         for (s, a, d) in edges]))
-    rows += [f"  {dumps(k)}: {dumps(v)}" for k, v in tail.items()]
-    return "{\n" + ",\n".join(rows) + "\n}\n"
-
-
-def _array(items):
-    """A top-level field's JSON array of rendered items, as indent=2."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        fields["ecg_pairs"] = r.ecg.pair_count()
+    out = []
+    for k, v in fields.items():
+        out.append((",\n" if out else "{\n") + f'  "{k}": ')
+        if not isinstance(v, tuple):
+            out.append(json.dumps(v))
+            continue
+        items, row = v  # an array, _CHUNK rows to a piece
+        for lo in range(0, len(items), _CHUNK):
+            out += [",\n" if lo else "[\n",
+                    ",\n".join(map(row, items[lo:lo + _CHUNK]))]
+        out.append("\n  ]" if items else "[]")
+    out.append("\n}\n")
+    return "".join(out)

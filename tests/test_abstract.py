@@ -15,7 +15,7 @@ from pdcfa.concrete import UnboundVariableError
 from pdcfa import bench
 
 from helpers import (ref_bind, ref_extend, ref_get, ref_lookup,
-                     ref_restrict, ref_store_join)
+                     ref_restrict, ref_skey, ref_store_join)
 
 ID_ON_ID = "((lambda (x) x) (lambda (y) y))"
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
@@ -339,6 +339,28 @@ def test_store_and_env_ops_match_from_scratch_reference(ops):
                     env.get(args[0])
             else:
                 assert env.get(args[0]) is want
+
+
+def test_insert_matches_make_with_and_without_a_built_parent_key():
+    """A new entry goes where make puts it, whether its place is found in
+    the parent's built key or, unbuilt, in the parent's items."""
+    names = [Var(f"put{n}", 90 + n) for n in range(6)]
+    addrs = [AAddr.make("mono", v) for v in names]
+    for keyed in (False, True):  # fresh parents: their keys are unbuilt
+        own = addrs[keyed::2]  # a different parent each round
+        s = AStore.make((a, (A_TRUE,)) for a in own)
+        env = AEnv.make(zip(names[keyed::2], own))
+        if keyed:
+            s.skey(), env.skey()
+        assert ("_skey" in s.__dict__) is keyed
+        assert ("_skey" in env.__dict__) is keyed
+        for a, v in zip(addrs[1 - keyed::2], names[1 - keyed::2]):
+            bound = s.bind(a, (SCALAR_TOP,))
+            assert bound is AStore.make(s.items + ((a, (SCALAR_TOP,)),))
+            assert bound.skey() == ref_skey(bound)
+            extended = env.extend(v, a)
+            assert extended is AEnv.make(env.items + ((v, a),))
+            assert extended.skey() == ref_skey(extended)
 
 
 def _reached_maps(r):

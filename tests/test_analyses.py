@@ -257,3 +257,31 @@ def test_pushdown_analyses_step_each_input_once(prog, k, monkeypatch):
         r = run_one(kind, load(prog), policy_for_k(k))
         assert r.saturated and inputs
         assert max(inputs.values()) == 1, kind
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_approx_resteps_only_when_collection_roots_grow(prog, k, monkeypatch):
+    """Approx re-steps a node only when the roots it is collected under
+    (its env's range and its cached R) grew since its last re-step."""
+    collected = []  # the root set of each gc_store call
+    real_gc_store = analyses.gc_store
+
+    def gc_store(env, store, extra_roots=frozenset()):
+        collected.append(frozenset(env.range()) | extra_roots)
+        return real_gc_store(env, store, extra_roots)
+    last = {}  # node -> roots it was collected under at its last re-step
+    resteps = []
+
+    class Worklist(pushdown.Worklist):
+        def restep(self, q):
+            self.oracle.nop_delta(q)  # collects q under its roots now
+            before = last.get(q, frozenset(q.env.range()))
+            assert collected[-1] > before, q
+            last[q] = collected[-1]
+            resteps.append(q)
+            super().restep(q)
+    monkeypatch.setattr(analyses, "gc_store", gc_store)
+    monkeypatch.setattr(analyses, "Worklist", Worklist)
+    r = analyze_gc_approx(load(prog), policy_for_k(k))
+    assert r.saturated and resteps

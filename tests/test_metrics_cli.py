@@ -1,18 +1,24 @@
 """Precision metrics, serialization determinism, and the command line."""
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcfa import analyses, cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
 from pdcfa.analyses import (OPState, act_skey, analyze_finite,
                             analyze_gc_approx, analyze_pdcfa)
-from pdcfa.bench import load
+from pdcfa.bench import BENCHMARKS, load
 from pdcfa.cli import main
 from pdcfa.metrics import (Metrics, _act_label, _node_label, compute_metrics,
                            singleton_count, to_dot, to_json)
@@ -200,7 +206,7 @@ def _reference_json(r):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+@pytest.mark.parametrize("prog", [b.name for b in BENCHMARKS])
 def test_to_json_equals_indented_json_dumps(prog, k):
     e = load(prog)
     for kind in KINDS:
@@ -209,6 +215,20 @@ def test_to_json_equals_indented_json_dumps(prog, k):
     m = compute_metrics(prog, r, k, 1.5)
     assert to_json(m) == json.dumps({"schema": 1, "metrics": asdict(m)},
                                     indent=2) + "\n"
+
+
+def test_to_json_peak_memory_is_a_small_multiple_of_the_document():
+    """Writing the capped plain kcfa3 k=1 graph (10,035 nodes) holds at
+    most 3.5 bytes of traced heap per byte of the document."""
+    r = cli.run_one("plain", load("kcfa3"), cli.policy_for_k(1),
+                    node_limit=10_000)
+    tracemalloc.start()
+    try:
+        doc = to_json(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(doc), f"{peak / len(doc):.2f}x"
 
 
 def test_to_json_of_edgeless_result_equals_indented_json_dumps():
@@ -376,6 +396,33 @@ def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
     assert "Traceback" not in err
     if want == 1:
         assert err.startswith("pdcfa: ") and err.count("\n") == 1
+
+
+_WORDS = ("x", "y", "f", "lambda", "let", "let*", "if", "define", "cond",
+          "else", "and", "or", "not", "rec", "+", "-", "quotient", "<=", "=",
+          "#t", "#f", "0", "7", "'", ".", "#", '"s"', ";")
+_SEXPS = st.recursive(
+    st.sampled_from(_WORDS),
+    lambda kids: st.lists(kids, max_size=4).map(
+        lambda xs: "(" + " ".join(xs) + ")"), max_leaves=16)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(st.binary(max_size=48), _SEXPS.map(str.encode)))
+def test_cli_arbitrary_input_ends_without_traceback(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        prog = Path(tmp) / "p.scm"
+        prog.write_bytes(source)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(["run", str(prog), "--timeout-secs", "1"])
+            except SystemExit as ex:  # argparse's usage errors
+                code = ex.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("pdcfa: ")
 
 
 def test_cli_unknown_flag_exits_2():
