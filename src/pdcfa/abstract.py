@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Optional
 
+from .frozen import Frozen, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
                      Lambda, Var, PRIM_ARITY)
 from . import concrete
@@ -75,7 +74,7 @@ def _keyed(build):
             return self._skey
         except AttributeError:
             key = build(self)
-            object.__setattr__(self, "_skey", key)
+            setfield(self, "_skey", key)
             return key
     return skey
 
@@ -97,8 +96,7 @@ def vset(vals):
 # abstract values
 
 
-@dataclass(frozen=True, eq=False)
-class AScalarTop:
+class AScalarTop(Frozen):
     def skey(self):
         return ("num",)
 
@@ -109,9 +107,9 @@ class AScalarTop:
 SCALAR_TOP = AScalarTop()
 
 
-@dataclass(frozen=True, eq=False)
-class ABool:
-    value: Optional[bool]  # None is ⊤
+class ABool(Frozen):
+    def __init__(self, value):
+        setfield(self, "value", value)  # a bool, or None for ⊤
 
     def skey(self):
         return ("bool", {False: 0, True: 1, None: 2}[self.value])
@@ -129,10 +127,10 @@ def abool(b):
     return A_TRUE if b else A_FALSE
 
 
-@dataclass(frozen=True, eq=False)
-class AClo:
-    lam: Lambda
-    env: "AEnv"
+class AClo(Frozen):
+    def __init__(self, lam, env):
+        setfield(self, "lam", lam)
+        setfield(self, "env", env)
 
     @classmethod
     def make(cls, lam, env):
@@ -146,10 +144,10 @@ class AClo:
         return f"Clo(λ{self.lam.param}@{self.lam.skey()})"
 
 
-@dataclass(frozen=True, eq=False)
-class APrim:
-    op: str
-    args: tuple = ()
+class APrim(Frozen):
+    def __init__(self, op, args=()):
+        setfield(self, "op", op)
+        setfield(self, "args", args)
 
     @classmethod
     def make(cls, op, args=()):
@@ -167,11 +165,11 @@ class APrim:
 # addresses, environments, stores
 
 
-@dataclass(frozen=True, eq=False)
-class AAddr:
-    tag: str  # 'mono' | '1cfa' | 'kcfa' | 'poly'
-    var: Var
-    extra: tuple = ()
+class AAddr(Frozen):
+    def __init__(self, tag, var, extra=()):
+        setfield(self, "tag", tag)  # 'mono' | '1cfa' | 'kcfa' | 'poly'
+        setfield(self, "var", var)
+        setfield(self, "extra", extra)
 
     @classmethod
     def make(cls, tag, var, extra=()):
@@ -193,7 +191,7 @@ def _positions(m):
         return m._pos
     except AttributeError:
         pos = {k: i for i, (k, _) in enumerate(m.items)}
-        object.__setattr__(m, "_pos", pos)
+        setfield(m, "_pos", pos)
         return pos
 
 
@@ -202,7 +200,7 @@ def _inherit_key(child, parent, derive):
     built and the child's is not."""
     pkey = parent.__dict__.get("_skey")
     if pkey is not None and "_skey" not in child.__dict__:
-        object.__setattr__(child, "_skey", derive(pkey))
+        setfield(child, "_skey", derive(pkey))
     return child
 
 
@@ -234,9 +232,9 @@ def _select(m, keep):
                         lambda key: tuple(key[i] for i in idx))
 
 
-@dataclass(frozen=True, eq=False)
-class AEnv:
-    items: tuple  # of (Var, AAddr), sorted by var skey
+class AEnv(Frozen):
+    def __init__(self, items):
+        setfield(self, "items", items)  # of (Var, AAddr), sorted by var skey
 
     @classmethod
     def make(cls, pairs):
@@ -261,7 +259,7 @@ class AEnv:
             memo = self._restricted
         except AttributeError:
             memo = {}
-            object.__setattr__(self, "_restricted", memo)
+            setfield(self, "_restricted", memo)
         out = memo.get(keep)
         if out is None:
             out = memo[keep] = _select(self, keep)
@@ -285,9 +283,9 @@ class AEnv:
 EMPTY_ENV = AEnv.make([])
 
 
-@dataclass(frozen=True, eq=False)
-class AStore:
-    items: tuple  # of (AAddr, valtuple), sorted by addr skey, ∅ entries dropped
+class AStore(Frozen):
+    def __init__(self, items):
+        setfield(self, "items", items)  # (AAddr, vals) by addr skey, no ∅
 
     @classmethod
     def make(cls, entries):
@@ -333,11 +331,11 @@ def store_join(s1: AStore, s2: AStore) -> AStore:
     return s1
 
 
-@dataclass(frozen=True, eq=False)
-class AFrame:
-    var: Var
-    exp: Exp
-    env: AEnv
+class AFrame(Frozen):
+    def __init__(self, var, exp, env):
+        setfield(self, "var", var)
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
 
     @classmethod
     def make(cls, var, exp, env):
@@ -351,13 +349,13 @@ class AFrame:
         return f"({self.var}, e{self.exp.label})"
 
 
-@dataclass(frozen=True, eq=False)
-class AConf:
-    exp: Exp
-    env: AEnv
-    store: AStore
-    kont: tuple  # of AFrame, top first
-    ctx: tuple = ()  # last-k call-site labels (KCFA only)
+class AConf(Frozen):
+    def __init__(self, exp, env, store, kont, ctx=()):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)
+        setfield(self, "kont", kont)  # of AFrame, top first
+        setfield(self, "ctx", ctx)  # last-k call-site labels (KCFA only)
 
     @classmethod
     def make(cls, exp, env, store, kont, ctx=()):
@@ -378,32 +376,45 @@ def ainject(e: Exp) -> AConf:
 # allocation policies
 
 
-@dataclass(frozen=True)
-class Mono:
+class _Policy(Frozen):
+    """Policies are values: equal when of one class (and, for KCFA, k)."""
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
+
+class Mono(_Policy):
     pass
 
 
-@dataclass(frozen=True)
-class OneCFA:
+class OneCFA(_Policy):
     pass
 
 
-@dataclass(frozen=True)
-class KCFA:
-    k: int
+class KCFA(_Policy):
+    def __init__(self, k):
+        setfield(self, "k", k)
+
+    def __eq__(self, other):
+        return type(other) is KCFA and self.k == other.k
+
+    def __hash__(self):
+        return hash(self.k)
 
 
-@dataclass(frozen=True)
-class PolySplit:
+class PolySplit(_Policy):
     pass
 
 
-@dataclass(frozen=True)
-class AllocCtx:
-    exp_label: int
-    call_label: Optional[int]
-    let_bound: bool
-    hist: tuple  # call-site history, most recent first, already truncated
+class AllocCtx(Frozen):
+    def __init__(self, exp_label, call_label, let_bound, hist):
+        setfield(self, "exp_label", exp_label)
+        setfield(self, "call_label", call_label)  # an int or None
+        setfield(self, "let_bound", let_bound)
+        setfield(self, "hist", hist)  # call sites, latest first, truncated
 
 
 def aalloc(policy, v: Var, ctx: AllocCtx) -> AAddr:
@@ -692,10 +703,10 @@ def run_abstracted(e: Exp, policy, fuel: int = 10 ** 5):
 K_HALT = ("halt-kont",)
 
 
-@dataclass(frozen=True, eq=False)
-class KAddr:
-    exp: Exp
-    env: AEnv
+class KAddr(Frozen):
+    def __init__(self, exp, env):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
 
     @classmethod
     def make(cls, exp, env):
@@ -710,13 +721,13 @@ def kaddr_skey(ka):
     return ("kaddr-halt",) if ka is K_HALT else ka.skey()
 
 
-@dataclass(frozen=True, eq=False)
-class FState:
-    exp: Exp
-    env: AEnv
-    store: AStore
-    ctx: tuple
-    kaddr: object  # KAddr or K_HALT
+class FState(Frozen):
+    def __init__(self, exp, env, store, ctx, kaddr):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)
+        setfield(self, "ctx", ctx)
+        setfield(self, "kaddr", kaddr)  # KAddr or K_HALT
 
     @classmethod
     def make(cls, exp, env, store, ctx, kaddr):

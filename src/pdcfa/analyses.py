@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
 
+from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
-from .abstract import (AEnv, AStore, EMPTY_ENV, EMPTY_STORE, FState, KAddr,
-                       K_HALT, areturn, astep, finject, kaddr_skey,
-                       store_join, _intern, _keyed)
+from .abstract import (EMPTY_ENV, EMPTY_STORE, FState, KAddr, K_HALT,
+                       areturn, astep, finject, kaddr_skey, store_join,
+                       _intern, _keyed)
 from .gc import gc_store, touches
-from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
+from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS,
                        Worklist, compact_worklist)
 
 # perfbench/tracing.py wraps the astep of this module and also reads the
@@ -46,12 +45,12 @@ from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS, ECG,
 astep_finite = astep
 
 
-@dataclass(frozen=True, eq=False)
-class ControlState:
-    exp: Exp
-    env: AEnv
-    store: AStore
-    ctx: tuple = ()
+class ControlState(Frozen):
+    def __init__(self, exp, env, store, ctx=()):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)
+        setfield(self, "ctx", ctx)
 
     @classmethod
     def make(cls, exp, env, store, ctx=()):
@@ -65,11 +64,11 @@ class ControlState:
         return f"q(e{self.exp.label})"
 
 
-@dataclass(frozen=True, eq=False)
-class PState:
-    exp: Exp
-    env: AEnv
-    ctx: tuple = ()
+class PState(Frozen):
+    def __init__(self, exp, env, ctx=()):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "ctx", ctx)
 
     @classmethod
     def make(cls, exp, env, ctx=()):
@@ -87,10 +86,10 @@ def _roots_key(roots):
     return tuple(sorted(a.skey() for a in roots))
 
 
-@dataclass(frozen=True, eq=False)
-class OPState:
-    state: ControlState
-    roots: frozenset
+class OPState(Frozen):
+    def __init__(self, state, roots):
+        setfield(self, "state", state)
+        setfield(self, "roots", roots)  # frozenset of stack-root AAddrs
 
     @classmethod
     def make(cls, state, roots):
@@ -117,20 +116,18 @@ def act_skey(act):
     return ((1,) if isinstance(act, Push) else (2,)) + fk
 
 
-@dataclass
 class AnalysisResult:
-    kind: str
-    policy: object
-    gc_mode: bool
-    graph: CRPDS
-    ecg: Optional[ECG]
-    exp: Exp
-    saturated: bool = True
-    global_store: Optional[AStore] = None
-    root_cache: Optional[dict] = None
-    guarded_edges: Optional[list] = None
-    kstore: Optional[dict] = None
-    extras: dict = field(default_factory=dict)
+    def __init__(self, kind, policy, gc_mode, graph, ecg, exp, saturated=True,
+                 global_store=None, root_cache=None, guarded_edges=None,
+                 kstore=None):
+        self.kind, self.policy, self.gc_mode = kind, policy, gc_mode
+        self.graph, self.ecg, self.exp = graph, ecg, exp
+        self.saturated = saturated
+        self.global_store = global_store  # pdcfa-widened
+        self.root_cache = root_cache  # pdcfa-gc-approx
+        self.guarded_edges = guarded_edges  # pdcfa-gc-approx
+        self.kstore = kstore  # plain, plain-gc
+        self.extras = {}
 
     @property
     def nodes(self):

@@ -4,16 +4,16 @@ Classic higher-order analysis stress tests, re-encoded for this language
 surface (no exact correspondence with any published state counts is
 claimed).
 """
-from dataclasses import dataclass
 from importlib import resources
 
+from ..frozen import Frozen, setfield
 from ..syntax import parse_and_normalize
 
 
-@dataclass(frozen=True)
-class BenchmarkEntry:
-    name: str
-    path: str
+class BenchmarkEntry(Frozen):
+    def __init__(self, name, path):
+        setfield(self, "name", name)
+        setfield(self, "path", path)
 
 
 BENCHMARKS = [

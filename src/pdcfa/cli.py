@@ -4,7 +4,6 @@
 """
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -32,9 +31,18 @@ def policy_for_k(k: int):
 def _count(text: str) -> int:
     """argparse type: a non-negative integer."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, not {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    """argparse type: a number of seconds >= 0; inf is no limit."""
+    secs = float(text)  # a ValueError is argparse's usage error too
+    if not secs >= 0:  # also refuses nan
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected seconds >= 0, not {text!r}")
+    return secs
 
 
 def run_one(kind, e, policy, deadline=None, node_limit=None):
@@ -80,6 +88,8 @@ def _load_program(spec: str):
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at import: only the command line needs it
+
     parser = argparse.ArgumentParser(prog="pdcfa")
     sub = parser.add_subparsers(dest="cmd", required=True)
     runp = sub.add_parser("run", help="analyze one program")
@@ -92,7 +102,8 @@ def main(argv=None) -> int:
     runp.add_argument("--format", choices=("summary", "json", "dot"),
                       default="summary")
     runp.add_argument("--out", default=None)
-    runp.add_argument("--timeout-secs", type=float, default=None)
+    runp.add_argument("--timeout-secs", type=_seconds, default=None,
+                      help="seconds for each analysis; inf is no limit")
     runp.add_argument("--dump-anf", action="store_true",
                       help="print the normalized program and exit")
     args = parser.parse_args(argv)
@@ -145,7 +156,8 @@ def _run(args) -> int:
     for kind in kinds:
         t0 = time.monotonic()
         # each analysis gets the whole budget
-        deadline = t0 + args.timeout_secs if args.timeout_secs else None
+        deadline = (None if args.timeout_secs is None
+                    else t0 + args.timeout_secs)
         r = run_one(kind, e, policy, deadline)
         wall = (time.monotonic() - t0) * 1000.0
         m = compute_metrics(name, r, args.k, wall)

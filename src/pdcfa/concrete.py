@@ -4,15 +4,14 @@ Configurations are (exp, env, store, kont).  Environments map variables to
 natural-number store addresses; `alloc` returns 1 + max(dom(store)), 0 on an
 empty store.  Three core rules (tail call, Let1 push, Ret pop) plus If
 branching on a concrete boolean and primitive application, which behaves
-like a return of the computed value.
+like a return of the computed value.  Values, frames and configurations
+compare by their fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from .frozen import Frozen, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
-                     Lambda, Var, PRIM_ARITY)
+                     Var, PRIM_ARITY)
 
 
 class UnboundVariableError(Exception):
@@ -23,23 +22,44 @@ class DanglingAddressError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Clo:
-    lam: Lambda
-    env: tuple  # sorted tuple of (Var, Addr)
+class Clo(Frozen):
+    def __init__(self, lam, env):
+        setfield(self, "lam", lam)
+        setfield(self, "env", env)  # sorted tuple of (Var, Addr)
+
+    def __eq__(self, other):
+        return (type(other) is Clo and self.lam is other.lam
+                and self.env == other.env)
+
+    def __hash__(self):
+        return hash((self.lam, self.env))
 
 
-@dataclass(frozen=True)
-class PrimVal:
-    op: str
-    args: tuple = ()
+class PrimVal(Frozen):
+    def __init__(self, op, args=()):
+        setfield(self, "op", op)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        return (type(other) is PrimVal and self.op == other.op
+                and self.args == other.args)
+
+    def __hash__(self):
+        return hash((self.op, self.args))
 
 
-@dataclass(frozen=True)
-class Frame:
-    var: Var
-    exp: Exp
-    env: tuple
+class Frame(Frozen):
+    def __init__(self, var, exp, env):
+        setfield(self, "var", var)
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+
+    def __eq__(self, other):
+        return (type(other) is Frame and self.var == other.var
+                and self.exp is other.exp and self.env == other.env)
+
+    def __hash__(self):
+        return hash((self.var, self.exp, self.env))
 
 
 def env_lookup(env, v):
@@ -61,12 +81,20 @@ def env_trim(env, keep):
     return tuple(p for p in env if p[0] in keep)
 
 
-@dataclass(frozen=True)
-class Conf:
-    exp: Exp
-    env: tuple
-    store: tuple  # sorted tuple of (Addr, Value)
-    kont: tuple  # of Frame, top first
+class Conf(Frozen):
+    def __init__(self, exp, env, store, kont):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)  # sorted tuple of (Addr, Value)
+        setfield(self, "kont", kont)  # of Frame, top first
+
+    def __eq__(self, other):
+        return (type(other) is Conf and self.exp is other.exp
+                and self.env == other.env and self.store == other.store
+                and self.kont == other.kont)
+
+    def __hash__(self):
+        return hash((self.exp, self.env, self.store, self.kont))
 
 
 def store_make(d):
@@ -100,21 +128,18 @@ def atomic_eval(ae, env, store):
     raise TypeError(ae)
 
 
-@dataclass
 class Step:
-    kind: str  # 'next' | 'halt' | 'stuck'
-    conf: Optional[Conf] = None
-    value: object = None
-    reason: str = ""
-    # instrumentation for the abstraction map: (var, addr) allocations and
-    # the call-site label when this step applied a closure
-    allocs: tuple = ()
-    applied_call_label: Optional[int] = None
+    def __init__(self, kind, conf=None, value=None, reason="", allocs=(),
+                 applied_call_label=None):
+        self.kind = kind  # 'next' | 'halt' | 'stuck'
+        self.conf, self.value, self.reason = conf, value, reason
+        # instrumentation for the abstraction map: (var, addr) allocations
+        # and the call-site label when this step applied a closure
+        self.allocs = allocs
+        self.applied_call_label = applied_call_label
 
-
-def _truthy_not(v):
-    # Scheme not: #f -> #t, everything else -> #f
-    return v is False
+    def __eq__(self, other):
+        return type(other) is Step and vars(self) == vars(other)
 
 
 def _apply_prim(pv: PrimVal, arg, c: Conf):
@@ -136,7 +161,7 @@ def _apply_prim(pv: PrimVal, arg, c: Conf):
         d[a] = clo
         return ("val", clo, store_make(d), ((w.lam.param, a),))
     if op == "not":
-        return ("val", _truthy_not(args[0]), c.store, ())
+        return ("val", args[0] is False, c.store, ())  # only #f is false
     x, y = args
     if not (isinstance(x, int) and not isinstance(x, bool)
             and isinstance(y, int) and not isinstance(y, bool)):

@@ -8,7 +8,6 @@ them (_PARTS); an edge on one int packed from its src, act and dst ranks."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
 from json.encoder import encode_basestring_ascii as _escape
 
 from .syntax import binders
@@ -17,18 +16,19 @@ from .analyses import AnalysisResult, OPState, _roots_key, act_skey
 from .pushdown import Push, UNCH
 
 
-@dataclass
 class Metrics:
-    program: str
-    analysis: str
-    k: int
-    gc: bool
-    control_states: int
-    edges: int
-    singleton_vars: int
-    variables_total: int
-    wall_time_ms: float
-    saturated: bool
+    """One analysis's record; to_json writes the fields in this order."""
+    __slots__ = ("program", "analysis", "k", "gc", "control_states", "edges",
+                 "singleton_vars", "variables_total", "wall_time_ms",
+                 "saturated")
+
+    def __init__(self, program, analysis, k, gc, control_states, edges,
+                 singleton_vars, variables_total, wall_time_ms, saturated):
+        self.program, self.analysis, self.k, self.gc = program, analysis, k, gc
+        self.control_states, self.edges = control_states, edges
+        self.singleton_vars = singleton_vars
+        self.variables_total = variables_total
+        self.wall_time_ms, self.saturated = wall_time_ms, saturated
 
 
 def singleton_count(r: AnalysisResult):
@@ -169,7 +169,8 @@ def to_json(obj) -> str:
     so each distinct label is escaped once by the C one instead.  Rows are
     joined _CHUNK at a time, so few row strings are alive at once."""
     if isinstance(obj, Metrics):
-        doc = {"schema": 1, "metrics": asdict(obj)}
+        doc = {"schema": 1, "metrics": {f: getattr(obj, f)
+                                        for f in Metrics.__slots__}}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     r = obj
     nodes, pos = _order(r)

@@ -18,28 +18,32 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+
+from .frozen import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class Push:
-    frame: object
+class _Act(Frozen):
+    """A stack action: a value, but Push(γ) and Pop(γ) are never equal."""
+
+    def __init__(self, frame):
+        setfield(self, "frame", frame)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.frame == other.frame
+
+    def __hash__(self):
+        return hash(self.frame)
 
 
-@dataclass(frozen=True)
-class Pop:
-    frame: object
+class Push(_Act):
+    pass
 
 
-class _Unch:
-    _instance = None
+class Pop(_Act):
+    pass
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
+class _Unch(Frozen):
     def __repr__(self):
         return "Unch"
 
@@ -69,7 +73,6 @@ def stackify(actions):
     return tuple(reversed([a.frame for a in n]))
 
 
-@dataclass
 class RPDSOracle:
     """Intensional rooted pushdown system.
 
@@ -77,9 +80,9 @@ class RPDSOracle:
     top; nop_delta(q) returns [(q', Push(γ') | UNCH)...].  Both must be
     repeatable, deterministic functions.
     """
-    root: object
-    top_delta: Callable
-    nop_delta: Callable
+
+    def __init__(self, root, top_delta, nop_delta):
+        self.root, self.top_delta, self.nop_delta = root, top_delta, nop_delta
 
 
 class CRPDS:
@@ -96,9 +99,6 @@ class CRPDS:
             return False
         self.nodes[q] = None
         return True
-
-    def has_edge(self, edge):
-        return edge in self.edges
 
     def add_edge(self, edge):
         if edge in self.edges:
@@ -135,7 +135,7 @@ class ECG:
     pair when s is a node and d is reachable from s in zero or more
     `same` steps; at the engine's fixpoint that is the reflexive,
     transitive ε-closure.  Nothing is built until a caller asks:
-    `descendants`/`ancestors`/`has` search from one state (and keep what
+    `ancestors`/`has` search from one state (and keep what
     they found), `pair_count` counts the closure without storing it, and
     only `pairs` materializes it.
     """
@@ -151,10 +151,6 @@ class ECG:
 
     def has(self, s, d):
         return s in self._nodes and d in self._from(s)
-
-    def descendants(self, q):
-        """ε-reachable states including q itself."""
-        return list(self._from(q))
 
     def ancestors(self, q):
         if self._pred is None:
@@ -231,7 +227,7 @@ class Worklist:
             self._dS.append(q)
 
     def _enq_edge(self, e):
-        if e not in self._queued_e and not self.graph.has_edge(e):
+        if e not in self._queued_e and e not in self.graph.edges:
             self._queued_e.add(e)
             self._dE.append(e)
 
@@ -279,8 +275,8 @@ class Worklist:
             for src, gamma in self.graph.push_into(e):
                 self._pops(src, gamma, q)
 
-    def run(self, deadline: Optional[float] = None,
-            node_limit: Optional[int] = None) -> bool:
+    def run(self, deadline: float | None = None,
+            node_limit: int | None = None) -> bool:
         """Work until every queue is empty (True) or a limit hits (False)."""
         graph, oracle = self.graph, self.oracle
         dS, dE, dH = self._dS, self._dE, self._dH
@@ -328,8 +324,8 @@ class Worklist:
         return True
 
 
-def compact_worklist(oracle, deadline: Optional[float] = None,
-                     node_limit: Optional[int] = None):
+def compact_worklist(oracle, deadline: float | None = None,
+                     node_limit: int | None = None):
     """Fixed point of the reachability engine.
 
     Returns (CRPDS, ECG, saturated); saturated is False only when a limit

@@ -16,8 +16,7 @@ inner closure so the closure's environment can reference itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from .frozen import Frozen, setfield
 
 
 # arity of every surface primitive; `rec` is internal (emitted by normalize,
@@ -48,11 +47,11 @@ class UnboundVariable(Exception):
 # s-expressions
 
 
-@dataclass(frozen=True)
-class SExpr:
-    atom: Optional[str]
-    items: Optional[tuple]
-    span: tuple  # (line, column)
+class SExpr(Frozen):
+    def __init__(self, atom, items, span):
+        setfield(self, "atom", atom)  # str, or None for a list
+        setfield(self, "items", items)  # tuple of SExpr, or None for an atom
+        setfield(self, "span", span)  # (line, column)
 
     @property
     def is_atom(self):
@@ -128,14 +127,15 @@ def read_sexprs(text: str) -> list:
 # ANF syntax
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    id: int
+class Var(Frozen):
+    def __init__(self, name, id):
+        setfield(self, "name", name)
+        setfield(self, "id", id)
+        setfield(self, "_hash", hash((name, id)))  # Vars key every table
 
-    # Vars key environments, addresses and tables: hash once, not per lookup
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.id)))
+    def __eq__(self, other):
+        return (type(other) is Var and self.name == other.name
+                and self.id == other.id)
 
     def __hash__(self):
         return self._hash
@@ -147,48 +147,45 @@ class Var:
         return f"{self.name}_{self.id}"
 
 
-class AExp:
+class AExp(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Ref(AExp):
-    var: Var
+    def __init__(self, var):
+        setfield(self, "var", var)
 
 
-@dataclass(frozen=True)
 class Lit(AExp):
-    value: Union[int, bool]
+    def __init__(self, value):
+        setfield(self, "value", value)  # int or bool
 
 
-@dataclass(frozen=True)
 class PrimRef(AExp):
-    op: str
+    def __init__(self, op):
+        setfield(self, "op", op)
 
 
-@dataclass(frozen=True, eq=False)
 class Lambda(AExp):
-    param: Var
-    body: "Exp"
-    free: frozenset = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", frozenset(self.body.free - {self.param}))
+    def __init__(self, param, body):
+        setfield(self, "param", param)
+        setfield(self, "body", body)
+        setfield(self, "free", body.free - {param})
 
     def skey(self):
         return self.body.label
 
 
-@dataclass(frozen=True)
 class Lam(AExp):
-    lam: Lambda
+    def __init__(self, lam):
+        setfield(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class Call:
-    fun: AExp
-    arg: AExp
-    let_bound_callee: bool = False
+class Call(Frozen):
+    def __init__(self, fun, arg, let_bound_callee=False):
+        setfield(self, "fun", fun)
+        setfield(self, "arg", arg)
+        setfield(self, "let_bound_callee", let_bound_callee)
 
 
 def _aexp_free(ae: AExp) -> frozenset:
@@ -199,70 +196,52 @@ def _aexp_free(ae: AExp) -> frozenset:
     return frozenset()
 
 
-def _call_free(c: Call) -> frozenset:
-    return _aexp_free(c.fun) | _aexp_free(c.arg)
-
-
-class Exp:
+class Exp(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Ret(Exp):
-    atom: AExp
-    label: int
-    free: frozenset = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", _aexp_free(self.atom))
+    def __init__(self, atom, label):
+        setfield(self, "atom", atom)
+        setfield(self, "label", label)
+        setfield(self, "free", _aexp_free(atom))
 
 
-@dataclass(frozen=True, eq=False)
 class TailCall(Exp):
-    call: Call
-    label: int
-    free: frozenset = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", _call_free(self.call))
+    def __init__(self, call, label):
+        setfield(self, "call", call)
+        setfield(self, "label", label)
+        setfield(self, "free", _aexp_free(call.fun) | _aexp_free(call.arg))
 
 
-@dataclass(frozen=True, eq=False)
 class Let1(Exp):
-    var: Var
-    rhs: TailCall  # the Let1 steps into this node to evaluate its call
-    body: Exp
-    label: int
-    free: frozenset = field(default=None)
-    frame_free: frozenset = field(default=None)  # what the return frame keeps
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_free", self.body.free - {self.var})
-        object.__setattr__(self, "free", self.rhs.free | self.frame_free)
+    def __init__(self, var, rhs, body, label):
+        frame_free = body.free - {var}  # what the return frame keeps
+        setfield(self, "var", var)
+        setfield(self, "rhs", rhs)  # the Let1 steps into it for its call
+        setfield(self, "body", body)
+        setfield(self, "label", label)
+        setfield(self, "free", rhs.free | frame_free)
+        setfield(self, "frame_free", frame_free)
 
     @property
     def call(self) -> Call:
         return self.rhs.call
 
 
-@dataclass(frozen=True, eq=False)
 class If(Exp):
-    cond: AExp
-    then: Exp
-    els: Exp
-    label: int
-    free: frozenset = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "free", _aexp_free(self.cond) | self.then.free | self.els.free
-        )
+    def __init__(self, cond, then, els, label):
+        setfield(self, "cond", cond)
+        setfield(self, "then", then)
+        setfield(self, "els", els)
+        setfield(self, "label", label)
+        setfield(self, "free", _aexp_free(cond) | then.free | els.free)
 
 
-@dataclass(frozen=True)
-class Program:
-    defines: tuple  # of (Var, Lambda)
-    top: Exp
+class Program(Frozen):
+    def __init__(self, defines, top):
+        setfield(self, "defines", defines)  # tuple of (Var, Lambda)
+        setfield(self, "top", top)
 
 
 def free_vars(e: Exp) -> frozenset:
@@ -323,14 +302,28 @@ class _Frontend:
     def lam(self, sx: SExpr, env) -> Lambda:
         if len(sx.items) != 3 or sx.items[1].is_atom:
             raise ParseError(sx.span, "lambda expects (lambda (params...) body)")
-        params = []
-        for p in sx.items[1].items:
-            if not p.is_atom or self._literal(p.atom) is not None:
-                raise ParseError(p.span, "bad parameter")
-            params.append(p.atom)
+        params = self.params(sx.items[1].items)
         if not params:
             raise ParseError(sx.span, "lambdas take at least one parameter")
         return self._curry(params, sx.items[2], env)
+
+    def params(self, sxs) -> list:
+        """The names a parameter list binds, each once."""
+        names = {}
+        for p in sxs:
+            if not p.is_atom or self._literal(p.atom) is not None:
+                raise ParseError(p.span, "bad parameter")
+            name = self.name(p)
+            if name in names:
+                raise ParseError(p.span, f"duplicate parameter {name!r}")
+            names[name] = None
+        return list(names)
+
+    def name(self, sx: SExpr) -> str:
+        """The name the atom sx binds; `.` is none (no rest parameters)."""
+        if sx.atom == ".":
+            raise ParseError(sx.span, "'.' is not a name")
+        return sx.atom
 
     def _curry(self, params, body_sx, env) -> Lambda:
         name = params[0]
@@ -405,7 +398,7 @@ class _Frontend:
 
         return self.anf_atom(sx.items[0], env, lambda f: chain(f, list(sx.items[1:])))
 
-    def anf_atom(self, sx: SExpr, env, k2: Callable[[AExp], Exp]) -> Exp:
+    def anf_atom(self, sx: SExpr, env, k2) -> Exp:
         """Convert sx and hand its value to k2 as an atomic expression."""
         if self._atomish(sx):
             return k2(self.to_atom(sx, env))
@@ -442,7 +435,7 @@ class _Frontend:
         b = bindings[0]
         if b.is_atom or len(b.items) != 2 or not b.items[0].is_atom:
             raise ParseError(b.span, "bad let binding")
-        name, rhs = b.items[0].atom, b.items[1]
+        name, rhs = self.name(b.items[0]), b.items[1]
         scope = env if rhs_env is None else rhs_env
         v = self.fresh_var(name)
         env2 = dict(env)
@@ -512,7 +505,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(sx.span, "define expects 2 parts")
             sig = sx.items[1]
             if sig.is_atom:
-                name = sig.atom
+                name = fe.name(sig)
                 v = fe.fresh_var(name)
                 env2 = dict(env)
                 env2[name] = v  # self-reference allowed
@@ -523,8 +516,8 @@ def parse_program(text: str) -> Program:
             else:
                 if not sig.items or not sig.items[0].is_atom:
                     raise ParseError(sig.span, "bad define signature")
-                name = sig.items[0].atom
-                params = [p.atom for p in sig.items[1:]]
+                name = fe.name(sig.items[0])
+                params = fe.params(sig.items[1:])
                 if not params:
                     raise ParseError(sig.span, "define needs at least one parameter")
                 v = fe.fresh_var(name)

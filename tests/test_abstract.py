@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
                             EMPTY_ENV, EMPTY_STORE, SCALAR_TOP, A_BOOL_TOP,
                             K_HALT, vset, APrim, AFrame)
 from pdcfa.analyses import OPState, analyze_finite
+from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
 from pdcfa import bench
@@ -35,6 +38,15 @@ def test_aalloc_policies():
     assert a_poly.extra == (7,)
     a_poly2 = aalloc(PolySplit(), X, AllocCtx(7, 7, False, ()))
     assert a_poly2.extra == (None,)
+
+
+def test_policies_are_values():
+    assert Mono() == Mono() and OneCFA() == OneCFA()
+    assert PolySplit() == PolySplit() and KCFA(1) == KCFA(1)
+    assert KCFA(1) != KCFA(2) and Mono() != OneCFA() != PolySplit()
+    assert hash(KCFA(2)) == hash(KCFA(2)) and hash(Mono()) == hash(Mono())
+    assert len({Mono(), Mono(), OneCFA(), PolySplit(), KCFA(1), KCFA(1),
+                KCFA(2)}) == 5
 
 
 def test_aeval_closure_and_lookup():
@@ -392,6 +404,44 @@ def _reached_maps(r):
         elif isinstance(v, APrim):
             vals += v.args
     return stores, envs
+
+
+def _reached_objects(r):
+    """Nodes, edge actions, frames, continuation addresses and their
+    parts: every kind of domain object an analysis builds."""
+    out = []
+    for n in r.graph.nodes:
+        out.append(n)
+        q = n.state if isinstance(n, OPState) else n
+        out += [q, q.env, getattr(q, "store", None), getattr(q, "kaddr", None)]
+    for _, act, _ in r.graph.edges:
+        out.append(act)
+        fr = getattr(act, "frame", None)
+        out.append(fr[0] if isinstance(fr, tuple) else fr)
+    out += (r.kstore or {}).keys()
+    for s in [r.global_store] + [x for x in out if isinstance(x, AStore)]:
+        for a, vs in getattr(s, "items", ()):
+            out += [a, *vs]
+    return [x for x in dict.fromkeys(out) if x is not None
+            and not isinstance(x, str) and x is not K_HALT and x is not UNCH]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_domain_objects_are_immutable_and_compare_by_identity(kind):
+    r = run_one(kind, bench.load("fig1"), policy_for_k(1))
+    objs = _reached_objects(r) + [AllocCtx(1, None, False, ())]
+    assert {type(x).__name__ for x in objs} >= {"AEnv", "AAddr", "AClo"}
+    for x in objs:
+        for field in [*vars(x), "new_field"]:
+            with pytest.raises(AttributeError):
+                setattr(x, field, None)
+        for field in vars(x):
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+        if type(x).__name__ in ("Push", "Pop"):
+            continue  # stack actions are values (see test_pushdown)
+        twin = copy.copy(x)  # every field the same, another object
+        assert x == x and x != twin and vars(twin) == vars(x), type(x)
 
 
 @pytest.mark.parametrize("k", [0, 1])

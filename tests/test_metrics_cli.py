@@ -6,7 +6,6 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -213,7 +212,12 @@ def test_to_json_equals_indented_json_dumps(prog, k):
         r = cli.run_one(kind, e, cli.policy_for_k(k), node_limit=2_000)
         assert to_json(r) == _reference_json(r), kind
     m = compute_metrics(prog, r, k, 1.5)
-    assert to_json(m) == json.dumps({"schema": 1, "metrics": asdict(m)},
+    fields = {"program": prog, "analysis": r.kind, "k": k, "gc": r.gc_mode,
+              "control_states": m.control_states, "edges": m.edges,
+              "singleton_vars": m.singleton_vars,
+              "variables_total": m.variables_total, "wall_time_ms": 1.5,
+              "saturated": r.saturated}
+    assert to_json(m) == json.dumps({"schema": 1, "metrics": fields},
                                     indent=2) + "\n"
 
 
@@ -361,6 +365,9 @@ def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("src, msg", [
     ("(let ((x 1) (x 2)) x)", "duplicate let binding 'x'"),
     ("'(1 2)", "quote is not supported"),
+    ("(lambda (x x) x)", "duplicate parameter 'x'"),
+    ("(define (f x x) x) (f 1 2)", "duplicate parameter 'x'"),
+    ("(define (f . x) x) 1", "'.' is not a name"),
 ])
 def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
     prog = tmp_path / "p.scm"
@@ -372,7 +379,9 @@ def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["non-utf8", "directory", "out-dir-missing",
-                                  "negative-k", "negative-fuel"])
+                                  "negative-k", "negative-fuel",
+                                  "timeout=-1", "timeout=nan", "timeout=0",
+                                  "timeout=inf"])
 def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
     prog = tmp_path / "p.scm"
     prog.write_text("(+ 1 2)")
@@ -385,17 +394,26 @@ def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
         argv, want = [str(prog), "--out", str(tmp_path / "no" / "g.dot")], 1
     elif case == "negative-k":
         argv, want = [str(prog), "--k", "-1"], 2
-    else:
+    elif case == "negative-fuel":
         argv, want = [str(prog), "--analysis", "concrete", "--fuel", "-5"], 2
+    else:  # fig1 pdcfa k=1 reaches 185 states with no limit
+        secs = case.split("=")[1]
+        argv = ["fig1", "--analysis", "pdcfa", "--k", "1", "--timeout-secs",
+                secs]
+        want = 0 if secs in ("0", "inf") else 2
     try:
         code = main(["run", *argv])
     except SystemExit as ex:  # argparse's usage errors
         code = ex.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == want
     assert "Traceback" not in err
     if want == 1:
         assert err.startswith("pdcfa: ") and err.count("\n") == 1
+    if case == "timeout=0":
+        assert out.rstrip().endswith("[timeout]")
+    if case == "timeout=inf":
+        assert "states=185" in out and "[timeout]" not in out
 
 
 _WORDS = ("x", "y", "f", "lambda", "let", "let*", "if", "define", "cond",
@@ -429,6 +447,23 @@ def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["run", "eta", "--bogus"])
     assert ei.value.code == 2
+
+
+def test_import_needs_no_dataclasses_inspect_or_argparse():
+    """What a benchmark child imports before its first analysis pulls in
+    none of these; `main` still runs."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pdcfa, pdcfa.bench, pdcfa.cli, pdcfa.metrics\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse'}\n"
+        "             & (set(sys.modules) - before)))\n"
+        "sys.exit(pdcfa.cli.main(['run', 'fig1']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert "states=" in proc.stdout
 
 
 def test_cli_entry_point_subprocess():

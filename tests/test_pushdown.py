@@ -1,6 +1,7 @@
 """Stack-action algebra and pushdown reachability, on hand-built systems."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,19 @@ actions = st.lists(
     ),
     max_size=12,
 )
+
+
+def test_actions_compare_by_kind_and_frame():
+    fr = ("frame", frozenset({1}))
+    assert Push(fr) == Push(("frame", frozenset({1}))) != Pop(fr)
+    assert Pop(fr) == Pop(fr) and Push("a") != Push("b")
+    assert Push(fr) != fr and Pop(fr) != UNCH
+    assert hash(Push(fr)) == hash(Push(fr)) and hash(Pop("a")) == hash(Pop("a"))
+    assert len({Push("a"), Push("a"), Pop("a"), Pop("a"), Push("b")}) == 3
+    for act in (Push("a"), Pop("a")):
+        for field in ("frame", "new_field"):
+            with pytest.raises(AttributeError):
+                setattr(act, field, None)
 
 
 def test_net_cancels_matched_push_pop():

@@ -3,7 +3,8 @@ import pytest
 from pdcfa.syntax import (parse_program, normalize, parse_and_normalize,
                           free_vars, print_anf, alpha_equiv, binders,
                           count_let1, ParseError, UnboundVariable,
-                          Ret, TailCall, Let1, If, Ref, Lam, Lit, PrimRef)
+                          Ret, TailCall, Let1, If, Ref, Lam, Lit, PrimRef,
+                          Var)
 from pdcfa import bench
 from pdcfa.concrete import run
 
@@ -114,6 +115,62 @@ def test_free_vars_simple():
     assert free_vars(e) == frozenset()
 
 
+def _ref_free(x):
+    """Free variables of an Exp or AExp, walked from scratch."""
+    if isinstance(x, Ref):
+        return {x.var}
+    if isinstance(x, Lam):
+        return _ref_free(x.lam.body) - {x.lam.param}
+    if isinstance(x, (Lit, PrimRef)):
+        return set()
+    if isinstance(x, Ret):
+        return _ref_free(x.atom)
+    if isinstance(x, TailCall):
+        return _ref_free(x.call.fun) | _ref_free(x.call.arg)
+    if isinstance(x, Let1):
+        return _ref_free(x.rhs) | (_ref_free(x.body) - {x.var})
+    return _ref_free(x.cond) | _ref_free(x.then) | _ref_free(x.els)
+
+
+@pytest.mark.parametrize("name", [b.name for b in bench.BENCHMARKS])
+def test_stored_free_sets_and_var_hashes_match_a_walk(name):
+    e = bench.load(name)
+    for x in walk(e):
+        assert x.free == _ref_free(x)
+        if isinstance(x, Let1):
+            assert x.frame_free == _ref_free(x.body) - {x.var}
+        for ae in atoms(x):
+            if isinstance(ae, Lam):
+                assert ae.lam.free == _ref_free(ae)
+    for v in binders(e):
+        assert hash(v) == hash((v.name, v.id))
+
+
+def test_vars_are_values_exps_are_not():
+    v = Var("x", 3)
+    assert v == Var("x", 3) and hash(v) == hash(Var("x", 3))
+    assert v != Var("x", 4) and v != Var("y", 3) and v != ("x", 3)
+    assert {v: 1}[Var("x", 3)] == 1
+    e1, e2 = parse_and_normalize("(+ 1 2)"), parse_and_normalize("(+ 1 2)")
+    assert alpha_equiv(e1, e2) and e1 == e1 and e1 != e2
+    assert Lit(1) != Lit(1) and Ref(v) != Ref(v)
+
+
+def test_syntax_nodes_are_immutable():
+    e = parse_and_normalize("(let* ((f (lambda (x) x))) (f (f 1)))")
+    nodes = walk(e)
+    nodes += [a for x in walk(e) for a in atoms(x)]
+    nodes += [x.call for x in walk(e) if isinstance(x, TailCall)]
+    nodes += binders(e)
+    for x in nodes:
+        for field in [*vars(x), "label", "new_field"]:
+            with pytest.raises(AttributeError):
+                setattr(x, field, None)
+        for field in vars(x):
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+
+
 def test_free_vars_of_fig1_f_body():
     # after define-resolution and primitive resolution the body of f
     # references exactly f (recursion) and n
@@ -158,6 +215,28 @@ def test_let_binds_in_parallel_let_star_in_sequence():
 def test_let_rejects_a_repeated_name():
     with pytest.raises(ParseError, match="duplicate let binding 'x'"):
         parse_program("(let ((x 1) (x 2)) x)")
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("(lambda (x x) x)", "duplicate parameter 'x'"),
+    ("(lambda (x y x) y)", "duplicate parameter 'x'"),
+    ("(define (f x x) x) (f 1 2)", "duplicate parameter 'x'"),
+    ("(define (f . x) x) 1", "'.' is not a name"),
+    ("(lambda (. x) x)", "'.' is not a name"),
+    ("(define (. x) x) 1", "'.' is not a name"),
+    ("(define . (lambda (x) x)) 1", "'.' is not a name"),
+    ("(let ((. 1)) 2)", "'.' is not a name"),
+    ("(let* ((x 1) (. 2)) x)", "'.' is not a name"),
+    ("(define (f (x)) x) 1", "bad parameter"),
+])
+def test_repeated_parameters_and_dot_names_are_refused(src, msg):
+    with pytest.raises(ParseError, match=msg):
+        parse_program(src)
+
+
+def test_a_parameter_may_shadow_its_function():
+    e = parse_and_normalize("(define (f f) f) (f 7)")
+    assert run(e)[1] == ("halt", 7)
 
 
 @pytest.mark.parametrize("src", ["'x", "'(1 2)", "(+ 1 'x)", "(f '())"])
