@@ -50,7 +50,9 @@ class UnmappedAddress(Exception):
 # ---------------------------------------------------------------------------
 # interning
 
-_TABLES = defaultdict(dict)  # class -> {intern key: object}
+# class -> {intern key: object}; keys hold the syntax objects (Exp, Lambda)
+# themselves, which hash and compare by identity
+_TABLES = defaultdict(dict)
 
 
 def _intern(cls, key, *args):
@@ -134,7 +136,7 @@ class AClo(Frozen):
 
     @classmethod
     def make(cls, lam, env):
-        return _intern(cls, (id(lam), env), lam, env)
+        return _intern(cls, (lam, env), lam, env)
 
     @_keyed
     def skey(self):
@@ -265,8 +267,14 @@ class AEnv(Frozen):
             out = memo[keep] = _select(self, keep)
         return out
 
-    def range(self):
-        return [a for _, a in self.items]
+    def addrs(self):
+        """The addresses the env maps to, as a frozenset built once."""
+        try:
+            return self._addrs
+        except AttributeError:
+            out = frozenset([a for _, a in self.items])
+            setfield(self, "_addrs", out)
+            return out
 
     @staticmethod
     def entry_key(v, a):
@@ -339,7 +347,7 @@ class AFrame(Frozen):
 
     @classmethod
     def make(cls, var, exp, env):
-        return _intern(cls, (var, id(exp), env), var, exp, env)
+        return _intern(cls, (var, exp, env), var, exp, env)
 
     @_keyed
     def skey(self):
@@ -359,7 +367,7 @@ class AConf(Frozen):
 
     @classmethod
     def make(cls, exp, env, store, kont, ctx=()):
-        return _intern(cls, (id(exp), env, store, kont, ctx),
+        return _intern(cls, (exp, env, store, kont, ctx),
                        exp, env, store, kont, ctx)
 
     @_keyed
@@ -710,7 +718,7 @@ class KAddr(Frozen):
 
     @classmethod
     def make(cls, exp, env):
-        return _intern(cls, (id(exp), env), exp, env)
+        return _intern(cls, (exp, env), exp, env)
 
     @_keyed
     def skey(self):
@@ -731,7 +739,7 @@ class FState(Frozen):
 
     @classmethod
     def make(cls, exp, env, store, ctx, kaddr):
-        return _intern(cls, (id(exp), env, store, ctx, id(kaddr)),
+        return _intern(cls, (exp, env, store, ctx, kaddr),
                        exp, env, store, ctx, kaddr)
 
     @_keyed

@@ -33,7 +33,7 @@ from collections import deque
 
 from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
-from .abstract import (EMPTY_ENV, EMPTY_STORE, FState, KAddr, K_HALT,
+from .abstract import (EMPTY_ENV, EMPTY_STORE, FState, KAddr,
                        areturn, astep, finject, kaddr_skey, store_join,
                        _intern, _keyed)
 from .gc import gc_store, touches
@@ -54,7 +54,7 @@ class ControlState(Frozen):
 
     @classmethod
     def make(cls, exp, env, store, ctx=()):
-        return _intern(cls, (id(exp), env, store, ctx), exp, env, store, ctx)
+        return _intern(cls, (exp, env, store, ctx), exp, env, store, ctx)
 
     @_keyed
     def skey(self):
@@ -72,7 +72,7 @@ class PState(Frozen):
 
     @classmethod
     def make(cls, exp, env, ctx=()):
-        return _intern(cls, (id(exp), env, ctx), exp, env, ctx)
+        return _intern(cls, (exp, env, ctx), exp, env, ctx)
 
     @_keyed
     def skey(self):
@@ -343,7 +343,7 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
 
         def flow(y, addrs):
             if not addrs <= roots(y):
-                if not addrs <= roots(y).union(y.env.range()):
+                if not addrs <= roots(y) | y.env.addrs():
                     grown[y] = True
                 R[y] = roots(y) | addrs
                 work.append(y)
@@ -419,13 +419,9 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
         used_kas = {st.kaddr}
         store = st.store
         if gc:
-            roots = set()
-            work = [st.kaddr]
-            while work:
-                ka = work.pop()
-                if ka is K_HALT:
-                    continue
-                for fr, ka2 in kstore.get(ka, ()):
+            roots, work = set(), [st.kaddr]
+            while work:  # K_HALT holds no frames
+                for fr, ka2 in kstore.get(work.pop(), ()):
                     roots |= touches(fr)
                     if ka2 not in used_kas:
                         used_kas.add(ka2)

@@ -34,6 +34,9 @@ class Clo(Frozen):
     def __hash__(self):
         return hash((self.lam, self.env))
 
+    def __repr__(self):  # its lambda's parameter and body label
+        return f"#<closure {self.lam.param} e{self.lam.body.label}>"
+
 
 class PrimVal(Frozen):
     def __init__(self, op, args=()):

@@ -41,10 +41,12 @@ def singleton_count(r: AnalysisResult):
     Returns (singleton count, {Var: value set}).
     """
     table = {v: set() for v in binders(r.exp)}
+    entries = set()  # stores share their unchanged (addr, vals) entries
     for store in dict.fromkeys(r.stores()):
-        for addr, vals in store.items:
-            if addr.var in table:
-                table[addr.var].update(vals)
+        entries.update(store.items)
+    for addr, vals in entries:
+        if addr.var in table:
+            table[addr.var].update(vals)
     count = sum(1 for vals in table.values() if len(vals) == 1)
     return count, table
 

@@ -320,9 +320,10 @@ class _Frontend:
         return list(names)
 
     def name(self, sx: SExpr) -> str:
-        """The name the atom sx binds; `.` is none (no rest parameters)."""
-        if sx.atom == ".":
-            raise ParseError(sx.span, "'.' is not a name")
+        """The name the atom sx binds; `.` (no rest parameters) and a
+        literal, which always reads as itself, are none."""
+        if sx.atom == "." or self._literal(sx.atom) is not None:
+            raise ParseError(sx.span, f"{sx.atom!r} is not a name")
         return sx.atom
 
     def _curry(self, params, body_sx, env) -> Lambda:

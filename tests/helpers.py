@@ -9,6 +9,10 @@ For the GC analyses the concrete configuration is garbage-collected
 first: the collected machine is the thing those analyses abstract, and
 a raw trace store carries dead bindings the analysis rightly dropped.
 """
+import time
+
+from pdcfa.bench import load
+from pdcfa.cli import run_one
 from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
 from pdcfa.abstract import (alpha, leq, run_abstracted, IncomparableKinds,
                             AConf, K_HALT, Mono, OneCFA, AScalarTop, ABool,
@@ -16,6 +20,7 @@ from pdcfa.abstract import (alpha, leq, run_abstracted, IncomparableKinds,
                             FState)
 from pdcfa.gc import gc
 from pdcfa.analyses import OPState, ControlState, PState
+from pdcfa.syntax import binders
 
 
 def concrete_gc(c: Conf) -> Conf:
@@ -105,6 +110,36 @@ def make_kont_realizable(kstore):
 
 
 GC_KINDS = {"plain-gc", "pdcfa-gc", "pdcfa-gc-approx"}
+
+
+# ---------------------------------------------------------------------------
+# the bundled matrix, each result computed once per test session
+
+CAPPED = {("kcfa2", "plain", 1), ("kcfa3", "plain", 1)}  # intended blowups
+
+_cache = {}
+_programs = {}
+
+
+def program(name):
+    # states match by expression identity, so parse each program once
+    if name not in _programs:
+        _programs[name] = load(name)
+    return _programs[name]
+
+
+def result_for(name, kind, k):
+    key = (name, kind, k)
+    if key not in _cache:
+        e = program(name)
+        if key in CAPPED:
+            r = run_one(kind, e, policy_for(k),
+                        deadline=time.monotonic() + 60, node_limit=10_000)
+        else:
+            r = run_one(kind, e, policy_for(k),
+                        deadline=time.monotonic() + 120)
+        _cache[key] = r
+    return _cache[key]
 
 
 def coverage_violations(e, policy, result):
@@ -243,18 +278,39 @@ def ref_restrict(env, keep):
 def ref_gc_store(env, store, extra_roots=frozenset()):
     """The collected store rebuilt from scratch: reachability by linear
     lookups, the result by AStore.make, nothing memoized."""
-    seen = set()
-    work = [a for _, a in env.items] + list(extra_roots)
-    while work:
-        a = work.pop()
-        if a in seen:
-            continue
-        seen.add(a)
-        vals = list(ref_lookup(store, a))
-        while vals:
-            v = vals.pop()
-            if isinstance(v, AClo):
-                work.extend(a2 for _, a2 in v.env.items)
-            elif isinstance(v, APrim):
-                vals.extend(v.args)
+    seen = ref_reachable_addrs([a for _, a in env.items] + list(extra_roots),
+                               store)
     return AStore.make((a, vs) for a, vs in store.items if a in seen)
+
+
+def _ref_val_addrs(v):
+    if isinstance(v, AClo):
+        return [a for _, a in v.env.items]
+    if isinstance(v, APrim):
+        return [a for arg in v.args for a in _ref_val_addrs(arg)]
+    return []
+
+
+def ref_reachable_addrs(roots, store):
+    """Address reachability one address and one value at a time, with
+    nothing kept between calls: the oracle for gc's set walk."""
+    seen = set(roots)
+    work = list(roots)
+    while work:
+        for v in ref_lookup(store, work.pop()):
+            for a in _ref_val_addrs(v):
+                if a not in seen:
+                    seen.add(a)
+                    work.append(a)
+    return frozenset(seen)
+
+
+def ref_singleton_count(r):
+    """metrics.singleton_count as a union over every entry of every
+    distinct store, shared entries included: its oracle."""
+    table = {v: set() for v in binders(r.exp)}
+    for store in dict.fromkeys(r.stores()):
+        for addr, vals in store.items:
+            if addr.var in table:
+                table[addr.var].update(vals)
+    return sum(1 for vals in table.values() if len(vals) == 1), table

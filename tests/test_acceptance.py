@@ -11,11 +11,11 @@ import time
 import pytest
 
 import conftest
-from helpers import coverage_violations, policy_for
+from helpers import coverage_violations, policy_for, program, result_for
 from pdcfa.analyses import (OPState, PState, analyze_gc_approx,
                             compute_root_cache)
 from pdcfa.abstract import IncomparableKinds, leq
-from pdcfa.bench import BENCHMARKS, load
+from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import run_one
 from pdcfa.metrics import singleton_count, to_dot, to_json
 from pdcfa.pushdown import (Pop, Push, RPDSOracle, UNCH, compact_naive,
@@ -23,31 +23,6 @@ from pdcfa.pushdown import (Pop, Push, RPDSOracle, UNCH, compact_naive,
 
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
          "pdcfa-widened")
-CAPPED = {("kcfa2", "plain", 1), ("kcfa3", "plain", 1)}  # intended blowups
-
-_cache = {}
-_programs = {}
-
-
-def program(name):
-    # states match by expression identity, so parse each program once
-    if name not in _programs:
-        _programs[name] = load(name)
-    return _programs[name]
-
-
-def result_for(name, kind, k):
-    key = (name, kind, k)
-    if key not in _cache:
-        e = program(name)
-        if key in CAPPED:
-            r = run_one(kind, e, policy_for(k),
-                        deadline=time.monotonic() + 60, node_limit=10_000)
-        else:
-            r = run_one(kind, e, policy_for(k),
-                        deadline=time.monotonic() + 120)
-        _cache[key] = r
-    return _cache[key]
 
 
 def report(n, name, detail):

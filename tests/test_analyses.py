@@ -268,7 +268,7 @@ def test_approx_resteps_only_when_collection_roots_grow(prog, k, monkeypatch):
     real_gc_store = analyses.gc_store
 
     def gc_store(env, store, extra_roots=frozenset()):
-        collected.append(frozenset(env.range()) | extra_roots)
+        collected.append(env.addrs() | extra_roots)
         return real_gc_store(env, store, extra_roots)
     last = {}  # node -> roots it was collected under at its last re-step
     resteps = []
@@ -276,7 +276,7 @@ def test_approx_resteps_only_when_collection_roots_grow(prog, k, monkeypatch):
     class Worklist(pushdown.Worklist):
         def restep(self, q):
             self.oracle.nop_delta(q)  # collects q under its roots now
-            before = last.get(q, frozenset(q.env.range()))
+            before = last.get(q, q.env.addrs())
             assert collected[-1] > before, q
             last[q] = collected[-1]
             resteps.append(q)

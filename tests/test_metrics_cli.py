@@ -1,6 +1,7 @@
 """Precision metrics, serialization determinism, and the command line."""
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -283,6 +284,21 @@ def test_cli_concrete_outcome(capsys):
     assert "halt 36" in out
 
 
+def test_cli_concrete_closure_result_is_the_same_under_any_hash_seed(
+        tmp_path):
+    prog = tmp_path / "clo.scm"
+    prog.write_text("(let ((a 1) (b 2) (c 3)) (lambda (x) (+ a (+ b c))))")
+    outs = set()
+    for seed in ("1", "2", "3"):
+        p = subprocess.run([sys.executable, "-m", "pdcfa.cli", "run",
+                            str(prog), "--analysis", "concrete"],
+                           capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
+        assert p.returncode == 0, p.stderr
+        outs.add(p.stdout)
+    assert outs == {"clo: halt #<closure x_4 e7> (4 configurations)\n"}
+
+
 def test_cli_dump_anf_reparses(capsys):
     code, out, _ = run_cli(["run", "eta", "--dump-anf"], capsys)
     assert code == 0
@@ -368,6 +384,9 @@ def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
     ("(lambda (x x) x)", "duplicate parameter 'x'"),
     ("(define (f x x) x) (f 1 2)", "duplicate parameter 'x'"),
     ("(define (f . x) x) 1", "'.' is not a name"),
+    ("(let ((1 5)) 1)", "'1' is not a name"),
+    ("(let* ((1 5)) 1)", "'1' is not a name"),
+    ("(define 7 (lambda (x) x)) 1", "'7' is not a name"),
 ])
 def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
     prog = tmp_path / "p.scm"

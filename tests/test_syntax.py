@@ -234,6 +234,20 @@ def test_repeated_parameters_and_dot_names_are_refused(src, msg):
         parse_program(src)
 
 
+@pytest.mark.parametrize("src, name", [
+    ("(let ((1 5)) 1)", "1"),
+    ("(let* ((x 1) (#t 5)) x)", "#t"),
+    ("(let* ((1 5)) 1)", "1"),
+    ("(define 7 (lambda (x) x)) 1", "7"),
+    ("(define (#f x) x) 1", "#f"),
+])
+def test_a_literal_is_not_a_name(src, name):
+    """A literal always reads as itself, so binding one could never be
+    referenced."""
+    with pytest.raises(ParseError, match=f"'{name}' is not a name"):
+        parse_program(src)
+
+
 def test_a_parameter_may_shadow_its_function():
     e = parse_and_normalize("(define (f f) f) (f 7)")
     assert run(e)[1] == ("halt", 7)
