@@ -111,7 +111,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except RecursionError:
-        # the normalizer and the analyses recurse on program depth
+        # a guard, so that no input ends in a traceback: neither the front
+        # end nor the analyses recurse on program depth
         print(f"pdcfa: {args.file}: program nested too deeply to analyze",
               file=sys.stderr)
         return 1

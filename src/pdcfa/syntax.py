@@ -13,6 +13,13 @@ curried at parse time.  Recursion from `define` is encoded with an internal
 unary primitive `rec`: `(define (f x) B)` binds f to `(rec (lambda (f)
 (lambda (x) B)))`; at run time `rec` allocates f's address before storing the
 inner closure so the closure's environment can reference itself.
+
+No function here recurses on program structure, so nesting depth is
+bounded by memory, not by Python's call stack.  The reader keeps a stack of
+open lists.  `parse_program` lowers into mutable blocks by running tasks
+from one stack.  `normalize` then builds each frozen node once, in one
+stack pass that numbers variables in binding order and labels in
+post-order.  The queries, `print_anf` and `alpha_equiv` are loops.
 """
 from __future__ import annotations
 
@@ -90,36 +97,26 @@ def _tokenize(text):
 
 def read_sexprs(text: str) -> list:
     """Parse source text into a list of top-level SExprs."""
-    toks = _tokenize(text)
-    pos = 0
-
-    def read_one():
-        nonlocal pos
-        if pos >= len(toks):
-            raise ParseError((0, 0), "unexpected end of input")
-        tok, span = toks[pos]
-        pos += 1
+    out = items = []
+    open_lists = []  # (enclosing items, span, closer) of each open list
+    for tok, span in _tokenize(text):
         if tok in "([":
-            closer = ")" if tok == "(" else "]"
+            open_lists.append((items, span, ")" if tok == "(" else "]"))
             items = []
-            while True:
-                if pos >= len(toks):
-                    raise ParseError(span, "unclosed parenthesis")
-                if toks[pos][0] in ")]":
-                    if toks[pos][0] != closer:
-                        raise ParseError(toks[pos][1], "mismatched bracket")
-                    pos += 1
-                    return SExpr(None, tuple(items), span)
-                items.append(read_one())
-        if tok in ")]":
-            raise ParseError(span, "unexpected closing bracket")
-        if tok.startswith("'"):
+        elif tok in ")]":
+            if not open_lists:
+                raise ParseError(span, "unexpected closing bracket")
+            outer, start, closer = open_lists.pop()
+            if tok != closer:
+                raise ParseError(span, "mismatched bracket")
+            outer.append(SExpr(None, tuple(items), start))
+            items = outer
+        elif tok.startswith("'"):
             raise ParseError(span, "quote is not supported")
-        return SExpr(tok, None, span)
-
-    out = []
-    while pos < len(toks):
-        out.append(read_one())
+        else:
+            items.append(SExpr(tok, None, span))
+    if open_lists:
+        raise ParseError(open_lists[-1][1], "unclosed parenthesis")
     return out
 
 
@@ -239,8 +236,13 @@ class If(Exp):
 
 
 class Program(Frozen):
+    """A parsed program, lowered but not yet numbered: `defines` pairs each
+    defined Var f with the lowered `(lambda (f) (lambda ...))` that `rec`
+    ties into f's closure, and `top` is the top expression's block (see
+    below).  `normalize` builds the ANF Exp from it."""
+
     def __init__(self, defines, top):
-        setfield(self, "defines", defines)  # tuple of (Var, Lambda)
+        setfield(self, "defines", defines)
         setfield(self, "top", top)
 
 
@@ -250,23 +252,35 @@ def free_vars(e: Exp) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# parsing + ANF conversion
+# parsing + lowering to blocks
+#
+# A block is a mutable [param, lets, tail]: `lets` lists the (var, fun, arg)
+# calls it binds in order, and `tail` is ("ret", atom), ("call", fun, arg)
+# or ("if", atom, block, block).  An atom is a Var (a reference), a Lit, a
+# PrimRef, or a block whose param is a Var (a lambda).  Lowering runs tasks
+# from one stack, and an expression in value position leaves its atom on a
+# second one.  A destination is _TAIL (the expression is its block's tail),
+# None (a value; a call is bound to a fresh temporary) or a Var (a value a
+# `let` binds; a call is bound to that Var).
 
-_TAIL = object()  # sentinel continuation: "this expression is in tail position"
+_TAIL = object()
 
 
 class _Frontend:
     def __init__(self):
         self.var_counter = 0
-        self.label_counter = 0
+        self.tasks = []  # (method, args...), run last-pushed first
+        self.values = []  # atoms of expressions lowered in value position
 
     def fresh_var(self, name):
         self.var_counter += 1
         return Var(name, self.var_counter)
 
-    def label(self):
-        self.label_counter += 1
-        return self.label_counter
+    def run(self):
+        tasks = self.tasks
+        while tasks:
+            task = tasks.pop()
+            task[0](*task[1:])
 
     # -- atoms
 
@@ -280,32 +294,26 @@ class _Frontend:
         except ValueError:
             return None
 
-    def to_atom(self, sx: SExpr, env) -> AExp:
-        if sx.is_atom:
-            lit = self._literal(sx.atom)
-            if lit is not None or sx.atom in ("#t", "#f"):
-                return Lit(lit)
-            if sx.atom in env:
-                return Ref(env[sx.atom])
-            if sx.atom in PRIM_ARITY:
-                return PrimRef(sx.atom)
-            if sx.atom in KEYWORDS:
-                raise ParseError(sx.span, f"misplaced keyword {sx.atom!r}")
-            raise UnboundVariable(sx.atom, sx.span)
-        if not sx.is_atom and sx.items and sx.items[0].atom == "lambda":
-            return Lam(self.lam(sx, env))
-        raise ParseError(sx.span, "expected an atomic expression")
+    def atom(self, sx: SExpr, env):
+        tok = sx.atom
+        lit = self._literal(tok)
+        if lit is not None:
+            return Lit(lit)
+        if tok in env:
+            return env[tok]
+        if tok in PRIM_ARITY:
+            return PrimRef(tok)
+        if tok in KEYWORDS:
+            raise ParseError(sx.span, f"misplaced keyword {tok!r}")
+        raise UnboundVariable(tok, sx.span)
 
-    def _atomish(self, sx: SExpr) -> bool:
-        return sx.is_atom or (bool(sx.items) and sx.items[0].atom == "lambda")
-
-    def lam(self, sx: SExpr, env) -> Lambda:
+    def lam(self, sx: SExpr, env) -> list:
         if len(sx.items) != 3 or sx.items[1].is_atom:
             raise ParseError(sx.span, "lambda expects (lambda (params...) body)")
         params = self.params(sx.items[1].items)
         if not params:
             raise ParseError(sx.span, "lambdas take at least one parameter")
-        return self._curry(params, sx.items[2], env)
+        return self.curry(params, sx.items[2], env)
 
     def params(self, sxs) -> list:
         """The names a parameter list binds, each once."""
@@ -326,97 +334,92 @@ class _Frontend:
             raise ParseError(sx.span, f"{sx.atom!r} is not a name")
         return sx.atom
 
-    def _curry(self, params, body_sx, env) -> Lambda:
-        name = params[0]
-        v = self.fresh_var(name)
-        env2 = dict(env)
-        env2[name] = v
-        if len(params) == 1:
-            body = self.anf(body_sx, env2, _TAIL)
-        else:
-            body = Ret(Lam(self._curry(params[1:], body_sx, env2)), self.label())
-        return Lambda(v, body)
+    def curry(self, params, body_sx, env) -> list:
+        """The block of (lambda (p1) ... (lambda (pn) body)); a task pushed
+        here lowers the body."""
+        env = dict(env)
+        vs = []
+        for name in params:
+            env[name] = v = self.fresh_var(name)
+            vs.append(v)
+        blk = [vs.pop(), [], None]
+        self.tasks.append((self.lower, body_sx, env, blk, _TAIL))
+        for v in reversed(vs):
+            blk = [v, [], ("ret", blk)]
+        return blk
 
-    # -- continuations: k is _TAIL or (hint_var_or_None, fn(atom)->Exp)
+    # -- tasks
 
-    def _apply_k(self, k, atom: AExp) -> Exp:
-        if k is _TAIL:
-            return Ret(atom, self.label())
-        _, fn = k
-        return fn(atom)
-
-    def _finish_call(self, call: Call, k) -> Exp:
-        if k is _TAIL:
-            return TailCall(call, self.label())
-        hint, fn = k
-        v = hint if hint is not None else self.fresh_var("t")
-        rhs = TailCall(call, self.label())
-        return Let1(v, rhs, fn(Ref(v)), self.label())
-
-    def anf(self, sx: SExpr, env, k) -> Exp:
-        if self._atomish(sx):
-            return self._apply_k(k, self.to_atom(sx, env))
-        if not sx.items:
+    def lower(self, sx: SExpr, env, blk, dest):
+        if sx.is_atom:
+            self._deliver(blk, dest, self.atom(sx, env))
+            return
+        items = sx.items
+        if not items:
             raise ParseError(sx.span, "empty application")
-        head = sx.items[0].atom
-
-        if head == "if":
-            if len(sx.items) != 4:
+        head = items[0].atom
+        tasks = self.tasks
+        if head == "lambda":
+            self._deliver(blk, dest, self.lam(sx, env))
+        elif head == "if":
+            if len(items) != 4:
                 raise ParseError(sx.span, "if expects 3 parts")
-            _, c, t, e = sx.items
-            return self.anf_atom(c, env, lambda ca: self._if(ca, t, e, env, k))
-        if head == "cond":
-            return self.anf(self._desugar_cond(sx), env, k)
-        if head in ("and", "or"):
-            return self.anf(self._desugar_andor(sx), env, k)
-        if head in ("let", "let*"):
-            if len(sx.items) != 3 or sx.items[1].is_atom:
+            tasks.append((self._if, items[2], items[3], env, blk, dest))
+            tasks.append((self.lower, items[1], env, blk, None))
+        elif head == "cond":
+            tasks.append((self.lower, self._desugar_cond(sx), env, blk, dest))
+        elif head in ("and", "or"):
+            tasks.append((self.lower, self._desugar_andor(sx), env, blk, dest))
+        elif head in ("let", "let*"):
+            if len(items) != 3 or items[1].is_atom:
                 raise ParseError(sx.span, "let expects (let (bindings) body)")
-            bindings = list(sx.items[1].items)
+            rhs_env = None
             if head == "let":  # parallel: every rhs sees the enclosing scope
-                self._distinct_names(bindings)
-                return self._let(bindings, sx.items[2], env, k, env)
-            return self._let(bindings, sx.items[2], env, k)
-        if head == "define":
+                self._distinct_names(items[1].items)
+                rhs_env = env
+            self._bind(None, items[1].items, 0, items[2], env, blk, dest,
+                       rhs_env)
+        elif head == "define":
             raise ParseError(sx.span, "define only allowed at top level")
+        else:  # application, curried left to right
+            if len(items) < 2:
+                raise ParseError(sx.span, "application needs an argument")
+            last = len(items) - 1
+            for i in range(last, 0, -1):
+                tasks.append((self._apply, blk, dest if i == last else None))
+                tasks.append((self.lower, items[i], env, blk, None))
+            tasks.append((self.lower, items[0], env, blk, None))
 
-        # application, curried left-to-right
-        if len(sx.items) < 2:
-            raise ParseError(sx.span, "application needs an argument")
+    def _deliver(self, blk, dest, atom):
+        if dest is _TAIL:
+            blk[2] = ("ret", atom)
+        else:
+            self.values.append(atom)
 
-        def chain(fatom, arg_sxs):
-            def with_arg(aatom, rest):
-                call = Call(fatom, aatom)  # let_bound_callee is set by normalize
-                if rest:
-                    # intermediate application: bind to a temp, keep currying
-                    def kk(res_atom):
-                        return chain(res_atom, rest)
+    def _call(self, blk, fun, arg, dest):
+        if dest is _TAIL:
+            blk[2] = ("call", fun, arg)
+        else:
+            v = self.fresh_var("t") if dest is None else dest
+            blk[1].append((v, fun, arg))
+            self.values.append(v)
 
-                    return self._finish_call(call, (None, kk))
-                return self._finish_call(call, k)
+    def _apply(self, blk, dest):
+        arg = self.values.pop()
+        self._call(blk, self.values.pop(), arg, dest)
 
-            return self.anf_atom(arg_sxs[0], env, lambda a: with_arg(a, arg_sxs[1:]))
-
-        return self.anf_atom(sx.items[0], env, lambda f: chain(f, list(sx.items[1:])))
-
-    def anf_atom(self, sx: SExpr, env, k2) -> Exp:
-        """Convert sx and hand its value to k2 as an atomic expression."""
-        if self._atomish(sx):
-            return k2(self.to_atom(sx, env))
-        return self.anf(sx, env, (None, k2))
-
-    def _if(self, ca: AExp, t_sx, e_sx, env, k) -> Exp:
-        if k is _TAIL:
-            return If(ca, self.anf(t_sx, env, _TAIL), self.anf(e_sx, env, _TAIL),
-                      self.label())
-        # non-tail if: wrap in a join lambda applied to the (atomic) condition,
-        # so both branches return into one Let1 frame
-        cv = self.fresh_var("c")
-        env2 = dict(env)
-        body = If(Ref(cv), self.anf(t_sx, env, _TAIL), self.anf(e_sx, env, _TAIL),
-                  self.label())
-        join = Lambda(cv, body)
-        return self._finish_call(Call(Lam(join), ca), k)
+    def _if(self, t_sx, e_sx, env, blk, dest):
+        cond = self.values.pop()
+        then, els = [None, [], None], [None, [], None]
+        if dest is _TAIL:
+            blk[2] = ("if", cond, then, els)
+        else:
+            # non-tail if: a join lambda applied to the condition, so both
+            # branches return into one Let1 frame
+            c = self.fresh_var("c")
+            self._call(blk, [c, [], ("if", c, then, els)], cond, dest)
+        self.tasks.append((self.lower, e_sx, env, els, _TAIL))
+        self.tasks.append((self.lower, t_sx, env, then, _TAIL))
 
     def _distinct_names(self, bindings):
         seen = set()
@@ -427,40 +430,33 @@ class _Frontend:
                     raise ParseError(b.span, f"duplicate let binding {name!r}")
                 seen.add(name)
 
-    def _let(self, bindings, body_sx, env, k, rhs_env=None) -> Exp:
+    def _bind(self, v, bindings, i, body_sx, env, blk, dest, rhs_env):
         """Bind left to right; each rhs is read in rhs_env (let's enclosing
         scope), or, when it is None, in env with the earlier bindings
-        (let*)."""
-        if not bindings:
-            return self.anf(body_sx, env, k)
-        b = bindings[0]
+        (let*).  v is the previous binding's Var, whose rhs value is on
+        the value stack."""
+        if v is not None:
+            atom = self.values.pop()
+            if atom is not v:
+                # the rhs was not a call bound to v: bind its atom with the
+                # beta-redex ((lambda (v) rest) atom); Let1 binds only calls
+                rest = [v, [], None]
+                self._call(blk, rest, atom, dest)
+                blk, dest = rest, _TAIL
+        if i == len(bindings):
+            self.tasks.append((self.lower, body_sx, env, blk, dest))
+            return
+        b = bindings[i]
         if b.is_atom or len(b.items) != 2 or not b.items[0].is_atom:
             raise ParseError(b.span, "bad let binding")
-        name, rhs = self.name(b.items[0]), b.items[1]
-        scope = env if rhs_env is None else rhs_env
+        name = self.name(b.items[0])
         v = self.fresh_var(name)
         env2 = dict(env)
         env2[name] = v
-        if self._atomish(rhs):
-            # beta-redex: ((lambda (name) rest) rhs) — Let1 can only bind calls
-            return self._beta(v, self.to_atom(rhs, scope), bindings[1:],
-                              body_sx, env2, k, rhs_env)
-
-        def fn(atom):
-            if isinstance(atom, Ref) and atom.var is v:
-                # the rhs call was Let1-bound directly to v via the hint
-                return self._let(bindings[1:], body_sx, env2, k, rhs_env)
-            # rhs collapsed to some other atom (e.g. nested let over an atom)
-            return self._beta(v, atom, bindings[1:], body_sx, env2, k,
-                              rhs_env)
-
-        return self.anf(rhs, scope, (v, fn))
-
-    def _beta(self, v, ratom, rest_bindings, body_sx, env2, k,
-              rhs_env) -> Exp:
-        lam = Lambda(v, self._let(rest_bindings, body_sx, env2, _TAIL,
-                                  rhs_env))
-        return self._finish_call(Call(Lam(lam), ratom), k)
+        self.tasks.append((self._bind, v, bindings, i + 1, body_sx, env2, blk,
+                           dest, rhs_env))
+        self.tasks.append((self.lower, b.items[1],
+                           env if rhs_env is None else rhs_env, blk, v))
 
     def _desugar_cond(self, sx: SExpr) -> SExpr:
         span = sx.span
@@ -494,260 +490,227 @@ class _Frontend:
 def parse_program(text: str) -> Program:
     """Parse source text to a scope-checked Program (defines + top expression)."""
     fe = _Frontend()
-    forms = read_sexprs(text)
     defines = []
     env = {}
     top_sx = None
-    for sx in forms:
-        if not sx.is_atom and sx.items and sx.items[0].atom == "define":
-            if top_sx is not None:
-                raise ParseError(sx.span, "define after top expression")
-            if len(sx.items) != 3:
-                raise ParseError(sx.span, "define expects 2 parts")
-            sig = sx.items[1]
-            if sig.is_atom:
-                name = fe.name(sig)
-                v = fe.fresh_var(name)
-                env2 = dict(env)
-                env2[name] = v  # self-reference allowed
-                body = sx.items[2]
-                if not (not body.is_atom and body.items and body.items[0].atom == "lambda"):
-                    raise ParseError(body.span, "define value must be a lambda")
-                lam = fe.lam(body, env2)
-            else:
-                if not sig.items or not sig.items[0].is_atom:
-                    raise ParseError(sig.span, "bad define signature")
-                name = fe.name(sig.items[0])
-                params = fe.params(sig.items[1:])
-                if not params:
-                    raise ParseError(sig.span, "define needs at least one parameter")
-                v = fe.fresh_var(name)
-                env2 = dict(env)
-                env2[name] = v
-                lam = fe._curry(params, sx.items[2], env2)
-            if name in env:
-                raise ParseError(sx.span, f"duplicate define {name!r}")
-            env[name] = v
-            defines.append((v, lam))
-        else:
+    for sx in read_sexprs(text):
+        if sx.is_atom or not sx.items or sx.items[0].atom != "define":
             if top_sx is not None:
                 raise ParseError(sx.span, "multiple top-level expressions")
             top_sx = sx
+            continue
+        if top_sx is not None:
+            raise ParseError(sx.span, "define after top expression")
+        if len(sx.items) != 3:
+            raise ParseError(sx.span, "define expects 2 parts")
+        sig, body = sx.items[1], sx.items[2]
+        env2 = dict(env)  # f's own body sees f: `rec` binds it
+        if sig.is_atom:
+            name = fe.name(sig)
+            if (body.is_atom or not body.items
+                    or body.items[0].atom != "lambda"):
+                raise ParseError(body.span, "define value must be a lambda")
+            env2[name] = me = fe.fresh_var(name)
+            lam = fe.lam(body, env2)
+        else:
+            if not sig.items or not sig.items[0].is_atom:
+                raise ParseError(sig.span, "bad define signature")
+            name = fe.name(sig.items[0])
+            params = fe.params(sig.items[1:])
+            if not params:
+                raise ParseError(sig.span, "define needs at least one parameter")
+            env2[name] = me = fe.fresh_var(name)
+            lam = fe.curry(params, body, env2)
+        fe.run()  # lower the body now, so its errors precede later forms'
+        if name in env:
+            raise ParseError(sx.span, f"duplicate define {name!r}")
+        env[name] = v = fe.fresh_var(name)
+        defines.append((v, [me, [], ("ret", lam)]))
     if top_sx is None:
         raise ParseError((0, 0), "program has no top-level expression")
-    top = fe.anf(top_sx, env, _TAIL)
+    top = [None, [], None]
+    fe.lower(top_sx, env, top, _TAIL)
+    fe.run()
     return Program(tuple(defines), top)
 
 
 # ---------------------------------------------------------------------------
-# normalize: assemble defines + top into one Exp, freshen labels/binders,
-# mark let-bound callees
-
-
-class _Uniquifier:
-    def __init__(self):
-        self.var_counter = 0
-        self.label_counter = 0
-
-    def fresh(self, v: Var) -> Var:
-        self.var_counter += 1
-        return Var(v.name, self.var_counter)
-
-    def label(self) -> int:
-        self.label_counter += 1
-        return self.label_counter
-
-    def exp(self, e: Exp, sub, letbound) -> Exp:
-        if isinstance(e, Ret):
-            return Ret(self.aexp(e.atom, sub, letbound), self.label())
-        if isinstance(e, TailCall):
-            return TailCall(self.call(e.call, sub, letbound), self.label())
-        if isinstance(e, Let1):
-            rhs = TailCall(self.call(e.call, sub, letbound), self.label())
-            v2 = self.fresh(e.var)
-            sub2 = dict(sub)
-            sub2[e.var] = v2
-            lb2 = letbound | {v2}
-            return Let1(v2, rhs, self.exp(e.body, sub2, lb2), self.label())
-        if isinstance(e, If):
-            return If(self.aexp(e.cond, sub, letbound),
-                      self.exp(e.then, sub, letbound),
-                      self.exp(e.els, sub, letbound), self.label())
-        raise TypeError(e)
-
-    def call(self, c: Call, sub, letbound) -> Call:
-        fun = self.aexp(c.fun, sub, letbound)
-        arg = self.aexp(c.arg, sub, letbound)
-        flag = isinstance(fun, Ref) and fun.var in letbound
-        return Call(fun, arg, flag)
-
-    def aexp(self, ae: AExp, sub, letbound) -> AExp:
-        if isinstance(ae, Ref):
-            return Ref(sub[ae.var])
-        if isinstance(ae, Lam):
-            lam = ae.lam
-            p2 = self.fresh(lam.param)
-            sub2 = dict(sub)
-            sub2[lam.param] = p2
-            return Lam(Lambda(p2, self.exp(lam.body, sub2, letbound)))
-        return ae
+# normalize: build the ANF nodes, each once, from the defines and top block
 
 
 def normalize(p: Program) -> Exp:
-    """Lower a Program to a single closed ANF Exp with unique labels/binders."""
-    fe = _Frontend()
-    result = p.top
-    for v, lam in reversed(p.defines):
-        # f = (rec (lambda (f) (lambda ...)));  the duplicate binder for f is
-        # resolved by the uniquify pass below
-        wrapper = Lambda(v, Ret(Lam(lam), fe.label()))
-        rhs = TailCall(Call(PrimRef("rec"), Lam(wrapper)), fe.label())
-        result = Let1(v, rhs, result, fe.label())
-    uq = _Uniquifier()
-    out = uq.exp(result, {}, frozenset())
-    assert not out.free, f"normalize produced open term: {out.free}"
-    return out
+    """Lower a Program to a single closed ANF Exp with unique labels/binders.
+
+    Each define f becomes `(let ((f (rec (lambda (f) (lambda ...))))) ...)`
+    around the top expression.  Variable ids count binders in binding order
+    (a Let1's after its call), labels count nodes in post-order, and a call
+    whose callee is a Let1-bound variable is marked let-bound.
+    """
+    rec = [(v, PrimRef("rec"), lam) for v, lam in p.defines]
+    todo = [("exp", [None, rec + p.top[1], p.top[2]])]
+    out = []  # finished nodes, and the (Var, rhs) of Let1s awaiting a body
+    numbered = {}  # lowered Var -> its Var in the result
+    let_bound = set()
+    label = 0
+
+    def number(v):
+        numbered[v] = Var(v.name, len(numbered) + 1)
+        return numbered[v]
+
+    while todo:
+        op, x = todo.pop()
+        if op == "atom":
+            if type(x) is list:  # a lambda: its parameter, then its body
+                todo.append(("lam", number(x[0])))
+                todo.append(("exp", x))
+            else:
+                out.append(Ref(numbered[x]) if type(x) is Var else x)
+        elif op == "exp":  # a block: its lets in order, its tail, the Let1s
+            _, lets, tail = x
+            todo.append(("wrap", len(lets)))
+            todo.append((tail[0], None))
+            if tail[0] == "if":
+                todo += (("exp", tail[3]), ("exp", tail[2]), ("atom", tail[1]))
+            else:
+                todo += [("atom", a) for a in reversed(tail[1:])]
+            for v, fun, arg in reversed(lets):
+                todo += (("bind", v), ("call", None), ("atom", arg),
+                         ("atom", fun))
+        elif op == "lam":
+            out.append(Lam(Lambda(x, out.pop())))
+        elif op == "bind":
+            v = number(x)
+            let_bound.add(v)
+            out.append((v, out.pop()))
+        elif op == "wrap":  # innermost Let1 first
+            body = out.pop()
+            for _ in range(x):
+                v, rhs = out.pop()
+                label += 1
+                body = Let1(v, rhs, body, label)
+            out.append(body)
+        else:
+            label += 1
+            if op == "ret":
+                out.append(Ret(out.pop(), label))
+            elif op == "call":
+                arg, fun = out.pop(), out.pop()
+                flag = type(fun) is Ref and fun.var in let_bound
+                out.append(TailCall(Call(fun, arg, flag), label))
+            else:
+                els, then = out.pop(), out.pop()
+                out.append(If(out.pop(), then, els, label))
+    e = out.pop()
+    assert not e.free, f"normalize produced open term: {e.free}"
+    return e
 
 
 # ---------------------------------------------------------------------------
 # queries / printing
 
 
+def _walk(e: Exp):
+    """Every Exp and atom in e, in pre-order, left to right."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Let1):
+            stack += (x.body, x.rhs)
+        elif isinstance(x, TailCall):
+            stack += (x.call.arg, x.call.fun)
+        elif isinstance(x, Ret):
+            stack.append(x.atom)
+        elif isinstance(x, If):
+            stack += (x.els, x.then, x.cond)
+        elif isinstance(x, Lam):
+            stack.append(x.lam.body)
+
+
 def binders(e: Exp) -> list:
     """All binder Vars (Let1 variables and lambda parameters) in order."""
-    out = []
-
-    def go_exp(x):
-        if isinstance(x, Let1):
-            out.append(x.var)
-            go_call(x.call)
-            go_exp(x.body)
-        elif isinstance(x, TailCall):
-            go_call(x.call)
-        elif isinstance(x, Ret):
-            go_aexp(x.atom)
-        elif isinstance(x, If):
-            go_aexp(x.cond)
-            go_exp(x.then)
-            go_exp(x.els)
-
-    def go_call(c):
-        go_aexp(c.fun)
-        go_aexp(c.arg)
-
-    def go_aexp(ae):
-        if isinstance(ae, Lam):
-            out.append(ae.lam.param)
-            go_exp(ae.lam.body)
-
-    go_exp(e)
-    return out
+    return [x.var if isinstance(x, Let1) else x.lam.param
+            for x in _walk(e) if isinstance(x, (Let1, Lam))]
 
 
 def count_let1(e: Exp) -> int:
-    return sum(1 for _ in _walk(e) if isinstance(_, Let1))
-
-
-def _walk(e: Exp):
-    yield e
-    if isinstance(e, Let1):
-        yield e.rhs
-        for ae in (e.call.fun, e.call.arg):
-            if isinstance(ae, Lam):
-                yield from _walk(ae.lam.body)
-        yield from _walk(e.body)
-    elif isinstance(e, TailCall):
-        for ae in (e.call.fun, e.call.arg):
-            if isinstance(ae, Lam):
-                yield from _walk(ae.lam.body)
-    elif isinstance(e, Ret):
-        if isinstance(e.atom, Lam):
-            yield from _walk(e.atom.lam.body)
-    elif isinstance(e, If):
-        if isinstance(e.cond, Lam):
-            yield from _walk(e.cond.lam.body)
-        yield from _walk(e.then)
-        yield from _walk(e.els)
+    return sum(1 for x in _walk(e) if isinstance(x, Let1))
 
 
 def print_anf(e: Exp) -> str:
     """Deterministic pretty-printer; output re-parses to an alpha-equivalent Exp."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, Ref):
+            out.append(repr(x.var))
+        elif isinstance(x, Lit):
+            v = x.value
+            out.append("#t" if v is True else "#f" if v is False else str(v))
+        elif isinstance(x, PrimRef):
+            out.append(x.op)
+        elif isinstance(x, Lam):
+            stack += (")", x.lam.body, f"(lambda ({x.lam.param!r}) ")
+        elif isinstance(x, Ret):
+            stack.append(x.atom)
+        elif isinstance(x, TailCall):
+            stack += (")", x.call.arg, " ", x.call.fun, "(")
+        elif isinstance(x, Let1):
+            stack += (")", x.body, ")) ", x.rhs, f"(let (({x.var!r} ")
+        elif isinstance(x, If):
+            stack += (")", x.els, " ", x.then, " ", x.cond, "(if ")
+        else:
+            raise TypeError(x)
+    return "".join(out)
 
-    def pv(v: Var) -> str:
-        return f"{v.name}_{v.id}"
 
-    def pa(ae: AExp) -> str:
-        if isinstance(ae, Ref):
-            return pv(ae.var)
-        if isinstance(ae, Lit):
-            if ae.value is True:
-                return "#t"
-            if ae.value is False:
-                return "#f"
-            return str(ae.value)
-        if isinstance(ae, PrimRef):
-            return ae.op
-        if isinstance(ae, Lam):
-            return f"(lambda ({pv(ae.lam.param)}) {pe(ae.lam.body)})"
-        raise TypeError(ae)
-
-    def pc(c: Call) -> str:
-        return f"({pa(c.fun)} {pa(c.arg)})"
-
-    def pe(x: Exp) -> str:
-        if isinstance(x, Ret):
-            return pa(x.atom)
-        if isinstance(x, TailCall):
-            return pc(x.call)
-        if isinstance(x, Let1):
-            return f"(let (({pv(x.var)} {pc(x.call)})) {pe(x.body)})"
-        if isinstance(x, If):
-            return f"(if {pa(x.cond)} {pe(x.then)} {pe(x.els)})"
-        raise TypeError(x)
-
-    return pe(e)
+_SCOPE, _UNSCOPE = object(), object()  # alpha_equiv's scope markers
 
 
 def alpha_equiv(e1: Exp, e2: Exp) -> bool:
     """Structural equality modulo labels and variable identities."""
-
-    def go_exp(a, b, m):
-        if type(a) is not type(b):
+    m = {}  # e1's bound Var -> e2's, over the scopes open on the stack
+    stack = [(e1, e2)]
+    while stack:
+        a, b = stack.pop()
+        if a is _SCOPE:  # b: (e1's binder, e2's binder, e1's body, e2's body)
+            va, vb, body_a, body_b = b
+            stack.append((_UNSCOPE, (va, m.get(va))))
+            stack.append((body_a, body_b))
+            m[va] = vb
+        elif a is _UNSCOPE:  # b: (e1's binder, what it mapped to before)
+            va, before = b
+            if before is None:
+                del m[va]
+            else:
+                m[va] = before
+        elif type(a) is not type(b):
             return False
-        if isinstance(a, Ret):
-            return go_aexp(a.atom, b.atom, m)
-        if isinstance(a, TailCall):
-            return go_call(a.call, b.call, m)
-        if isinstance(a, Let1):
-            if not go_call(a.call, b.call, m):
+        elif isinstance(a, Ref):
+            if m.get(a.var) != b.var:
                 return False
-            m2 = dict(m)
-            m2[a.var] = b.var
-            return go_exp(a.body, b.body, m2)
-        if isinstance(a, If):
-            return (go_aexp(a.cond, b.cond, m) and go_exp(a.then, b.then, m)
-                    and go_exp(a.els, b.els, m))
-        return False
-
-    def go_call(a, b, m):
-        return go_aexp(a.fun, b.fun, m) and go_aexp(a.arg, b.arg, m)
-
-    def go_aexp(a, b, m):
-        if type(a) is not type(b):
+        elif isinstance(a, Lit):
+            if a.value != b.value or type(a.value) is not type(b.value):
+                return False
+        elif isinstance(a, PrimRef):
+            if a.op != b.op:
+                return False
+        elif isinstance(a, Lam):
+            stack.append((_SCOPE, (a.lam.param, b.lam.param, a.lam.body,
+                                   b.lam.body)))
+        elif isinstance(a, Ret):
+            stack.append((a.atom, b.atom))
+        elif isinstance(a, TailCall):
+            stack += ((a.call.arg, b.call.arg), (a.call.fun, b.call.fun))
+        elif isinstance(a, Let1):
+            stack += ((_SCOPE, (a.var, b.var, a.body, b.body)), (a.rhs, b.rhs))
+        elif isinstance(a, If):
+            stack += ((a.els, b.els), (a.then, b.then), (a.cond, b.cond))
+        else:
             return False
-        if isinstance(a, Ref):
-            return m.get(a.var) == b.var
-        if isinstance(a, Lit):
-            return a.value == b.value and type(a.value) is type(b.value)
-        if isinstance(a, PrimRef):
-            return a.op == b.op
-        if isinstance(a, Lam):
-            m2 = dict(m)
-            m2[a.lam.param] = b.lam.param
-            return go_exp(a.lam.body, b.lam.body, m2)
-        return False
-
-    return go_exp(e1, e2, {})
+    return True
 
 
 def parse_and_normalize(text: str) -> Exp:

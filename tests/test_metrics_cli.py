@@ -364,7 +364,7 @@ def test_cli_all_gives_each_analysis_its_own_budget(monkeypatch, capsys):
         assert deadline == start + 10.0, kind
 
 
-def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
+def test_cli_runs_a_200_binding_chain(tmp_path, capsys):
     # a 200-binding let* chain of calls through one shared closure
     n = 200
     binds = ["(f (lambda (x) x))", "(v0 (f 0))"]
@@ -372,8 +372,22 @@ def test_cli_deeply_nested_program_exits_1(tmp_path, capsys):
     prog = tmp_path / "chain200.scm"
     prog.write_text("(let* (" + "\n".join(binds) + f")\n  v{n - 1})\n")
     code, out, err = run_cli(["run", str(prog), "--analysis", "all"], capsys)
-    assert code == 1
-    assert out == ""
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(KINDS)
+    assert all(line.split()[0] == "chain200" and "states=" in line
+               for line in lines)
+
+
+def test_cli_recursion_error_is_one_line(monkeypatch, tmp_path, capsys):
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "parse_and_normalize", too_deep)
+    prog = tmp_path / "p.scm"
+    prog.write_text("(+ 1 2)")
+    code, out, err = run_cli(["run", str(prog)], capsys)
+    assert code == 1 and out == ""
     assert err.startswith("pdcfa: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

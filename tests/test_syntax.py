@@ -1,12 +1,17 @@
+import sys
+
 import pytest
+from hypothesis import given, note, settings
 
 from pdcfa.syntax import (parse_program, normalize, parse_and_normalize,
                           free_vars, print_anf, alpha_equiv, binders,
-                          count_let1, ParseError, UnboundVariable,
-                          Ret, TailCall, Let1, If, Ref, Lam, Lit, PrimRef,
-                          Var)
+                          count_let1, read_sexprs, ParseError,
+                          UnboundVariable, Ret, TailCall, Let1, If, Ref, Lam,
+                          Lit, PrimRef, Var)
 from pdcfa import bench
 from pdcfa.concrete import run
+
+from helpers import surface_programs
 
 
 def walk(e):
@@ -257,3 +262,61 @@ def test_a_parameter_may_shadow_its_function():
 def test_quote_is_reported_unsupported(src):
     with pytest.raises(ParseError, match="quote is not supported"):
         parse_program(src)
+
+
+# ---------------------------------------------------------------------------
+# depth: the front end keeps its stacks on the heap
+
+
+def _chain(n):
+    """The benchmark's chain shape: a let* of n calls through one closure."""
+    binds = ["(f (lambda (x) x))", "(v0 (f 0))"]
+    binds += [f"(v{i} (f v{i - 1}))" for i in range(1, n)]
+    return "(let* (" + "\n".join(binds) + f")\n  v{n - 1})"
+
+
+@pytest.mark.parametrize("src, lets", [
+    (_chain(10_000), 10_000),
+    ("(+ 1 " * 1_000 + "0" + ")" * 1_000, 1_999),
+], ids=["let*-chain-10000", "nested-plus-1000"])
+def test_deep_programs_parse_normalize_print_and_reparse(src, lets):
+    assert sys.getrecursionlimit() <= 1_000  # no frame per level of depth
+    e = parse_and_normalize(src)
+    assert count_let1(e) == lets
+    assert alpha_equiv(e, parse_and_normalize(print_anf(e)))
+
+
+def test_reader_reads_deep_nesting():
+    n = 100_000
+    (sx,) = read_sexprs("(" * n + "x" + ")" * n)
+    depth = 0
+    while not sx.is_atom:
+        (sx,) = sx.items
+        depth += 1
+    assert depth == n and sx.atom == "x"
+
+
+# ---------------------------------------------------------------------------
+# generated programs
+
+
+def _outcome(e):
+    trace, outcome = run(e, fuel=2_000)
+    if outcome[0] == "halt" and not isinstance(outcome[1], (int, bool)):
+        outcome = ("halt", type(outcome[1]).__name__)  # a Clo or a PrimVal
+    return len(trace), outcome
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(surface_programs())
+def test_generated_programs_normalize_and_reparse(src):
+    note(src)
+    e = parse_and_normalize(src)
+    assert free_vars(e) == frozenset()
+    labels = [x.label for x in walk(e)]
+    assert len(labels) == len(set(labels))
+    bs = binders(e)
+    assert len(bs) == len(set(bs))
+    e2 = parse_and_normalize(print_anf(e))
+    assert alpha_equiv(e, e2)
+    assert _outcome(e) == _outcome(e2)
