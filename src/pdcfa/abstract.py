@@ -11,7 +11,7 @@ store, ctx) and leaves the continuation to its caller: it returns the moves
 (each pushing at most one frame) and the values returned to whatever frame
 is on top, which areturn binds into a frame.  The pushdown analyses keep
 the continuation as an exact stack, the finite baselines allocate it in a
-continuation store; step_conf steps a whole configuration.
+continuation store.
 
 All abstract domain objects are hash-consed (interned), so equality is
 pointer equality; every container used for iteration is kept in a canonical
@@ -26,7 +26,7 @@ position; restrict returns self when it keeps every entry, and an
 environment memoizes it per keep-set.  A map derived by bind, extend or
 restrict from a parent whose sort key is built takes its key from the
 parent's, splicing in or selecting entry keys (see _inherit_key).  make
-builds one from scratch (alpha, the empty ones).
+builds one from scratch (the empty ones).
 """
 from __future__ import annotations
 
@@ -37,14 +37,6 @@ from .frozen import Frozen, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
                      Lambda, Var, PRIM_ARITY)
 from . import concrete
-
-
-class IncomparableKinds(Exception):
-    pass
-
-
-class UnmappedAddress(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +349,6 @@ class AFrame(Frozen):
         return f"({self.var}, e{self.exp.label})"
 
 
-class AConf(Frozen):
-    def __init__(self, exp, env, store, kont, ctx=()):
-        setfield(self, "exp", exp)
-        setfield(self, "env", env)
-        setfield(self, "store", store)
-        setfield(self, "kont", kont)  # of AFrame, top first
-        setfield(self, "ctx", ctx)  # last-k call-site labels (KCFA only)
-
-    @classmethod
-    def make(cls, exp, env, store, kont, ctx=()):
-        return _intern(cls, (exp, env, store, kont, ctx),
-                       exp, env, store, kont, ctx)
-
-    @_keyed
-    def skey(self):
-        return (self.exp.label, self.env.skey(), self.store.skey(),
-                tuple(f.skey() for f in self.kont), self.ctx)
-
-
-def ainject(e: Exp) -> AConf:
-    return AConf.make(e, EMPTY_ENV, EMPTY_STORE, ())
-
-
 # ---------------------------------------------------------------------------
 # allocation policies
 
@@ -551,157 +520,6 @@ def areturn(fr: AFrame, vals, store: AStore, e: Exp, ctx: tuple, policy):
     addr = aalloc(policy, fr.var, AllocCtx(e.label, None, False, ctx))
     env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
     return fr.exp, env2, store.bind(addr, vals)
-
-
-def step_conf(c: AConf, policy):
-    """All abstract successors of a configuration, in canonical order."""
-    moves, returns = astep(c.exp, c.env, c.store, c.ctx, policy)
-    succs = [AConf.make(e2, env2, s2, c.kont if fr is None else (fr,) + c.kont,
-                        ctx2)
-             for fr, e2, env2, s2, ctx2 in moves]
-    if c.kont:
-        for vals, s in returns:
-            e2, env2, s2 = areturn(c.kont[0], vals, s, c.exp, c.ctx, policy)
-            succs.append(AConf.make(e2, env2, s2, c.kont[1:], c.ctx))
-    return sorted(dict.fromkeys(succs), key=skey)
-
-
-# ---------------------------------------------------------------------------
-# partial orders
-
-
-def _val_leq(v1, v2):
-    if v1 is v2:
-        return True
-    if isinstance(v1, ABool) and isinstance(v2, ABool):
-        return v2.value is None
-    if isinstance(v1, APrim) and isinstance(v2, APrim):
-        return (v1.op == v2.op and len(v1.args) == len(v2.args)
-                and all(_val_leq(a, b) for a, b in zip(v1.args, v2.args)))
-    if isinstance(v1, AClo) and isinstance(v2, AClo):
-        return v1.lam is v2.lam and _env_leq(v1.env, v2.env)
-    return False
-
-
-def _vals_leq(d1, d2):
-    return all(any(_val_leq(v1, v2) for v2 in d2) for v1 in d1)
-
-
-def _env_leq(r1: AEnv, r2: AEnv):
-    # §-order: equal mappings over the left env's domain
-    d2 = dict(r2.items)
-    return all(v in d2 and d2[v] is a for v, a in r1.items)
-
-
-def leq(x, y) -> bool:
-    """The lifted partial orders (envs, value sets, stores, frames, konts, configs)."""
-    if isinstance(x, AEnv) and isinstance(y, AEnv):
-        return _env_leq(x, y)
-    if isinstance(x, AStore) and isinstance(y, AStore):
-        return all(_vals_leq(vs, y.lookup(a)) for a, vs in x.items)
-    if isinstance(x, AFrame) and isinstance(y, AFrame):
-        return (x.var == y.var and x.exp is y.exp and _env_leq(x.env, y.env))
-    if isinstance(x, tuple) and isinstance(y, tuple):
-        if all(isinstance(f, AFrame) for f in x) and all(isinstance(f, AFrame) for f in y):
-            return len(x) == len(y) and all(leq(a, b) for a, b in zip(x, y))
-        return _vals_leq(x, y)
-    if isinstance(x, AConf) and isinstance(y, AConf):
-        return (x.exp is y.exp and _env_leq(x.env, y.env)
-                and leq(x.store, y.store) and leq(x.kont, y.kont)
-                and x.ctx == y.ctx)
-    if isinstance(x, (AClo, ABool, APrim, AScalarTop)) and \
-            isinstance(y, (AClo, ABool, APrim, AScalarTop)):
-        return _val_leq(x, y)
-    raise IncomparableKinds(f"{type(x).__name__} vs {type(y).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# abstraction map
-
-
-def _alpha_val(v, addr_map):
-    if isinstance(v, bool):
-        return abool(v)
-    if isinstance(v, int):
-        return SCALAR_TOP
-    if isinstance(v, concrete.Clo):
-        return AClo.make(v.lam, _alpha_env(v.env, addr_map))
-    if isinstance(v, concrete.PrimVal):
-        return APrim.make(v.op, tuple(_alpha_val(a, addr_map) for a in v.args))
-    raise TypeError(v)
-
-
-def _alpha_env(env, addr_map):
-    pairs = []
-    for var, a in env:
-        if a not in addr_map:
-            raise UnmappedAddress(str(a))
-        pairs.append((var, addr_map[a]))
-    return AEnv.make(pairs)
-
-
-def alpha(c: concrete.Conf, policy, addr_map, ctx=()) -> AConf:
-    """Structural abstraction of a concrete configuration.
-
-    addr_map records, for every concrete allocation in the trace, the
-    abstract address the policy would have produced at that step.
-    """
-    entries = {}
-    for a, v in c.store:
-        if a not in addr_map:
-            raise UnmappedAddress(str(a))
-        aa = addr_map[a]
-        entries.setdefault(aa, []).append(_alpha_val(v, addr_map))
-    store = AStore.make((aa, vset(vs)) for aa, vs in entries.items())
-    kont = tuple(AFrame.make(f.var, f.exp, _alpha_env(f.env, addr_map))
-                 for f in c.kont)
-    return AConf.make(c.exp, _alpha_env(c.env, addr_map), store, kont, ctx)
-
-
-def run_abstracted(e: Exp, policy, fuel: int = 10 ** 5):
-    """Concrete run instrumented for alpha: returns (trace, outcome,
-    addr_map, ctxs) where ctxs[i] is the abstract call-site context of
-    trace[i] and addr_map maps every allocated concrete address to the
-    AAddr the policy produces at the mirroring abstract step."""
-    c = concrete.inject(e)
-    trace, ctxs = [c], [()]
-    addr_map = {}
-    outcome = ("fuel",)
-    ctx = ()
-    for _ in range(fuel):
-        s = concrete.step(c)
-        label = c.exp.label
-        if s.applied_call_label is not None:
-            # closure application: context advances, parameter binds under it
-            ctx2 = push_ctx(policy, ctx, s.applied_call_label)
-            (var, addr), = s.allocs
-            actx = AllocCtx(label, label, c.exp.call.let_bound_callee, ctx2)
-            addr_map[addr] = aalloc(policy, var, actx)
-            ctx = ctx2
-        else:
-            allocs = list(s.allocs)
-            # a 'next' step out of Ret/TailCall-prim ends with the frame
-            # binding; any earlier allocation is rec's self-binding
-            ret_alloc = None
-            if s.kind == "next" and allocs and isinstance(c.exp, (Ret, TailCall)):
-                ret_alloc = allocs.pop()
-            for var, addr in allocs:
-                addr_map[addr] = aalloc(
-                    policy, var, AllocCtx(label, None, False, ctx))
-            if ret_alloc is not None:
-                var, addr = ret_alloc
-                addr_map[addr] = aalloc(
-                    policy, var, AllocCtx(label, None, False, ctx))
-        if s.kind == "halt":
-            outcome = ("halt", s.value)
-            break
-        if s.kind == "stuck":
-            outcome = ("stuck", s.reason)
-            break
-        c = s.conf
-        trace.append(c)
-        ctxs.append(ctx)
-    return trace, outcome, addr_map, ctxs
 
 
 # ---------------------------------------------------------------------------

@@ -288,44 +288,14 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
 # approximate GC pushdown analysis (per-node root cache)
 
 
-def compute_root_cache(nodes, guarded_edges, hpairs) -> dict:
-    """From-scratch least fixed point of the root-transfer equations:
-    R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}.
-
-    H may be the engine's one-step same-level pairs (ε edges and push…pop
-    summaries) or their transitive closure, the ε-closure graph: R flows
-    along both alike, so the least fixed point is the same."""
-    R = {n: frozenset() for n in nodes}
-    for (src, _g, act, dst) in guarded_edges:
-        R.setdefault(src, frozenset())
-        R.setdefault(dst, frozenset())
-    for (a, b) in hpairs:
-        R.setdefault(a, frozenset())
-        R.setdefault(b, frozenset())
-    changed = True
-    while changed:
-        changed = False
-        for (src, _g, act, dst) in guarded_edges:
-            if isinstance(act, Push):
-                new = R[dst] | touches(act.frame) | R[src]
-                if new != R[dst]:
-                    R[dst] = new
-                    changed = True
-        for (a, b) in hpairs:
-            new = R[b] | R[a]
-            if new != R[b]:
-                R[b] = new
-                changed = True
-    return R
-
-
 def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                       snapshot_cb=None) -> AnalysisResult:
     """GC pushdown analysis over plain control states: each node caches an
-    over-approximate root set R, the least solution of compute_root_cache's
-    equations over what the engine has recorded so far (its edges and
-    one-step same-level pairs).  Each edge records
-    one guard, R of its source when the edge lands.  When R grows the node
+    over-approximate root set R, the least solution of
+        R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}
+    over what the engine has recorded so far: its push edges and its
+    one-step same-level pairs H.  Each edge records one guard, R of its
+    source when the edge lands.  When R grows the node
     is re-stepped; its old successors and guards stay in the graph, and a
     guard below the final R is counted as stale."""
     root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())

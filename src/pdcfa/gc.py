@@ -9,16 +9,12 @@ Root sets and a value's addresses are sets kept on environments (AEnv.addrs).
 """
 from __future__ import annotations
 
-from .abstract import AClo, APrim, AConf, AStore, AFrame, step_conf, _positions
+from .abstract import AClo, APrim, AStore, AFrame, _positions
 
 
 def touches(f: AFrame):
     """Addresses a stack frame keeps live: the range of its trimmed env."""
     return f.env.addrs()
-
-
-def stack_root(kont):
-    return frozenset().union(*(touches(f) for f in kont))
 
 
 def _val_addrs(v):
@@ -59,14 +55,3 @@ def gc_store(env, store, extra_roots=frozenset()):
     if out is None:
         out = memo[roots] = store.restrict(reachable_addrs(roots, store))
     return out
-
-
-def gc(c: AConf) -> AConf:
-    """Collect a configuration: store restricted to env and stack roots."""
-    return AConf.make(c.exp, c.env, gc_store(c.env, c.store, stack_root(c.kont)),
-                      c.kont, c.ctx)
-
-
-def gc_step(c: AConf, policy):
-    """The GC-composed transition: step the collected configuration."""
-    return step_conf(gc(c), policy)

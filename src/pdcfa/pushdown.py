@@ -3,12 +3,11 @@
 A rooted pushdown system is given intensionally by an RPDSOracle:
 `nop_delta(q)` enumerates push/no-change transitions (no stack needed) and
 `top_delta(q, γ)` enumerates the pop transitions enabled when γ is on top.
-`compact_naive` explores (state, stack) configurations breadth-first within
-bounds and serves as a test oracle.  `compact_worklist` computes the same
-compacted system and ε-closure graph with one resumable engine,
-`Worklist`, which every pushdown analysis runs: RHS-style tabulation that
-keeps path edges (entry, q) from the root and each push target, and the
-one-step same-level relation `same` (ε edges plus push…pop summaries).
+`compact_worklist` computes the compacted system and ε-closure graph with
+one resumable engine, `Worklist`, which every pushdown analysis runs:
+RHS-style tabulation that keeps path edges (entry, q) from the root and
+each push target, and the one-step same-level relation `same` (ε edges
+plus push…pop summaries).
 The reflexive-transitive ε-closure is never stored; `ECG` reads it from
 `same` when a caller asks.  An analysis whose transfer function grows
 between runs (widened store, approximate GC roots) re-steps the affected
@@ -49,28 +48,6 @@ class _Unch(Frozen):
 
 
 UNCH = _Unch()
-
-
-def net(actions):
-    """Unique normal form: cancel adjacent Push(γ)·Pop(γ), drop Unch."""
-    out = []
-    for a in actions:
-        if a is UNCH:
-            continue
-        if isinstance(a, Pop) and out and isinstance(out[-1], Push) \
-                and out[-1].frame == a.frame:
-            out.pop()
-        else:
-            out.append(a)
-    return out
-
-
-def stackify(actions):
-    """The stack left by a push-only net form, top first; None otherwise."""
-    n = net(actions)
-    if any(isinstance(a, Pop) for a in n):
-        return None
-    return tuple(reversed([a.frame for a in n]))
 
 
 class RPDSOracle:
@@ -334,80 +311,3 @@ def compact_worklist(oracle, deadline: float | None = None,
     wl = Worklist(oracle)
     saturated = wl.run(deadline, node_limit)
     return wl.graph, wl.ecg, saturated
-
-
-# ---------------------------------------------------------------------------
-# bounded configuration-space search (test oracle only)
-
-
-def compact_naive(oracle, depth_bound: int, step_bound: int):
-    """Explicit (state, stack) BFS from (root, ⟨⟩).
-
-    Records traversed edges and all balanced (equal entry/exit stack) pairs.
-    saturated=True only if no frontier was truncated and the step budget was
-    not exhausted — in that case the result is exact.
-    """
-    root = oracle.root
-    graph = CRPDS(root)
-    balanced = {}  # s -> {q: None}, already transitive
-    saturated = True
-    steps = 0
-
-    def transitions(q, stack):
-        out = list(oracle.nop_delta(q))
-        if stack:
-            for q2, act in oracle.top_delta(q, stack[0]):
-                if isinstance(act, Pop) and act.frame == stack[0]:
-                    out.append((q2, act))
-        return out
-
-    # main reachability BFS
-    visited = {(root, ())}
-    queue = deque(visited)
-    while queue:
-        steps += 1
-        if steps > step_bound:
-            saturated = False
-            break
-        q, stack = queue.popleft()
-        for q2, act in transitions(q, stack):
-            if isinstance(act, Push):
-                if len(stack) >= depth_bound:
-                    saturated = False
-                    continue
-                stack2 = (act.frame,) + stack
-            elif isinstance(act, Pop):
-                stack2 = stack[1:]
-            else:
-                stack2 = stack
-            graph.add_edge((q, act, q2))
-            if (q2, stack2) not in visited:
-                visited.add((q2, stack2))
-                queue.append((q2, stack2))
-
-    # balanced pairs: from each reachable state, explore never-below paths
-    for s in list(graph.nodes):
-        sub_seen = {(s, ())}
-        sub_q = deque(sub_seen)
-        while sub_q:
-            steps += 1
-            if steps > step_bound:
-                saturated = False
-                break
-            q, rel = sub_q.popleft()
-            if not rel:
-                balanced.setdefault(s, {})[q] = None
-            for q2, act in transitions(q, rel):
-                if isinstance(act, Push):
-                    if len(rel) >= depth_bound:
-                        saturated = False
-                        continue
-                    rel2 = (act.frame,) + rel
-                elif isinstance(act, Pop):
-                    rel2 = rel[1:]
-                else:
-                    rel2 = rel
-                if (q2, rel2) not in sub_seen:
-                    sub_seen.add((q2, rel2))
-                    sub_q.append((q2, rel2))
-    return graph, ECG(graph.nodes, balanced), saturated

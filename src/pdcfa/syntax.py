@@ -19,7 +19,7 @@ bounded by memory, not by Python's call stack.  The reader keeps a stack of
 open lists.  `parse_program` lowers into mutable blocks by running tasks
 from one stack.  `normalize` then builds each frozen node once, in one
 stack pass that numbers variables in binding order and labels in
-post-order.  The queries, `print_anf` and `alpha_equiv` are loops.
+post-order.  The queries and `print_anf` are loops.
 """
 from __future__ import annotations
 
@@ -244,11 +244,6 @@ class Program(Frozen):
     def __init__(self, defines, top):
         setfield(self, "defines", defines)
         setfield(self, "top", top)
-
-
-def free_vars(e: Exp) -> frozenset:
-    """Variables occurring free in e (cached bottom-up at construction)."""
-    return e.free
 
 
 # ---------------------------------------------------------------------------
@@ -664,53 +659,6 @@ def print_anf(e: Exp) -> str:
         else:
             raise TypeError(x)
     return "".join(out)
-
-
-_SCOPE, _UNSCOPE = object(), object()  # alpha_equiv's scope markers
-
-
-def alpha_equiv(e1: Exp, e2: Exp) -> bool:
-    """Structural equality modulo labels and variable identities."""
-    m = {}  # e1's bound Var -> e2's, over the scopes open on the stack
-    stack = [(e1, e2)]
-    while stack:
-        a, b = stack.pop()
-        if a is _SCOPE:  # b: (e1's binder, e2's binder, e1's body, e2's body)
-            va, vb, body_a, body_b = b
-            stack.append((_UNSCOPE, (va, m.get(va))))
-            stack.append((body_a, body_b))
-            m[va] = vb
-        elif a is _UNSCOPE:  # b: (e1's binder, what it mapped to before)
-            va, before = b
-            if before is None:
-                del m[va]
-            else:
-                m[va] = before
-        elif type(a) is not type(b):
-            return False
-        elif isinstance(a, Ref):
-            if m.get(a.var) != b.var:
-                return False
-        elif isinstance(a, Lit):
-            if a.value != b.value or type(a.value) is not type(b.value):
-                return False
-        elif isinstance(a, PrimRef):
-            if a.op != b.op:
-                return False
-        elif isinstance(a, Lam):
-            stack.append((_SCOPE, (a.lam.param, b.lam.param, a.lam.body,
-                                   b.lam.body)))
-        elif isinstance(a, Ret):
-            stack.append((a.atom, b.atom))
-        elif isinstance(a, TailCall):
-            stack += ((a.call.arg, b.call.arg), (a.call.fun, b.call.fun))
-        elif isinstance(a, Let1):
-            stack += ((_SCOPE, (a.var, b.var, a.body, b.body)), (a.rhs, b.rhs))
-        elif isinstance(a, If):
-            stack += ((a.els, b.els), (a.then, b.then), (a.cond, b.cond))
-        else:
-            return False
-    return True
 
 
 def parse_and_normalize(text: str) -> Exp:

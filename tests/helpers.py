@@ -1,5 +1,22 @@
 """Shared oracles for the test suite.
 
+Everything here is a reference the library is checked against, kept out
+of the library because only tests call it:
+
+- the abstract configuration machine (`AConf`, `step_conf`, `gc`) that
+  steps a whole configuration, continuation included;
+- the partial orders `leq` and the abstraction map `alpha`, with
+  `run_abstracted`, the concrete run instrumented to mirror every
+  abstract allocation;
+- the stack-action normal form (`net`, `stackify`) and `compact_naive`,
+  a bounded explicit-stack search for pushdown reachability;
+- `compute_root_cache`, the from-scratch root-cache fixpoint, and
+  `alpha_equiv` on ANF terms;
+- the AAC and P4F machines, which reach exactly what `pdcfa`, `pdcfa-gc`
+  and `pdcfa-widened` must reach, with no depth bound;
+- the soundness and containment checks of the acceptance gate, shared
+  with the generated-program tests, and the generator itself.
+
 The soundness checks compare an instrumented concrete run against each
 analysis: every trace configuration must be covered (⊑) by a reached
 node, and its continuation must be realizable as a push-path (pushdown
@@ -10,19 +27,518 @@ first: the collected machine is the thing those analyses abstract, and
 a raw trace store carries dead bindings the analysis rightly dropped.
 """
 import time
+from collections import deque
+from functools import lru_cache, reduce
 
 from hypothesis import strategies as st
 
+from pdcfa import concrete
 from pdcfa.bench import load
 from pdcfa.cli import run_one
 from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
-from pdcfa.abstract import (alpha, leq, run_abstracted, IncomparableKinds,
-                            AConf, K_HALT, Mono, OneCFA, AScalarTop, ABool,
-                            AClo, APrim, AAddr, AEnv, AStore, AFrame, KAddr,
-                            FState)
-from pdcfa.gc import gc
+from pdcfa.abstract import (K_HALT, Mono, OneCFA, AScalarTop, ABool, AClo,
+                            APrim, AAddr, AEnv, AStore, AFrame, KAddr, FState,
+                            AllocCtx, EMPTY_ENV, EMPTY_STORE, SCALAR_TOP,
+                            aalloc, abool, areturn, astep, push_ctx,
+                            skey, store_join, vset, _intern, _keyed)
+from pdcfa.frozen import Frozen, setfield
+from pdcfa.gc import gc_store, touches
 from pdcfa.analyses import OPState, ControlState, PState
-from pdcfa.syntax import PRIM_ARITY, binders
+from pdcfa.pushdown import CRPDS, ECG, Pop, Push, UNCH
+from pdcfa.syntax import (PRIM_ARITY, binders, If, Lam, Let1, Lit, PrimRef,
+                          Ref, Ret, TailCall)
+
+
+# ---------------------------------------------------------------------------
+# the abstract configuration machine: astep with the continuation in the
+# configuration
+
+
+class AConf(Frozen):
+    def __init__(self, exp, env, store, kont, ctx=()):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)
+        setfield(self, "kont", kont)  # of AFrame, top first
+        setfield(self, "ctx", ctx)  # last-k call-site labels (KCFA only)
+
+    @classmethod
+    def make(cls, exp, env, store, kont, ctx=()):
+        return _intern(cls, (exp, env, store, kont, ctx),
+                       exp, env, store, kont, ctx)
+
+    @_keyed
+    def skey(self):
+        return (self.exp.label, self.env.skey(), self.store.skey(),
+                tuple(f.skey() for f in self.kont), self.ctx)
+
+
+def ainject(e) -> AConf:
+    return AConf.make(e, EMPTY_ENV, EMPTY_STORE, ())
+
+
+def step_conf(c: AConf, policy):
+    """All abstract successors of a configuration, in canonical order."""
+    moves, returns = astep(c.exp, c.env, c.store, c.ctx, policy)
+    succs = [AConf.make(e2, env2, s2, c.kont if fr is None else (fr,) + c.kont,
+                        ctx2)
+             for fr, e2, env2, s2, ctx2 in moves]
+    if c.kont:
+        for vals, s in returns:
+            e2, env2, s2 = areturn(c.kont[0], vals, s, c.exp, c.ctx, policy)
+            succs.append(AConf.make(e2, env2, s2, c.kont[1:], c.ctx))
+    return sorted(dict.fromkeys(succs), key=skey)
+
+
+def stack_root(kont):
+    return frozenset().union(*(touches(f) for f in kont))
+
+
+def gc(c: AConf) -> AConf:
+    """Collect a configuration: store restricted to env and stack roots."""
+    return AConf.make(c.exp, c.env, gc_store(c.env, c.store, stack_root(c.kont)),
+                      c.kont, c.ctx)
+
+
+def gc_step(c: AConf, policy):
+    """The GC-composed transition: step the collected configuration."""
+    return step_conf(gc(c), policy)
+
+
+# ---------------------------------------------------------------------------
+# partial orders
+
+
+class IncomparableKinds(Exception):
+    pass
+
+
+def _val_leq(v1, v2):
+    if v1 is v2:
+        return True
+    if isinstance(v1, ABool) and isinstance(v2, ABool):
+        return v2.value is None
+    if isinstance(v1, APrim) and isinstance(v2, APrim):
+        return (v1.op == v2.op and len(v1.args) == len(v2.args)
+                and all(_val_leq(a, b) for a, b in zip(v1.args, v2.args)))
+    if isinstance(v1, AClo) and isinstance(v2, AClo):
+        return v1.lam is v2.lam and _env_leq(v1.env, v2.env)
+    return False
+
+
+def _vals_leq(d1, d2):
+    return all(any(_val_leq(v1, v2) for v2 in d2) for v1 in d1)
+
+
+def _env_leq(r1: AEnv, r2: AEnv):
+    # §-order: equal mappings over the left env's domain
+    d2 = dict(r2.items)
+    return all(v in d2 and d2[v] is a for v, a in r1.items)
+
+
+def leq(x, y) -> bool:
+    """The lifted partial orders (envs, value sets, stores, frames, konts, configs)."""
+    if isinstance(x, AEnv) and isinstance(y, AEnv):
+        return _env_leq(x, y)
+    if isinstance(x, AStore) and isinstance(y, AStore):
+        return all(_vals_leq(vs, y.lookup(a)) for a, vs in x.items)
+    if isinstance(x, AFrame) and isinstance(y, AFrame):
+        return (x.var == y.var and x.exp is y.exp and _env_leq(x.env, y.env))
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        if all(isinstance(f, AFrame) for f in x) and all(isinstance(f, AFrame) for f in y):
+            return len(x) == len(y) and all(leq(a, b) for a, b in zip(x, y))
+        return _vals_leq(x, y)
+    if isinstance(x, AConf) and isinstance(y, AConf):
+        return (x.exp is y.exp and _env_leq(x.env, y.env)
+                and leq(x.store, y.store) and leq(x.kont, y.kont)
+                and x.ctx == y.ctx)
+    if isinstance(x, (AClo, ABool, APrim, AScalarTop)) and \
+            isinstance(y, (AClo, ABool, APrim, AScalarTop)):
+        return _val_leq(x, y)
+    raise IncomparableKinds(f"{type(x).__name__} vs {type(y).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# abstraction map
+
+
+class UnmappedAddress(Exception):
+    pass
+
+
+def _alpha_val(v, addr_map):
+    if isinstance(v, bool):
+        return abool(v)
+    if isinstance(v, int):
+        return SCALAR_TOP
+    if isinstance(v, Clo):
+        return AClo.make(v.lam, _alpha_env(v.env, addr_map))
+    if isinstance(v, PrimVal):
+        return APrim.make(v.op, tuple(_alpha_val(a, addr_map) for a in v.args))
+    raise TypeError(v)
+
+
+def _alpha_env(env, addr_map):
+    pairs = []
+    for var, a in env:
+        if a not in addr_map:
+            raise UnmappedAddress(str(a))
+        pairs.append((var, addr_map[a]))
+    return AEnv.make(pairs)
+
+
+def alpha(c: Conf, policy, addr_map, ctx=()) -> AConf:
+    """Structural abstraction of a concrete configuration.
+
+    addr_map records, for every concrete allocation in the trace, the
+    abstract address the policy would have produced at that step.
+    """
+    entries = {}
+    for a, v in c.store:
+        if a not in addr_map:
+            raise UnmappedAddress(str(a))
+        aa = addr_map[a]
+        entries.setdefault(aa, []).append(_alpha_val(v, addr_map))
+    store = AStore.make((aa, vset(vs)) for aa, vs in entries.items())
+    kont = tuple(AFrame.make(f.var, f.exp, _alpha_env(f.env, addr_map))
+                 for f in c.kont)
+    return AConf.make(c.exp, _alpha_env(c.env, addr_map), store, kont, ctx)
+
+
+def run_abstracted(e, policy, fuel: int = 10 ** 5):
+    """Concrete run instrumented for alpha: returns (trace, outcome,
+    addr_map, ctxs) where ctxs[i] is the abstract call-site context of
+    trace[i] and addr_map maps every allocated concrete address to the
+    AAddr the policy produces at the mirroring abstract step."""
+    c = concrete.inject(e)
+    trace, ctxs = [c], [()]
+    addr_map = {}
+    outcome = ("fuel",)
+    ctx = ()
+    for _ in range(fuel):
+        s = concrete.step(c)
+        label = c.exp.label
+        if s.applied_call_label is not None:
+            # closure application: context advances, parameter binds under it
+            ctx2 = push_ctx(policy, ctx, s.applied_call_label)
+            (var, addr), = s.allocs
+            actx = AllocCtx(label, label, c.exp.call.let_bound_callee, ctx2)
+            addr_map[addr] = aalloc(policy, var, actx)
+            ctx = ctx2
+        else:
+            allocs = list(s.allocs)
+            # a 'next' step out of Ret/TailCall-prim ends with the frame
+            # binding; any earlier allocation is rec's self-binding
+            ret_alloc = None
+            if s.kind == "next" and allocs and isinstance(c.exp, (Ret, TailCall)):
+                ret_alloc = allocs.pop()
+            for var, addr in allocs:
+                addr_map[addr] = aalloc(
+                    policy, var, AllocCtx(label, None, False, ctx))
+            if ret_alloc is not None:
+                var, addr = ret_alloc
+                addr_map[addr] = aalloc(
+                    policy, var, AllocCtx(label, None, False, ctx))
+        if s.kind == "halt":
+            outcome = ("halt", s.value)
+            break
+        if s.kind == "stuck":
+            outcome = ("stuck", s.reason)
+            break
+        c = s.conf
+        trace.append(c)
+        ctxs.append(ctx)
+    return trace, outcome, addr_map, ctxs
+
+
+# ---------------------------------------------------------------------------
+# stack actions and a bounded configuration-space search
+
+
+def net(actions):
+    """Unique normal form: cancel adjacent Push(γ)·Pop(γ), drop Unch."""
+    out = []
+    for a in actions:
+        if a is UNCH:
+            continue
+        if isinstance(a, Pop) and out and isinstance(out[-1], Push) \
+                and out[-1].frame == a.frame:
+            out.pop()
+        else:
+            out.append(a)
+    return out
+
+
+def stackify(actions):
+    """The stack left by a push-only net form, top first; None otherwise."""
+    n = net(actions)
+    if any(isinstance(a, Pop) for a in n):
+        return None
+    return tuple(reversed([a.frame for a in n]))
+
+
+def compact_naive(oracle, depth_bound: int, step_bound: int):
+    """Explicit (state, stack) BFS from (root, ⟨⟩).
+
+    Records traversed edges and all balanced (equal entry/exit stack) pairs.
+    saturated=True only if no frontier was truncated and the step budget was
+    not exhausted — in that case the result is exact.
+    """
+    root = oracle.root
+    graph = CRPDS(root)
+    balanced = {}  # s -> {q: None}, already transitive
+    saturated = True
+    steps = 0
+
+    def transitions(q, stack):
+        out = list(oracle.nop_delta(q))
+        if stack:
+            for q2, act in oracle.top_delta(q, stack[0]):
+                if isinstance(act, Pop) and act.frame == stack[0]:
+                    out.append((q2, act))
+        return out
+
+    # main reachability BFS
+    visited = {(root, ())}
+    queue = deque(visited)
+    while queue:
+        steps += 1
+        if steps > step_bound:
+            saturated = False
+            break
+        q, stack = queue.popleft()
+        for q2, act in transitions(q, stack):
+            if isinstance(act, Push):
+                if len(stack) >= depth_bound:
+                    saturated = False
+                    continue
+                stack2 = (act.frame,) + stack
+            elif isinstance(act, Pop):
+                stack2 = stack[1:]
+            else:
+                stack2 = stack
+            graph.add_edge((q, act, q2))
+            if (q2, stack2) not in visited:
+                visited.add((q2, stack2))
+                queue.append((q2, stack2))
+
+    # balanced pairs: from each reachable state, explore never-below paths
+    for s in list(graph.nodes):
+        sub_seen = {(s, ())}
+        sub_q = deque(sub_seen)
+        while sub_q:
+            steps += 1
+            if steps > step_bound:
+                saturated = False
+                break
+            q, rel = sub_q.popleft()
+            if not rel:
+                balanced.setdefault(s, {})[q] = None
+            for q2, act in transitions(q, rel):
+                if isinstance(act, Push):
+                    if len(rel) >= depth_bound:
+                        saturated = False
+                        continue
+                    rel2 = (act.frame,) + rel
+                elif isinstance(act, Pop):
+                    rel2 = rel[1:]
+                else:
+                    rel2 = rel
+                if (q2, rel2) not in sub_seen:
+                    sub_seen.add((q2, rel2))
+                    sub_q.append((q2, rel2))
+    return graph, ECG(graph.nodes, balanced), saturated
+
+
+# ---------------------------------------------------------------------------
+# the approximate-GC root cache, from scratch
+
+
+def compute_root_cache(nodes, guarded_edges, hpairs) -> dict:
+    """From-scratch least fixed point of the root-transfer equations:
+    R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}.
+
+    H may be the engine's one-step same-level pairs (ε edges and push…pop
+    summaries) or their transitive closure, the ε-closure graph: R flows
+    along both alike, so the least fixed point is the same."""
+    R = {n: frozenset() for n in nodes}
+    for (src, _g, act, dst) in guarded_edges:
+        R.setdefault(src, frozenset())
+        R.setdefault(dst, frozenset())
+    for (a, b) in hpairs:
+        R.setdefault(a, frozenset())
+        R.setdefault(b, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for (src, _g, act, dst) in guarded_edges:
+            if isinstance(act, Push):
+                new = R[dst] | touches(act.frame) | R[src]
+                if new != R[dst]:
+                    R[dst] = new
+                    changed = True
+        for (a, b) in hpairs:
+            new = R[b] | R[a]
+            if new != R[b]:
+                R[b] = new
+                changed = True
+    return R
+
+
+# ---------------------------------------------------------------------------
+# α-equivalence of ANF terms
+
+_SCOPE, _UNSCOPE = object(), object()  # alpha_equiv's scope markers
+
+
+def alpha_equiv(e1, e2) -> bool:
+    """Structural equality modulo labels and variable identities."""
+    m = {}  # e1's bound Var -> e2's, over the scopes open on the stack
+    stack = [(e1, e2)]
+    while stack:
+        a, b = stack.pop()
+        if a is _SCOPE:  # b: (e1's binder, e2's binder, e1's body, e2's body)
+            va, vb, body_a, body_b = b
+            stack.append((_UNSCOPE, (va, m.get(va))))
+            stack.append((body_a, body_b))
+            m[va] = vb
+        elif a is _UNSCOPE:  # b: (e1's binder, what it mapped to before)
+            va, before = b
+            if before is None:
+                del m[va]
+            else:
+                m[va] = before
+        elif type(a) is not type(b):
+            return False
+        elif isinstance(a, Ref):
+            if m.get(a.var) != b.var:
+                return False
+        elif isinstance(a, Lit):
+            if a.value != b.value or type(a.value) is not type(b.value):
+                return False
+        elif isinstance(a, PrimRef):
+            if a.op != b.op:
+                return False
+        elif isinstance(a, Lam):
+            stack.append((_SCOPE, (a.lam.param, b.lam.param, a.lam.body,
+                                   b.lam.body)))
+        elif isinstance(a, Ret):
+            stack.append((a.atom, b.atom))
+        elif isinstance(a, TailCall):
+            stack += ((a.call.arg, b.call.arg), (a.call.fun, b.call.fun))
+        elif isinstance(a, Let1):
+            stack += ((_SCOPE, (a.var, b.var, a.body, b.body)), (a.rhs, b.rhs))
+        elif isinstance(a, If):
+            stack += ((a.els, b.els), (a.then, b.then), (a.cond, b.cond))
+        else:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# AAC and P4F: the pushdown analyses as finite machines whose continuations
+# live in a store, each pushed frame at its push target (Johnson & Van
+# Horn, "Abstracting Abstract Control", DLS 2014; Gilray et al., "Pushdown
+# Control-Flow Analysis for Free", POPL 2016)
+
+
+def _kstore_machine(root, step, node, policy, collect=False):
+    """The states (node, roots, kaddr) reachable from (root, ∅, K_HALT).
+
+    node(exp, env, store, ctx) builds a node, and step(node, roots) is
+    astep's (moves, returns) for it.  A frame pushed on the way to target
+    node q2 is stored at kaddr (q2, roots2), with the pusher's roots and
+    kaddr: a return then reaches exactly the frames pushed on the way to
+    its entry, as on an unbounded stack.  A new entry pops the returns
+    already waiting at its address, and a pop restores the pusher's roots.
+    Roots grow by a pushed frame's touches only when collecting.
+    """
+    kstore = {}  # kaddr -> {(frame, pusher's roots, pusher's kaddr): None}
+    waiting = {}  # kaddr -> [(node, its returns)]
+    seen, work = set(), []
+
+    def reach(*state):
+        if state not in seen:
+            seen.add(state)
+            work.append(state)
+
+    def pop(q, fr, vals, s):
+        return node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx)
+
+    reach(root, frozenset(), K_HALT)
+    while work:
+        q, roots, ka = work.pop()
+        moves, returns = step(q, roots)
+        for fr, *succ in moves:
+            q2 = node(*succ)
+            if fr is None:
+                reach(q2, roots, ka)
+                continue
+            ka2 = (q2, roots | touches(fr) if collect else roots)
+            entries = kstore.setdefault(ka2, {})
+            if (fr, roots, ka) not in entries:
+                entries[(fr, roots, ka)] = None
+                for w, rets in waiting.get(ka2, ()):
+                    for vals, s in rets:
+                        reach(pop(w, fr, vals, s), roots, ka)
+            reach(*ka2, ka2)
+        if returns:
+            waiting.setdefault(ka, []).append((q, returns))
+            for fr, below, ka2 in kstore.get(ka, ()):
+                for vals, s in returns:
+                    reach(pop(q, fr, vals, s), below, ka2)
+    return seen
+
+
+def aac_nodes(e, policy, collect=False):
+    """The nodes pdcfa reaches (collecting: pdcfa-gc), from the AAC
+    machine: ControlStates, or (collecting) OPStates whose states step on
+    their store collected under their roots."""
+    def step(q, roots):
+        store = gc_store(q.env, q.store, roots) if collect else q.store
+        return astep(q.exp, q.env, store, q.ctx, policy)
+
+    root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
+    states = _kstore_machine(root, step, ControlState.make, policy, collect)
+    if collect:
+        return {OPState.make(q, roots) for q, roots, _ in states}
+    return {q for q, _, _ in states}
+
+
+def p4f(e, policy):
+    """pdcfa-widened's nodes and global store, from the P4F machine: its
+    PStates under one store, run again from scratch under the join of
+    every store its steps produced until that join stops growing."""
+    store = EMPTY_STORE
+    while True:
+        produced = {}
+
+        def node(e2, env2, s2, ctx2):
+            produced[s2] = None
+            return PState.make(e2, env2, ctx2)
+
+        def step(psi, _roots):
+            return astep(psi.exp, psi.env, store, psi.ctx, policy)
+
+        states = _kstore_machine(PState.make(e, EMPTY_ENV, ()), step, node,
+                                 policy)
+        grown = reduce(store_join, produced, store)
+        if grown is store:
+            return {psi for psi, _, _ in states}, store
+        store = grown
+
+
+def matches_machine(e, policy, r):
+    """Whether a pdcfa, pdcfa-gc or pdcfa-widened result reached exactly
+    the nodes (and, widened, the very global store) of its machine."""
+    if r.kind == "pdcfa-widened":
+        nodes, store = p4f(e, policy)
+        return set(r.graph.nodes) == nodes and r.global_store is store
+    return set(r.graph.nodes) == aac_nodes(e, policy, r.kind == "pdcfa-gc")
+
+
+# ---------------------------------------------------------------------------
+# soundness against instrumented concrete runs
 
 
 def concrete_gc(c: Conf) -> Conf:
@@ -144,9 +660,10 @@ def result_for(name, kind, k):
     return _cache[key]
 
 
-def coverage_violations(e, policy, result):
-    """Number of concrete trace configurations NOT covered by `result`."""
-    trace, outcome, addr_map, ctxs = run_abstracted(e, policy)
+def coverage_violations(e, policy, result, fuel=10 ** 5):
+    """(uncovered, checked): the configurations of e's concrete run, up to
+    fuel steps, that `result` does not cover, and the run's length."""
+    trace, outcome, addr_map, ctxs = run_abstracted(e, policy, fuel)
     gc_mode = result.kind in GC_KINDS
     if result.kind in ("plain", "plain-gc"):
         realizable = make_kont_realizable(result.kstore)
@@ -186,6 +703,28 @@ def coverage_violations(e, policy, result):
         if not ok:
             bad += 1
     return bad, len(trace)
+
+
+def approx_uncovered(precise, approx):
+    """(uncovered, checked): pdcfa-gc nodes whose state no pdcfa-gc-approx
+    node with the same exp and ctx covers in env and store."""
+    index = {}
+    for m in approx.nodes:
+        index.setdefault((m.exp, m.ctx), []).append(m)
+    bad = sum(1 for n in precise.nodes if not any(
+        leq(n.state.env, m.env) and leq(n.state.store, m.store)
+        for m in index.get((n.state.exp, n.state.ctx), ())))
+    return bad, len(precise.nodes)
+
+
+def widened_uncovered(pd, wide):
+    """(uncovered, checked): pdcfa nodes whose (exp, env, ctx) pdcfa-widened
+    did not reach, or whose store is not below its global store."""
+    wnodes = set(wide.nodes)
+    bad = sum(1 for n in pd.nodes
+              if PState.make(n.exp, n.env, n.ctx) not in wnodes
+              or not leq(n.store, wide.global_store))
+    return bad, len(pd.nodes)
 
 
 def policy_for(k):
@@ -326,16 +865,24 @@ _FORMS = ("lambda", "apply", "prim", "if", "cond", "and", "or", "let",
           "let*")
 
 
-@st.composite
-def surface_exprs(draw, scope, depth):
-    """A well-scoped expression over the whole surface: only names in
-    scope are referenced, so it stays closed."""
+@lru_cache(maxsize=None)
+def _leaves(scope):
     leaves = [st.integers(-2, 9).map(str), st.sampled_from(("#t", "#f")),
               st.sampled_from(sorted(PRIM_ARITY))]
     if scope:
         leaves.append(st.sampled_from(sorted(scope)))
+    return st.one_of(leaves)
+
+
+# one strategy object per (scope, depth): hypothesis validates each new
+# strategy object, which costs more than drawing from it
+@lru_cache(maxsize=None)
+@st.composite
+def surface_exprs(draw, scope, depth):
+    """A well-scoped expression over the whole surface: only names in
+    scope are referenced, so it stays closed."""
     if depth <= 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(leaves))
+        return draw(_leaves(scope))
 
     def sub(inner=scope):
         return draw(surface_exprs(frozenset(inner), depth - 1))

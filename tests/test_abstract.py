@@ -6,19 +6,20 @@ from hypothesis import given, settings, strategies as st
 from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
 from pdcfa.concrete import inject, step
 from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
-                            aeval, step_conf, store_join, leq, alpha, ainject,
-                            run_abstracted, IncomparableKinds,
-                            AConf, AEnv, AStore, AClo, AAddr, A_TRUE, A_FALSE,
-                            EMPTY_ENV, EMPTY_STORE, SCALAR_TOP, A_BOOL_TOP,
-                            K_HALT, vset, APrim, AFrame)
+                            aeval, store_join, AEnv, AStore, AClo, AAddr,
+                            A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
+                            SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
+                            AFrame)
 from pdcfa.analyses import OPState, analyze_finite
 from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
 from pdcfa import bench
 
-from helpers import (ref_bind, ref_extend, ref_get, ref_lookup,
-                     ref_restrict, ref_skey, ref_store_join)
+from helpers import (AConf, IncomparableKinds, ainject, alpha, leq,
+                     ref_bind, ref_extend, ref_get, ref_lookup,
+                     ref_restrict, ref_skey, ref_store_join, run_abstracted,
+                     step_conf)
 
 ID_ON_ID = "((lambda (x) x) (lambda (y) y))"
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",

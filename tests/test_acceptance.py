@@ -11,15 +11,14 @@ import time
 import pytest
 
 import conftest
-from helpers import coverage_violations, policy_for, program, result_for
-from pdcfa.analyses import (OPState, PState, analyze_gc_approx,
-                            compute_root_cache)
-from pdcfa.abstract import IncomparableKinds, leq
+from helpers import (approx_uncovered, compact_naive, compute_root_cache,
+                     coverage_violations, net, policy_for, program,
+                     result_for, stackify, widened_uncovered)
+from pdcfa.analyses import analyze_gc_approx
 from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import run_one
 from pdcfa.metrics import singleton_count, to_dot, to_json
-from pdcfa.pushdown import (Pop, Push, RPDSOracle, UNCH, compact_naive,
-                            compact_worklist, net, stackify)
+from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
          "pdcfa-widened")
@@ -202,21 +201,9 @@ def test_criterion_07_approx_gc_soundness():
             precise = result_for(b.name, "pdcfa-gc", k)
             approx = result_for(b.name, "pdcfa-gc-approx", k)
             assert precise.saturated and approx.saturated
-            index = {}
-            for m in approx.nodes:
-                index.setdefault((m.exp, m.ctx), []).append(m)
-            for n in precise.nodes:
-                st = n.state
-                states += 1
-                ok = False
-                for m in index.get((st.exp, st.ctx), ()):
-                    try:
-                        if leq(st.env, m.env) and leq(st.store, m.store):
-                            ok = True
-                            break
-                    except IncomparableKinds:
-                        continue
-                violations += not ok
+            bad, checked = approx_uncovered(precise, approx)
+            violations += bad
+            states += checked
     assert violations == 0
     report(7, "approx-gc-soundness",
            f"{states} precise states all covered by approx states")
@@ -229,12 +216,9 @@ def test_criterion_08_widened_containment():
             pd = result_for(b.name, "pdcfa", k)
             wide = result_for(b.name, "pdcfa-widened", k)
             assert wide.saturated
-            wnodes = set(wide.nodes)
-            for n in pd.nodes:
-                states += 1
-                if PState.make(n.exp, n.env, n.ctx) not in wnodes \
-                        or not leq(n.store, wide.global_store):
-                    violations += 1
+            bad, checked = widened_uncovered(pd, wide)
+            violations += bad
+            states += checked
     assert violations == 0
     report(8, "widened-containment",
            f"{states} per-state nodes contained in the widened result")

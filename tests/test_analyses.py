@@ -5,8 +5,7 @@ from collections import Counter
 import pytest
 
 from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import (AAddr, AConf, AEnv, AFrame, Mono, OneCFA, leq,
-                            step_conf)
+from pdcfa.abstract import AAddr, AEnv, AFrame, Mono, OneCFA
 from pdcfa.analyses import (
     ControlState,
     PState,
@@ -15,13 +14,14 @@ from pdcfa.analyses import (
     analyze_gc_precise,
     analyze_pdcfa,
     analyze_pdcfa_widened,
-    compute_root_cache,
 )
 from pdcfa.bench import load
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa import analyses, pushdown
 from pdcfa.gc import touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
+
+from helpers import AConf, compute_root_cache, leq, step_conf
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from pdcfa.abstract import (
     A_TRUE,
     AAddr,
     AClo,
-    AConf,
     AEnv,
     AFrame,
     APrim,
@@ -16,13 +15,11 @@ from pdcfa.abstract import (
     EMPTY_STORE,
     Mono,
     SCALAR_TOP,
-    ainject,
-    leq,
-    step_conf,
 )
-from pdcfa.gc import gc, gc_step, gc_store, reachable_addrs, stack_root, touches
+from pdcfa.gc import gc_store, reachable_addrs, touches
 
-from helpers import ref_gc_store, ref_skey
+from helpers import (ainject, gc, gc_step, leq, ref_gc_store, ref_skey,
+                     stack_root, step_conf)
 
 
 def addr(name, uid):

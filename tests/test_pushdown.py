@@ -13,11 +13,10 @@ from pdcfa.pushdown import (
     RPDSOracle,
     UNCH,
     Worklist,
-    compact_naive,
     compact_worklist,
-    net,
-    stackify,
 )
+
+from helpers import compact_naive, net, stackify
 
 
 # ---------------------------------------------------------------------------

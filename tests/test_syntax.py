@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, note, settings
 
 from pdcfa.syntax import (parse_program, normalize, parse_and_normalize,
-                          free_vars, print_anf, alpha_equiv, binders,
-                          count_let1, read_sexprs, ParseError,
-                          UnboundVariable, Ret, TailCall, Let1, If, Ref, Lam,
-                          Lit, PrimRef, Var)
+                          print_anf, binders, count_let1, read_sexprs,
+                          ParseError, UnboundVariable, Ret, TailCall, Let1,
+                          If, Ref, Lam, Lit, PrimRef, Var)
 from pdcfa import bench
 from pdcfa.concrete import run
 
-from helpers import surface_programs
+from helpers import alpha_equiv, surface_programs
 
 
 def walk(e):
@@ -90,7 +89,7 @@ def test_normalize_labels_and_binders_unique():
 
 def test_normalize_closed():
     for b in bench.BENCHMARKS:
-        assert free_vars(bench.load(b.name)) == frozenset()
+        assert bench.load(b.name).free == frozenset()
 
 
 # Frozen regression value: hand normalization of the fig1 source gives one
@@ -116,8 +115,8 @@ def test_normalize_idempotent_up_to_alpha():
 def test_free_vars_simple():
     e = parse_and_normalize("(lambda (x) x)")
     lam = e.atom.lam
-    assert free_vars(lam.body) == frozenset({lam.param})
-    assert free_vars(e) == frozenset()
+    assert lam.body.free == frozenset({lam.param})
+    assert e.free == frozenset()
 
 
 def _ref_free(x):
@@ -182,7 +181,7 @@ def test_free_vars_of_fig1_f_body():
     e = bench.load("fig1")
     lams = [a.lam for x in walk(e) for a in atoms(x) if isinstance(a, Lam)]
     f_lam = next(lam for lam in lams if lam.param.name == "n")
-    names = {v.name for v in free_vars(f_lam.body)}
+    names = {v.name for v in f_lam.body.free}
     assert "f" in names and "n" in names
     assert names <= {"f", "n"}
 
@@ -312,7 +311,7 @@ def _outcome(e):
 def test_generated_programs_normalize_and_reparse(src):
     note(src)
     e = parse_and_normalize(src)
-    assert free_vars(e) == frozenset()
+    assert e.free == frozenset()
     labels = [x.label for x in walk(e)]
     assert len(labels) == len(set(labels))
     bs = binders(e)
