@@ -10,25 +10,27 @@ Six analyses over one normalized program:
                           with or without GC
 
 All run the one transfer function, abstract.astep, which leaves the
-continuation to its caller, and intern only their own nodes.  The
-pushdown ones build an RPDSOracle from it: nop_delta takes its moves
-(push or ε transitions), top_delta(q, γ) binds its returns into γ with
-areturn (pop transitions).  Each steps through _stepper, which keeps one
-astep result per input (exp, env, store, ctx): a node's sprout and all
-its pops, and every node whose (collected) store is the same, share one
-call; widened and approximate-GC re-steps call astep again only when the
-node's store changed.  They run on the one reachability engine,
-pushdown.Worklist, which keeps path edges per entry and one-step
-same-level summaries; their ε-closure graph is a view of those, built
-only when read.  The widened and approximate-GC oracles read state that
-grows while the engine runs (the global store, the root cache); they
-re-step the nodes whose input grew and resume the engine.  The finite
-baselines join each pushed frame into a continuation store and return
-through every frame stored at the state's continuation address.
+continuation to its caller, and intern only their own nodes.  Every
+analysis runs on the one reachability engine, pushdown.Worklist, through
+an RPDSOracle.  The pushdown ones build theirs from astep: nop_delta
+takes its moves (push or ε transitions), top_delta(q, γ) binds its
+returns into γ with areturn (pop transitions).  Each steps through
+_stepper, which keeps one astep result per input (exp, env, store, ctx):
+a node's sprout and all its pops, and every node whose (collected) store
+is the same, share one call; widened and approximate-GC re-steps call
+astep again only when the node's store changed.  The engine keeps path
+edges per entry and one-step same-level summaries; their ε-closure graph
+is a view of those, built only when read.  The widened and
+approximate-GC oracles read state that grows while the engine runs (the
+global store, the root cache); they re-step the nodes whose input grew
+and resume the engine.  The finite baselines keep theirs in a
+continuation store: each pushed frame is joined into it, a return goes
+through every frame stored at the state's continuation address, and the
+states that read an address are re-stepped when it grows.  Their edges
+carry plain tags, so the engine builds no paths or same pairs for them.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 
 from .frozen import Frozen, setfield
@@ -37,8 +39,8 @@ from .abstract import (EMPTY_ENV, EMPTY_STORE, FState, KAddr,
                        areturn, astep, finject, kaddr_skey, store_join,
                        _intern, _keyed)
 from .gc import gc_store, touches
-from .pushdown import (CHECK_EVERY, Push, Pop, UNCH, RPDSOracle, CRPDS,
-                       Worklist, compact_worklist)
+from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
+                       compact_worklist)
 
 # perfbench/tracing.py wraps the astep of this module and also reads the
 # name astep_finite; the alias goes when that tracer stops reading it.
@@ -104,13 +106,13 @@ class OPState(Frozen):
 
 
 def act_skey(act):
+    if isinstance(act, str):  # finite-baseline tag
+        return (act,)
     if act is UNCH:
         return (0,)
     frame = act.frame
     if isinstance(frame, tuple):  # GC-precise stack character (frame, roots)
         fk = (frame[0].skey(), _roots_key(frame[1]))
-    elif isinstance(frame, str):
-        fk = (frame,)
     else:
         fk = frame.skey()
     return ((1,) if isinstance(act, Push) else (2,)) + fk
@@ -119,15 +121,15 @@ def act_skey(act):
 class AnalysisResult:
     def __init__(self, kind, policy, gc_mode, graph, ecg, exp, saturated=True,
                  global_store=None, root_cache=None, guarded_edges=None,
-                 kstore=None):
+                 stale_guards=None, kstore=None):
         self.kind, self.policy, self.gc_mode = kind, policy, gc_mode
         self.graph, self.ecg, self.exp = graph, ecg, exp
         self.saturated = saturated
         self.global_store = global_store  # pdcfa-widened
         self.root_cache = root_cache  # pdcfa-gc-approx
         self.guarded_edges = guarded_edges  # pdcfa-gc-approx
+        self.stale_guards = stale_guards  # pdcfa-gc-approx
         self.kstore = kstore  # plain, plain-gc
-        self.extras = {}
 
     @property
     def nodes(self):
@@ -352,13 +354,12 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     wl = Worklist(_oracle(root, lambda q: gc_store(q.env, q.store, roots(q)),
                           ControlState.make, policy), on_record)
     saturated = wl.run(deadline, node_limit)
-    res = AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
-                         e, saturated,
-                         root_cache=root_cache(),
-                         guarded_edges=guarded_edges())
-    res.extras["stale_guards"] = sum(1 for (s, g, a, d) in res.guarded_edges
-                                     if g != roots(s))
-    return res
+    guarded = guarded_edges()
+    return AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
+                          e, saturated,
+                          root_cache=root_cache(), guarded_edges=guarded,
+                          stale_guards=sum(1 for (s, g, a, d) in guarded
+                                           if g != roots(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +368,13 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
 
 def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                    node_limit=None) -> AnalysisResult:
-    root = finject(e)
-    graph = CRPDS(root)
+    """The finite machine as an oracle whose continuation store lives
+    beside it; a state that read a kaddr (to pop, or under GC for its
+    roots) is re-stepped when that kaddr grows."""
     kstore = {}
     deps = {}  # kaddr -> {state: None}
-    queue = deque([root])
-    queued = {root}
-    saturated = True
-    ticks = 0
-    while queue:
-        ticks += 1
-        if ticks % CHECK_EVERY == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                saturated = False
-                break
-            if node_limit is not None and len(graph.nodes) > node_limit:
-                saturated = False
-                break
-        st = queue.popleft()
-        queued.discard(st)
+
+    def nop_delta(st):
         used_kas = {st.kaddr}
         store = st.store
         if gc:
@@ -401,7 +390,6 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
             deps.setdefault(ka, {})[st] = None
         moves, returns = astep(st.exp, st.env, store, st.ctx, policy)
         succs = []
-        grew_ka = None
         for fr, e2, env2, s2, ctx2 in moves:
             ka2 = st.kaddr
             if fr is not None:  # allocate the frame's continuation
@@ -411,31 +399,27 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                     kstore[ka2] = tuple(sorted(
                         cur + ((fr, st.kaddr),),
                         key=lambda p: (p[0].skey(), kaddr_skey(p[1]))))
-                    grew_ka = ka2
+                    # every state whose pops or roots read ka2 steps again
+                    for dep in deps.get(ka2, ()):
+                        wl.restep(dep)
             succs.append(FState.make(e2, env2, s2, ctx2, ka2))
         for vals, s in returns:
             for fr, ka2 in kstore.get(st.kaddr, ()):
                 e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
                 succs.append(FState.make(e2, env2, s2, st.ctx, ka2))
-        for s2, _ in _in_order((s2, None) for s2 in succs):
-            if isinstance(st.exp, Let1):
-                act = "push"
-            elif s2.kaddr is not st.kaddr:
-                act = "pop"
-            else:
-                act = "eps"
-            new = s2 not in graph.nodes
-            graph.add_edge((st, act, s2))
-            if new and s2 not in queued:
-                queued.add(s2)
-                queue.append(s2)
-        if grew_ka is not None:
-            # a new continuation landed at grew_ka: every state whose pops or
-            # (under GC) roots depended on it must be revisited
-            for dep in list(deps.get(grew_ka, ())):
-                if dep not in queued:
-                    queued.add(dep)
-                    queue.append(dep)
+        if isinstance(st.exp, Let1):
+            return _in_order((s2, "push") for s2 in succs)
+        return _in_order((s2, "eps" if s2.kaddr is st.kaddr else "pop")
+                         for s2 in succs)
+
+    def top_delta(st, gamma):
+        return ()  # nothing is pushed on the engine's stack
+
+    wl = Worklist(RPDSOracle(finject(e), top_delta, nop_delta))
+    saturated = wl.run(deadline, node_limit)
+    # wl and nop_delta refer to each other, so without this the deps would
+    # live on until the next full collection, past the caller's to_json
+    deps.clear()
     kind = "plain-gc" if gc else "plain"
-    return AnalysisResult(kind, policy, gc, graph, None, e, saturated,
+    return AnalysisResult(kind, policy, gc, wl.graph, None, e, saturated,
                           kstore=kstore)

@@ -132,8 +132,7 @@ def _order(r: AnalysisResult):
 def _edge_key(edges, pos):
     """Sort key of an edge (src, act, dst, ...) in canonical (src, act,
     dst) order: one int packed from their ranks."""
-    acts = _ranks((e[1] for e in edges),
-                  lambda a: (a,) if isinstance(a, str) else act_skey(a))
+    acts = _ranks((e[1] for e in edges), act_skey)
     na, nn = len(acts), len(pos)
     return lambda e: (pos[e[0]] * na + acts[e[1]]) * nn + pos[e[2]]
 
@@ -196,7 +195,7 @@ def to_json(obj) -> str:
                                                   pos[e[2]]))}
     if r.guarded_edges is not None:
         fields["guarded_edge_count"] = len(r.guarded_edges)
-        fields["stale_guards"] = r.extras.get("stale_guards", 0)
+        fields["stale_guards"] = r.stale_guards
     if r.ecg is not None:
         fields["ecg_pairs"] = r.ecg.pair_count()
     out = []

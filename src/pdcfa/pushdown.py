@@ -4,14 +4,14 @@ A rooted pushdown system is given intensionally by an RPDSOracle:
 `nop_delta(q)` enumerates push/no-change transitions (no stack needed) and
 `top_delta(q, γ)` enumerates the pop transitions enabled when γ is on top.
 `compact_worklist` computes the compacted system and ε-closure graph with
-one resumable engine, `Worklist`, which every pushdown analysis runs:
+one resumable engine, `Worklist`, which every analysis runs:
 RHS-style tabulation that keeps path edges (entry, q) from the root and
 each push target, and the one-step same-level relation `same` (ε edges
 plus push…pop summaries).
 The reflexive-transitive ε-closure is never stored; `ECG` reads it from
 `same` when a caller asks.  An analysis whose transfer function grows
-between runs (widened store, approximate GC roots) re-steps the affected
-nodes and resumes the engine.
+(widened store, approximate GC roots, the finite baselines' continuation
+store) re-steps the affected nodes, and the engine works them in.
 """
 from __future__ import annotations
 
@@ -173,11 +173,12 @@ class Worklist:
 
     Work is taken ΔH (same pairs) before ΔE (edges) before ΔS (sprouts);
     a new path edge is followed at once through `same`.  `run` may be
-    called again after it returns.  An oracle whose answers grow between
-    runs (a larger store, a larger root set) tells the engine with
-    `restep`.  `on_record(item)`, if given, is called once each same pair
-    (s, d) or edge (s, act, d) is recorded, before its consequences are
-    worked out.  Limits are checked every CHECK_EVERY work items.
+    called again after it returns.  An oracle whose answers grow (a larger
+    store, root set or continuation store) tells the engine with
+    `restep`, between runs or from inside a call.  `on_record(item)`, if
+    given, is called once each same pair (s, d) or edge (s, act, d) is
+    recorded, before its consequences are worked out.  Limits are checked
+    every CHECK_EVERY work items.
     """
 
     def __init__(self, oracle, on_record=None):

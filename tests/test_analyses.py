@@ -1,11 +1,13 @@
 """End-to-end behavior of the six analyses on small programs and benchmarks."""
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import AAddr, AEnv, AFrame, Mono, OneCFA
+from pdcfa.abstract import (AAddr, AEnv, AFrame, FState, KAddr, Mono,
+                            OneCFA)
 from pdcfa.analyses import (
     ControlState,
     PState,
@@ -18,7 +20,7 @@ from pdcfa.analyses import (
 from pdcfa.bench import load
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa import analyses, pushdown
-from pdcfa.gc import touches
+from pdcfa.gc import gc_store, touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
 from helpers import AConf, compute_root_cache, leq, step_conf
@@ -159,6 +161,47 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
 
 
 # ---------------------------------------------------------------------------
+# finite baselines
+
+
+@pytest.mark.parametrize("gc", [False, True], ids=["plain", "plain-gc"])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+def test_finite_is_fixpoint_under_its_kstore(prog, gc):
+    # one more pass against the final continuation store must find nothing
+    # new: every state that read a kaddr was re-stepped after it last grew
+    r = analyze_finite(load(prog), Mono(), gc=gc)
+    assert r.saturated
+    kstore = r.kstore
+    edges = {(s, d) for s, _, d in r.edges}
+    for st in r.nodes:
+        roots, seen, work = set(), {st.kaddr}, [st.kaddr]
+        while work:
+            for fr, ka in kstore.get(work.pop(), ()):
+                roots |= touches(fr)
+                if ka not in seen:
+                    seen.add(ka)
+                    work.append(ka)
+        store = st.store
+        if gc:
+            store = gc_store(st.env, st.store, frozenset(roots))
+        succs = []
+        for c2 in step_conf(AConf.make(st.exp, st.env, store, (), st.ctx),
+                            Mono()):
+            ka = st.kaddr
+            if c2.kont:  # a pushed frame is already stored at its kaddr
+                (fr,) = c2.kont
+                ka = KAddr.make(fr.exp, fr.env)
+                assert (fr, st.kaddr) in kstore.get(ka, ())
+            succs.append((c2, ka))
+        for fr, ka in kstore.get(st.kaddr, ()):
+            c = AConf.make(st.exp, st.env, store, (fr,), st.ctx)
+            succs += [(c2, ka) for c2 in step_conf(c, Mono()) if not c2.kont]
+        for c2, ka in succs:
+            s2 = FState.make(c2.exp, c2.env, c2.store, c2.ctx, ka)
+            assert s2 in r.graph.nodes and (st, s2) in edges
+
+
+# ---------------------------------------------------------------------------
 # approximate GC analysis
 
 
@@ -193,16 +236,19 @@ def test_approx_equals_precise_on_eta():
     proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.nodes}
     proj_p = {(n.state.exp.label, n.state.env, n.state.ctx) for n in rp.nodes}
     assert proj_a == proj_p
-    assert ra.extras["stale_guards"] == 0
+    assert ra.stale_guards == 0
 
 
 def test_approx_records_stale_guards_when_roots_grow(fig1):
     r = analyze_gc_approx(fig1, Mono())
-    assert r.extras["stale_guards"] > 0  # loops re-enter states with more roots
+    assert r.stale_guards > 0  # loops re-enter states with more roots
 
 
-@pytest.mark.parametrize("analyze", [analyze_gc_approx, analyze_pdcfa_widened],
-                         ids=["approx", "widened"])
+@pytest.mark.parametrize("analyze", [
+    analyze_finite, partial(analyze_finite, gc=True),
+    analyze_pdcfa, analyze_gc_precise, analyze_gc_approx,
+    analyze_pdcfa_widened],
+    ids=["plain", "plain-gc", "pdcfa", "pdcfa-gc", "approx", "widened"])
 def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
     r = analyze(fig1, Mono(), node_limit=5)
     assert not r.saturated

@@ -114,7 +114,7 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-widened', 0):
         '144ebff11f8970097571fc8c4021263967aa64eec3e660fcf28a2f8994d58d8d',
     ('kcfa2', 'plain', 1):
-        'bfece327db59a5a8530ad757a64982db6a72214a70be1166675f9999094e2256',
+        '2d0e86659cc12bd5550764a8b859659c9f70b0eadb3b1e6131f1cd69c8571745',
     ('kcfa2', 'plain-gc', 1):
         '48270883db50cde3c886034f2806265529302ae5866855ee72a943885d18289f',
     ('kcfa2', 'pdcfa', 1):
@@ -138,7 +138,7 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-widened', 0):
         '2e6888e9ec83b63d8186816c2210a74ed6060bf1f33d29d13a11e486b518b9cc',
     ('kcfa3', 'plain', 1):
-        'b6445be9e90f6d1e1087c7df29a2bdb642c6b3be9ce25019b06def6ecbad6d7e',
+        '001ca038d46cb98dbb200db7f9a2913191cf443e0cd55d4b3b59dd0aff6345d0',
     ('kcfa3', 'plain-gc', 1):
         '3b3a7cb63b302a1bb554f00e80f9d48f1977f6287a4a4f12284200bad0b94612',
     ('kcfa3', 'pdcfa', 1):

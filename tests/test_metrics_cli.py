@@ -199,7 +199,7 @@ def _reference_json(r):
     }
     if r.guarded_edges is not None:
         doc["guarded_edge_count"] = len(r.guarded_edges)
-        doc["stale_guards"] = r.extras.get("stale_guards", 0)
+        doc["stale_guards"] = r.stale_guards
     if r.ecg is not None:
         doc["ecg_pairs"] = len(r.ecg.pairs)
     return json.dumps(doc, indent=2) + "\n"
