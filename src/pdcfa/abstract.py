@@ -526,7 +526,14 @@ def areturn(fr: AFrame, vals, store: AStore, e: Exp, ctx: tuple, policy):
 # finite baseline: store-allocated continuations
 
 
-K_HALT = ("halt-kont",)
+class KHalt(Frozen):
+    """The halt continuation's address, which holds no frames."""
+
+    def skey(self):
+        return ("kaddr-halt",)
+
+
+K_HALT = KHalt()
 
 
 class KAddr(Frozen):
@@ -541,30 +548,3 @@ class KAddr(Frozen):
     @_keyed
     def skey(self):
         return ("kaddr", self.exp.label, self.env.skey())
-
-
-def kaddr_skey(ka):
-    return ("kaddr-halt",) if ka is K_HALT else ka.skey()
-
-
-class FState(Frozen):
-    def __init__(self, exp, env, store, ctx, kaddr):
-        setfield(self, "exp", exp)
-        setfield(self, "env", env)
-        setfield(self, "store", store)
-        setfield(self, "ctx", ctx)
-        setfield(self, "kaddr", kaddr)  # KAddr or K_HALT
-
-    @classmethod
-    def make(cls, exp, env, store, ctx, kaddr):
-        return _intern(cls, (exp, env, store, ctx, kaddr),
-                       exp, env, store, ctx, kaddr)
-
-    @_keyed
-    def skey(self):
-        return (self.exp.label, self.env.skey(), self.store.skey(), self.ctx,
-                kaddr_skey(self.kaddr))
-
-
-def finject(e: Exp) -> FState:
-    return FState.make(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT)

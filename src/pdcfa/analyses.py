@@ -9,11 +9,19 @@ Six analyses over one normalized program:
 - analyze_finite:         store-allocated continuations (plain k-CFA baseline),
                           with or without GC
 
+Every node is one interned State(exp, env, store, ctx, kaddr, roots), the
+machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
+DLS 2014) plus a stack-root set.  An analysis leaves the parts it does
+not use None on all its nodes: pdcfa-widened has no store, only the
+finite baselines have a continuation address and only pdcfa-gc has
+roots.  _PARTS lists the parts in the order State.skey compares them,
+which is the canonical order metrics serializes in.
+
 All run the one transfer function, abstract.astep, which leaves the
 continuation to its caller, and intern only their own nodes.  Every
 analysis runs on the one reachability engine, pushdown.Worklist, through
-an RPDSOracle.  The pushdown ones build theirs from astep: nop_delta
-takes its moves (push or ε transitions), top_delta(q, γ) binds its
+an RPDSOracle.  The pushdown ones build theirs with _oracle: nop_delta
+takes astep's moves (push or ε transitions), top_delta(q, γ) binds its
 returns into γ with areturn (pop transitions).  Each steps through
 _stepper, which keeps one astep result per input (exp, env, store, ctx):
 a node's sprout and all its pops, and every node whose (collected) store
@@ -35,9 +43,8 @@ from collections import deque
 
 from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
-from .abstract import (EMPTY_ENV, EMPTY_STORE, FState, KAddr,
-                       areturn, astep, finject, kaddr_skey, store_join,
-                       _intern, _keyed)
+from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
+                       astep, skey, store_join, _intern, _keyed)
 from .gc import gc_store, touches
 from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
                        compact_worklist)
@@ -47,62 +54,46 @@ from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
 astep_finite = astep
 
 
-class ControlState(Frozen):
-    def __init__(self, exp, env, store, ctx=()):
-        setfield(self, "exp", exp)
-        setfield(self, "env", env)
-        setfield(self, "store", store)
-        setfield(self, "ctx", ctx)
-
-    @classmethod
-    def make(cls, exp, env, store, ctx=()):
-        return _intern(cls, (exp, env, store, ctx), exp, env, store, ctx)
-
-    @_keyed
-    def skey(self):
-        return (self.exp.label, self.env.skey(), self.store.skey(), self.ctx)
-
-    def __repr__(self):
-        return f"q(e{self.exp.label})"
-
-
-class PState(Frozen):
-    def __init__(self, exp, env, ctx=()):
-        setfield(self, "exp", exp)
-        setfield(self, "env", env)
-        setfield(self, "ctx", ctx)
-
-    @classmethod
-    def make(cls, exp, env, ctx=()):
-        return _intern(cls, (exp, env, ctx), exp, env, ctx)
-
-    @_keyed
-    def skey(self):
-        return (self.exp.label, self.env.skey(), self.ctx)
-
-    def __repr__(self):
-        return f"ψ(e{self.exp.label})"
-
-
 def _roots_key(roots):
     return tuple(sorted(a.skey() for a in roots))
 
 
-class OPState(Frozen):
-    def __init__(self, state, roots):
-        setfield(self, "state", state)
-        setfield(self, "roots", roots)  # frozenset of stack-root AAddrs
+# A State's parts after its exp, in the order its skey compares them, each
+# with its part's sort key (None: the part is its own key).
+_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", skey),
+          ("roots", _roots_key))
+
+
+class State(Frozen):
+    """A node of every analysis (see the module docstring): kaddr is a
+    KAddr or K_HALT, roots a frozenset of stack-root AAddrs."""
+
+    def __init__(self, exp, env, store, ctx, kaddr, roots):
+        setfield(self, "exp", exp)
+        setfield(self, "env", env)
+        setfield(self, "store", store)
+        setfield(self, "ctx", ctx)
+        setfield(self, "kaddr", kaddr)
+        setfield(self, "roots", roots)
 
     @classmethod
-    def make(cls, state, roots):
-        return _intern(cls, (state, roots), state, roots)
+    def make(cls, exp, env, store=None, ctx=(), kaddr=None, roots=None):
+        # no analysis uses both kaddr and roots, so one slot keys either
+        return _intern(cls, (exp, env, store, ctx,
+                             kaddr if roots is None else roots),
+                       exp, env, store, ctx, kaddr, roots)
 
     @_keyed
     def skey(self):
-        return (self.state.skey(), _roots_key(self.roots))
+        key = [self.exp.label]
+        for part, pkey in _PARTS:
+            x = getattr(self, part)
+            if x is not None:
+                key.append(x if pkey is None else pkey(x))
+        return tuple(key)
 
     def __repr__(self):
-        return f"Ω(e{self.state.exp.label},|A|={len(self.roots)})"
+        return f"q(e{self.exp.label})"
 
 
 def act_skey(act):
@@ -143,13 +134,7 @@ class AnalysisResult:
         """Every abstract store the analysis reached (for precision metrics)."""
         if self.kind == "pdcfa-widened":
             return [self.global_store]
-        out = []
-        for n in self.graph.nodes:
-            if isinstance(n, OPState):
-                out.append(n.state.store)
-            else:
-                out.append(n.store)
-        return out
+        return [n.store for n in self.graph.nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +167,39 @@ def _stepper(policy):
 def _oracle(root, store_of, node, policy):
     """The pushdown system whose node q steps as (q.exp, q.env,
     store_of(q), q.ctx) and whose successors are node(exp, env, store,
-    ctx): moves for nop_delta, returns into γ for top_delta."""
+    ctx, None, roots): moves for nop_delta, returns into γ for top_delta.
+    Under pdcfa-gc, where q.roots is a set, a push extends the roots by
+    the pushed frame's touches and its stack character (frame, roots)
+    keeps the pusher's, which the pop restores."""
     step = _stepper(policy)
 
     def nop_delta(q):
         moves, _ = step(q.exp, q.env, store_of(q), q.ctx)
-        return _in_order((node(e2, env2, s2, ctx2),
-                          UNCH if fr is None else Push(fr))
-                         for fr, e2, env2, s2, ctx2 in moves)
+        out = []
+        for fr, e2, env2, s2, ctx2 in moves:
+            roots = q.roots
+            if fr is None:
+                act = UNCH
+            elif roots is None:
+                act = Push(fr)
+            else:  # pdcfa-gc
+                act, roots = Push((fr, roots)), roots | touches(fr)
+            out.append((node(e2, env2, s2, ctx2, None, roots), act))
+        return _in_order(out)
 
-    def top_delta(q, fr):
+    def top_delta(q, gamma):
+        fr, roots = (gamma, None) if q.roots is None else gamma
         _, returns = step(q.exp, q.env, store_of(q), q.ctx)
         return _in_order((node(*areturn(fr, vals, s, q.exp, q.ctx, policy),
-                               q.ctx), Pop(fr))
+                               q.ctx, None, roots), Pop(gamma))
                          for vals, s in returns)
 
     return RPDSOracle(root, top_delta, nop_delta)
 
 
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
-    oracle = _oracle(root, lambda q: q.store, ControlState.make, policy)
+    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
+    oracle = _oracle(root, lambda q: q.store, State.make, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", policy, False, graph, ecg, e, sat)
 
@@ -212,42 +209,11 @@ def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisRes
 
 
 def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    """Pushdown + GC: nodes carry the stack-root set A; push edges extend A
-    by the pushed frame's touches; the popped stack character carries the
-    pusher's root set so pops restore it."""
-    root = OPState.make(ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ()),
-                        frozenset())
-
-    step = _stepper(policy)
-
-    def stepped(om):
-        q = om.state
-        return step(q.exp, q.env, gc_store(q.env, q.store, om.roots), q.ctx)
-
-    def nop_delta(om):
-        moves, _ = stepped(om)
-        out = []
-        for fr, e2, env2, s2, ctx2 in moves:
-            q2 = ControlState.make(e2, env2, s2, ctx2)
-            if fr is None:
-                out.append((OPState.make(q2, om.roots), UNCH))
-            else:
-                out.append((OPState.make(q2, om.roots | touches(fr)),
-                            Push((fr, om.roots))))
-        return _in_order(out)
-
-    def top_delta(om, gamma):
-        fr, below = gamma
-        q = om.state
-        _, returns = stepped(om)
-        out = []
-        for vals, s in returns:
-            e2, env2, s2 = areturn(fr, vals, s, q.exp, q.ctx, policy)
-            out.append((OPState.make(ControlState.make(e2, env2, s2, q.ctx),
-                                     below), Pop(gamma)))
-        return _in_order(out)
-
-    oracle = RPDSOracle(root, top_delta, nop_delta)
+    """Pushdown + GC: nodes carry the stack-root set A and step on their
+    store collected under it (see _oracle for how A flows)."""
+    root = State.make(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset())
+    oracle = _oracle(root, lambda q: gc_store(q.env, q.store, q.roots),
+                     State.make, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa-gc", policy, True, graph, ecg, e, sat)
 
@@ -262,13 +228,13 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
     store and partial (exp, env) states.  The engine saturates under the
     current store; if the successor stores grew it, every node is
     re-stepped under the joined store and the engine resumes."""
-    root = PState.make(e, EMPTY_ENV, ())
+    root = State.make(e, EMPTY_ENV)
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
 
-    def node(e2, env2, s2, ctx2):
+    def node(e2, env2, s2, ctx2, *_):
         out_stores[s2] = None
-        return PState.make(e2, env2, ctx2)
+        return State.make(e2, env2, None, ctx2)
 
     wl = Worklist(_oracle(root, lambda psi: store, node, policy))
     while True:
@@ -300,7 +266,7 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     source when the edge lands.  When R grows the node
     is re-stepped; its old successors and guards stay in the graph, and a
     guard below the final R is counted as stale."""
-    root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
+    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
     R = {}
     guards = {}  # edge -> R of its source when it landed
     push_out = {}  # src -> {(frame, dst): None}, the push half of root flow
@@ -352,7 +318,7 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
         return {q: roots(q) for q in (*wl.graph.nodes, *R)}
 
     wl = Worklist(_oracle(root, lambda q: gc_store(q.env, q.store, roots(q)),
-                          ControlState.make, policy), on_record)
+                          State.make, policy), on_record)
     saturated = wl.run(deadline, node_limit)
     guarded = guarded_edges()
     return AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
@@ -371,7 +337,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     """The finite machine as an oracle whose continuation store lives
     beside it; a state that read a kaddr (to pop, or under GC for its
     roots) is re-stepped when that kaddr grows."""
-    kstore = {}
+    kstore = {}  # kaddr -> {(frame, kaddr below): None}
     deps = {}  # kaddr -> {state: None}
 
     def nop_delta(st):
@@ -394,19 +360,17 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
             ka2 = st.kaddr
             if fr is not None:  # allocate the frame's continuation
                 ka2 = KAddr.make(fr.exp, fr.env)
-                cur = kstore.get(ka2, ())
-                if (fr, st.kaddr) not in cur:
-                    kstore[ka2] = tuple(sorted(
-                        cur + ((fr, st.kaddr),),
-                        key=lambda p: (p[0].skey(), kaddr_skey(p[1]))))
+                entries = kstore.setdefault(ka2, {})
+                if (fr, st.kaddr) not in entries:
+                    entries[(fr, st.kaddr)] = None
                     # every state whose pops or roots read ka2 steps again
                     for dep in deps.get(ka2, ()):
                         wl.restep(dep)
-            succs.append(FState.make(e2, env2, s2, ctx2, ka2))
+            succs.append(State.make(e2, env2, s2, ctx2, ka2))
         for vals, s in returns:
             for fr, ka2 in kstore.get(st.kaddr, ()):
                 e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
-                succs.append(FState.make(e2, env2, s2, st.ctx, ka2))
+                succs.append(State.make(e2, env2, s2, st.ctx, ka2))
         if isinstance(st.exp, Let1):
             return _in_order((s2, "push") for s2 in succs)
         return _in_order((s2, "eps" if s2.kaddr is st.kaddr else "pop")
@@ -415,7 +379,8 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     def top_delta(st, gamma):
         return ()  # nothing is pushed on the engine's stack
 
-    wl = Worklist(RPDSOracle(finject(e), top_delta, nop_delta))
+    root = State.make(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT)
+    wl = Worklist(RPDSOracle(root, top_delta, nop_delta))
     saturated = wl.run(deadline, node_limit)
     # wl and nop_delta refer to each other, so without this the deps would
     # live on until the next full collection, past the caller's to_json

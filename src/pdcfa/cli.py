@@ -143,10 +143,9 @@ def _run(args) -> int:
 
     if args.analysis == "concrete":
         trace, outcome = concrete_run(e, fuel=args.fuel)
-        kind, payload = outcome[0], outcome[1] if len(outcome) > 1 else None
-        _emit(f"{name}: {kind} {payload if payload is not None else ''} "
-              f"({len(trace)} configurations)".rstrip(), args.out)
-        return 0 if kind == "halt" else 1
+        _emit(f"{name}: {' '.join(map(str, outcome))} "
+              f"({len(trace)} configurations)", args.out)
+        return 0 if outcome[0] == "halt" else 1
 
     kinds = (["plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
               "pdcfa-widened"] if args.analysis == "all"

@@ -2,17 +2,18 @@
 
 Both formats list nodes and edges in canonical (skey) order, sorted on
 ranks: each distinct env, store, continuation address, root set and act
-is ranked once by its key, and equal keys share a rank.  A node sorts on
-its exp label, ctx and its parts' ranks, in the order its skey compares
-them (_PARTS); an edge on one int packed from its src, act and dst ranks."""
+is ranked once by its key, and equal keys share a rank.  A node, an
+analyses.State, sorts on its exp label, its ctx and the ranks of the
+other parts its analysis uses, in the order its skey compares them
+(analyses._PARTS); an edge on one int packed from its src, act and dst
+ranks."""
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
 from .syntax import binders
-from .abstract import kaddr_skey, skey
-from .analyses import AnalysisResult, OPState, _roots_key, act_skey
+from .analyses import _PARTS, AnalysisResult, act_skey
 from .pushdown import Push, UNCH
 
 
@@ -65,16 +66,13 @@ def compute_metrics(name, r: AnalysisResult, k: int, wall_ms: float) -> Metrics:
 
 
 def _node_label(n):
-    if isinstance(n, OPState):
-        inner = _node_label(n.state)
-        return f"{inner} |A|={len(n.roots)}"
     lbl = f"e{n.exp.label}"
-    ctx = getattr(n, "ctx", ())
-    if ctx:
-        lbl += " @" + ",".join(str(c) for c in ctx)
-    env = getattr(n, "env", None)
-    if env is not None and env.items:
-        lbl += " [" + ",".join(v.name for v, _ in env.items) + "]"
+    if n.ctx:
+        lbl += " @" + ",".join(str(c) for c in n.ctx)
+    if n.env.items:
+        lbl += " [" + ",".join(v.name for v, _ in n.env.items) + "]"
+    if n.roots is not None:
+        lbl += f" |A|={len(n.roots)}"
     return lbl
 
 
@@ -104,26 +102,16 @@ def _ranks(xs, key):
     return ranks
 
 
-def _state(n):
-    return n.state if isinstance(n, OPState) else n
-
-
-_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", kaddr_skey))
-
-
 def _order(r: AnalysisResult):
     """The nodes in canonical order, and each one's position in it, which
-    is its rank: distinct interned nodes have distinct keys."""
+    is its rank: distinct interned nodes have distinct keys.  The parts
+    ranked are those present on the root, as on every node."""
     nodes = list(r.graph.nodes)
-    qs = [_state(n) for n in nodes]
-    cols = [[q.exp.label for q in qs]]
+    cols = [[n.exp.label for n in nodes]]
     for part, key in _PARTS:
-        if hasattr(qs[0], part):
-            xs = [getattr(q, part) for q in qs]
+        if getattr(nodes[0], part) is not None:
+            xs = [getattr(n, part) for n in nodes]
             cols.append(xs if key is None else [*map(_ranks(xs, key).get, xs)])
-    if qs[0] is not nodes[0]:
-        xs = [n.roots for n in nodes]
-        cols.append([*map(_ranks(xs, _roots_key).get, xs)])
     keys = list(zip(*cols))
     nodes = [nodes[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
     return nodes, {n: i for i, n in enumerate(nodes)}
@@ -182,8 +170,7 @@ def to_json(obj) -> str:
 
     def node_row(i):
         n = nodes[i]
-        q = _state(n)  # all a node's label reads
-        key = (q.exp.label, q.env, q.ctx, len(getattr(n, "roots", ())))
+        key = (n.exp.label, n.env, n.ctx, len(n.roots or ()))  # all it reads
         if key not in labels:
             labels[key] = _escape(_node_label(n))
         return _NODE % (i, labels[key])

@@ -37,13 +37,13 @@ from pdcfa.bench import load
 from pdcfa.cli import run_one
 from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
 from pdcfa.abstract import (K_HALT, Mono, OneCFA, AScalarTop, ABool, AClo,
-                            APrim, AAddr, AEnv, AStore, AFrame, KAddr, FState,
+                            APrim, AAddr, AEnv, AStore, AFrame, KAddr,
                             AllocCtx, EMPTY_ENV, EMPTY_STORE, SCALAR_TOP,
                             aalloc, abool, areturn, astep, push_ctx,
                             skey, store_join, vset, _intern, _keyed)
 from pdcfa.frozen import Frozen, setfield
 from pdcfa.gc import gc_store, touches
-from pdcfa.analyses import OPState, ControlState, PState
+from pdcfa.analyses import State
 from pdcfa.pushdown import CRPDS, ECG, Pop, Push, UNCH
 from pdcfa.syntax import (PRIM_ARITY, binders, If, Lam, Let1, Lit, PrimRef,
                           Ref, Ret, TailCall)
@@ -492,22 +492,23 @@ def _kstore_machine(root, step, node, policy, collect=False):
 
 def aac_nodes(e, policy, collect=False):
     """The nodes pdcfa reaches (collecting: pdcfa-gc), from the AAC
-    machine: ControlStates, or (collecting) OPStates whose states step on
-    their store collected under their roots."""
+    machine: States without roots, or (collecting) the same States with
+    the roots they step under, their store collected under those."""
     def step(q, roots):
         store = gc_store(q.env, q.store, roots) if collect else q.store
         return astep(q.exp, q.env, store, q.ctx, policy)
 
-    root = ControlState.make(e, EMPTY_ENV, EMPTY_STORE, ())
-    states = _kstore_machine(root, step, ControlState.make, policy, collect)
+    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
+    states = _kstore_machine(root, step, State.make, policy, collect)
     if collect:
-        return {OPState.make(q, roots) for q, roots, _ in states}
+        return {State.make(q.exp, q.env, q.store, q.ctx, None, roots)
+                for q, roots, _ in states}
     return {q for q, _, _ in states}
 
 
 def p4f(e, policy):
     """pdcfa-widened's nodes and global store, from the P4F machine: its
-    PStates under one store, run again from scratch under the join of
+    store-less States under one store, run again from scratch under the join of
     every store its steps produced until that join stops growing."""
     store = EMPTY_STORE
     while True:
@@ -515,12 +516,12 @@ def p4f(e, policy):
 
         def node(e2, env2, s2, ctx2):
             produced[s2] = None
-            return PState.make(e2, env2, ctx2)
+            return State.make(e2, env2, None, ctx2)
 
         def step(psi, _roots):
             return astep(psi.exp, psi.env, store, psi.ctx, policy)
 
-        states = _kstore_machine(PState.make(e, EMPTY_ENV, ()), step, node,
+        states = _kstore_machine(State.make(e, EMPTY_ENV), step, node,
                                  policy)
         grown = reduce(store_join, produced, store)
         if grown is store:
@@ -671,8 +672,7 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
         realizable = make_push_realizable(result)
     by_exp = {}
     for n in result.graph.nodes:
-        st = n.state if isinstance(n, OPState) else n
-        by_exp.setdefault(st.exp, []).append((n, st))
+        by_exp.setdefault(n.exp, []).append(n)
     bad = 0
     for c, ctx in zip(trace, ctxs):
         if gc_mode:
@@ -681,14 +681,14 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
         if gc_mode:
             ac = gc(ac)
         ok = False
-        for n, st in by_exp.get(ac.exp, []):
-            if st.ctx != ac.ctx:
+        for n in by_exp.get(ac.exp, []):
+            if n.ctx != ac.ctx:
                 continue
             try:
-                if not leq(ac.env, st.env):
+                if not leq(ac.env, n.env):
                     continue
                 target = (result.global_store
-                          if result.kind == "pdcfa-widened" else st.store)
+                          if result.kind == "pdcfa-widened" else n.store)
                 if not leq(ac.store, target):
                     continue
             except IncomparableKinds:
@@ -712,8 +712,8 @@ def approx_uncovered(precise, approx):
     for m in approx.nodes:
         index.setdefault((m.exp, m.ctx), []).append(m)
     bad = sum(1 for n in precise.nodes if not any(
-        leq(n.state.env, m.env) and leq(n.state.store, m.store)
-        for m in index.get((n.state.exp, n.state.ctx), ())))
+        leq(n.env, m.env) and leq(n.store, m.store)
+        for m in index.get((n.exp, n.ctx), ())))
     return bad, len(precise.nodes)
 
 
@@ -722,7 +722,7 @@ def widened_uncovered(pd, wide):
     did not reach, or whose store is not below its global store."""
     wnodes = set(wide.nodes)
     bad = sum(1 for n in pd.nodes
-              if PState.make(n.exp, n.env, n.ctx) not in wnodes
+              if State.make(n.exp, n.env, None, n.ctx) not in wnodes
               or not leq(n.store, wide.global_store))
     return bad, len(pd.nodes)
 
@@ -758,15 +758,16 @@ def ref_skey(x):
         return ("kaddr-halt",)
     if isinstance(x, KAddr):
         return ("kaddr", x.exp.label, ref_skey(x.env))
-    if isinstance(x, FState):
-        return (x.exp.label, ref_skey(x.env), ref_skey(x.store), x.ctx,
-                ref_skey(x.kaddr))
-    if isinstance(x, ControlState):
-        return (x.exp.label, ref_skey(x.env), ref_skey(x.store), x.ctx)
-    if isinstance(x, PState):
-        return (x.exp.label, ref_skey(x.env), x.ctx)
-    if isinstance(x, OPState):
-        return (ref_skey(x.state), tuple(sorted(ref_skey(a) for a in x.roots)))
+    if isinstance(x, State):  # the parts its analysis uses, in order
+        key = (x.exp.label, ref_skey(x.env))
+        if x.store is not None:
+            key += (ref_skey(x.store),)
+        key += (x.ctx,)
+        if x.kaddr is not None:
+            key += (ref_skey(x.kaddr),)
+        if x.roots is not None:
+            key += (tuple(sorted(ref_skey(a) for a in x.roots)),)
+        return key
     raise TypeError(x)
 
 

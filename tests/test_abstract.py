@@ -10,7 +10,7 @@ from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
                             SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
                             AFrame)
-from pdcfa.analyses import OPState, analyze_finite
+from pdcfa.analyses import analyze_finite
 from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
@@ -382,10 +382,9 @@ def _reached_maps(r):
     inside stored values, and the widened global store."""
     stores, envs, frames, vals = [], [], [], []
     for n in r.graph.nodes:
-        q = n.state if isinstance(n, OPState) else n
-        envs.append(q.env)
-        if hasattr(q, "store"):
-            stores.append(q.store)
+        envs.append(n.env)
+        if n.store is not None:
+            stores.append(n.store)
     for _, act, _ in r.graph.edges:
         fr = getattr(act, "frame", None)
         frames.append(fr[0] if isinstance(fr, tuple) else fr)
@@ -412,9 +411,7 @@ def _reached_objects(r):
     parts: every kind of domain object an analysis builds."""
     out = []
     for n in r.graph.nodes:
-        out.append(n)
-        q = n.state if isinstance(n, OPState) else n
-        out += [q, q.env, getattr(q, "store", None), getattr(q, "kaddr", None)]
+        out += [n, n.env, n.store, n.kaddr]
     for _, act, _ in r.graph.edges:
         out.append(act)
         fr = getattr(act, "frame", None)
@@ -424,7 +421,7 @@ def _reached_objects(r):
         for a, vs in getattr(s, "items", ()):
             out += [a, *vs]
     return [x for x in dict.fromkeys(out) if x is not None
-            and not isinstance(x, str) and x is not K_HALT and x is not UNCH]
+            and not isinstance(x, str) and x is not UNCH]
 
 
 @pytest.mark.parametrize("kind", KINDS)

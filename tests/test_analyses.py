@@ -6,11 +6,9 @@ from functools import partial
 import pytest
 
 from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import (AAddr, AEnv, AFrame, FState, KAddr, Mono,
-                            OneCFA)
+from pdcfa.abstract import AAddr, AEnv, AFrame, K_HALT, KAddr, Mono, OneCFA
 from pdcfa.analyses import (
-    ControlState,
-    PState,
+    State,
     analyze_finite,
     analyze_gc_approx,
     analyze_gc_precise,
@@ -62,6 +60,31 @@ def test_all_analyses_saturate_on_fig1(fig1):
         lambda: analyze_gc_approx(fig1, Mono()),
     ):
         assert run().saturated
+
+
+# The State parts each analysis leaves None.  metrics serializes the parts
+# its root carries, so every node must carry the same ones.
+NONE_PARTS = {
+    "plain": {"roots"},
+    "plain-gc": {"roots"},
+    "pdcfa": {"kaddr", "roots"},
+    "pdcfa-gc": {"kaddr"},
+    "pdcfa-gc-approx": {"kaddr", "roots"},
+    "pdcfa-widened": {"store", "kaddr", "roots"},
+}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", NONE_PARTS)
+def test_each_analysis_uses_the_same_parts_on_every_node(fig1, kind, k):
+    r = run_one(kind, fig1, policy_for_k(k))
+    parts = ("exp", "env", "store", "ctx", "kaddr", "roots")
+    assert len(r.nodes) > 20
+    for n in r.nodes:
+        assert type(n) is State
+        assert {p for p in parts if getattr(n, p) is None} == NONE_PARTS[kind]
+        assert n.kaddr is None or n.kaddr is K_HALT or type(n.kaddr) is KAddr
+        assert n.roots is None or type(n.roots) is frozenset
 
 
 def test_state_count_ordering_on_fig1(fig1):
@@ -143,7 +166,7 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
             for c2 in step_conf(c, Mono()):
                 if not (kont and c2.kont):  # under a frame, pops only
                     succ_stores.append(c2.store)
-                    yield PState.make(c2.exp, c2.env, c2.ctx), c2.kont
+                    yield State.make(c2.exp, c2.env, None, c2.ctx), c2.kont
 
         def nop_delta(psi):
             return [(q, Push(k[0]) if k else UNCH)
@@ -197,7 +220,7 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
             c = AConf.make(st.exp, st.env, store, (fr,), st.ctx)
             succs += [(c2, ka) for c2 in step_conf(c, Mono()) if not c2.kont]
         for c2, ka in succs:
-            s2 = FState.make(c2.exp, c2.env, c2.store, c2.ctx, ka)
+            s2 = State.make(c2.exp, c2.env, c2.store, c2.ctx, ka)
             assert s2 in r.graph.nodes and (st, s2) in edges
 
 
@@ -234,7 +257,7 @@ def test_approx_equals_precise_on_eta():
     ra = analyze_gc_approx(e, Mono())
     rp = analyze_gc_precise(e, Mono())
     proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.nodes}
-    proj_p = {(n.state.exp.label, n.state.env, n.state.ctx) for n in rp.nodes}
+    proj_p = {(n.exp.label, n.env, n.ctx) for n in rp.nodes}
     assert proj_a == proj_p
     assert ra.stale_guards == 0
 
@@ -261,7 +284,7 @@ def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
 
 def _mk_state(exp_label):
     e = parse_and_normalize("((lambda (x) x) 1)")
-    return ControlState.make(e, AEnv.make([]), None, (exp_label,))
+    return State.make(e, AEnv.make([]), None, (exp_label,))
 
 
 def test_compute_root_cache_push_then_pair():

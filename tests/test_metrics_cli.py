@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from pdcfa import analyses, cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
-from pdcfa.analyses import (OPState, act_skey, analyze_finite,
-                            analyze_gc_approx, analyze_pdcfa)
+from pdcfa.analyses import (act_skey, analyze_finite, analyze_gc_approx,
+                            analyze_pdcfa)
 from pdcfa.bench import BENCHMARKS, load
 from pdcfa.cli import main
 from pdcfa.metrics import (Metrics, _act_label, _node_label, compute_metrics,
@@ -120,12 +120,13 @@ def test_json_result_roundtrip():
 
 def _keyed_parts(n):
     """n and the environments, stores and continuation address it holds."""
-    st = n.state if isinstance(n, OPState) else n
-    parts = [n, st, st.env]
-    if hasattr(st, "store"):
-        parts.append(st.store)
-    if isinstance(getattr(st, "kaddr", None), KAddr):
-        parts += [st.kaddr, st.kaddr.env]
+    parts = [n, n.env]
+    if n.store is not None:
+        parts.append(n.store)
+    if n.kaddr is not None:
+        parts.append(n.kaddr)
+    if isinstance(n.kaddr, KAddr):
+        parts.append(n.kaddr.env)
     return parts
 
 
@@ -282,6 +283,13 @@ def test_cli_concrete_outcome(capsys):
     code, out, _ = run_cli(["run", "fig1", "--analysis", "concrete"], capsys)
     assert code == 0
     assert "halt 36" in out
+
+
+def test_cli_concrete_out_of_fuel(capsys):
+    code, out, _ = run_cli(["run", "fig1", "--analysis", "concrete",
+                            "--fuel", "0"], capsys)
+    assert code == 1
+    assert out == "fig1: fuel (1 configurations)\n"
 
 
 def test_cli_concrete_closure_result_is_the_same_under_any_hash_seed(
