@@ -22,8 +22,10 @@ Stores and environments are updated in place of one entry, not rebuilt:
 each keeps a key -> position index built on first use (see _positions),
 so lookup and get are O(1); bind and extend return self when nothing
 changes and otherwise replace one entry or insert it at its sorted
-position; restrict returns self when it keeps every entry, and an
-environment memoizes it per keep-set.  A map derived by bind, extend or
+position; restrict returns self when it keeps every entry.  Each map
+memoizes what it derives (see _memo): an environment its extend per (var,
+addr) and its restrict per keep-set, a store its bind per (addr, vals), so
+a repeated update is one dict hit.  A map derived by bind, extend or
 restrict from a parent whose sort key is built takes its key from the
 parent's, splicing in or selecting entry keys (see _inherit_key).  make
 builds one from scratch (the empty ones).
@@ -189,6 +191,17 @@ def _positions(m):
         return pos
 
 
+def _memo(m, name):
+    """The memo dict an interned object keeps under name, made on first
+    use."""
+    try:
+        return getattr(m, name)
+    except AttributeError:
+        memo = {}
+        setfield(m, name, memo)
+        return memo
+
+
 def _inherit_key(child, parent, derive):
     """child, given the key derive(parent's key) when the parent's key is
     built and the child's is not."""
@@ -242,18 +255,18 @@ class AEnv(Frozen):
         return self.items[i][1]
 
     def extend(self, v, a):
-        i = _positions(self).get(v)
-        if i is not None and self.items[i][1] is a:
-            return self
-        return _put(self, i, v, a)
+        """self with v bound to a; memoized per env, var and address."""
+        memo = _memo(self, "_extended")
+        out = memo.get((v, a))
+        if out is None:
+            i = _positions(self).get(v)
+            same = i is not None and self.items[i][1] is a
+            out = memo[v, a] = self if same else _put(self, i, v, a)
+        return out
 
     def restrict(self, keep):
         """The env on the vars in keep; memoized per env and keep-set."""
-        try:
-            memo = self._restricted
-        except AttributeError:
-            memo = {}
-            setfield(self, "_restricted", memo)
+        memo = _memo(self, "_restricted")
         out = memo.get(keep)
         if out is None:
             out = memo[keep] = _select(self, keep)
@@ -298,13 +311,17 @@ class AStore(Frozen):
         return () if i is None else self.items[i][1]
 
     def bind(self, a, vals):
-        """Join vals into a's entry; self when every value is already there."""
-        i = _positions(self).get(a)
-        old = () if i is None else self.items[i][1]
-        new = tuple(v for v in vals if v not in old)
-        if not new:
-            return self
-        return _put(self, i, a, vset(old + new))
+        """Join the tuple vals into a's entry; self when every value is
+        already there.  Memoized per store, address and vals."""
+        memo = _memo(self, "_bound")
+        out = memo.get((a, vals))
+        if out is None:
+            i = _positions(self).get(a)
+            old = () if i is None else self.items[i][1]
+            new = tuple(v for v in vals if v not in old)
+            out = memo[a, vals] = (_put(self, i, a, vset(old + new))
+                                   if new else self)
+        return out
 
     def restrict(self, keep):
         return _select(self, keep)
@@ -386,24 +403,19 @@ class PolySplit(_Policy):
     pass
 
 
-class AllocCtx(Frozen):
-    def __init__(self, exp_label, call_label, let_bound, hist):
-        setfield(self, "exp_label", exp_label)
-        setfield(self, "call_label", call_label)  # an int or None
-        setfield(self, "let_bound", let_bound)
-        setfield(self, "hist", hist)  # call sites, latest first, truncated
-
-
-def aalloc(policy, v: Var, ctx: AllocCtx) -> AAddr:
+def aalloc(policy, v: Var, exp_label, call_label, let_bound, hist) -> AAddr:
+    """The address policy gives v, bound by the step from exp_label.
+    call_label is the applied call site (None outside a closure call),
+    let_bound whether its callee is let-bound, hist the call sites, latest
+    first."""
     if isinstance(policy, Mono):
         return AAddr.make("mono", v)
     if isinstance(policy, OneCFA):
-        return AAddr.make("1cfa", v, (ctx.exp_label,))
+        return AAddr.make("1cfa", v, (exp_label,))
     if isinstance(policy, KCFA):
-        return AAddr.make("kcfa", v, ctx.hist[: policy.k])
+        return AAddr.make("kcfa", v, hist[: policy.k])
     if isinstance(policy, PolySplit):
-        site = ctx.call_label if ctx.let_bound else None
-        return AAddr.make("poly", v, (site,))
+        return AAddr.make("poly", v, (call_label if let_bound else None,))
     raise TypeError(policy)
 
 
@@ -431,7 +443,7 @@ def aeval(ae, env: AEnv, store: AStore):
     raise TypeError(ae)
 
 
-def _apply_aprim(p: APrim, avals, store, policy, actx):
+def _apply_aprim(p: APrim, avals, store, policy, label, ctx):
     """Abstract primitive application.
 
     Returns a list of (result value set, store') entries; `rec` forks per
@@ -447,7 +459,7 @@ def _apply_aprim(p: APrim, avals, store, policy, actx):
                     and isinstance(w.lam.body.atom, Lam)):
                 continue
             inner = w.lam.body.atom.lam
-            addr = aalloc(policy, w.lam.param, actx)
+            addr = aalloc(policy, w.lam.param, label, None, False, ctx)
             env2 = w.env.extend(w.lam.param, addr).restrict(inner.free)
             clo = AClo.make(inner, env2)
             out.append(((clo,), store.bind(addr, (clo,))))
@@ -501,14 +513,14 @@ def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
         for f in fvals:
             if isinstance(f, AClo):
                 ctx2 = push_ctx(policy, ctx, e.label)
-                actx = AllocCtx(e.label, e.label, e.call.let_bound_callee, ctx2)
-                addr = aalloc(policy, f.lam.param, actx)
+                addr = aalloc(policy, f.lam.param, e.label, e.label,
+                              e.call.let_bound_callee, ctx2)
                 body = f.lam.body
                 env2 = f.env.extend(f.lam.param, addr).restrict(body.free)
                 moves.append((None, body, env2, store.bind(addr, avals), ctx2))
             elif isinstance(f, APrim):
-                actx = AllocCtx(e.label, None, False, ctx)
-                returns.extend(_apply_aprim(f, avals, store, policy, actx))
+                returns.extend(_apply_aprim(f, avals, store, policy,
+                                            e.label, ctx))
     else:
         raise TypeError(e)
     return moves, returns
@@ -517,7 +529,7 @@ def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
 def areturn(fr: AFrame, vals, store: AStore, e: Exp, ctx: tuple, policy):
     """Bind vals, returned by a step from e, into frame fr: (exp', env',
     store'), under the same ctx."""
-    addr = aalloc(policy, fr.var, AllocCtx(e.label, None, False, ctx))
+    addr = aalloc(policy, fr.var, e.label, None, False, ctx)
     env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
     return fr.exp, env2, store.bind(addr, vals)
 

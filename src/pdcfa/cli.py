@@ -107,6 +107,11 @@ def main(argv=None) -> int:
     runp.add_argument("--dump-anf", action="store_true",
                       help="print the normalized program and exit")
     args = parser.parse_args(argv)
+    if ((args.analysis == "concrete" and args.format != "summary")
+            or (args.analysis == "all" and args.format == "dot")):
+        print(f"pdcfa: --analysis {args.analysis} has no --format "
+              f"{args.format} output", file=sys.stderr)
+        return 2
 
     try:
         return _run(args)
@@ -152,7 +157,6 @@ def _run(args) -> int:
              else [args.analysis])
     lines = []
     metrics = []
-    last = None
     for kind in kinds:
         t0 = time.monotonic()
         # each analysis gets the whole budget
@@ -161,11 +165,9 @@ def _run(args) -> int:
         r = run_one(kind, e, policy, deadline)
         wall = (time.monotonic() - t0) * 1000.0
         m = compute_metrics(name, r, args.k, wall)
-        last = (r, m)
         metrics.append(m)
         lines.append(_summary_line(m))
 
-    r, m = last
     if args.format == "dot":
         _emit(to_dot(r), args.out)
     elif args.format == "json":

@@ -9,7 +9,7 @@ Root sets and a value's addresses are sets kept on environments (AEnv.addrs).
 """
 from __future__ import annotations
 
-from .abstract import AClo, APrim, AStore, AFrame, _positions
+from .abstract import AClo, APrim, AStore, AFrame, _memo, _positions
 
 
 def touches(f: AFrame):
@@ -46,11 +46,7 @@ def gc_store(env, store, extra_roots=frozenset()):
     """Restrict store to what env plus extra roots can reach; memoized per
     store and root set."""
     roots = env.addrs() | extra_roots if extra_roots else env.addrs()
-    try:
-        memo = store._collected
-    except AttributeError:
-        memo = {}
-        object.__setattr__(store, "_collected", memo)
+    memo = _memo(store, "_collected")
     out = memo.get(roots)
     if out is None:
         out = memo[roots] = store.restrict(reachable_addrs(roots, store))

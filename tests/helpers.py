@@ -38,7 +38,7 @@ from pdcfa.cli import run_one
 from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
 from pdcfa.abstract import (K_HALT, Mono, OneCFA, AScalarTop, ABool, AClo,
                             APrim, AAddr, AEnv, AStore, AFrame, KAddr,
-                            AllocCtx, EMPTY_ENV, EMPTY_STORE, SCALAR_TOP,
+                            EMPTY_ENV, EMPTY_STORE, SCALAR_TOP,
                             aalloc, abool, areturn, astep, push_ctx,
                             skey, store_join, vset, _intern, _keyed)
 from pdcfa.frozen import Frozen, setfield
@@ -222,8 +222,8 @@ def run_abstracted(e, policy, fuel: int = 10 ** 5):
             # closure application: context advances, parameter binds under it
             ctx2 = push_ctx(policy, ctx, s.applied_call_label)
             (var, addr), = s.allocs
-            actx = AllocCtx(label, label, c.exp.call.let_bound_callee, ctx2)
-            addr_map[addr] = aalloc(policy, var, actx)
+            addr_map[addr] = aalloc(policy, var, label, label,
+                                    c.exp.call.let_bound_callee, ctx2)
             ctx = ctx2
         else:
             allocs = list(s.allocs)
@@ -233,12 +233,10 @@ def run_abstracted(e, policy, fuel: int = 10 ** 5):
             if s.kind == "next" and allocs and isinstance(c.exp, (Ret, TailCall)):
                 ret_alloc = allocs.pop()
             for var, addr in allocs:
-                addr_map[addr] = aalloc(
-                    policy, var, AllocCtx(label, None, False, ctx))
+                addr_map[addr] = aalloc(policy, var, label, None, False, ctx)
             if ret_alloc is not None:
                 var, addr = ret_alloc
-                addr_map[addr] = aalloc(
-                    policy, var, AllocCtx(label, None, False, ctx))
+                addr_map[addr] = aalloc(policy, var, label, None, False, ctx)
         if s.kind == "halt":
             outcome = ("halt", s.value)
             break

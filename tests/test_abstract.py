@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
 from pdcfa.concrete import inject, step
-from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, AllocCtx, aalloc,
+from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, aalloc,
                             aeval, store_join, AEnv, AStore, AClo, AAddr,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
                             SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
@@ -14,7 +14,7 @@ from pdcfa.analyses import analyze_finite
 from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
-from pdcfa import bench
+from pdcfa import abstract, bench
 
 from helpers import (AConf, IncomparableKinds, ainject, alpha, leq,
                      ref_bind, ref_extend, ref_get, ref_lookup,
@@ -28,17 +28,19 @@ X = Var("x", 1)
 
 
 def test_aalloc_policies():
-    ctx = AllocCtx(7, 7, True, (7,))
-    a_mono = aalloc(Mono(), X, ctx)
+    ctx = (7, 7, True, (7,))  # exp label, call label, let-bound, history
+    a_mono = aalloc(Mono(), X, *ctx)
     assert a_mono.tag == "mono" and a_mono.var is X and a_mono.extra == ()
-    a_1cfa = aalloc(OneCFA(), X, ctx)
+    a_1cfa = aalloc(OneCFA(), X, *ctx)
     assert a_1cfa.extra == (7,)
-    a_k = aalloc(KCFA(2), X, AllocCtx(7, 7, True, (7, 9, 11)))
+    a_k = aalloc(KCFA(2), X, 7, 7, True, (7, 9, 11))
     assert a_k.extra == (7, 9)
-    a_poly = aalloc(PolySplit(), X, ctx)
+    a_poly = aalloc(PolySplit(), X, *ctx)
     assert a_poly.extra == (7,)
-    a_poly2 = aalloc(PolySplit(), X, AllocCtx(7, 7, False, ()))
+    a_poly2 = aalloc(PolySplit(), X, 7, 7, False, ())
     assert a_poly2.extra == (None,)
+    assert aalloc(PolySplit(), X, 7, None, False, (7,)).extra == (None,)
+    assert aalloc(OneCFA(), X, 3, 7, True, ()) is AAddr.make("1cfa", X, (3,))
 
 
 def test_policies_are_values():
@@ -331,6 +333,9 @@ def test_store_and_env_ops_match_from_scratch_reference(ops):
             a, vals = args
             stores.append(s.bind(a, tuple(vals)))
             assert stores[-1] is ref_bind(s, a, tuple(vals))
+            # a repeated bind is the memoized object, with a sound key
+            assert s.bind(a, tuple(vals)) is stores[-1]
+            assert stores[-1].skey() == ref_skey(stores[-1])
         elif op == "join":
             s2 = stores[args[0] % len(stores)]
             stores.append(store_join(s, s2))
@@ -340,6 +345,8 @@ def test_store_and_env_ops_match_from_scratch_reference(ops):
         elif op == "extend":
             envs.append(env.extend(*args))
             assert envs[-1] is ref_extend(env, *args)
+            assert env.extend(*args) is envs[-1]
+            assert envs[-1].skey() == ref_skey(envs[-1])
         elif op == "restrict":
             envs.append(env.restrict(args[0]))
             assert envs[-1] is ref_restrict(env, args[0])
@@ -371,9 +378,26 @@ def test_insert_matches_make_with_and_without_a_built_parent_key():
             bound = s.bind(a, (SCALAR_TOP,))
             assert bound is AStore.make(s.items + ((a, (SCALAR_TOP,)),))
             assert bound.skey() == ref_skey(bound)
+            assert s.bind(a, (SCALAR_TOP,)) is bound
             extended = env.extend(v, a)
             assert extended is AEnv.make(env.items + ((v, a),))
             assert extended.skey() == ref_skey(extended)
+            assert env.extend(v, a) is extended
+
+
+def test_a_repeated_run_derives_no_map_anew(monkeypatch):
+    """Every env and store a run derives by extend or bind is memoized on
+    the interned map it came from, so running the same cell again in one
+    process builds none of them: abstract._put is never called."""
+    e, policy = bench.load("kcfa2"), policy_for_k(0)
+    first = run_one("plain", e, policy)
+    calls = []
+    put = abstract._put
+    monkeypatch.setattr(abstract, "_put",
+                        lambda *args: calls.append(args) or put(*args))
+    again = run_one("plain", e, policy)
+    assert again.graph.nodes == first.graph.nodes
+    assert calls == []
 
 
 def _reached_maps(r):
@@ -427,7 +451,7 @@ def _reached_objects(r):
 @pytest.mark.parametrize("kind", KINDS)
 def test_domain_objects_are_immutable_and_compare_by_identity(kind):
     r = run_one(kind, bench.load("fig1"), policy_for_k(1))
-    objs = _reached_objects(r) + [AllocCtx(1, None, False, ())]
+    objs = _reached_objects(r)
     assert {type(x).__name__ for x in objs} >= {"AEnv", "AAddr", "AClo"}
     for x in objs:
         for field in [*vars(x), "new_field"]:

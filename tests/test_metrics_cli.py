@@ -484,6 +484,20 @@ def test_cli_arbitrary_input_ends_without_traceback(source):
         assert err.getvalue().startswith("pdcfa: ")
 
 
+@pytest.mark.parametrize("analysis,fmt", [("all", "dot"),
+                                          ("concrete", "json"),
+                                          ("concrete", "dot")])
+def test_cli_format_the_analysis_cannot_write_exits_2(analysis, fmt,
+                                                       capsys):
+    """dot draws one analysis's graph and concrete prints only its
+    outcome: these pairs are usage errors, not silently other output."""
+    code, out, err = run_cli(["run", "fig1", "--analysis", analysis,
+                              "--format", fmt], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"pdcfa: --analysis {analysis} has no --format {fmt} "
+                   "output\n")
+
+
 def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["run", "eta", "--bogus"])
