@@ -2,8 +2,7 @@
 
 from .syntax import parse_program, normalize, parse_and_normalize
 from .concrete import inject, step, run
-from .abstract import (Mono, OneCFA, KCFA, PolySplit, astep, areturn,
-                       store_join)
+from .abstract import Mono, OneCFA, KCFA, astep, areturn, store_join
 from .pushdown import compact_worklist
 from .gc import touches, reachable_addrs
 from .analyses import (analyze_pdcfa, analyze_gc_precise, analyze_gc_approx,

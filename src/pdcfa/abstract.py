@@ -163,7 +163,7 @@ class APrim(Frozen):
 
 class AAddr(Frozen):
     def __init__(self, tag, var, extra=()):
-        setfield(self, "tag", tag)  # 'mono' | '1cfa' | 'kcfa' | 'poly'
+        setfield(self, "tag", tag)  # 'mono' | '1cfa' | 'kcfa'
         setfield(self, "var", var)
         setfield(self, "extra", extra)
 
@@ -399,23 +399,15 @@ class KCFA(_Policy):
         return hash(self.k)
 
 
-class PolySplit(_Policy):
-    pass
-
-
-def aalloc(policy, v: Var, exp_label, call_label, let_bound, hist) -> AAddr:
-    """The address policy gives v, bound by the step from exp_label.
-    call_label is the applied call site (None outside a closure call),
-    let_bound whether its callee is let-bound, hist the call sites, latest
-    first."""
+def aalloc(policy, v: Var, exp_label, hist) -> AAddr:
+    """The address policy gives v, bound by the step from exp_label; hist
+    is the call sites, latest first."""
     if isinstance(policy, Mono):
         return AAddr.make("mono", v)
     if isinstance(policy, OneCFA):
         return AAddr.make("1cfa", v, (exp_label,))
     if isinstance(policy, KCFA):
         return AAddr.make("kcfa", v, hist[: policy.k])
-    if isinstance(policy, PolySplit):
-        return AAddr.make("poly", v, (call_label if let_bound else None,))
     raise TypeError(policy)
 
 
@@ -459,7 +451,7 @@ def _apply_aprim(p: APrim, avals, store, policy, label, ctx):
                     and isinstance(w.lam.body.atom, Lam)):
                 continue
             inner = w.lam.body.atom.lam
-            addr = aalloc(policy, w.lam.param, label, None, False, ctx)
+            addr = aalloc(policy, w.lam.param, label, ctx)
             env2 = w.env.extend(w.lam.param, addr).restrict(inner.free)
             clo = AClo.make(inner, env2)
             out.append(((clo,), store.bind(addr, (clo,))))
@@ -513,8 +505,7 @@ def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
         for f in fvals:
             if isinstance(f, AClo):
                 ctx2 = push_ctx(policy, ctx, e.label)
-                addr = aalloc(policy, f.lam.param, e.label, e.label,
-                              e.call.let_bound_callee, ctx2)
+                addr = aalloc(policy, f.lam.param, e.label, ctx2)
                 body = f.lam.body
                 env2 = f.env.extend(f.lam.param, addr).restrict(body.free)
                 moves.append((None, body, env2, store.bind(addr, avals), ctx2))
@@ -529,7 +520,7 @@ def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
 def areturn(fr: AFrame, vals, store: AStore, e: Exp, ctx: tuple, policy):
     """Bind vals, returned by a step from e, into frame fr: (exp', env',
     store'), under the same ctx."""
-    addr = aalloc(policy, fr.var, e.label, None, False, ctx)
+    addr = aalloc(policy, fr.var, e.label, ctx)
     env2 = fr.env.extend(fr.var, addr).restrict(fr.exp.free)
     return fr.exp, env2, store.bind(addr, vals)
 

@@ -40,6 +40,7 @@ carry plain tags, so the engine builds no paths or same pairs for them.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
@@ -110,10 +111,11 @@ def act_skey(act):
 
 
 class AnalysisResult:
-    def __init__(self, kind, policy, gc_mode, graph, ecg, exp, saturated=True,
+    def __init__(self, kind, graph, ecg, exp, saturated=True,
                  global_store=None, root_cache=None, guarded_edges=None,
                  stale_guards=None, kstore=None):
-        self.kind, self.policy, self.gc_mode = kind, policy, gc_mode
+        self.kind = kind
+        self.gc_mode = "-gc" in kind  # plain-gc, pdcfa-gc, pdcfa-gc-approx
         self.graph, self.ecg, self.exp = graph, ecg, exp
         self.saturated = saturated
         self.global_store = global_store  # pdcfa-widened
@@ -121,14 +123,6 @@ class AnalysisResult:
         self.guarded_edges = guarded_edges  # pdcfa-gc-approx
         self.stale_guards = stale_guards  # pdcfa-gc-approx
         self.kstore = kstore  # plain, plain-gc
-
-    @property
-    def nodes(self):
-        return list(self.graph.nodes)
-
-    @property
-    def edges(self):
-        return list(self.graph.edges)
 
     def stores(self):
         """Every abstract store the analysis reached (for precision metrics)."""
@@ -201,7 +195,7 @@ def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisRes
     root = State.make(e, EMPTY_ENV, EMPTY_STORE)
     oracle = _oracle(root, lambda q: q.store, State.make, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
-    return AnalysisResult("pdcfa", policy, False, graph, ecg, e, sat)
+    return AnalysisResult("pdcfa", graph, ecg, e, sat)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> Analys
     oracle = _oracle(root, lambda q: gc_store(q.env, q.store, q.roots),
                      State.make, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
-    return AnalysisResult("pdcfa-gc", policy, True, graph, ecg, e, sat)
+    return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,8 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
         out_stores.clear()
         for psi in list(wl.graph.nodes):
             wl.restep(psi)
-    return AnalysisResult("pdcfa-widened", policy, False, wl.graph, wl.ecg,
-                          e, saturated, global_store=store)
+    return AnalysisResult("pdcfa-widened", wl.graph, wl.ecg, e, saturated,
+                          global_store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +315,7 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
                           State.make, policy), on_record)
     saturated = wl.run(deadline, node_limit)
     guarded = guarded_edges()
-    return AnalysisResult("pdcfa-gc-approx", policy, True, wl.graph, wl.ecg,
-                          e, saturated,
+    return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e, saturated,
                           root_cache=root_cache(), guarded_edges=guarded,
                           stale_guards=sum(1 for (s, g, a, d) in guarded
                                            if g != roots(s)))
@@ -385,6 +378,17 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     # wl and nop_delta refer to each other, so without this the deps would
     # live on until the next full collection, past the caller's to_json
     deps.clear()
-    kind = "plain-gc" if gc else "plain"
-    return AnalysisResult(kind, policy, gc, wl.graph, None, e, saturated,
-                          kstore=kstore)
+    return AnalysisResult("plain-gc" if gc else "plain", wl.graph, None, e,
+                          saturated, kstore=kstore)
+
+
+# kind -> driver(e, policy, deadline=None, node_limit=None), in the order
+# `pdcfa run --analysis all` runs them
+ANALYSES = {
+    "plain": partial(analyze_finite, gc=False),
+    "plain-gc": partial(analyze_finite, gc=True),
+    "pdcfa": analyze_pdcfa,
+    "pdcfa-gc": analyze_gc_precise,
+    "pdcfa-gc-approx": analyze_gc_approx,
+    "pdcfa-widened": analyze_pdcfa_widened,
+}

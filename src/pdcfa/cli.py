@@ -11,13 +11,9 @@ from pathlib import Path
 from .syntax import parse_and_normalize, print_anf, ParseError, UnboundVariable
 from .concrete import run as concrete_run
 from .abstract import Mono, OneCFA, KCFA
-from .analyses import (analyze_pdcfa, analyze_gc_precise, analyze_gc_approx,
-                       analyze_pdcfa_widened, analyze_finite)
+from .analyses import ANALYSES
 from .metrics import compute_metrics, to_dot, to_json
 from . import bench
-
-ANALYSES = ("concrete", "plain", "plain-gc", "pdcfa", "pdcfa-gc",
-            "pdcfa-gc-approx", "pdcfa-widened", "all")
 
 
 def policy_for_k(k: int):
@@ -46,21 +42,9 @@ def _seconds(text: str) -> float:
 
 
 def run_one(kind, e, policy, deadline=None, node_limit=None):
-    if kind == "plain":
-        return analyze_finite(e, policy, gc=False, deadline=deadline,
-                              node_limit=node_limit)
-    if kind == "plain-gc":
-        return analyze_finite(e, policy, gc=True, deadline=deadline,
-                              node_limit=node_limit)
-    if kind == "pdcfa":
-        return analyze_pdcfa(e, policy, deadline, node_limit)
-    if kind == "pdcfa-gc":
-        return analyze_gc_precise(e, policy, deadline, node_limit)
-    if kind == "pdcfa-gc-approx":
-        return analyze_gc_approx(e, policy, deadline, node_limit)
-    if kind == "pdcfa-widened":
-        return analyze_pdcfa_widened(e, policy, deadline, node_limit)
-    raise ValueError(kind)
+    if kind not in ANALYSES:
+        raise ValueError(kind)
+    return ANALYSES[kind](e, policy, deadline=deadline, node_limit=node_limit)
 
 
 def _summary_line(m):
@@ -95,7 +79,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="analyze one program")
     runp.add_argument("file", help="path to a .scm program, or a bundled "
                                    "benchmark name (e.g. fig1)")
-    runp.add_argument("--analysis", choices=ANALYSES, default="pdcfa-gc")
+    runp.add_argument("--analysis", choices=("concrete", *ANALYSES, "all"),
+                      default="pdcfa-gc")
     runp.add_argument("--k", type=_count, default=0)
     runp.add_argument("--fuel", type=_count, default=100_000,
                       help="step budget for --analysis concrete")
@@ -152,9 +137,7 @@ def _run(args) -> int:
               f"({len(trace)} configurations)", args.out)
         return 0 if outcome[0] == "halt" else 1
 
-    kinds = (["plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-              "pdcfa-widened"] if args.analysis == "all"
-             else [args.analysis])
+    kinds = list(ANALYSES) if args.analysis == "all" else [args.analysis]
     lines = []
     metrics = []
     for kind in kinds:

@@ -179,10 +179,9 @@ class Lam(AExp):
 
 
 class Call(Frozen):
-    def __init__(self, fun, arg, let_bound_callee=False):
+    def __init__(self, fun, arg):
         setfield(self, "fun", fun)
         setfield(self, "arg", arg)
-        setfield(self, "let_bound_callee", let_bound_callee)
 
 
 def _aexp_free(ae: AExp) -> frozenset:
@@ -220,10 +219,6 @@ class Let1(Exp):
         setfield(self, "label", label)
         setfield(self, "free", rhs.free | frame_free)
         setfield(self, "frame_free", frame_free)
-
-    @property
-    def call(self) -> Call:
-        return self.rhs.call
 
 
 class If(Exp):
@@ -538,14 +533,12 @@ def normalize(p: Program) -> Exp:
 
     Each define f becomes `(let ((f (rec (lambda (f) (lambda ...))))) ...)`
     around the top expression.  Variable ids count binders in binding order
-    (a Let1's after its call), labels count nodes in post-order, and a call
-    whose callee is a Let1-bound variable is marked let-bound.
+    (a Let1's after its call) and labels count nodes in post-order.
     """
     rec = [(v, PrimRef("rec"), lam) for v, lam in p.defines]
     todo = [("exp", [None, rec + p.top[1], p.top[2]])]
     out = []  # finished nodes, and the (Var, rhs) of Let1s awaiting a body
     numbered = {}  # lowered Var -> its Var in the result
-    let_bound = set()
     label = 0
 
     def number(v):
@@ -574,9 +567,7 @@ def normalize(p: Program) -> Exp:
         elif op == "lam":
             out.append(Lam(Lambda(x, out.pop())))
         elif op == "bind":
-            v = number(x)
-            let_bound.add(v)
-            out.append((v, out.pop()))
+            out.append((number(x), out.pop()))
         elif op == "wrap":  # innermost Let1 first
             body = out.pop()
             for _ in range(x):
@@ -590,8 +581,7 @@ def normalize(p: Program) -> Exp:
                 out.append(Ret(out.pop(), label))
             elif op == "call":
                 arg, fun = out.pop(), out.pop()
-                flag = type(fun) is Ref and fun.var in let_bound
-                out.append(TailCall(Call(fun, arg, flag), label))
+                out.append(TailCall(Call(fun, arg), label))
             else:
                 els, then = out.pop(), out.pop()
                 out.append(If(out.pop(), then, els, label))

@@ -222,8 +222,7 @@ def run_abstracted(e, policy, fuel: int = 10 ** 5):
             # closure application: context advances, parameter binds under it
             ctx2 = push_ctx(policy, ctx, s.applied_call_label)
             (var, addr), = s.allocs
-            addr_map[addr] = aalloc(policy, var, label, label,
-                                    c.exp.call.let_bound_callee, ctx2)
+            addr_map[addr] = aalloc(policy, var, label, ctx2)
             ctx = ctx2
         else:
             allocs = list(s.allocs)
@@ -233,10 +232,10 @@ def run_abstracted(e, policy, fuel: int = 10 ** 5):
             if s.kind == "next" and allocs and isinstance(c.exp, (Ret, TailCall)):
                 ret_alloc = allocs.pop()
             for var, addr in allocs:
-                addr_map[addr] = aalloc(policy, var, label, None, False, ctx)
+                addr_map[addr] = aalloc(policy, var, label, ctx)
             if ret_alloc is not None:
                 var, addr = ret_alloc
-                addr_map[addr] = aalloc(policy, var, label, None, False, ctx)
+                addr_map[addr] = aalloc(policy, var, label, ctx)
         if s.kind == "halt":
             outcome = ("halt", s.value)
             break
@@ -626,9 +625,6 @@ def make_kont_realizable(kstore):
     return go
 
 
-GC_KINDS = {"plain-gc", "pdcfa-gc", "pdcfa-gc-approx"}
-
-
 # ---------------------------------------------------------------------------
 # the bundled matrix, each result computed once per test session
 
@@ -663,7 +659,6 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
     """(uncovered, checked): the configurations of e's concrete run, up to
     fuel steps, that `result` does not cover, and the run's length."""
     trace, outcome, addr_map, ctxs = run_abstracted(e, policy, fuel)
-    gc_mode = result.kind in GC_KINDS
     if result.kind in ("plain", "plain-gc"):
         realizable = make_kont_realizable(result.kstore)
     else:
@@ -673,10 +668,10 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
         by_exp.setdefault(n.exp, []).append(n)
     bad = 0
     for c, ctx in zip(trace, ctxs):
-        if gc_mode:
+        if result.gc_mode:
             c = concrete_gc(c)
         ac = alpha(c, policy, addr_map, ctx)
-        if gc_mode:
+        if result.gc_mode:
             ac = gc(ac)
         ok = False
         for n in by_exp.get(ac.exp, []):
@@ -707,22 +702,40 @@ def approx_uncovered(precise, approx):
     """(uncovered, checked): pdcfa-gc nodes whose state no pdcfa-gc-approx
     node with the same exp and ctx covers in env and store."""
     index = {}
-    for m in approx.nodes:
+    for m in approx.graph.nodes:
         index.setdefault((m.exp, m.ctx), []).append(m)
-    bad = sum(1 for n in precise.nodes if not any(
+    bad = sum(1 for n in precise.graph.nodes if not any(
         leq(n.env, m.env) and leq(n.store, m.store)
         for m in index.get((n.exp, n.ctx), ())))
-    return bad, len(precise.nodes)
+    return bad, len(precise.graph.nodes)
+
+
+def finite_uncovered(pushdown, finite):
+    """(uncovered, checked): nodes of pdcfa (pdcfa-gc) that the finite
+    baseline plain (plain-gc) does not cover.  Without GC, plain must reach
+    the node's (exp, env, store, ctx); with GC, some plain-gc node with the
+    same (exp, env, ctx) must have a store above the node's, as plain-gc
+    collects under the frames of every stack its kaddr stands for."""
+    index = {}
+    for m in finite.graph.nodes:
+        index.setdefault((m.exp, m.env, m.ctx), []).append(m.store)
+    bad = 0
+    for n in pushdown.graph.nodes:
+        stores = index.get((n.exp, n.env, n.ctx), ())
+        if not (any(leq(n.store, s) for s in stores) if finite.gc_mode
+                else n.store in stores):
+            bad += 1
+    return bad, len(pushdown.graph.nodes)
 
 
 def widened_uncovered(pd, wide):
     """(uncovered, checked): pdcfa nodes whose (exp, env, ctx) pdcfa-widened
     did not reach, or whose store is not below its global store."""
-    wnodes = set(wide.nodes)
-    bad = sum(1 for n in pd.nodes
+    wnodes = set(wide.graph.nodes)
+    bad = sum(1 for n in pd.graph.nodes
               if State.make(n.exp, n.env, None, n.ctx) not in wnodes
               or not leq(n.store, wide.global_store))
-    return bad, len(pd.nodes)
+    return bad, len(pd.graph.nodes)
 
 
 def policy_for(k):

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
 from pdcfa.concrete import inject, step
-from pdcfa.abstract import (Mono, OneCFA, KCFA, PolySplit, aalloc,
-                            aeval, store_join, AEnv, AStore, AClo, AAddr,
+from pdcfa.abstract import (Mono, OneCFA, KCFA, aalloc, aeval,
+                            store_join, AEnv, AStore, AClo, AAddr,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
                             SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
                             AFrame)
-from pdcfa.analyses import analyze_finite
+from pdcfa.analyses import ANALYSES, analyze_finite
 from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
@@ -22,34 +22,30 @@ from helpers import (AConf, IncomparableKinds, ainject, alpha, leq,
                      step_conf)
 
 ID_ON_ID = "((lambda (x) x) (lambda (y) y))"
-KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-         "pdcfa-widened")
+KINDS = tuple(ANALYSES)
 X = Var("x", 1)
 
 
 def test_aalloc_policies():
-    ctx = (7, 7, True, (7,))  # exp label, call label, let-bound, history
+    ctx = (7, (7,))  # exp label, history
     a_mono = aalloc(Mono(), X, *ctx)
     assert a_mono.tag == "mono" and a_mono.var is X and a_mono.extra == ()
     a_1cfa = aalloc(OneCFA(), X, *ctx)
     assert a_1cfa.extra == (7,)
-    a_k = aalloc(KCFA(2), X, 7, 7, True, (7, 9, 11))
+    a_k = aalloc(KCFA(2), X, 7, (7, 9, 11))
     assert a_k.extra == (7, 9)
-    a_poly = aalloc(PolySplit(), X, *ctx)
-    assert a_poly.extra == (7,)
-    a_poly2 = aalloc(PolySplit(), X, 7, 7, False, ())
-    assert a_poly2.extra == (None,)
-    assert aalloc(PolySplit(), X, 7, None, False, (7,)).extra == (None,)
-    assert aalloc(OneCFA(), X, 3, 7, True, ()) is AAddr.make("1cfa", X, (3,))
+    assert aalloc(KCFA(2), X, 7, ()).extra == ()
+    assert aalloc(OneCFA(), X, 3, ()) is AAddr.make("1cfa", X, (3,))
+    with pytest.raises(TypeError):
+        aalloc(object(), X, *ctx)
 
 
 def test_policies_are_values():
-    assert Mono() == Mono() and OneCFA() == OneCFA()
-    assert PolySplit() == PolySplit() and KCFA(1) == KCFA(1)
-    assert KCFA(1) != KCFA(2) and Mono() != OneCFA() != PolySplit()
+    assert Mono() == Mono() and OneCFA() == OneCFA() and KCFA(1) == KCFA(1)
+    assert KCFA(1) != KCFA(2) and Mono() != OneCFA() != KCFA(1)
     assert hash(KCFA(2)) == hash(KCFA(2)) and hash(Mono()) == hash(Mono())
-    assert len({Mono(), Mono(), OneCFA(), PolySplit(), KCFA(1), KCFA(1),
-                KCFA(2)}) == 5
+    assert len({Mono(), Mono(), OneCFA(), OneCFA(), KCFA(1), KCFA(1),
+                KCFA(2)}) == 4
 
 
 def test_aeval_closure_and_lookup():
@@ -280,7 +276,7 @@ def test_finite_no_let_no_kstore_growth():
     r = analyze_finite(e, Mono())
     assert r.saturated
     assert r.kstore == {}
-    assert all(act == "eps" for _, act, _ in r.edges)
+    assert all(act == "eps" for _, act, _ in r.graph.edges)
 
 
 def test_finite_let_roundtrip():
@@ -290,12 +286,13 @@ def test_finite_let_roundtrip():
     assert r.saturated
     # the Let1 stored its continuation
     (ka, entries), = r.kstore.items()
-    assert [act for _, act, _ in r.edges].count("push") == 1
+    assert [act for _, act, _ in r.graph.edges].count("push") == 1
     # and the Ret popped back out through it, to a halting Ret
-    pops = [(s, d) for s, act, d in r.edges if act == "pop"]
+    pops = [(s, d) for s, act, d in r.graph.edges if act == "pop"]
     assert pops
     assert all(s.kaddr is ka and d.kaddr is K_HALT for s, d in pops)
-    assert any(isinstance(d.exp, Ret) and not any(s is d for s, _, _ in r.edges)
+    assert any(isinstance(d.exp, Ret)
+               and not any(s is d for s, _, _ in r.graph.edges)
                for _, d in pops)
 
 

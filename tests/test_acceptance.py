@@ -14,14 +14,13 @@ import conftest
 from helpers import (approx_uncovered, compact_naive, compute_root_cache,
                      coverage_violations, net, policy_for, program,
                      result_for, stackify, widened_uncovered)
-from pdcfa.analyses import analyze_gc_approx
+from pdcfa.analyses import ANALYSES, analyze_gc_approx
 from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import run_one
 from pdcfa.metrics import singleton_count, to_dot, to_json
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
-KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-         "pdcfa-widened")
+KINDS = tuple(ANALYSES)
 
 
 def report(n, name, detail):
@@ -142,10 +141,10 @@ def test_criterion_03_soundness_simulation():
 
 def test_criterion_04_state_count_ordering():
     t0 = time.monotonic()
-    plain = len(result_for("fig1", "plain", 0).nodes)
-    gc_only = len(result_for("fig1", "plain-gc", 0).nodes)
-    pd_only = len(result_for("fig1", "pdcfa", 0).nodes)
-    fused = len(result_for("fig1", "pdcfa-gc", 0).nodes)
+    plain = len(result_for("fig1", "plain", 0).graph.nodes)
+    gc_only = len(result_for("fig1", "plain-gc", 0).graph.nodes)
+    pd_only = len(result_for("fig1", "pdcfa", 0).graph.nodes)
+    fused = len(result_for("fig1", "pdcfa-gc", 0).graph.nodes)
     elapsed = time.monotonic() - t0
     assert fused < gc_only < pd_only < plain
     assert plain >= 4 * fused
@@ -159,12 +158,12 @@ def test_criterion_05_blowup_vs_fused():
     rows = []
     for name in ("kcfa2", "kcfa3"):
         plain = result_for(name, "plain", 1)
-        blew_up = (not plain.saturated) and len(plain.nodes) >= 10_000
+        blew_up = (not plain.saturated) and len(plain.graph.nodes) >= 10_000
         fused = result_for(name, "pdcfa-gc", 1)
         assert blew_up, f"{name} plain k=1 stayed under 10⁴ states"
-        assert fused.saturated and len(fused.nodes) < 500
-        rows.append(f"{name} plain≥{len(plain.nodes)} vs "
-                    f"fused={len(fused.nodes)}")
+        assert fused.saturated and len(fused.graph.nodes) < 500
+        rows.append(f"{name} plain≥{len(plain.graph.nodes)} vs "
+                    f"fused={len(fused.graph.nodes)}")
     report(5, "exponential-vs-fused", "; ".join(rows))
 
 

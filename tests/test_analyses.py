@@ -21,7 +21,8 @@ from pdcfa import analyses, pushdown
 from pdcfa.gc import gc_store, touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
-from helpers import AConf, compute_root_cache, leq, step_conf
+from helpers import (AConf, approx_uncovered, compute_root_cache, leq,
+                     step_conf)
 
 
 @pytest.fixture(scope="module")
@@ -37,17 +38,18 @@ def test_identity_applied_to_identity_is_two_states():
     e = parse_and_normalize("((lambda (x) x) (lambda (y) y))")
     r = analyze_pdcfa(e, Mono())
     assert r.saturated
-    assert len(r.nodes) == 2  # tail call, then the returned reference
-    assert len(r.edges) == 1
-    assert not any(isinstance(a, Push) for (_, a, _) in r.edges)
+    assert len(r.graph.nodes) == 2  # tail call, then the returned reference
+    assert len(r.graph.edges) == 1
+    assert not any(isinstance(a, Push) for (_, a, _) in r.graph.edges)
 
 
 def test_finite_matches_pushdown_on_tail_call_program():
     e = parse_and_normalize("((lambda (x) x) (lambda (y) y))")
     rp = analyze_pdcfa(e, Mono())
     rf = analyze_finite(e, Mono())
-    assert {n.exp.label for n in rp.nodes} == {n.exp.label for n in rf.nodes}
-    assert len(rf.nodes) == 2
+    assert ({n.exp.label for n in rp.graph.nodes}
+            == {n.exp.label for n in rf.graph.nodes})
+    assert len(rf.graph.nodes) == 2
 
 
 def test_all_analyses_saturate_on_fig1(fig1):
@@ -79,8 +81,8 @@ NONE_PARTS = {
 def test_each_analysis_uses_the_same_parts_on_every_node(fig1, kind, k):
     r = run_one(kind, fig1, policy_for_k(k))
     parts = ("exp", "env", "store", "ctx", "kaddr", "roots")
-    assert len(r.nodes) > 20
-    for n in r.nodes:
+    assert len(r.graph.nodes) > 20
+    for n in r.graph.nodes:
         assert type(n) is State
         assert {p for p in parts if getattr(n, p) is None} == NONE_PARTS[kind]
         assert n.kaddr is None or n.kaddr is K_HALT or type(n.kaddr) is KAddr
@@ -88,10 +90,10 @@ def test_each_analysis_uses_the_same_parts_on_every_node(fig1, kind, k):
 
 
 def test_state_count_ordering_on_fig1(fig1):
-    plain = len(analyze_finite(fig1, Mono()).nodes)
-    plain_gc = len(analyze_finite(fig1, Mono(), gc=True).nodes)
-    pd = len(analyze_pdcfa(fig1, Mono()).nodes)
-    fused = len(analyze_gc_precise(fig1, Mono()).nodes)
+    plain = len(analyze_finite(fig1, Mono()).graph.nodes)
+    plain_gc = len(analyze_finite(fig1, Mono(), gc=True).graph.nodes)
+    pd = len(analyze_pdcfa(fig1, Mono()).graph.nodes)
+    fused = len(analyze_gc_precise(fig1, Mono()).graph.nodes)
     # each refinement strictly helps on this program
     assert fused < plain_gc < pd < plain
 
@@ -99,12 +101,12 @@ def test_state_count_ordering_on_fig1(fig1):
 def test_fused_gc_beats_plain_by_wide_margin_at_k1():
     e = load("kcfa2")
     fused = analyze_gc_precise(e, OneCFA())
-    assert fused.saturated and len(fused.nodes) < 100
+    assert fused.saturated and len(fused.graph.nodes) < 100
     plain = analyze_finite(e, OneCFA(), node_limit=2000,
                            deadline=time.monotonic() + 30)
-    count = len(plain.nodes)
-    assert not plain.saturated or count >= 3 * len(fused.nodes)
-    assert count >= 3 * len(fused.nodes)
+    count = len(plain.graph.nodes)
+    assert not plain.saturated or count >= 3 * len(fused.graph.nodes)
+    assert count >= 3 * len(fused.graph.nodes)
 
 
 def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
@@ -135,8 +137,9 @@ def test_widened_visits_same_expressions_as_pushdown():
     rw = analyze_pdcfa_widened(e, Mono())
     rp = analyze_pdcfa(e, Mono())
     assert rw.saturated and rp.saturated
-    assert {id(n.exp) for n in rw.nodes} == {id(n.exp) for n in rp.nodes}
-    assert len(rw.nodes) <= len(rp.nodes)
+    assert ({id(n.exp) for n in rw.graph.nodes}
+            == {id(n.exp) for n in rp.graph.nodes})
+    assert len(rw.graph.nodes) <= len(rp.graph.nodes)
 
 
 def test_widened_has_single_global_store(fig1):
@@ -178,8 +181,8 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
         g, _, sat = compact_worklist(RPDSOracle(r.graph.root, top_delta,
                                                 nop_delta))
         assert sat
-        assert set(g.nodes) == set(r.nodes)
-        assert set(g.edges) == set(r.edges)
+        assert set(g.nodes) == set(r.graph.nodes)
+        assert set(g.edges) == set(r.graph.edges)
         assert all(leq(s, store) for s in succ_stores)
 
 
@@ -195,8 +198,8 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     r = analyze_finite(load(prog), Mono(), gc=gc)
     assert r.saturated
     kstore = r.kstore
-    edges = {(s, d) for s, _, d in r.edges}
-    for st in r.nodes:
+    edges = {(s, d) for s, _, d in r.graph.edges}
+    for st in r.graph.nodes:
         roots, seen, work = set(), {st.kaddr}, [st.kaddr]
         while work:
             for fr, ka in kstore.get(work.pop(), ()):
@@ -243,9 +246,9 @@ def test_approx_root_cache_is_fixpoint_of_recorded_structure(fig1):
     for e in (fig1, load("eta"), load("blur")):
         r = analyze_gc_approx(e, Mono())
         assert r.saturated
-        rc = compute_root_cache(list(r.nodes), r.guarded_edges,
+        rc = compute_root_cache(list(r.graph.nodes), r.guarded_edges,
                                 list(r.ecg.pairs))
-        for q in r.nodes:
+        for q in r.graph.nodes:
             assert rc.get(q, frozenset()) == r.root_cache.get(q, frozenset())
             assert r.ecg.has(q, q)
 
@@ -256,8 +259,8 @@ def test_approx_equals_precise_on_eta():
     e = load("eta")
     ra = analyze_gc_approx(e, Mono())
     rp = analyze_gc_precise(e, Mono())
-    proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.nodes}
-    proj_p = {(n.exp.label, n.env, n.ctx) for n in rp.nodes}
+    proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.graph.nodes}
+    proj_p = {(n.exp.label, n.env, n.ctx) for n in rp.graph.nodes}
     assert proj_a == proj_p
     assert ra.stale_guards == 0
 
@@ -265,6 +268,25 @@ def test_approx_equals_precise_on_eta():
 def test_approx_records_stale_guards_when_roots_grow(fig1):
     r = analyze_gc_approx(fig1, Mono())
     assert r.stale_guards > 0  # loops re-enter states with more roots
+
+
+# A generated program on which roots reach a node only along a push edge
+# recorded before its source's roots grew: without grow's push_out loop,
+# 9 pdcfa-gc states at k=0 and 1 at k=1 go uncovered.
+PUSH_FLOW_WITNESS = """
+(define (h0 n f x) (if (<= n 0) x (f (h0 (- n 1) f x))))
+(define (m1 n x) (lambda (y) (let ((v0 (let* ((v1 (let* ((v2 x) (v3 1)) (lambda (v4) 3))) (v5 (h0 3 (lambda (v6) 2) y))) (not #t)))) (+ ((lambda (v7) 2) y) (let ((v8 (lambda (v9) 0))) 0)))))
+((lambda (v5) (if (< v5 1) ((lambda (v10) 0) v5) (let* ((v11 (lambda (v12) 3)) (v13 v5)) 0))) (h0 0 (let ((v14 (lambda (v9) v9))) (m1 2 1)) (if (or #t #t) (+ 3 2) (+ 0 0))))
+"""
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_approx_roots_flow_along_earlier_push_edges(k):
+    e = parse_and_normalize(PUSH_FLOW_WITNESS)
+    precise = run_one("pdcfa-gc", e, policy_for_k(k))
+    approx = run_one("pdcfa-gc-approx", e, policy_for_k(k))
+    assert precise.saturated and approx.saturated
+    assert approx_uncovered(precise, approx)[0] == 0
 
 
 @pytest.mark.parametrize("analyze", [
@@ -275,7 +297,7 @@ def test_approx_records_stale_guards_when_roots_grow(fig1):
 def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
     r = analyze(fig1, Mono(), node_limit=5)
     assert not r.saturated
-    assert len(r.nodes) <= 5 + 64  # limit is checked every 64 work items
+    assert len(r.graph.nodes) <= 5 + 64  # limit is checked every 64 work items
 
 
 # ---------------------------------------------------------------------------

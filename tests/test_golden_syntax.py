@@ -1,10 +1,9 @@
 """Golden front end: every normalized program pinned by one digest.
 
-`print_anf` shows each binder's name and id.  Labels and let-bound callee
-flags do not print, yet the analyses key on both, so the digest also
-covers every node's label and every call's flag, in a pre-order walk of
-this file's own.  Programs: the 8 bundled ones, the 32 of the `fused`
-pool and the `let*` chains of the `chain` workload.
+`print_anf` shows each binder's name and id.  Labels do not print, yet
+the analyses key on them, so the digest also covers every node's label,
+in a pre-order walk of this file's own.  Programs: the 8 bundled ones,
+the 32 of the `fused` pool and the `let*` chains of the `chain` workload.
 
 A change that alters the front end's output on purpose re-records the
 digests and says why.  Regenerate with:
@@ -26,91 +25,91 @@ import workloads  # noqa: E402  (the fused pool and chains the benchmark runs)
 
 GOLDEN = {
     'fig1':
-        'c435c7e85c18b49b96dd9776641dc965cd26f7b109aab2fbe334bd47aeea21b1',
+        'b8307477993f6047d9184a0afd902944db846823bc70e6c802a09d0c0b82a07c',
     'mj09':
-        '3ea1e8a99542f5ac9386b62815969795db1e3d507443e296bcf66ecabcb55f6f',
+        '823aea41b947fa8c92f9802294b3c1b0777495840605f304006ed98cfd4dd799',
     'eta':
-        'a180a1d33360e60c4dade34d7f9f730698ce8ec7c68723834573ba0c09bf2bbd',
+        '39ba044cd23203e5cd1d61c71e39b7e5061bda541cf51fecd7e5d9a5b8a8b290',
     'kcfa2':
-        '9b7bd7a974523db71796cc00256f9c55f59b37465c76f14edbc25c357e079d4d',
+        'c9728d11eef57fecd035ec89d91eccb831af2c92b55edb59fecc375f110d13ac',
     'kcfa3':
-        '43d997fa4b6217d47a8f14ed1370825ddeb0266c1cb11155f6d5170494e4c1ff',
+        '4a2018a6c4941d10778ae789315e5fc055f93c9db671f231a187413f84078835',
     'blur':
-        'af1d5e48d5e59aa95ff1057486ffa38150d01ade28cd5a48f1de079b33a17d72',
+        '3ce00caeb789f0df26e0263d75aa872a7f7afee01c403b6e56f34454fc47b8f1',
     'loop2':
-        '23d3ac4189661f09af1bccd6eebc6f3aa36594212d6d2ef3e4c83e45ee72d29b',
+        '38f65fea0af8fb83152c80f041c4d1546806f9ac6b58668d0ab29609d778f1a9',
     'sat':
-        'c2ac5a091ab79633a43064825e33e83fa624e2e3032db99b928691555ab7490f',
+        '978b7bdca09e64e3dadbe263f23456781d6b3e2b50c616646cb58e6e29916135',
     'fused0':
-        '06dd22a8df36697fafc9cd9e81c34d1f96a7df3aa0f336f8d7757b8cbebf3c40',
+        'f4053027a46128946787b57e15b5901f2e078b2d82f9af3659817d0d50b6eb0a',
     'fused1':
-        'e6142cefdec78d4164bb4806bb685305607287986bb6667c4d61ce8ac990e25b',
+        '173c45ddbd1d4dc30f80d4ff685aee3e62bcff41f9b8c28ef12c69d9dd61320c',
     'fused2':
-        '466938df8b50002cbec04c66e1237a30b3574529f0dc94371181752e183b7616',
+        'be3212b5ba61cfbdd480bfc3fbe48174ab7ce273cc96eceb0d5a1dc25577fb2c',
     'fused3':
-        '9bb3b9d5e43d02568be67351cda26e77d63cd6adbc1e9d05a29f829635bf5456',
+        '1f445efc66754fee9b3cdb6f55ca04d01e1867825c4d8d9e5a261e72354539a4',
     'fused4':
-        'c589a5df6f10ed95fe4bb790da94f12b53c9536e834aaf02c462eb8702383904',
+        'e432ae38dab873502a8f1f60d316c708e7d696ab13f55c8a9422424b66468f8d',
     'fused5':
-        'e57118926bd3e102f95f3d0c21842b801e58a7aa23203598bbd2e27e916f9ab0',
+        '6835d9e8f3f1dd36861fa0aa0be4558af2040e1ea268fdcfb91592e68bfae29e',
     'fused6':
-        'be2b7a246e178ba2fa4631294db2b239624cdca341f69a8fcc021c4c79b66101',
+        '488dfdff34bebcdfc24c5284f0850f8f6693e69134e4121a331e0b1d8e5895d5',
     'fused7':
-        'be9af1c6086b677f446cec497d41d2822da1eff78117ce74848bd56d2c03ed0b',
+        '42762a9927627e27fe09d305e84caafbcd28e5272a734795579e69bccf29afcf',
     'fused8':
-        '8779acc2b6501000dbda781c9605b2a6a90bd75ac240e735430974c449b0c77b',
+        '0ea8250e5e1de6fd07d31897be1004041b42441b9573d31af26808e9d6af34a2',
     'fused9':
-        '17f89461028382963763d22994a39fd0e48cec8138364bff4bbf0623b514548f',
+        'b9a67ba76ad2f326a6605c6da69320b6d32dc06e12143601f8170fcc0245f459',
     'fused10':
-        '3aba25f2028286f201ec154c46e65e0b0aac4fdebb05bac1a6f6053a26fd49f2',
+        '343ace5cb21cb883260bf1bea2ff30a3c4df66edb6dcacd57315e5a9c50beff4',
     'fused11':
-        '6995725741e085062d4be081ead6e8601caa9b05a070a93a14f9d7b2d0ed2081',
+        '4602de81b170654d9ec0fa4884cc8b9a845c8a083370ec96df9a2054d25ca353',
     'fused12':
-        'cc422c725d9906fc9ab6e595cdf2762cab37a67e881960072a58d1285d75e95e',
+        'd166efebedd5f1e2cc3d913f80f28d4c5184fa1ff694f300a5941b98fb769b6f',
     'fused13':
-        '3c4eace8cd702b758d2f086aa8e761c71845922abcb533578a8184b22865246b',
+        'e32a6c19d7004d4efa45677717954a5830ed7ed0d3d2aee496df081fee38ac6b',
     'fused14':
-        '3ab728e46ac179d10bebc21af37db44686ca437bf1ef6d4304dff26c7cd86e52',
+        'd11c59e5ec7a9dd6b7e63565556208a618b3316bd03ff775f1b572478458b07a',
     'fused15':
-        'e4ca43f7a2149e55fe7a74f1da92bae29bbb056ec5cf051b95b92db5b389f9bd',
+        '33dba166f3f3fce91c9f9989f85708a3825d15eb3e1b705d1fd81024b6667f63',
     'fused16':
-        '29f833c4991babfd3a99b6bff9c248dc6e1192823d4b8e906069b77a731d3ff4',
+        '23de08f868177d5cff49aa4edc9b137a9265d94a837d1a6b4f44f6d0f2bbea7f',
     'fused17':
-        '9584a04c2aef0af94a7802c725c07f56380836e7015a682ab83b6d73b1c377a5',
+        '71b7da5146604c591195b6410cdb57e02aa6fc0f30da1e8d60970774a58f215a',
     'fused18':
-        '5fbc67446992e3a9b330b9ba5f028fcf2b1b283849f37013785a7e37f00b372a',
+        '4c8ab0e647318792c8f8b16a5a7d237c3f926757ef253d66810f206dbbaecf01',
     'fused19':
-        '300d41891e0377b911bac430ce8d7494a2bc4a6676c4d6aa0f4268a1c704b013',
+        'a2e2a9adfd39d23d6e2dc700d2b722354a12cbb60e99d6ce604ba06cef751500',
     'fused20':
-        '5ee869e0ba596f53ad3e9a4bad3cae57471d2750ad0aea5934eac517e42a01bf',
+        '0f62eceb062c9994b2415dc84da58d0a345b59c4534e18cb8c32f6274d96e086',
     'fused21':
-        'e4dae0fdd000cee15ada6bb95d05f39a8cdcfa5f2e4ac4873a76adff4220a444',
+        '25a80f922e24fba3a1a6a92bebda1a5c727b0c62e8f1433d0573e5ab8016012d',
     'fused22':
-        '773bdddc18971b74db9eda9bc5f9a30969d43b5a7305d1611b380c8361b5a505',
+        '932e234686bc8063d5dc5c7a042f291262992078379e32e76f8972fc4afd8c12',
     'fused23':
-        'b62ebdab7088f66ca60e323f96e440ccd1e6f90d93453cb6721368ca85396be7',
+        'b8151841e4839a4a7118c0a7340772c30e56cfee9ee0a96177399110e8ee8b1d',
     'fused24':
-        '5374e1d27044178f40f662525604525183da1ae135c8d5bda09ad4c171e561f3',
+        'ad87564d37bc294654cc5f7a2ba7dbea1dd57f953884c8d7bdd24e5ee45703ea',
     'fused25':
-        '0fd3504b258355fd536c2b23fdad1edda1f1708c800b808d7dc5e3cc462df14c',
+        'ce420468d83ebd21fba18e5aba04e283f9bd0bdea1590dc1ba4c1676d3e0e8b1',
     'fused26':
-        'fa4331f54a24f3a8c30d9fea590390a9aab3b7691079853349521f2fa769232f',
+        '701ab64789ed5ec708f894f95bdcdef3fb479f7dd791d2c40401d473466f09f6',
     'fused27':
-        '556bbf586dc30ce129669d68565088b1631064281b5447bda9fd2e3c8d094fe1',
+        '9ed9d7489ea2f97e7f34a4bc4235fbec517bf72a295223919b1b0400c30fb2d0',
     'fused28':
-        '31035c43926ce62fe0736d56d8b419003ea4e9d2a71ffd0b00c2131303d112d9',
+        '08c199f38793a76283309ae161f521b92822149e9c474888aee06cdd8775b4f7',
     'fused29':
-        '4670949e0c0e2b6e80329590afc2d900b484f00d8c2d39627f3f7109c9f47d38',
+        'f3e3744cdcbaaef3b4c649b2074940219036f33bc2040ed4fe2cf224fdad198d',
     'fused30':
-        '65f3497479f148da9b0169a621cd6ee927dd5fe70b254d2443b67bdd8fc6f50c',
+        '37fd68d52863f7ce22c83b406fefc1b5b69f8ca158f0e927a07a7d4cf3e423b2',
     'fused31':
-        'e6d2433ca67dc5e0428da9304a2bfebe93129a739223e783ca6e26268994f6d4',
+        'b3034cbec74e5bcf0ab479aec94f554dafbbbdc272da6aab9df65be88645e145',
     'chain15':
-        '5741b386d36a62d9888d7f60ce651277a1b777ef6716d11289e390b0aeb12e19',
+        '1fcd75b986f458db294d502c0adb7ae9d883deef5226e81e30429ace04df9940',
     'chain30':
-        'e6fab15ac0b0b94374546cf5ac4babcc8a80b2ac864b7ecc5b3b4470855e6cd5',
+        'f13b085ff8a21826f5859b2fc479a56821ed02274ccb06588e6f80760c40f1fa',
     'chain60':
-        '4be4f6edca72e2e83b15e626ce96cb2d59a00bc41df9ecc735467ca2dc3d6fd8',
+        'b35e09c2abe692c55402c99d57d1b18c9f6de3529f607bf39eeb598fb54a60a2',
 }
 
 
@@ -124,8 +123,7 @@ def programs():
 
 
 def marks(e):
-    """Each node's label, and after each call its let_bound_callee flag,
-    in pre-order."""
+    """Each node's label, in pre-order."""
     out, stack = [], [e]
     while stack:
         x = stack.pop()
@@ -138,7 +136,6 @@ def marks(e):
         if isinstance(x, Ret):
             stack.append(x.atom)
         elif isinstance(x, TailCall):
-            out.append(x.call.let_bound_callee)
             stack += (x.call.arg, x.call.fun)
         elif isinstance(x, Let1):
             stack += (x.body, x.rhs)

@@ -21,8 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the fused pool the benchmark draws from)
 
-KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-         "pdcfa-widened")
+KINDS = tuple(analyses.ANALYSES)
 GC_KINDS = ("plain-gc", "pdcfa-gc", "pdcfa-gc-approx")
 POOL = (0, 8, 16, 24)
 
@@ -54,6 +53,11 @@ def test_gc_store_matches_from_scratch_reachability(name, k, monkeypatch):
     assert collected
     for (store, roots), out in collected.items():
         assert out is store.restrict(ref_reachable_addrs(roots, store))
+
+
+def test_the_analyses_run_in_the_benchmark_order():
+    # perfbench runs its analyses in the order `--analysis all` uses
+    assert tuple(analyses.ANALYSES) == workloads.KINDS
 
 
 @pytest.mark.parametrize("name", workloads.BUNDLED)

@@ -25,8 +25,7 @@ from pdcfa.metrics import (Metrics, _act_label, _node_label, compute_metrics,
 
 from helpers import ref_skey
 
-KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-         "pdcfa-widened")
+KINDS = tuple(analyses.ANALYSES)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +67,8 @@ def test_compute_metrics_fields():
     m = compute_metrics("eta", r, 0, 12.3456)
     assert isinstance(m, Metrics)
     assert m.program == "eta" and m.analysis == "pdcfa" and m.k == 0
-    assert m.control_states == len(r.nodes)
-    assert m.edges == len(r.edges)
+    assert m.control_states == len(r.graph.nodes)
+    assert m.edges == len(r.graph.edges)
     assert m.wall_time_ms == 12.346
     assert m.saturated
     assert 0 <= m.singleton_vars <= m.variables_total
@@ -83,7 +82,7 @@ def test_dot_edge_count_matches_metrics():
     e = load("eta")
     r = analyze_pdcfa(e, Mono())
     dot = to_dot(r)
-    assert dot.count(" -> ") == len(r.edges)
+    assert dot.count(" -> ") == len(r.graph.edges)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("doublecircle") == 1  # exactly one root
 
@@ -111,8 +110,8 @@ def test_json_result_roundtrip():
     doc = json.loads(to_json(r))
     assert doc["schema"] == 1
     assert doc["kind"] == "pdcfa"
-    assert doc["node_count"] == len(r.nodes) == len(doc["nodes"])
-    assert doc["edge_count"] == len(r.edges) == len(doc["edges"])
+    assert doc["node_count"] == len(r.graph.nodes) == len(doc["nodes"])
+    assert doc["edge_count"] == len(r.graph.edges) == len(doc["edges"])
     ids = {n["id"] for n in doc["nodes"]}
     for edge in doc["edges"]:
         assert edge["src"] in ids and edge["dst"] in ids
@@ -239,7 +238,7 @@ def test_to_json_peak_memory_is_a_small_multiple_of_the_document():
 
 def test_to_json_of_edgeless_result_equals_indented_json_dumps():
     r = analyze_pdcfa(parse_and_normalize("42"), Mono())
-    assert not r.edges
+    assert not r.graph.edges
     assert to_json(r) == _reference_json(r)
 
 

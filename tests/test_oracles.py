@@ -12,16 +12,16 @@ import time
 import pytest
 from hypothesis import given, note, settings
 
-from helpers import (approx_uncovered, coverage_violations, matches_machine,
-                     policy_for, program, result_for, surface_programs,
-                     widened_uncovered)
+from helpers import (approx_uncovered, coverage_violations, finite_uncovered,
+                     matches_machine, policy_for, program, result_for,
+                     surface_programs, widened_uncovered)
+from pdcfa.analyses import ANALYSES
 from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import run_one
 from pdcfa.metrics import singleton_count
 from pdcfa.syntax import parse_and_normalize
 
-KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
-         "pdcfa-widened")
+KINDS = tuple(ANALYSES)
 MACHINE_KINDS = ("pdcfa", "pdcfa-gc", "pdcfa-widened")
 # uncapped kcfa3 pdcfa k=1: 48,824 nodes whose interned objects slow every
 # later test in the same process
@@ -36,6 +36,24 @@ def test_pushdown_analyses_reach_what_their_machine_reaches(name, kind, k):
     r = result_for(name, kind, k)
     assert r.saturated
     assert matches_machine(program(name), policy_for(k), r)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+def test_finite_baselines_cover_the_pushdown_analyses(name, k):
+    """Every saturated bundled pair: plain ⊒ pdcfa and plain-gc ⊒ pdcfa-gc
+    (see finite_uncovered).  The capped plain cells are skipped before
+    their pdcfa side is computed."""
+    pairs = 0
+    for pd, finite in (("pdcfa", "plain"), ("pdcfa-gc", "plain-gc")):
+        rf = result_for(name, finite, k)
+        if not rf.saturated:
+            continue
+        rp = result_for(name, pd, k)
+        assert rp.saturated
+        assert finite_uncovered(rp, rf)[0] == 0, (pd, finite)
+        pairs += 1
+    assert pairs >= 1
 
 
 def check_generated(src):
@@ -55,6 +73,8 @@ def check_generated(src):
             assert matches_machine(e, policy, rs[kind]), (k, kind)
         assert approx_uncovered(rs["pdcfa-gc"], rs["pdcfa-gc-approx"])[0] == 0
         assert widened_uncovered(rs["pdcfa"], rs["pdcfa-widened"])[0] == 0
+        assert finite_uncovered(rs["pdcfa"], rs["plain"])[0] == 0
+        assert finite_uncovered(rs["pdcfa-gc"], rs["plain-gc"])[0] == 0
         single = {kind: singleton_count(rs[kind])[0]
                   for kind in ("pdcfa", "plain-gc", "pdcfa-gc")}
         assert single["pdcfa-gc"] >= min(single["pdcfa"], single["plain-gc"])

@@ -191,21 +191,6 @@ def test_cond_desugars_to_if():
     assert any(isinstance(x, If) for x in walk(e))
 
 
-def test_let_bound_callee_flag():
-    # f is Let1-bound (call rhs); the call (f 1) must carry the flag
-    e = parse_and_normalize(
-        "(let* ((f ((lambda (y) y) (lambda (x) x)))) (f 1))")
-    calls = [x.call for x in walk(e) if isinstance(x, TailCall)]
-    flagged = [c for c in calls
-               if isinstance(c.fun, Ref) and c.let_bound_callee]
-    assert any(c.fun.var.name == "f" for c in flagged)
-    # a lambda-bound callee is not flagged
-    e2 = parse_and_normalize("((lambda (g) (g 1)) (lambda (x) x))")
-    calls2 = [x.call for x in walk(e2) if isinstance(x, TailCall)]
-    assert all(not c.let_bound_callee for c in calls2
-               if isinstance(c.fun, Ref) and c.fun.var.name == "g")
-
-
 def test_let_binds_in_parallel_let_star_in_sequence():
     # let's right-hand sides see the enclosing x, not the x bound beside them
     e = parse_and_normalize("(let ((x 1)) (let ((x #t) (y x)) (+ y 1)))")
