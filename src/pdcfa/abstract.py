@@ -35,9 +35,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 
-from .frozen import Frozen, setfield
-from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
-                     Lambda, Var, PRIM_ARITY)
+from .frozen import Frozen, Record, setfield
+from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
+                     Var, PRIM_ARITY)
 from . import concrete
 
 
@@ -205,8 +205,8 @@ def _memo(m, name):
 def _inherit_key(child, parent, derive):
     """child, given the key derive(parent's key) when the parent's key is
     built and the child's is not."""
-    pkey = parent.__dict__.get("_skey")
-    if pkey is not None and "_skey" not in child.__dict__:
+    pkey = getattr(parent, "_skey", None)
+    if pkey is not None and not hasattr(child, "_skey"):
         setfield(child, "_skey", derive(pkey))
     return child
 
@@ -216,7 +216,7 @@ def _put(m, i, k, v):
     None, with (k, v) inserted at its place in skey order.  Distinct
     interned keys have distinct skeys, so this is the map make would
     build."""
-    items, pkey = m.items, m.__dict__.get("_skey")
+    items, pkey = m.items, getattr(m, "_skey", None)
     if i is None:  # entry keys start with their key's skey
         i = (bisect_left(pkey, (k.skey(),)) if pkey is not None else
              bisect_left(items, k.skey(), key=lambda p: p[0].skey()))
@@ -367,36 +367,20 @@ class AFrame(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# allocation policies
+# allocation policies: values, equal when of one class (and, for KCFA, k)
 
 
-class _Policy(Frozen):
-    """Policies are values: equal when of one class (and, for KCFA, k)."""
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
-
-
-class Mono(_Policy):
+class Mono(Record):
     pass
 
 
-class OneCFA(_Policy):
+class OneCFA(Record):
     pass
 
 
-class KCFA(_Policy):
+class KCFA(Record):
     def __init__(self, k):
         setfield(self, "k", k)
-
-    def __eq__(self, other):
-        return type(other) is KCFA and self.k == other.k
-
-    def __hash__(self):
-        return hash(self.k)
 
 
 def aalloc(policy, v: Var, exp_label, hist) -> AAddr:
@@ -424,8 +408,8 @@ def push_ctx(policy, ctx: tuple, call_label: int) -> tuple:
 def aeval(ae, env: AEnv, store: AStore):
     if isinstance(ae, Ref):
         return store.lookup(env.get(ae.var))
-    if isinstance(ae, Lam):
-        return (AClo.make(ae.lam, env.restrict(ae.lam.free)),)
+    if isinstance(ae, Lambda):
+        return (AClo.make(ae, env.restrict(ae.free)),)
     if isinstance(ae, Lit):
         if isinstance(ae.value, bool):
             return (abool(ae.value),)
@@ -448,9 +432,9 @@ def _apply_aprim(p: APrim, avals, store, policy, label, ctx):
         out = []
         for w in avals:
             if not (isinstance(w, AClo) and isinstance(w.lam.body, Ret)
-                    and isinstance(w.lam.body.atom, Lam)):
+                    and isinstance(w.lam.body.atom, Lambda)):
                 continue
-            inner = w.lam.body.atom.lam
+            inner = w.lam.body.atom
             addr = aalloc(policy, w.lam.param, label, ctx)
             env2 = w.env.extend(w.lam.param, addr).restrict(inner.free)
             clo = AClo.make(inner, env2)
@@ -500,8 +484,8 @@ def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):
         fr = AFrame.make(e.var, e.body, env.restrict(e.frame_free))
         moves.append((fr, e.rhs, env.restrict(e.rhs.free), store, ctx))
     elif isinstance(e, TailCall):
-        fvals = aeval(e.call.fun, env, store)
-        avals = aeval(e.call.arg, env, store)
+        fvals = aeval(e.fun, env, store)
+        avals = aeval(e.arg, env, store)
         for f in fvals:
             if isinstance(f, AClo):
                 ctx2 = push_ctx(policy, ctx, e.label)

@@ -220,8 +220,9 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
                           node_limit=None) -> AnalysisResult:
     """Least fixed point of the widened transfer function: a single global
     store and partial (exp, env) states.  The engine saturates under the
-    current store; if the successor stores grew it, every node is
-    re-stepped under the joined store and the engine resumes."""
+    current store; if the successor stores grew it, the nodes whose
+    environment maps to a grown address (a step reads the store only
+    there) are re-stepped under the joined store and the engine resumes."""
     root = State.make(e, EMPTY_ENV)
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
@@ -238,10 +239,12 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
             grown = store_join(grown, s)
         if not saturated or grown is store:
             break
+        changed = {a for a, vs in grown.items if store.lookup(a) is not vs}
         store = grown
         out_stores.clear()
         for psi in list(wl.graph.nodes):
-            wl.restep(psi)
+            if not psi.env.addrs().isdisjoint(changed):
+                wl.restep(psi)
     return AnalysisResult("pdcfa-widened", wl.graph, wl.ecg, e, saturated,
                           global_store=store)
 

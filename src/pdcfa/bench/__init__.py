@@ -2,37 +2,20 @@
 
 Classic higher-order analysis stress tests, re-encoded for this language
 surface (no exact correspondence with any published state counts is
-claimed).
+claimed).  Each name's program is the file <name>.scm beside this one.
 """
 from importlib import resources
 
-from ..frozen import Frozen, setfield
 from ..syntax import parse_and_normalize
 
 
-class BenchmarkEntry(Frozen):
-    def __init__(self, name, path):
-        setfield(self, "name", name)
-        setfield(self, "path", path)
-
-
-BENCHMARKS = [
-    BenchmarkEntry("fig1", "fig1.scm"),
-    BenchmarkEntry("mj09", "mj09.scm"),
-    BenchmarkEntry("eta", "eta.scm"),
-    BenchmarkEntry("kcfa2", "kcfa2.scm"),
-    BenchmarkEntry("kcfa3", "kcfa3.scm"),
-    BenchmarkEntry("blur", "blur.scm"),
-    BenchmarkEntry("loop2", "loop2.scm"),
-    BenchmarkEntry("sat", "sat.scm"),
-]
-
-BY_NAME = {b.name: b for b in BENCHMARKS}
+BENCHMARKS = ("fig1", "mj09", "eta", "kcfa2", "kcfa3", "blur", "loop2", "sat")
 
 
 def source(name: str) -> str:
-    entry = BY_NAME[name]
-    return resources.files(__package__).joinpath(entry.path).read_text()
+    if name not in BENCHMARKS:
+        raise KeyError(name)
+    return resources.files(__package__).joinpath(f"{name}.scm").read_text()
 
 
 def load(name: str):

@@ -66,13 +66,14 @@ def _load_program(spec: str):
     p = Path(spec)
     if p.exists():
         return p.stem, parse_and_normalize(p.read_text())
-    if spec in bench.BY_NAME:
+    if spec in bench.BENCHMARKS:
         return spec, bench.load(spec)
     raise FileNotFoundError(spec)
 
 
 def main(argv=None) -> int:
     import argparse  # here, not at import: only the command line needs it
+    import gc  # the stdlib's, kept local: pdcfa.gc is the only attribute gc
 
     parser = argparse.ArgumentParser(prog="pdcfa")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -100,6 +101,8 @@ def main(argv=None) -> int:
 
     try:
         return _run(args)
+    except MemoryError:
+        pass  # reported below, once the traceback's frames are freed
     except RecursionError:
         # a guard, so that no input ends in a traceback: neither the front
         # end nor the analyses recurse on program depth
@@ -113,6 +116,9 @@ def main(argv=None) -> int:
     except OSError as ex:  # a program we cannot read, an --out we cannot write
         print(f"pdcfa: {ex.filename}: {ex.strerror}", file=sys.stderr)
         return 1
+    gc.collect()  # the analysis's reference cycles: printing needs memory
+    print(f"pdcfa: {args.file}: out of memory", file=sys.stderr)
+    return 1
 
 
 def _run(args) -> int:

@@ -9,8 +9,8 @@ compare by their fields.
 """
 from __future__ import annotations
 
-from .frozen import Frozen, setfield
-from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lam, Lit, PrimRef,
+from .frozen import Record, setfield
+from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
                      Var, PRIM_ARITY)
 
 
@@ -22,47 +22,26 @@ class DanglingAddressError(Exception):
     pass
 
 
-class Clo(Frozen):
+class Clo(Record):
     def __init__(self, lam, env):
         setfield(self, "lam", lam)
         setfield(self, "env", env)  # sorted tuple of (Var, Addr)
-
-    def __eq__(self, other):
-        return (type(other) is Clo and self.lam is other.lam
-                and self.env == other.env)
-
-    def __hash__(self):
-        return hash((self.lam, self.env))
 
     def __repr__(self):  # its lambda's parameter and body label
         return f"#<closure {self.lam.param} e{self.lam.body.label}>"
 
 
-class PrimVal(Frozen):
+class PrimVal(Record):
     def __init__(self, op, args=()):
         setfield(self, "op", op)
         setfield(self, "args", args)
 
-    def __eq__(self, other):
-        return (type(other) is PrimVal and self.op == other.op
-                and self.args == other.args)
 
-    def __hash__(self):
-        return hash((self.op, self.args))
-
-
-class Frame(Frozen):
+class Frame(Record):
     def __init__(self, var, exp, env):
         setfield(self, "var", var)
         setfield(self, "exp", exp)
         setfield(self, "env", env)
-
-    def __eq__(self, other):
-        return (type(other) is Frame and self.var == other.var
-                and self.exp is other.exp and self.env == other.env)
-
-    def __hash__(self):
-        return hash((self.var, self.exp, self.env))
 
 
 def env_lookup(env, v):
@@ -84,20 +63,12 @@ def env_trim(env, keep):
     return tuple(p for p in env if p[0] in keep)
 
 
-class Conf(Frozen):
+class Conf(Record):
     def __init__(self, exp, env, store, kont):
         setfield(self, "exp", exp)
         setfield(self, "env", env)
         setfield(self, "store", store)  # sorted tuple of (Addr, Value)
         setfield(self, "kont", kont)  # of Frame, top first
-
-    def __eq__(self, other):
-        return (type(other) is Conf and self.exp is other.exp
-                and self.env == other.env and self.store == other.store
-                and self.kont == other.kont)
-
-    def __hash__(self):
-        return hash((self.exp, self.env, self.store, self.kont))
 
 
 def store_make(d):
@@ -122,8 +93,8 @@ def atomic_eval(ae, env, store):
         if a not in d:
             raise DanglingAddressError(str(a))
         return d[a]
-    if isinstance(ae, Lam):
-        return Clo(ae.lam, env_trim(env, ae.lam.free))
+    if isinstance(ae, Lambda):
+        return Clo(ae, env_trim(env, ae.free))
     if isinstance(ae, Lit):
         return ae.value
     if isinstance(ae, PrimRef):
@@ -154,9 +125,9 @@ def _apply_prim(pv: PrimVal, arg, c: Conf):
     if op == "rec":
         (w,) = args
         if not (isinstance(w, Clo) and isinstance(w.lam.body, Ret)
-                and isinstance(w.lam.body.atom, Lam)):
+                and isinstance(w.lam.body.atom, Lambda)):
             return ("stuck", "rec applied to a non-recursive wrapper")
-        inner = w.lam.body.atom.lam
+        inner = w.lam.body.atom
         a = alloc(w.lam.param, c)
         env2 = env_trim(env_extend(w.env, w.lam.param, a), inner.free)
         clo = Clo(inner, env2)
@@ -226,8 +197,8 @@ def step(c: Conf) -> Step:
         return Step("next", Conf(e.rhs, env_trim(c.env, e.rhs.free), c.store,
                                  (fr,) + c.kont))
     if isinstance(e, TailCall):
-        f = atomic_eval(e.call.fun, c.env, c.store)
-        arg = atomic_eval(e.call.arg, c.env, c.store)
+        f = atomic_eval(e.fun, c.env, c.store)
+        arg = atomic_eval(e.arg, c.env, c.store)
         if isinstance(f, Clo):
             a = alloc(f.lam.param, c)
             d = dict(c.store)

@@ -27,6 +27,7 @@ class _Act(Frozen):
     def __init__(self, frame):
         setfield(self, "frame", frame)
 
+    # not a Record: every edge-set lookup hashes an act, and this is faster
     def __eq__(self, other):
         return type(other) is type(self) and self.frame == other.frame
 

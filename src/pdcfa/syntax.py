@@ -5,8 +5,8 @@ Reads s-expressions, scope-checks a small direct-style language
 literals, a fixed primitive table) and lowers it to uniquely-labeled,
 uniquely-bound A-normal form:
 
-    Exp  ::= Let1(v, call, e) | TailCall(call) | Ret(ae) | If(ae, e, e)
-    AExp ::= Ref(v) | Lam(lam) | Lit(int|bool) | PrimRef(op)
+    Exp  ::= Let1(v, TailCall, e) | TailCall(ae, ae) | Ret(ae) | If(ae, e, e)
+    AExp ::= Ref(v) | Lambda(v, e) | Lit(int|bool) | PrimRef(op)
 
 Lambdas are unary; multi-parameter lambdas and multi-argument calls are
 curried at parse time.  Recursion from `define` is encoded with an internal
@@ -130,6 +130,7 @@ class Var(Frozen):
         setfield(self, "id", id)
         setfield(self, "_hash", hash((name, id)))  # Vars key every table
 
+    # not a Record: Vars key every table, so the hash is kept, not rebuilt
     def __eq__(self, other):
         return (type(other) is Var and self.name == other.name
                 and self.id == other.id)
@@ -173,22 +174,11 @@ class Lambda(AExp):
         return self.body.label
 
 
-class Lam(AExp):
-    def __init__(self, lam):
-        setfield(self, "lam", lam)
-
-
-class Call(Frozen):
-    def __init__(self, fun, arg):
-        setfield(self, "fun", fun)
-        setfield(self, "arg", arg)
-
-
 def _aexp_free(ae: AExp) -> frozenset:
     if isinstance(ae, Ref):
         return frozenset((ae.var,))
-    if isinstance(ae, Lam):
-        return ae.lam.free
+    if isinstance(ae, Lambda):
+        return ae.free
     return frozenset()
 
 
@@ -204,10 +194,11 @@ class Ret(Exp):
 
 
 class TailCall(Exp):
-    def __init__(self, call, label):
-        setfield(self, "call", call)
+    def __init__(self, fun, arg, label):
+        setfield(self, "fun", fun)
+        setfield(self, "arg", arg)
         setfield(self, "label", label)
-        setfield(self, "free", _aexp_free(call.fun) | _aexp_free(call.arg))
+        setfield(self, "free", _aexp_free(fun) | _aexp_free(arg))
 
 
 class Let1(Exp):
@@ -565,7 +556,7 @@ def normalize(p: Program) -> Exp:
                 todo += (("bind", v), ("call", None), ("atom", arg),
                          ("atom", fun))
         elif op == "lam":
-            out.append(Lam(Lambda(x, out.pop())))
+            out.append(Lambda(x, out.pop()))
         elif op == "bind":
             out.append((number(x), out.pop()))
         elif op == "wrap":  # innermost Let1 first
@@ -581,7 +572,7 @@ def normalize(p: Program) -> Exp:
                 out.append(Ret(out.pop(), label))
             elif op == "call":
                 arg, fun = out.pop(), out.pop()
-                out.append(TailCall(Call(fun, arg), label))
+                out.append(TailCall(fun, arg, label))
             else:
                 els, then = out.pop(), out.pop()
                 out.append(If(out.pop(), then, els, label))
@@ -603,19 +594,19 @@ def _walk(e: Exp):
         if isinstance(x, Let1):
             stack += (x.body, x.rhs)
         elif isinstance(x, TailCall):
-            stack += (x.call.arg, x.call.fun)
+            stack += (x.arg, x.fun)
         elif isinstance(x, Ret):
             stack.append(x.atom)
         elif isinstance(x, If):
             stack += (x.els, x.then, x.cond)
-        elif isinstance(x, Lam):
-            stack.append(x.lam.body)
+        elif isinstance(x, Lambda):
+            stack.append(x.body)
 
 
 def binders(e: Exp) -> list:
     """All binder Vars (Let1 variables and lambda parameters) in order."""
-    return [x.var if isinstance(x, Let1) else x.lam.param
-            for x in _walk(e) if isinstance(x, (Let1, Lam))]
+    return [x.var if isinstance(x, Let1) else x.param
+            for x in _walk(e) if isinstance(x, (Let1, Lambda))]
 
 
 def count_let1(e: Exp) -> int:
@@ -636,12 +627,12 @@ def print_anf(e: Exp) -> str:
             out.append("#t" if v is True else "#f" if v is False else str(v))
         elif isinstance(x, PrimRef):
             out.append(x.op)
-        elif isinstance(x, Lam):
-            stack += (")", x.lam.body, f"(lambda ({x.lam.param!r}) ")
+        elif isinstance(x, Lambda):
+            stack += (")", x.body, f"(lambda ({x.param!r}) ")
         elif isinstance(x, Ret):
             stack.append(x.atom)
         elif isinstance(x, TailCall):
-            stack += (")", x.call.arg, " ", x.call.fun, "(")
+            stack += (")", x.arg, " ", x.fun, "(")
         elif isinstance(x, Let1):
             stack += (")", x.body, ")) ", x.rhs, f"(let (({x.var!r} ")
         elif isinstance(x, If):

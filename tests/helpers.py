@@ -15,7 +15,8 @@ of the library because only tests call it:
 - the AAC and P4F machines, which reach exactly what `pdcfa`, `pdcfa-gc`
   and `pdcfa-widened` must reach, with no depth bound;
 - the soundness and containment checks of the acceptance gate, shared
-  with the generated-program tests, and the generator itself.
+  with the generated-program tests (whose generator is in strategies.py,
+  so that importing this module does not import hypothesis).
 
 The soundness checks compare an instrumented concrete run against each
 analysis: every trace configuration must be covered (⊑) by a reached
@@ -28,9 +29,7 @@ a raw trace store carries dead bindings the analysis rightly dropped.
 """
 import time
 from collections import deque
-from functools import lru_cache, reduce
-
-from hypothesis import strategies as st
+from functools import reduce
 
 from pdcfa import concrete
 from pdcfa.bench import load
@@ -45,8 +44,8 @@ from pdcfa.frozen import Frozen, setfield
 from pdcfa.gc import gc_store, touches
 from pdcfa.analyses import State
 from pdcfa.pushdown import CRPDS, ECG, Pop, Push, UNCH
-from pdcfa.syntax import (PRIM_ARITY, binders, If, Lam, Let1, Lit, PrimRef,
-                          Ref, Ret, TailCall)
+from pdcfa.syntax import (binders, If, Lambda, Let1, Lit, PrimRef, Ref, Ret,
+                          TailCall)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +415,12 @@ def alpha_equiv(e1, e2) -> bool:
         elif isinstance(a, PrimRef):
             if a.op != b.op:
                 return False
-        elif isinstance(a, Lam):
-            stack.append((_SCOPE, (a.lam.param, b.lam.param, a.lam.body,
-                                   b.lam.body)))
+        elif isinstance(a, Lambda):
+            stack.append((_SCOPE, (a.param, b.param, a.body, b.body)))
         elif isinstance(a, Ret):
             stack.append((a.atom, b.atom))
         elif isinstance(a, TailCall):
-            stack += ((a.call.arg, b.call.arg), (a.call.fun, b.call.fun))
+            stack += ((a.arg, b.arg), (a.fun, b.fun))
         elif isinstance(a, Let1):
             stack += ((_SCOPE, (a.var, b.var, a.body, b.body)), (a.rhs, b.rhs))
         elif isinstance(a, If):
@@ -867,84 +865,3 @@ def ref_singleton_count(r):
             if addr.var in table:
                 table[addr.var].update(vals)
     return sum(1 for vals in table.values() if len(vals) == 1), table
-
-
-# ---------------------------------------------------------------------------
-# generated surface programs
-
-_NAMES = ("a", "b", "f", "g", "x", "y")  # few, so that shadowing is common
-_FORMS = ("lambda", "apply", "prim", "if", "cond", "and", "or", "let",
-          "let*")
-
-
-@lru_cache(maxsize=None)
-def _leaves(scope):
-    leaves = [st.integers(-2, 9).map(str), st.sampled_from(("#t", "#f")),
-              st.sampled_from(sorted(PRIM_ARITY))]
-    if scope:
-        leaves.append(st.sampled_from(sorted(scope)))
-    return st.one_of(leaves)
-
-
-# one strategy object per (scope, depth): hypothesis validates each new
-# strategy object, which costs more than drawing from it
-@lru_cache(maxsize=None)
-@st.composite
-def surface_exprs(draw, scope, depth):
-    """A well-scoped expression over the whole surface: only names in
-    scope are referenced, so it stays closed."""
-    if depth <= 0 or draw(st.integers(0, 3)) == 0:
-        return draw(_leaves(scope))
-
-    def sub(inner=scope):
-        return draw(surface_exprs(frozenset(inner), depth - 1))
-
-    def subs(lo, hi):
-        return " ".join(sub() for _ in range(draw(st.integers(lo, hi))))
-
-    form = draw(st.sampled_from(_FORMS))
-    if form == "lambda":
-        ps = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3,
-                           unique=True))
-        return f"(lambda ({' '.join(ps)}) {sub(scope | set(ps))})"
-    if form == "apply":
-        return f"({sub()} {subs(1, 3)})"
-    if form == "prim":
-        op = draw(st.sampled_from(sorted(PRIM_ARITY)))
-        return f"({op} {subs(PRIM_ARITY[op], PRIM_ARITY[op])})"
-    if form == "if":
-        return f"(if {sub()} {sub()} {sub()})"
-    if form == "cond":
-        clauses = [f"[{sub()} {sub()}]"
-                   for _ in range(draw(st.integers(0, 3)))]
-        if draw(st.booleans()):
-            clauses.append(f"(else {sub()})")
-        return f"(cond {' '.join(clauses)})"
-    if form in ("and", "or"):
-        return f"({form} {subs(0, 3)})"
-    names = draw(st.lists(st.sampled_from(_NAMES), max_size=3,
-                          unique=form == "let"))
-    inner, binds = set(scope), []
-    for name in names:  # let*'s right-hand sides see the earlier names
-        binds.append(f"({name} {sub(inner if form == 'let*' else scope)})")
-        inner.add(name)
-    return f"({form} ({' '.join(binds)}) {sub(inner)})"
-
-
-@st.composite
-def surface_programs(draw, depth=3):
-    """Source text of a closed program: up to two defines, in either
-    shape, then one top expression."""
-    scope, lines = frozenset(), []
-    for name in draw(st.lists(st.sampled_from(("f", "g", "h")), max_size=2,
-                              unique=True)):
-        ps = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2,
-                           unique=True))
-        body = draw(surface_exprs(scope | {name} | set(ps), depth - 1))
-        if draw(st.booleans()):
-            lines.append(f"(define ({name} {' '.join(ps)}) {body})")
-        else:
-            lines.append(f"(define {name} (lambda ({' '.join(ps)}) {body}))")
-        scope |= {name}
-    lines.append(draw(surface_exprs(scope, depth)))
-    return "\n".join(lines)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
-from pdcfa.concrete import inject, step
+from pdcfa.concrete import inject
 from pdcfa.abstract import (Mono, OneCFA, KCFA, aalloc, aeval,
                             store_join, AEnv, AStore, AClo, AAddr,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
@@ -15,6 +15,7 @@ from pdcfa.pushdown import UNCH
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
 from pdcfa import abstract, bench
+from pdcfa.frozen import fields
 
 from helpers import (AConf, IncomparableKinds, ainject, alpha, leq,
                      ref_bind, ref_extend, ref_get, ref_lookup,
@@ -52,7 +53,7 @@ def test_aeval_closure_and_lookup():
     e = parse_and_normalize("(lambda (x) x)")
     lam = e.atom
     vals = aeval(lam, EMPTY_ENV, EMPTY_STORE)
-    assert vals == (AClo.make(lam.lam, EMPTY_ENV),)
+    assert vals == (AClo.make(lam, EMPTY_ENV),)
     a = AAddr.make("mono", X)
     env = EMPTY_ENV.extend(X, a)
     store = EMPTY_STORE.bind(a, vals)
@@ -82,11 +83,11 @@ def test_astep_let_pushes_one_frame():
 def test_astep_forks_on_two_closures():
     # a tail call whose callee address holds two closures forks
     e = parse_and_normalize("(lambda (f) (f 1))")
-    lam = e.atom.lam
+    lam = e.atom
     call = lam.body
     assert isinstance(call, TailCall)
-    lam1 = parse_and_normalize("(lambda (y) y)").atom.lam
-    lam2 = parse_and_normalize("(lambda (z) z)").atom.lam
+    lam1 = parse_and_normalize("(lambda (y) y)").atom
+    lam2 = parse_and_normalize("(lambda (z) z)").atom
     a = AAddr.make("mono", lam.param)
     env = EMPTY_ENV.extend(lam.param, a)
     store = EMPTY_STORE.bind(
@@ -106,7 +107,7 @@ def test_astep_final_state_no_successors():
 
 def test_astep_if_on_bool_top_forks():
     e = parse_and_normalize("(lambda (b) (if b 1 2))")
-    lam = e.atom.lam
+    lam = e.atom
     a = AAddr.make("mono", lam.param)
     env = EMPTY_ENV.extend(lam.param, a)
     store = EMPTY_STORE.bind(a, (A_BOOL_TOP,))
@@ -120,7 +121,7 @@ def test_astep_if_on_bool_top_forks():
 
 VARS = [Var(n, i) for i, n in enumerate("abc", start=1)]
 ADDRS = [AAddr.make("mono", v) for v in VARS]
-LAM = parse_and_normalize("(lambda (q) q)").atom.lam
+LAM = parse_and_normalize("(lambda (q) q)").atom
 VALS = [SCALAR_TOP, A_TRUE, A_FALSE,
         AClo.make(LAM, EMPTY_ENV)]
 
@@ -369,8 +370,8 @@ def test_insert_matches_make_with_and_without_a_built_parent_key():
         env = AEnv.make(zip(names[keyed::2], own))
         if keyed:
             s.skey(), env.skey()
-        assert ("_skey" in s.__dict__) is keyed
-        assert ("_skey" in env.__dict__) is keyed
+        assert hasattr(s, "_skey") is keyed
+        assert hasattr(env, "_skey") is keyed
         for a, v in zip(addrs[1 - keyed::2], names[1 - keyed::2]):
             bound = s.bind(a, (SCALAR_TOP,))
             assert bound is AStore.make(s.items + ((a, (SCALAR_TOP,)),))
@@ -451,16 +452,16 @@ def test_domain_objects_are_immutable_and_compare_by_identity(kind):
     objs = _reached_objects(r)
     assert {type(x).__name__ for x in objs} >= {"AEnv", "AAddr", "AClo"}
     for x in objs:
-        for field in [*vars(x), "new_field"]:
+        for field in [*fields(x), "new_field"]:
             with pytest.raises(AttributeError):
                 setattr(x, field, None)
-        for field in vars(x):
+        for field in fields(x):
             with pytest.raises(AttributeError):
                 delattr(x, field)
         if type(x).__name__ in ("Push", "Pop"):
             continue  # stack actions are values (see test_pushdown)
         twin = copy.copy(x)  # every field the same, another object
-        assert x == x and x != twin and vars(twin) == vars(x), type(x)
+        assert x == x and x != twin and fields(twin) == fields(x), type(x)
 
 
 @pytest.mark.parametrize("k", [0, 1])

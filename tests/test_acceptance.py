@@ -2,13 +2,10 @@
 criterion.  Analysis results are cached across criteria; the two plain
 k=1 runs on the kcfa benchmarks are capped at 10⁴ states on purpose —
 demonstrating that blowup is itself one of the criteria."""
-import json
 import random
 import subprocess
 import sys
 import time
-
-import pytest
 
 import conftest
 from helpers import (approx_uncovered, compact_naive, compute_root_cache,
@@ -118,13 +115,13 @@ def test_criterion_03_soundness_simulation():
     checked = skipped = violations = configs = 0
     skips = []
     for b in BENCHMARKS:
-        e = program(b.name)
+        e = program(b)
         for k in (0, 1):
             for kind in KINDS:
-                r = result_for(b.name, kind, k)
+                r = result_for(b, kind, k)
                 if not r.saturated:
                     skipped += 1
-                    skips.append(f"{b.name}/{kind}/k={k}")
+                    skips.append(f"{b}/{kind}/k={k}")
                     continue
                 bad, total = coverage_violations(e, policy_for(k), r)
                 violations += bad
@@ -173,7 +170,7 @@ def test_criterion_06_precision_dominance():
         for k in (0, 1):
             parts = {}
             for kind in ("pdcfa", "plain-gc", "pdcfa-gc"):
-                r = result_for(b.name, kind, k)
+                r = result_for(b, kind, k)
                 if not r.saturated:
                     parts = None
                     break
@@ -197,8 +194,8 @@ def test_criterion_07_approx_gc_soundness():
     violations = states = 0
     for b in BENCHMARKS:
         for k in (0, 1):
-            precise = result_for(b.name, "pdcfa-gc", k)
-            approx = result_for(b.name, "pdcfa-gc-approx", k)
+            precise = result_for(b, "pdcfa-gc", k)
+            approx = result_for(b, "pdcfa-gc-approx", k)
             assert precise.saturated and approx.saturated
             bad, checked = approx_uncovered(precise, approx)
             violations += bad
@@ -212,8 +209,8 @@ def test_criterion_08_widened_containment():
     violations = states = 0
     for b in BENCHMARKS:
         for k in (0, 1):
-            pd = result_for(b.name, "pdcfa", k)
-            wide = result_for(b.name, "pdcfa-widened", k)
+            pd = result_for(b, "pdcfa", k)
+            wide = result_for(b, "pdcfa-widened", k)
             assert wide.saturated
             bad, checked = widened_uncovered(pd, wide)
             violations += bad
@@ -248,7 +245,7 @@ def test_criterion_10_determinism():
     def full_sweep():
         chunks = []
         for b in BENCHMARKS:
-            e = program(b.name)
+            e = program(b)
             for kind in KINDS:
                 r = run_one(kind, e, policy_for(0),
                             deadline=time.monotonic() + 120)

@@ -186,6 +186,22 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
         assert all(leq(s, store) for s in succ_stores)
 
 
+def test_widened_resteps_only_nodes_that_read_a_grown_address(monkeypatch):
+    # a deep chain of primitive calls: each round grows one address, which
+    # one node reads, so re-stepping every node made this quadratic
+    calls = []
+    real_astep = analyses.astep
+
+    def astep(*args):
+        calls.append(args)
+        return real_astep(*args)
+    monkeypatch.setattr(analyses, "astep", astep)
+    r = analyze_pdcfa_widened(
+        parse_and_normalize("(+ 1 " * 100 + "0" + ")" * 100), Mono())
+    assert r.saturated
+    assert len(calls) <= 3 * len(r.graph.nodes)
+
+
 # ---------------------------------------------------------------------------
 # finite baselines
 
@@ -311,7 +327,7 @@ def _mk_state(exp_label):
 
 def test_compute_root_cache_push_then_pair():
     e = parse_and_normalize("(lambda (q) q)")
-    lam = e.atom.lam
+    lam = e.atom
     v = Var("v", 99)
     addr = AAddr.make("mono", v)
     env = AEnv.make(((v, addr),))

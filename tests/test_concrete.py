@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pdcfa.syntax import parse_and_normalize, Ret
+from pdcfa.syntax import parse_and_normalize
 from pdcfa.concrete import (inject, atomic_eval, alloc, step, run,
                             Clo, Conf, env_make, store_make)
 from pdcfa import bench
@@ -31,7 +31,7 @@ def test_atomic_eval_closure_trims_env():
     lam = e.atom
     env = env_make([])
     v = atomic_eval(lam, env, store_make({}))
-    assert isinstance(v, Clo) and v.lam is lam.lam and v.env == ()
+    assert isinstance(v, Clo) and v.lam is lam and v.env == ()
 
 
 def test_identity_on_identity_halts_quickly():

@@ -1,5 +1,4 @@
 """Root computation, address reachability, and store collection."""
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdcfa.syntax import Var, parse_and_normalize
@@ -28,7 +27,7 @@ def addr(name, uid):
 
 def lam_of(src):
     e = parse_and_normalize(src)
-    return e.atom.lam  # (lambda ...) normalizes to Ret(Lam(...))
+    return e.atom  # (lambda ...) normalizes to Ret(Lambda(...))
 
 
 A1, A2, A3, A4 = addr("a", 1), addr("b", 2), addr("c", 3), addr("d", 4)

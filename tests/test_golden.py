@@ -237,7 +237,7 @@ def digest(name, k):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+@pytest.mark.parametrize("name", BENCHMARKS)
 def test_outputs_match_recorded_digests(name, k):
     got = digest(name, k)
     want = {kind: GOLDEN[(name, kind, k)] for kind in KINDS}
@@ -248,6 +248,6 @@ if __name__ == "__main__":
     print("GOLDEN = {")
     for b in BENCHMARKS:
         for k in (0, 1):
-            for kind, h in digest(b.name, k).items():
-                print(f"    ({b.name!r}, {kind!r}, {k}):\n        {h!r},")
+            for kind, h in digest(b, k).items():
+                print(f"    ({b!r}, {kind!r}, {k}):\n        {h!r},")
     print("}")

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from pdcfa.bench import BENCHMARKS, source
-from pdcfa.syntax import (Ret, TailCall, Let1, If, Lam, parse_and_normalize,
-                          print_anf)
+from pdcfa.syntax import (Ret, TailCall, Let1, If, Lambda,
+                          parse_and_normalize, print_anf)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the fused pool and chains the benchmark runs)
@@ -114,7 +114,7 @@ GOLDEN = {
 
 
 def programs():
-    out = {b.name: source(b.name) for b in BENCHMARKS}
+    out = {b: source(b) for b in BENCHMARKS}
     out.update((f"fused{i}", workloads.fused_source(i))
                for i in range(workloads.FUSED_POOL))
     out.update((f"chain{n}", workloads.chain_source(n))
@@ -127,8 +127,8 @@ def marks(e):
     out, stack = [], [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Lam):
-            stack.append(x.lam.body)
+        if isinstance(x, Lambda):
+            stack.append(x.body)
             continue
         if not isinstance(x, (Ret, TailCall, Let1, If)):
             continue
@@ -136,7 +136,7 @@ def marks(e):
         if isinstance(x, Ret):
             stack.append(x.atom)
         elif isinstance(x, TailCall):
-            stack += (x.call.arg, x.call.fun)
+            stack += (x.arg, x.fun)
         elif isinstance(x, Let1):
             stack += (x.body, x.rhs)
         else:

@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -206,7 +207,7 @@ def _reference_json(r):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("prog", [b.name for b in BENCHMARKS])
+@pytest.mark.parametrize("prog", BENCHMARKS)
 def test_to_json_equals_indented_json_dumps(prog, k):
     e = load(prog)
     for kind in KINDS:
@@ -399,6 +400,29 @@ def test_cli_recursion_error_is_one_line(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_memory_error_is_one_line(monkeypatch, capsys):
+    def run_one(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_one", run_one)
+    code, out, err = run_cli(["run", "fig1", "--analysis", "pdcfa"], capsys)
+    assert code == 1 and out == ""
+    assert err == "pdcfa: fig1: out of memory\n"
+
+
+def test_cli_out_of_memory_in_a_child_is_one_line():
+    """kcfa3's uncapped plain k=1 cell outgrows a 64 MB address space."""
+    def limit():  # runs in the child, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdcfa.cli", "run", "kcfa3",
+         "--analysis", "plain", "--k", "1"],
+        capture_output=True, text=True, timeout=5, preexec_fn=limit)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "pdcfa: kcfa3: out of memory\n"
+
+
 @pytest.mark.parametrize("src, msg", [
     ("(let ((x 1) (x 2)) x)", "duplicate let binding 'x'"),
     ("'(1 2)", "quote is not supported"),
@@ -518,6 +542,17 @@ def test_import_needs_no_dataclasses_inspect_or_argparse():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
     assert "states=" in proc.stdout
+
+
+def test_importing_helpers_leaves_out_hypothesis():
+    """The benchmark's coverage check imports helpers in each child, where
+    hypothesis would only add start-up time and peak memory."""
+    code = "import sys, helpers\nprint('hypothesis' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          cwd=Path(__file__).resolve().parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_entry_point_subprocess():

@@ -14,12 +14,13 @@ from hypothesis import given, note, settings
 
 from helpers import (approx_uncovered, coverage_violations, finite_uncovered,
                      matches_machine, policy_for, program, result_for,
-                     surface_programs, widened_uncovered)
+                     widened_uncovered)
 from pdcfa.analyses import ANALYSES
 from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import run_one
 from pdcfa.metrics import singleton_count
 from pdcfa.syntax import parse_and_normalize
+from strategies import surface_programs
 
 KINDS = tuple(ANALYSES)
 MACHINE_KINDS = ("pdcfa", "pdcfa-gc", "pdcfa-widened")
@@ -29,8 +30,8 @@ SOAK_CELLS = {("kcfa3", "pdcfa", 1)}
 
 
 @pytest.mark.parametrize("name, kind, k", [
-    pytest.param(b.name, kind, k, marks=[pytest.mark.soak]
-                 if (b.name, kind, k) in SOAK_CELLS else [])
+    pytest.param(b, kind, k, marks=[pytest.mark.soak]
+                 if (b, kind, k) in SOAK_CELLS else [])
     for b in BENCHMARKS for kind in MACHINE_KINDS for k in (0, 1)])
 def test_pushdown_analyses_reach_what_their_machine_reaches(name, kind, k):
     r = result_for(name, kind, k)
@@ -39,7 +40,7 @@ def test_pushdown_analyses_reach_what_their_machine_reaches(name, kind, k):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+@pytest.mark.parametrize("name", BENCHMARKS)
 def test_finite_baselines_cover_the_pushdown_analyses(name, k):
     """Every saturated bundled pair: plain ⊒ pdcfa and plain-gc ⊒ pdcfa-gc
     (see finite_uncovered).  The capped plain cells are skipped before

@@ -1,5 +1,6 @@
 """What the package shows its users: the README's example, and no test
-oracle among the library's names."""
+oracle among the library's names; and no unused import in the code."""
+import ast
 import importlib
 import pkgutil
 import sys
@@ -7,18 +8,21 @@ from pathlib import Path
 
 import pdcfa
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # definitions that live in tests/helpers.py, and ones deleted outright (the
-# node classes analyses.State replaced, and PolySplit, a policy no --k
-# reached, among them: no alias survives)
+# node classes analyses.State replaced, PolySplit, a policy no --k reached,
+# and the wrappers a Lambda, a TailCall and a benchmark name replaced, among
+# them: no alias survives)
 ORACLE_NAMES = (
     "AConf", "ainject", "step_conf", "leq", "_val_leq", "_vals_leq",
     "_env_leq", "alpha", "_alpha_val", "_alpha_env", "run_abstracted",
     "IncomparableKinds", "UnmappedAddress", "compact_naive", "net",
     "stackify", "compute_root_cache", "alpha_equiv", "_SCOPE", "_UNSCOPE",
     "stack_root", "gc", "gc_step", "free_vars", "ControlState", "PState",
-    "OPState", "FState", "finject", "kaddr_skey", "PolySplit")
+    "OPState", "FState", "finject", "kaddr_skey", "PolySplit", "Lam", "Call",
+    "BenchmarkEntry", "BY_NAME")
 
 
 def test_readme_library_use_runs_as_written():
@@ -39,3 +43,31 @@ def test_no_module_defines_a_test_oracle():
             # pdcfa.gc, the submodule, is the package's attribute `gc`
             assert getattr(mod, name, None) in (
                 None, sys.modules.get(f"pdcfa.{name}")), (mod.__name__, name)
+
+
+def _unused_imports(path):
+    """(line, name) of each name path imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        imported.update((name, node.lineno) for name in names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    """No linter is a dependency, so this is the check.  The package's
+    __init__ imports only to re-export."""
+    paths = [p for p in (*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"))
+             if p != ROOT / "src" / "pdcfa" / "__init__.py"]
+    assert len(paths) >= 20
+    unused = {str(p.relative_to(ROOT)): u for p in paths
+              if (u := _unused_imports(p))}
+    assert unused == {}

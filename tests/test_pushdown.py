@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcfa.pushdown import (
-    CRPDS,
-    ECG,
     Pop,
     Push,
     RPDSOracle,

@@ -1,16 +1,19 @@
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, note, settings
 
-from pdcfa.syntax import (parse_program, normalize, parse_and_normalize,
-                          print_anf, binders, count_let1, read_sexprs,
-                          ParseError, UnboundVariable, Ret, TailCall, Let1,
-                          If, Ref, Lam, Lit, PrimRef, Var)
+from pdcfa.syntax import (parse_program, parse_and_normalize, print_anf,
+                          binders, count_let1, read_sexprs, ParseError,
+                          UnboundVariable, Ret, TailCall, Let1, If, Ref,
+                          Lambda, Lit, PrimRef, Var)
 from pdcfa import bench
+from pdcfa.frozen import fields
 from pdcfa.concrete import run
 
-from helpers import alpha_equiv, surface_programs
+from helpers import alpha_equiv
+from strategies import surface_programs
 
 
 def walk(e):
@@ -20,8 +23,8 @@ def walk(e):
     elif isinstance(e, If):
         out += walk(e.then) + walk(e.els)
     for ae in atoms(e):
-        if isinstance(ae, Lam):
-            out += walk(ae.lam.body)
+        if isinstance(ae, Lambda):
+            out += walk(ae.body)
     return out
 
 
@@ -29,7 +32,7 @@ def atoms(e):
     if isinstance(e, Ret):
         return [e.atom]
     if isinstance(e, TailCall):
-        return [e.call.fun, e.call.arg]
+        return [e.fun, e.arg]
     if isinstance(e, If):
         return [e.cond]
     return []
@@ -39,10 +42,10 @@ def test_smallest_lambda():
     e = parse_and_normalize("(lambda (x) x)")
     assert isinstance(e, Ret)
     lam = e.atom
-    assert isinstance(lam, Lam)
-    body = lam.lam.body
+    assert isinstance(lam, Lambda)
+    body = lam.body
     assert isinstance(body, Ret) and isinstance(body.atom, Ref)
-    assert body.atom.var is lam.lam.param
+    assert body.atom.var is lam.param
 
 
 def test_unbalanced_parens():
@@ -74,7 +77,7 @@ def test_normalize_nontail_call_introduces_let():
     let = lets[0]
     assert isinstance(let.rhs, TailCall)  # (g x)
     assert isinstance(let.body, TailCall)  # (f t)
-    assert let.body.call.arg.var is let.var
+    assert let.body.arg.var is let.var
 
 
 def test_normalize_labels_and_binders_unique():
@@ -89,7 +92,15 @@ def test_normalize_labels_and_binders_unique():
 
 def test_normalize_closed():
     for b in bench.BENCHMARKS:
-        assert bench.load(b.name).free == frozenset()
+        assert bench.load(b).free == frozenset()
+
+
+def test_a_benchmark_is_its_name():
+    assert bench.source("fig1") == (
+        Path(bench.__file__).parent / "fig1.scm").read_text()
+    for name in ("fig1.scm", "nope"):
+        with pytest.raises(KeyError):
+            bench.source(name)
 
 
 # Frozen regression value: hand normalization of the fig1 source gives one
@@ -114,7 +125,7 @@ def test_normalize_idempotent_up_to_alpha():
 
 def test_free_vars_simple():
     e = parse_and_normalize("(lambda (x) x)")
-    lam = e.atom.lam
+    lam = e.atom
     assert lam.body.free == frozenset({lam.param})
     assert e.free == frozenset()
 
@@ -123,20 +134,20 @@ def _ref_free(x):
     """Free variables of an Exp or AExp, walked from scratch."""
     if isinstance(x, Ref):
         return {x.var}
-    if isinstance(x, Lam):
-        return _ref_free(x.lam.body) - {x.lam.param}
+    if isinstance(x, Lambda):
+        return _ref_free(x.body) - {x.param}
     if isinstance(x, (Lit, PrimRef)):
         return set()
     if isinstance(x, Ret):
         return _ref_free(x.atom)
     if isinstance(x, TailCall):
-        return _ref_free(x.call.fun) | _ref_free(x.call.arg)
+        return _ref_free(x.fun) | _ref_free(x.arg)
     if isinstance(x, Let1):
         return _ref_free(x.rhs) | (_ref_free(x.body) - {x.var})
     return _ref_free(x.cond) | _ref_free(x.then) | _ref_free(x.els)
 
 
-@pytest.mark.parametrize("name", [b.name for b in bench.BENCHMARKS])
+@pytest.mark.parametrize("name", bench.BENCHMARKS)
 def test_stored_free_sets_and_var_hashes_match_a_walk(name):
     e = bench.load(name)
     for x in walk(e):
@@ -144,8 +155,8 @@ def test_stored_free_sets_and_var_hashes_match_a_walk(name):
         if isinstance(x, Let1):
             assert x.frame_free == _ref_free(x.body) - {x.var}
         for ae in atoms(x):
-            if isinstance(ae, Lam):
-                assert ae.lam.free == _ref_free(ae)
+            if isinstance(ae, Lambda):
+                assert ae.free == _ref_free(ae)
     for v in binders(e):
         assert hash(v) == hash((v.name, v.id))
 
@@ -164,13 +175,12 @@ def test_syntax_nodes_are_immutable():
     e = parse_and_normalize("(let* ((f (lambda (x) x))) (f (f 1)))")
     nodes = walk(e)
     nodes += [a for x in walk(e) for a in atoms(x)]
-    nodes += [x.call for x in walk(e) if isinstance(x, TailCall)]
     nodes += binders(e)
     for x in nodes:
-        for field in [*vars(x), "label", "new_field"]:
+        for field in [*fields(x), "label", "new_field"]:
             with pytest.raises(AttributeError):
                 setattr(x, field, None)
-        for field in vars(x):
+        for field in fields(x):
             with pytest.raises(AttributeError):
                 delattr(x, field)
 
@@ -179,7 +189,7 @@ def test_free_vars_of_fig1_f_body():
     # after define-resolution and primitive resolution the body of f
     # references exactly f (recursion) and n
     e = bench.load("fig1")
-    lams = [a.lam for x in walk(e) for a in atoms(x) if isinstance(a, Lam)]
+    lams = [a for x in walk(e) for a in atoms(x) if isinstance(a, Lambda)]
     f_lam = next(lam for lam in lams if lam.param.name == "n")
     names = {v.name for v in f_lam.body.free}
     assert "f" in names and "n" in names
