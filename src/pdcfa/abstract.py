@@ -25,10 +25,10 @@ changes and otherwise replace one entry or insert it at its sorted
 position; restrict returns self when it keeps every entry.  Each map
 memoizes what it derives (see _memo): an environment its extend per (var,
 addr) and its restrict per keep-set, a store its bind per (addr, vals), so
-a repeated update is one dict hit.  A map derived by bind, extend or
-restrict from a parent whose sort key is built takes its key from the
-parent's, splicing in or selecting entry keys (see _inherit_key).  make
-builds one from scratch (the empty ones).
+a repeated update is one dict hit.  No update builds a sort key: a map's
+key is built only when something asks for it (a closure's environment,
+when value sets are sorted).  make builds one from scratch (the empty
+ones).
 """
 from __future__ import annotations
 
@@ -202,30 +202,18 @@ def _memo(m, name):
         return memo
 
 
-def _inherit_key(child, parent, derive):
-    """child, given the key derive(parent's key) when the parent's key is
-    built and the child's is not."""
-    pkey = getattr(parent, "_skey", None)
-    if pkey is not None and not hasattr(child, "_skey"):
-        setfield(child, "_skey", derive(pkey))
-    return child
-
-
 def _put(m, i, k, v):
     """m (an AEnv or AStore) with entry i replaced by (k, v), or, when i is
     None, with (k, v) inserted at its place in skey order.  Distinct
     interned keys have distinct skeys, so this is the map make would
     build."""
-    items, pkey = m.items, getattr(m, "_skey", None)
-    if i is None:  # entry keys start with their key's skey
-        i = (bisect_left(pkey, (k.skey(),)) if pkey is not None else
-             bisect_left(items, k.skey(), key=lambda p: p[0].skey()))
-        j = i
+    items = m.items
+    if i is None:
+        i = j = bisect_left(items, k.skey(), key=lambda p: p[0].skey())
     else:
         j = i + 1
     new = items[:i] + ((k, v),) + items[j:]
-    return _inherit_key(_intern(type(m), new, new), m,
-                        lambda key: key[:i] + (m.entry_key(k, v),) + key[j:])
+    return _intern(type(m), new, new)
 
 
 def _select(m, keep):
@@ -235,8 +223,7 @@ def _select(m, keep):
     if len(idx) == len(m.items):
         return m
     items = tuple(m.items[i] for i in idx)  # still sorted
-    return _inherit_key(_intern(type(m), items, items), m,
-                        lambda key: tuple(key[i] for i in idx))
+    return _intern(type(m), items, items)
 
 
 class AEnv(Frozen):

@@ -14,28 +14,33 @@ machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
 DLS 2014) plus a stack-root set.  An analysis leaves the parts it does
 not use None on all its nodes: pdcfa-widened has no store, only the
 finite baselines have a continuation address and only pdcfa-gc has
-roots.  _PARTS lists the parts in the order State.skey compares them,
-which is the canonical order metrics serializes in.
+roots.  _PARTS lists the parts in the order State.skey compares them.
+State.skey is the reference canonical order; metrics serializes in that
+order by ranking parts, and no analysis builds a sort key.
 
 All run the one transfer function, abstract.astep, which leaves the
 continuation to its caller, and intern only their own nodes.  Every
-analysis runs on the one reachability engine, pushdown.Worklist, through
-an RPDSOracle.  The pushdown ones build theirs with _oracle: nop_delta
-takes astep's moves (push or ε transitions), top_delta(q, γ) binds its
-returns into γ with areturn (pop transitions).  Each steps through
-_stepper, which keeps one astep result per input (exp, env, store, ctx):
-a node's sprout and all its pops, and every node whose (collected) store
-is the same, share one call; widened and approximate-GC re-steps call
-astep again only when the node's store changed.  The engine keeps path
-edges per entry and one-step same-level summaries; their ε-closure graph
-is a view of those, built only when read.  The widened and
-approximate-GC oracles read state that grows while the engine runs (the
-global store, the root cache); they re-step the nodes whose input grew
-and resume the engine.  The finite baselines keep theirs in a
-continuation store: each pushed frame is joined into it, a return goes
-through every frame stored at the state's continuation address, and the
-states that read an address are re-stepped when it grows.  Their edges
-carry plain tags, so the engine builds no paths or same pairs for them.
+analysis runs on the one reachability loop, pushdown.Worklist, through
+an RPDSOracle, and explores successors in the order astep returns them.
+The pushdown ones build theirs with _oracle: nop_delta takes astep's
+moves (push or ε transitions), top_delta(q, γ) binds its returns into γ
+with areturn (pop transitions).  Each steps through _stepper, which
+keeps one astep result per input (exp, env, store, ctx): a node's moves
+under each of its entries, all its pops, and every node whose (collected)
+store is the same, share one call; widened and approximate-GC re-steps
+call astep again only when the node's store changed.  The loop stores
+each pushed frame at its target with its pusher and the pusher's entry,
+and keeps the states stepped under each entry and one-step same-level
+summaries; their ε-closure graph is a view of those, built only when
+read.  The widened and approximate-GC oracles read state that grows
+while the loop runs (the global store, the root cache); they re-step the
+nodes whose input grew and resume the loop.  The finite baselines keep
+their continuations in a store of their own: each pushed frame is joined
+into it, a return goes through every frame stored at the state's
+continuation address, and the states that read an address are re-stepped
+when it grows.  Their edges carry plain tags, so the loop stores no
+frames or same pairs for them, and all their states are stepped under
+the root.
 """
 from __future__ import annotations
 
@@ -135,15 +140,6 @@ class AnalysisResult:
 # per-state-store pushdown analysis
 
 
-def _in_order(succs):
-    """Distinct (node, act) successors of one step, in canonical node
-    order.  One step's successors share ctx and push at most one frame, so
-    a node fixes its act and this is the order of the configurations the
-    nodes stand for.  A lone successor builds no key."""
-    out = list(dict(succs).items())
-    return sorted(out, key=lambda p: p[0].skey()) if len(out) > 1 else out
-
-
 def _stepper(policy):
     """astep under policy, run once per input (exp, env, store, ctx)."""
     steps = {}
@@ -179,14 +175,14 @@ def _oracle(root, store_of, node, policy):
             else:  # pdcfa-gc
                 act, roots = Push((fr, roots)), roots | touches(fr)
             out.append((node(e2, env2, s2, ctx2, None, roots), act))
-        return _in_order(out)
+        return out
 
     def top_delta(q, gamma):
         fr, roots = (gamma, None) if q.roots is None else gamma
         _, returns = step(q.exp, q.env, store_of(q), q.ctx)
-        return _in_order((node(*areturn(fr, vals, s, q.exp, q.ctx, policy),
-                               q.ctx, None, roots), Pop(gamma))
-                         for vals, s in returns)
+        act = Pop(gamma)
+        return [(node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx,
+                      None, roots), act) for vals, s in returns]
 
     return RPDSOracle(root, top_delta, nop_delta)
 
@@ -351,7 +347,8 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
         for ka in used_kas:
             deps.setdefault(ka, {})[st] = None
         moves, returns = astep(st.exp, st.env, store, st.ctx, policy)
-        succs = []
+        out = []
+        tag = "push" if isinstance(st.exp, Let1) else "eps"
         for fr, e2, env2, s2, ctx2 in moves:
             ka2 = st.kaddr
             if fr is not None:  # allocate the frame's continuation
@@ -362,15 +359,13 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                     # every state whose pops or roots read ka2 steps again
                     for dep in deps.get(ka2, ()):
                         wl.restep(dep)
-            succs.append(State.make(e2, env2, s2, ctx2, ka2))
+            out.append((State.make(e2, env2, s2, ctx2, ka2), tag))
         for vals, s in returns:
             for fr, ka2 in kstore.get(st.kaddr, ()):
                 e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
-                succs.append(State.make(e2, env2, s2, st.ctx, ka2))
-        if isinstance(st.exp, Let1):
-            return _in_order((s2, "push") for s2 in succs)
-        return _in_order((s2, "eps" if s2.kaddr is st.kaddr else "pop")
-                         for s2 in succs)
+                out.append((State.make(e2, env2, s2, st.ctx, ka2),
+                            "eps" if ka2 is st.kaddr else "pop"))
+        return out
 
     def top_delta(st, gamma):
         return ()  # nothing is pushed on the engine's stack

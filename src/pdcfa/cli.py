@@ -47,12 +47,17 @@ def run_one(kind, e, policy, deadline=None, node_limit=None):
     return ANALYSES[kind](e, policy, deadline=deadline, node_limit=node_limit)
 
 
-def _summary_line(m):
+def _summary_line(m, max_states):
+    if m.saturated:
+        mark = ""
+    elif max_states is not None and m.control_states > max_states:
+        mark = "  [max-states]"
+    else:
+        mark = "  [timeout]"
     return (f"{m.program:>10}  {m.analysis:<16} k={m.k} "
             f"states={m.control_states:<7} edges={m.edges:<7} "
             f"singletons={m.singleton_vars}/{m.variables_total} "
-            f"time={m.wall_time_ms:.1f}ms"
-            + ("" if m.saturated else "  [timeout]"))
+            f"time={m.wall_time_ms:.1f}ms" + mark)
 
 
 def _emit(text, out_path):
@@ -90,6 +95,8 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None)
     runp.add_argument("--timeout-secs", type=_seconds, default=None,
                       help="seconds for each analysis; inf is no limit")
+    runp.add_argument("--max-states", type=_count, default=None,
+                      help="states each analysis may reach before it stops")
     runp.add_argument("--dump-anf", action="store_true",
                       help="print the normalized program and exit")
     args = parser.parse_args(argv)
@@ -151,11 +158,11 @@ def _run(args) -> int:
         # each analysis gets the whole budget
         deadline = (None if args.timeout_secs is None
                     else t0 + args.timeout_secs)
-        r = run_one(kind, e, policy, deadline)
+        r = run_one(kind, e, policy, deadline, args.max_states)
         wall = (time.monotonic() - t0) * 1000.0
         m = compute_metrics(name, r, args.k, wall)
         metrics.append(m)
-        lines.append(_summary_line(m))
+        lines.append(_summary_line(m, args.max_states))
 
     if args.format == "dot":
         _emit(to_dot(r), args.out)

@@ -1,8 +1,10 @@
 """Precision metrics and graph serialization (JSON / DOT).
 
 Both formats list nodes and edges in canonical (skey) order, sorted on
-ranks: each distinct env, store, continuation address, root set and act
-is ranked once by its key, and equal keys share a rank.  A node, an
+ranks: each distinct continuation address, root set and act is ranked
+once by its key, and each distinct env and store by the ranks of its
+entries, so no map builds its key; equal keys share a rank.  This and
+State.skey are the only places that define canonical order.  A node, an
 analyses.State, sorts on its exp label, its ctx and the ranks of the
 other parts its analysis uses, in the order its skey compares them
 (analyses._PARTS); an edge on one int packed from its src, act and dst
@@ -13,6 +15,7 @@ import json
 from json.encoder import encode_basestring_ascii as _escape
 
 from .syntax import binders
+from .abstract import AEnv, AStore
 from .analyses import _PARTS, AnalysisResult, act_skey
 from .pushdown import Push, UNCH
 
@@ -102,6 +105,17 @@ def _ranks(xs, key):
     return ranks
 
 
+def _map_ranks(maps):
+    """_ranks(maps, skey) for envs or stores, without building a map's
+    key: that key is the tuple of its entries' keys, so a map ranks on the
+    tuple of its entries' ranks."""
+    maps = dict.fromkeys(maps)
+    entry_key = type(next(iter(maps))).entry_key
+    entries = _ranks((kv for m in maps for kv in m.items),
+                     lambda kv: entry_key(*kv))
+    return _ranks(maps, lambda m: tuple([entries[kv] for kv in m.items]))
+
+
 def _order(r: AnalysisResult):
     """The nodes in canonical order, and each one's position in it, which
     is its rank: distinct interned nodes have distinct keys.  The parts
@@ -111,7 +125,11 @@ def _order(r: AnalysisResult):
     for part, key in _PARTS:
         if getattr(nodes[0], part) is not None:
             xs = [getattr(n, part) for n in nodes]
-            cols.append(xs if key is None else [*map(_ranks(xs, key).get, xs)])
+            if key is not None:
+                ranks = (_map_ranks(xs) if isinstance(xs[0], (AEnv, AStore))
+                         else _ranks(xs, key))
+                xs = [*map(ranks.get, xs)]
+            cols.append(xs)
     keys = list(zip(*cols))
     nodes = [nodes[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
     return nodes, {n: i for i, n in enumerate(nodes)}

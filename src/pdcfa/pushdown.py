@@ -1,17 +1,21 @@
-"""Generic pushdown reachability by entry-relative summaries.
+"""Generic pushdown reachability over a continuation store.
 
 A rooted pushdown system is given intensionally by an RPDSOracle:
 `nop_delta(q)` enumerates push/no-change transitions (no stack needed) and
 `top_delta(q, γ)` enumerates the pop transitions enabled when γ is on top.
 `compact_worklist` computes the compacted system and ε-closure graph with
-one resumable engine, `Worklist`, which every analysis runs:
-RHS-style tabulation that keeps path edges (entry, q) from the root and
-each push target, and the one-step same-level relation `same` (ε edges
-plus push…pop summaries).
+one resumable loop, `Worklist`, which every analysis runs.  As in the AAC
+and P4F machines (Johnson & Van Horn, DLS 2014; Gilray et al., POPL 2016),
+each pushed frame is stored at its push target with its pusher and the
+pusher's entry, so a return reaches exactly the frames pushed on the way
+to its entry: the loop computes the same-level summaries that pushdown
+reachability needs and nothing more.  Work is a FIFO of (state, entry)
+pairs, explored in the order the oracle answers; nothing is sorted here.
 The reflexive-transitive ε-closure is never stored; `ECG` reads it from
-`same` when a caller asks.  An analysis whose transfer function grows
-(widened store, approximate GC roots, the finite baselines' continuation
-store) re-steps the affected nodes, and the engine works them in.
+the one-step same-level relation `same` when a caller asks.  An analysis
+whose transfer function grows (widened store, approximate GC roots, the
+finite baselines' continuation store) re-steps the affected states, and
+the loop works them in.
 """
 from __future__ import annotations
 
@@ -64,34 +68,26 @@ class RPDSOracle:
 
 
 class CRPDS:
-    """Compacted rooted pushdown system: explicit nodes and edges."""
+    """Compacted rooted pushdown system: explicit nodes and edges, and the
+    continuation store that Worklist fills: kstore[q][γ] holds (pusher,
+    pusher's entry) for each push pusher --γ--> q."""
 
     def __init__(self, root):
         self.root = root
         self.nodes = {root: None}  # insertion-ordered set
         self.edges = {}  # (src, act, dst) -> None
-        self._push_into = {}  # q2 -> {(src, frame): None}
-
-    def add_node(self, q):
-        if q in self.nodes:
-            return False
-        self.nodes[q] = None
-        return True
+        self.kstore = {}  # entry -> {γ: {(pusher, pusher's entry): None}}
 
     def add_edge(self, edge):
-        if edge in self.edges:
-            return False
-        s, act, d = edge
+        """Record edge (src, act, dst) and, if they are new, its nodes."""
         self.edges[edge] = None
-        self.add_node(s)
-        self.add_node(d)
-        if isinstance(act, Push):
-            self._push_into.setdefault(d, {})[(s, act.frame)] = None
-        return True
+        self.nodes[edge[0]] = self.nodes[edge[2]] = None
 
     def push_into(self, q):
         """All (src, frame) with an edge src --Push(frame)--> q."""
-        return list(self._push_into.get(q, ()))
+        return list(dict.fromkeys((s, g) for g, callers in
+                                  self.kstore.get(q, {}).items()
+                                  for s, _ in callers))
 
 
 def _closure(q, step):
@@ -154,152 +150,144 @@ class ECG:
 # ---------------------------------------------------------------------------
 # worklist algorithm
 
-CHECK_EVERY = 64  # work items between deadline / node-limit checks
+CHECK_EVERY = 64  # steps between deadline checks
 
 
 class Worklist:
-    """Pushdown reachability by entry-relative summaries (RHS tabulation),
-    as a resumable worklist engine.
+    """Pushdown reachability over a continuation store, as a resumable
+    loop.
 
-    An *entry* is the root or the target of a push edge.  The engine keeps
-    - `paths[e]`: the states same-level reachable from entry e (its path
-      edges), and the reverse index `entries_of[q]`;
-    - `same[q]`: the one-step same-level successors of q: its ε edges, and
-      a summary src → r for each push src --γ--> e, path (e, x) and pop
-      x --pop γ--> r;
-    - the graph's `push_into`.
-    Each pop is tried once per path edge (e, x) and push into e, so the
-    work grows with the path edges, not with the ε-closure; `ecg` is the
-    closure as a view of `same`, built only when read.
+    An *entry* is the root or the target of a push edge.  The work list is
+    a FIFO of (state, entry) pairs.  Stepping q under e records q in
+    `paths[e]`, pops q against every frame stored at e, and follows q's
+    moves: an ε or tagged edge reaches its target under e, and a push
+    q --γ--> t stores the caller (q, e) under γ at t in `graph.kstore`.
+    A new caller pops the states already at t, and t is stepped under
+    itself when it first becomes an entry.  A pop x --pop γ--> r for a
+    caller (p, pe) adds the summary p → r to `same` and reaches r under
+    pe.  So `same[q]` holds q's ε successors and its push…pop summaries,
+    and `ecg` is their closure, built only when read.
 
-    Work is taken ΔH (same pairs) before ΔE (edges) before ΔS (sprouts);
-    a new path edge is followed at once through `same`.  `run` may be
-    called again after it returns.  An oracle whose answers grow (a larger
-    store, root set or continuation store) tells the engine with
-    `restep`, between runs or from inside a call.  `on_record(item)`, if
-    given, is called once each same pair (s, d) or edge (s, act, d) is
-    recorded, before its consequences are worked out.  Limits are checked
-    every CHECK_EVERY work items.
+    `run` may be called again after it returns.  An oracle whose answers
+    grow (a larger store, root set or continuation store) tells the loop
+    with `restep`, between runs or from inside a call.  `on_record(item)`,
+    if given, is called once each same pair (s, d) or edge (s, act, d) is
+    recorded, before its consequences are worked out.  The node limit is
+    checked before every step, the deadline every CHECK_EVERY steps.
     """
 
     def __init__(self, oracle, on_record=None):
         self.oracle = oracle
         self.on_record = on_record
         self.graph = CRPDS(oracle.root)
-        self.paths = {}  # entry -> {q: None}
-        self.entries_of = {}  # q -> {entry: None}
+        self.paths = {oracle.root: {}}  # entry -> {q stepped under it: None}
         self.same = {}  # q -> {q2: None}
-        self._dS, self._dE, self._dH = deque(), deque(), deque()
-        self._queued_s, self._queued_e, self._queued_h = set(), set(), set()
-        self._ticks = 0
-        self._enq_sprout(oracle.root)
-        self._enter(oracle.root)
+        self._entries = {}  # q -> its entry, or {entry: None} if several
+        self._work = deque([(oracle.root, oracle.root)])
 
     @property
     def ecg(self):
         """The ε-closure graph of what has been found so far."""
         return ECG(self.graph.nodes, self.same)
 
-    def _enq_sprout(self, q):
-        if q not in self._queued_s:
-            self._queued_s.add(q)
-            self._dS.append(q)
-
-    def _enq_edge(self, e):
-        if e not in self._queued_e and e not in self.graph.edges:
-            self._queued_e.add(e)
-            self._dE.append(e)
-
-    def _enq_same(self, p):
-        if p not in self._queued_h and p[1] not in self.same.get(p[0], ()):
-            self._queued_h.add(p)
-            self._dH.append(p)
-
-    def _enter(self, e):
-        """Make e an entry; False if it already was one."""
-        if e in self.paths:
-            return False
-        self.paths[e] = {}
-        self._reach(e, e)
-        return True
-
-    def _reach(self, e, q):
-        """Path edge (e, q) and every path edge after it through `same`;
-        each new one matches its state against the pushes into e."""
+    def _step(self, q, e):
+        """q under entry e, unless it already was: its pops of the frames
+        stored at e, then its moves."""
         path = self.paths[e]
-        pushes = self.graph.push_into(e)
-        stack = [q]
-        while stack:
-            x = stack.pop()
-            if x in path:
+        if q in path:
+            return
+        path[q] = None
+        had = self._entries.setdefault(q, e)  # the index restep reads
+        if had is not e:
+            if type(had) is dict:
+                had[e] = None
+            else:
+                self._entries[q] = {had: None, e: None}
+        for gamma, callers in self.graph.kstore.get(e, {}).items():
+            self._pop(q, gamma, callers)
+        record, work = self._record, self._work
+        for q2, act in self.oracle.nop_delta(q):
+            if type(act) is Push:
+                record(q, act, q2)
+                self._push(q, act.frame, e, q2)
                 continue
-            path[x] = None
-            self.entries_of.setdefault(x, {})[e] = None
-            for src, gamma in pushes:
-                self._pops(src, gamma, x)
-            stack.extend(self.same.get(x, ()))
+            if act is UNCH:
+                self._same(q, q2)
+            record(q, act, q2)
+            if q2 not in path:
+                work.append((q2, e))
 
-    def _pops(self, src, gamma, q):
-        """Pops of γ at q, for a push src --γ--> into an entry of q."""
-        for q2, act in self.oracle.top_delta(q, gamma):
-            if isinstance(act, Pop) and act.frame == gamma:
-                self._enq_edge((q, act, q2))
-                self._enq_same((src, q2))
+    def _push(self, q, gamma, e, t):
+        """Store the frame q pushed under e at t; a new caller pops the
+        states already there."""
+        kstore = self.graph.kstore
+        frames = kstore.get(t)
+        if frames is None:
+            frames = kstore[t] = {}
+        callers = frames.get(gamma)
+        if callers is None:
+            callers = frames[gamma] = {}
+        if (q, e) in callers:
+            return
+        callers[q, e] = None
+        if t in self.paths:
+            for x in list(self.paths[t]):
+                self._pop(x, gamma, ((q, e),))
+        else:
+            self.paths[t] = {}
+            self._work.append((t, t))
+
+    def _pop(self, x, gamma, callers):
+        """x's pops of γ for each (pusher, pusher's entry) in callers: a
+        return is a summary of the pusher, reached under its entry."""
+        paths, work = self.paths, self._work
+        for r, act in self.oracle.top_delta(x, gamma):
+            for p, pe in callers:
+                self._same(p, r)
+                if r not in paths[pe]:
+                    work.append((r, pe))
+            self._record(x, act, r)
+
+    def _same(self, s, d):
+        succ = self.same.get(s)
+        if succ is None:
+            succ = self.same[s] = {}
+        if d not in succ:
+            succ[d] = None
+            if self.on_record is not None:
+                self.on_record((s, d))
+
+    def _record(self, s, act, d):
+        edge = (s, act, d)
+        if edge not in self.graph.edges:
+            self.graph.add_edge(edge)
+            if self.on_record is not None:
+                self.on_record(edge)
 
     def restep(self, q):
-        """q's transitions grew: sprout it again, and match it now against
-        every frame pushed into its entries."""
-        self._enq_sprout(q)
-        for e in self.entries_of.get(q, ()):
-            for src, gamma in self.graph.push_into(e):
-                self._pops(src, gamma, q)
+        """q's transitions grew: step it again under every entry it was
+        stepped under."""
+        es = self._entries.get(q)
+        if es is None:
+            return  # not stepped yet: its first step sees the growth
+        for e in es if type(es) is dict else (es,):
+            if self.paths[e].pop(q, 0) is None:  # not already waiting
+                self._work.append((q, e))
 
     def run(self, deadline: float | None = None,
             node_limit: int | None = None) -> bool:
-        """Work until every queue is empty (True) or a limit hits (False)."""
-        graph, oracle = self.graph, self.oracle
-        dS, dE, dH = self._dS, self._dE, self._dH
-        while dH or dE or dS:
-            self._ticks += 1
-            if self._ticks % CHECK_EVERY == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    return False
-                if node_limit is not None and len(graph.nodes) > node_limit:
-                    return False
-            if dH:  # a same-level step s → d extends every path through s
-                p = dH.popleft()
-                self._queued_h.discard(p)
-                s, d = p
-                succ = self.same.setdefault(s, {})
-                assert d not in succ, f"duplicate same pair {p}"
-                succ[d] = None
-                if self.on_record is not None:
-                    self.on_record(p)
-                for e in list(self.entries_of.get(s, ())):
-                    self._reach(e, d)
-            elif dE:
-                e = dE.popleft()
-                self._queued_e.discard(e)
-                s, act, d = e
-                new = d not in graph.nodes
-                added = graph.add_edge(e)
-                assert added, f"duplicate edge {e}"
-                if self.on_record is not None:
-                    self.on_record(e)
-                # an ε edge's same pair was queued, and so recorded, first
-                if isinstance(act, Push) and not self._enter(d):
-                    for x in list(self.paths[d]):  # a new caller of d
-                        self._pops(s, act.frame, x)
-                if new:
-                    self._enq_sprout(d)
-            else:  # sprout: push/ε edges out of a state
-                q = dS.popleft()
-                self._queued_s.discard(q)
-                for q2, act in oracle.nop_delta(q):
-                    assert not isinstance(act, Pop), "nop_delta must not pop"
-                    self._enq_edge((q, act, q2))
-                    if act is UNCH:
-                        self._enq_same((q, q2))
+        """Work until the work list is empty (True) or a limit hits
+        (False)."""
+        work, nodes, step = self._work, self.graph.nodes, self._step
+        ticks = 0
+        while work:
+            if node_limit is not None and len(nodes) > node_limit:
+                return False
+            ticks += 1
+            if (deadline is not None and ticks % CHECK_EVERY == 0
+                    and time.monotonic() > deadline):
+                return False
+            step(*work.popleft())
         return True
 
 

@@ -33,10 +33,10 @@ from functools import reduce
 
 from pdcfa import concrete
 from pdcfa.bench import load
-from pdcfa.cli import run_one
+from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import Clo, PrimVal, Conf, UnboundVariableError
-from pdcfa.abstract import (K_HALT, Mono, OneCFA, AScalarTop, ABool, AClo,
-                            APrim, AAddr, AEnv, AStore, AFrame, KAddr,
+from pdcfa.abstract import (K_HALT, AScalarTop, ABool, AClo, APrim, AAddr,
+                            AEnv, AStore, AFrame, KAddr,
                             EMPTY_ENV, EMPTY_STORE, SCALAR_TOP,
                             aalloc, abool, areturn, astep, push_ctx,
                             skey, store_join, vset, _intern, _keyed)
@@ -644,10 +644,10 @@ def result_for(name, kind, k):
     if key not in _cache:
         e = program(name)
         if key in CAPPED:
-            r = run_one(kind, e, policy_for(k),
+            r = run_one(kind, e, policy_for_k(k),
                         deadline=time.monotonic() + 60, node_limit=10_000)
         else:
-            r = run_one(kind, e, policy_for(k),
+            r = run_one(kind, e, policy_for_k(k),
                         deadline=time.monotonic() + 120)
         _cache[key] = r
     return _cache[key]
@@ -734,10 +734,6 @@ def widened_uncovered(pd, wide):
               if State.make(n.exp, n.env, None, n.ctx) not in wnodes
               or not leq(n.store, wide.global_store))
     return bad, len(pd.graph.nodes)
-
-
-def policy_for(k):
-    return Mono() if k == 0 else OneCFA()
 
 
 def ref_skey(x):

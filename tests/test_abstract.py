@@ -360,8 +360,8 @@ def test_store_and_env_ops_match_from_scratch_reference(ops):
 
 
 def test_insert_matches_make_with_and_without_a_built_parent_key():
-    """A new entry goes where make puts it, whether its place is found in
-    the parent's built key or, unbuilt, in the parent's items."""
+    """A new entry goes where make puts it, whether or not the parent's
+    key is built, and the child's key is the one built from scratch."""
     names = [Var(f"put{n}", 90 + n) for n in range(6)]
     addrs = [AAddr.make("mono", v) for v in names]
     for keyed in (False, True):  # fresh parents: their keys are unbuilt

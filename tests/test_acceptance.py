@@ -9,11 +9,11 @@ import time
 
 import conftest
 from helpers import (approx_uncovered, compact_naive, compute_root_cache,
-                     coverage_violations, net, policy_for, program,
-                     result_for, stackify, widened_uncovered)
+                     coverage_violations, net, program, result_for, stackify,
+                     widened_uncovered)
 from pdcfa.analyses import ANALYSES, analyze_gc_approx
 from pdcfa.bench import BENCHMARKS
-from pdcfa.cli import run_one
+from pdcfa.cli import policy_for_k, run_one
 from pdcfa.metrics import singleton_count, to_dot, to_json
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
@@ -123,7 +123,7 @@ def test_criterion_03_soundness_simulation():
                     skipped += 1
                     skips.append(f"{b}/{kind}/k={k}")
                     continue
-                bad, total = coverage_violations(e, policy_for(k), r)
+                bad, total = coverage_violations(e, policy_for_k(k), r)
                 violations += bad
                 configs += total
                 checked += 1
@@ -166,6 +166,7 @@ def test_criterion_05_blowup_vs_fused():
 
 def test_criterion_06_precision_dominance():
     pairs = ge_max = ge_min = 0
+    strict = []  # cells where pdcfa-gc beats both pdcfa and plain-gc
     for b in BENCHMARKS:
         for k in (0, 1):
             parts = {}
@@ -183,11 +184,17 @@ def test_criterion_06_precision_dominance():
                 ge_max += 1
             if fused >= min(parts["pdcfa"], parts["plain-gc"]):
                 ge_min += 1
+            if fused > max(parts["pdcfa"], parts["plain-gc"]):
+                strict.append((b, k))
     assert pairs >= 14
     assert ge_min == pairs
     assert ge_max >= 0.8 * pairs
+    # the paper's better-than-both-worlds cell: 4 singletons against 3
+    # (pdcfa) and 3 (plain-gc)
+    assert ("kcfa2", 0) in strict
     report(6, "precision-dominance",
-           f"fused ≥ max on {ge_max}/{pairs}, ≥ min on {ge_min}/{pairs}")
+           f"fused ≥ max on {ge_max}/{pairs}, ≥ min on {ge_min}/{pairs}, "
+           f"> both on {len(strict)}/{pairs}")
 
 
 def test_criterion_07_approx_gc_soundness():
@@ -225,7 +232,7 @@ def test_criterion_09_incremental_root_cache():
     for name in ("fig1", "eta", "blur", "loop2", "sat"):
         def keep(guarded, hpairs, roots):
             snapshots.append((list(guarded), list(hpairs), dict(roots)))
-        analyze_gc_approx(program(name), policy_for(0), snapshot_cb=keep)
+        analyze_gc_approx(program(name), policy_for_k(0), snapshot_cb=keep)
     assert len(snapshots) >= 100
     rng = random.Random(0xCAC4E)
     sample = rng.sample(snapshots, 100)
@@ -247,7 +254,7 @@ def test_criterion_10_determinism():
         for b in BENCHMARKS:
             e = program(b)
             for kind in KINDS:
-                r = run_one(kind, e, policy_for(0),
+                r = run_one(kind, e, policy_for_k(0),
                             deadline=time.monotonic() + 120)
                 chunks.append(to_dot(r))
                 chunks.append(to_json(r))

@@ -114,7 +114,7 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-widened', 0):
         '144ebff11f8970097571fc8c4021263967aa64eec3e660fcf28a2f8994d58d8d',
     ('kcfa2', 'plain', 1):
-        '2d0e86659cc12bd5550764a8b859659c9f70b0eadb3b1e6131f1cd69c8571745',
+        'ac4c8c8a1d24cff4437a430e27073f31b52cfeed5828a86c466a88e23f71aa11',
     ('kcfa2', 'plain-gc', 1):
         '48270883db50cde3c886034f2806265529302ae5866855ee72a943885d18289f',
     ('kcfa2', 'pdcfa', 1):
@@ -138,11 +138,11 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-widened', 0):
         '2e6888e9ec83b63d8186816c2210a74ed6060bf1f33d29d13a11e486b518b9cc',
     ('kcfa3', 'plain', 1):
-        '001ca038d46cb98dbb200db7f9a2913191cf443e0cd55d4b3b59dd0aff6345d0',
+        '72af4dc544ae099b3463f73752353c194d51dc9e431d2637659a71ee41548924',
     ('kcfa3', 'plain-gc', 1):
         '3b3a7cb63b302a1bb554f00e80f9d48f1977f6287a4a4f12284200bad0b94612',
     ('kcfa3', 'pdcfa', 1):
-        '77d5df52a1cf90059671855b5cd77f8af51861b4b35693920b36f00a73137b14',
+        '6bf6d7ccbb29903e0b0380549db817991de042aa0c1de42c49f76e48bfb6f075',
     ('kcfa3', 'pdcfa-gc', 1):
         '97b2bb8493388a6bbbe90effef3d379f3cf3b965adecee969360bc9f2aa4128e',
     ('kcfa3', 'pdcfa-gc-approx', 1):

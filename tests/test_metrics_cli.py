@@ -372,6 +372,39 @@ def test_cli_all_gives_each_analysis_its_own_budget(monkeypatch, capsys):
         assert deadline == start + 10.0, kind
 
 
+def test_cli_max_states_and_timeout_markers(capsys):
+    # kcfa3 plain k=1 is an intended blowup: it passes any small cap
+    base = ["run", "kcfa3", "--analysis", "plain", "--k", "1"]
+    code, out, _ = run_cli([*base, "--max-states", "500"], capsys)
+    assert code == 0 and out.rstrip().endswith("  [max-states]")
+    assert int(out.split("states=")[1].split()[0]) > 500
+    code, out, _ = run_cli([*base, "--max-states", "500", "--timeout-secs",
+                            "0"], capsys)
+    assert code == 0 and out.rstrip().endswith("  [timeout]")
+
+
+def test_cli_all_gives_each_analysis_the_whole_state_budget(monkeypatch,
+                                                            capsys):
+    limits = []
+    real_run_one = cli.run_one
+
+    def run_one(kind, e, policy, deadline=None, node_limit=None):
+        limits.append((kind, node_limit))
+        return real_run_one(kind, e, policy, deadline, node_limit)
+    monkeypatch.setattr(cli, "run_one", run_one)
+    code, out, _ = run_cli(["run", "kcfa3", "--analysis", "all", "--k", "1",
+                            "--max-states", "300"], capsys)
+    assert code == 0
+    assert limits == [(kind, 300) for kind in KINDS]
+    marked = {}
+    for line in out.splitlines():
+        states = int(line.split("states=")[1].split()[0])
+        marked[line.split()[1]] = line.endswith("[max-states]")
+        assert marked[line.split()[1]] == (states > 300), line
+        assert "[timeout]" not in line
+    assert marked["plain"] and marked["pdcfa"] and not marked["pdcfa-gc"]
+
+
 def test_cli_runs_a_200_binding_chain(tmp_path, capsys):
     # a 200-binding let* chain of calls through one shared closure
     n = 200
@@ -444,8 +477,8 @@ def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["non-utf8", "directory", "out-dir-missing",
                                   "negative-k", "negative-fuel",
-                                  "timeout=-1", "timeout=nan", "timeout=0",
-                                  "timeout=inf"])
+                                  "negative-max-states", "timeout=-1",
+                                  "timeout=nan", "timeout=0", "timeout=inf"])
 def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
     prog = tmp_path / "p.scm"
     prog.write_text("(+ 1 2)")
@@ -460,6 +493,10 @@ def test_cli_bad_input_ends_without_traceback(case, tmp_path, capsys):
         argv, want = [str(prog), "--k", "-1"], 2
     elif case == "negative-fuel":
         argv, want = [str(prog), "--analysis", "concrete", "--fuel", "-5"], 2
+    elif case == "negative-max-states":
+        argv = ["kcfa3", "--analysis", "plain", "--k", "1", "--max-states",
+                "-1"]
+        want = 2
     else:  # fig1 pdcfa k=1 reaches 185 states with no limit
         secs = case.split("=")[1]
         argv = ["fig1", "--analysis", "pdcfa", "--k", "1", "--timeout-secs",

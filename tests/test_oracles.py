@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, note, settings
 
 from helpers import (approx_uncovered, coverage_violations, finite_uncovered,
-                     matches_machine, policy_for, program, result_for,
-                     widened_uncovered)
+                     matches_machine, program, result_for, widened_uncovered)
+from pdcfa import pushdown
 from pdcfa.analyses import ANALYSES
 from pdcfa.bench import BENCHMARKS
-from pdcfa.cli import run_one
+from pdcfa.cli import policy_for_k, run_one
 from pdcfa.metrics import singleton_count
 from pdcfa.syntax import parse_and_normalize
 from strategies import surface_programs
@@ -36,7 +36,7 @@ SOAK_CELLS = {("kcfa3", "pdcfa", 1)}
 def test_pushdown_analyses_reach_what_their_machine_reaches(name, kind, k):
     r = result_for(name, kind, k)
     assert r.saturated
-    assert matches_machine(program(name), policy_for(k), r)
+    assert matches_machine(program(name), policy_for_k(k), r)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -63,7 +63,7 @@ def check_generated(src):
     note(src)
     e = parse_and_normalize(src)
     for k in (0, 1):
-        policy = policy_for(k)
+        policy = policy_for_k(k)
         rs = {kind: run_one(kind, e, policy, deadline=time.monotonic() + 60)
               for kind in KINDS}
         for kind, r in rs.items():
@@ -93,3 +93,54 @@ def test_generated_programs_pass_every_check(src):
 @given(surface_programs(depth=5))
 def test_generated_programs_pass_every_check_soak(src):
     check_generated(src)
+
+
+# ---------------------------------------------------------------------------
+# broken copies of the continuation-store loop, each caught by the checks
+
+
+def _push_without_pops(self, q, gamma, e, t):
+    """Worklist._push that stores a new caller of γ at t but pops none of
+    the states already there."""
+    self.graph.kstore.setdefault(t, {}).setdefault(gamma, {})[q, e] = None
+    if t not in self.paths:
+        self.paths[t] = {}
+        self._work.append((t, t))
+
+
+def _restep_under_none(self, q):
+    pass
+
+
+def _restep_under_one(self, q):
+    """Worklist.restep that steps q again under only one of its
+    entries."""
+    es = self._entries.get(q)
+    if es is not None:
+        e = next(iter(es)) if type(es) is dict else es
+        if self.paths[e].pop(q, 0) is None:
+            self._work.append((q, e))
+
+
+# cells that a broken copy gets wrong: k=0, pdcfa-gc on fig1 and
+# pdcfa-widened on eta, and plain-gc on fig1 for a copy that never re-steps
+BROKEN_CELLS = (("fig1", "pdcfa-gc"), ("eta", "pdcfa-widened"),
+                ("fig1", "plain-gc"))
+
+
+def _caught(name, kind):
+    e, policy = program(name), policy_for_k(0)
+    r = run_one(kind, e, policy)
+    assert r.saturated
+    wrong_nodes = kind != "plain-gc" and not matches_machine(e, policy, r)
+    return wrong_nodes or coverage_violations(e, policy, r)[0] > 0
+
+
+@pytest.mark.parametrize("attr, broken", [
+    ("_push", _push_without_pops), ("restep", _restep_under_none),
+    ("restep", _restep_under_one)],
+    ids=["push-without-pops", "restep-under-none", "restep-under-one"])
+def test_checks_catch_a_broken_loop(attr, broken, monkeypatch):
+    assert not any(_caught(name, kind) for name, kind in BROKEN_CELLS)
+    monkeypatch.setattr(pushdown.Worklist, attr, broken)
+    assert any(_caught(name, kind) for name, kind in BROKEN_CELLS)
