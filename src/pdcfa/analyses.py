@@ -14,9 +14,7 @@ machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
 DLS 2014) plus a stack-root set.  An analysis leaves the parts it does
 not use None on all its nodes: pdcfa-widened has no store, only the
 finite baselines have a continuation address and only pdcfa-gc has
-roots.  _PARTS lists the parts in the order State.skey compares them.
-State.skey is the reference canonical order; metrics serializes in that
-order by ranking parts, and no analysis builds a sort key.
+roots.  Nothing here orders nodes: metrics alone defines that order.
 
 All run the one transfer function, abstract.astep, which leaves the
 continuation to its caller, and intern only their own nodes.  Every
@@ -28,10 +26,10 @@ with areturn (pop transitions).  Each steps through _stepper, which
 keeps one astep result per input (exp, env, store, ctx): a node's moves
 under each of its entries, all its pops, and every node whose (collected)
 store is the same, share one call; widened and approximate-GC re-steps
-call astep again only when the node's store changed.  The loop stores
-each pushed frame at its target with its pusher and the pusher's entry,
-and keeps the states stepped under each entry and one-step same-level
-summaries; their ε-closure graph is a view of those, built only when
+call astep again only when the node's store changed.  A result carries
+the loop's own facts: the states stepped under each entry (graph.paths),
+the callers stored at each (graph.kstore), and the ε-closure graph, a
+view of the one-step same-level summaries built only when
 read.  The widened and approximate-GC oracles read state that grows
 while the loop runs (the global store, the root cache); they re-step the
 nodes whose input grew and resume the loop.  The finite baselines keep
@@ -50,7 +48,7 @@ from functools import partial
 from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
 from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
-                       astep, skey, store_join, _intern, _keyed)
+                       astep, store_join, _intern)
 from .gc import gc_store, touches
 from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
                        compact_worklist)
@@ -58,16 +56,6 @@ from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
 # perfbench/tracing.py wraps the astep of this module and also reads the
 # name astep_finite; the alias goes when that tracer stops reading it.
 astep_finite = astep
-
-
-def _roots_key(roots):
-    return tuple(sorted(a.skey() for a in roots))
-
-
-# A State's parts after its exp, in the order its skey compares them, each
-# with its part's sort key (None: the part is its own key).
-_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", skey),
-          ("roots", _roots_key))
 
 
 class State(Frozen):
@@ -89,30 +77,8 @@ class State(Frozen):
                              kaddr if roots is None else roots),
                        exp, env, store, ctx, kaddr, roots)
 
-    @_keyed
-    def skey(self):
-        key = [self.exp.label]
-        for part, pkey in _PARTS:
-            x = getattr(self, part)
-            if x is not None:
-                key.append(x if pkey is None else pkey(x))
-        return tuple(key)
-
     def __repr__(self):
         return f"q(e{self.exp.label})"
-
-
-def act_skey(act):
-    if isinstance(act, str):  # finite-baseline tag
-        return (act,)
-    if act is UNCH:
-        return (0,)
-    frame = act.frame
-    if isinstance(frame, tuple):  # GC-precise stack character (frame, roots)
-        fk = (frame[0].skey(), _roots_key(frame[1]))
-    else:
-        fk = frame.skey()
-    return ((1,) if isinstance(act, Push) else (2,)) + fk
 
 
 class AnalysisResult:

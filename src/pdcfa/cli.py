@@ -145,7 +145,9 @@ def _run(args) -> int:
     policy = policy_for_k(args.k)
 
     if args.analysis == "concrete":
-        trace, outcome = concrete_run(e, fuel=args.fuel)
+        deadline = (None if args.timeout_secs is None
+                    else time.monotonic() + args.timeout_secs)
+        trace, outcome = concrete_run(e, args.fuel, deadline)
         _emit(f"{name}: {' '.join(map(str, outcome))} "
               f"({len(trace)} configurations)", args.out)
         return 0 if outcome[0] == "halt" else 1

@@ -9,6 +9,8 @@ compare by their fields.
 """
 from __future__ import annotations
 
+import time
+
 from .frozen import Record, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
                      Var, PRIM_ARITY)
@@ -216,14 +218,17 @@ def step(c: Conf) -> Step:
     raise TypeError(e)
 
 
-def run(e: Exp, fuel: int = 10 ** 5):
-    """Run to completion or fuel exhaustion; returns (trace, outcome).
+def run(e: Exp, fuel: int = 10 ** 5, deadline: float | None = None):
+    """Run to completion, fuel exhaustion or the time.monotonic()
+    deadline, checked before every step; returns (trace, outcome).
 
-    outcome is ('halt', value), ('stuck', reason), or ('fuel',).
+    outcome is ('halt', value), ('stuck', reason), ('fuel',) or ('timeout',).
     """
     c = inject(e)
     trace = [c]
     for _ in range(fuel):
+        if deadline is not None and time.monotonic() >= deadline:
+            return trace, ("timeout",)
         s = step(c)
         if s.kind == "halt":
             return trace, ("halt", s.value)

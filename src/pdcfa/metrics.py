@@ -1,22 +1,21 @@
 """Precision metrics and graph serialization (JSON / DOT).
 
-Both formats list nodes and edges in canonical (skey) order, sorted on
-ranks: each distinct continuation address, root set and act is ranked
-once by its key, and each distinct env and store by the ranks of its
-entries, so no map builds its key; equal keys share a rank.  This and
-State.skey are the only places that define canonical order.  A node, an
-analyses.State, sorts on its exp label, its ctx and the ranks of the
-other parts its analysis uses, in the order its skey compares them
-(analyses._PARTS); an edge on one int packed from its src, act and dst
-ranks."""
+Canonical order is defined here alone.  Both formats list a graph's
+nodes in key order (a State's exp label, then each part its analysis
+uses, in _PARTS order) and its edges in (src, act_skey, dst) order,
+sorted on ranks: each distinct continuation address, root set and act
+is ranked once by its key, and each distinct env and store by the ranks
+of its entries, so no map builds its key; equal keys share a rank.  A
+node sorts on one tuple of its exp label, ctx and part ranks, an edge on
+one int packed from its src, act and dst ranks."""
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
 from .syntax import binders
-from .abstract import AEnv, AStore
-from .analyses import _PARTS, AnalysisResult, act_skey
+from .abstract import AEnv, AStore, skey
+from .analyses import AnalysisResult
 from .pushdown import Push, UNCH
 
 
@@ -92,6 +91,29 @@ def _act_label(act):
         return act
     word = "push" if isinstance(act, Push) else "pop"
     return f"{word} {_frame_label(act.frame)}"
+
+
+def _roots_key(roots):
+    return tuple(sorted(a.skey() for a in roots))
+
+
+# A State's parts after its exp, in the order its key compares them, each
+# with its part's sort key (None: the part is its own key).
+_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", skey),
+          ("roots", _roots_key))
+
+
+def act_skey(act):
+    if isinstance(act, str):  # finite-baseline tag
+        return (act,)
+    if act is UNCH:
+        return (0,)
+    frame = act.frame
+    if isinstance(frame, tuple):  # GC-precise stack character (frame, roots)
+        fk = (frame[0].skey(), _roots_key(frame[1]))
+    else:
+        fk = frame.skey()
+    return ((1,) if isinstance(act, Push) else (2,)) + fk
 
 
 def _ranks(xs, key):

@@ -11,11 +11,11 @@ pusher's entry, so a return reaches exactly the frames pushed on the way
 to its entry: the loop computes the same-level summaries that pushdown
 reachability needs and nothing more.  Work is a FIFO of (state, entry)
 pairs, explored in the order the oracle answers; nothing is sorted here.
-The reflexive-transitive ε-closure is never stored; `ECG` reads it from
-the one-step same-level relation `same` when a caller asks.  An analysis
-whose transfer function grows (widened store, approximate GC roots, the
-finite baselines' continuation store) re-steps the affected states, and
-the loop works them in.
+The result is `graph.paths` plus `graph.kstore` (see CRPDS); `ECG` reads
+the ε-closure, never stored, from the one-step same-level relation.  An
+analysis whose transfer function grows (widened store, approximate GC
+roots, the finite baselines' continuation store) re-steps the affected
+states, and the loop works them in.
 """
 from __future__ import annotations
 
@@ -68,26 +68,23 @@ class RPDSOracle:
 
 
 class CRPDS:
-    """Compacted rooted pushdown system: explicit nodes and edges, and the
-    continuation store that Worklist fills: kstore[q][γ] holds (pusher,
-    pusher's entry) for each push pusher --γ--> q."""
+    """Compacted rooted pushdown system: nodes, edges and the two relations
+    Worklist fills, the states stepped under each entry (paths) and the
+    callers stored at each (kstore).  q is reached with top-first frames
+    γ1…γn when one of its entries is the root (n = 0) or stores under γ1
+    a caller whose entry is reached with γ2…γn."""
 
     def __init__(self, root):
         self.root = root
         self.nodes = {root: None}  # insertion-ordered set
         self.edges = {}  # (src, act, dst) -> None
+        self.paths = {root: {}}  # entry -> {q stepped under it: None}
         self.kstore = {}  # entry -> {γ: {(pusher, pusher's entry): None}}
 
     def add_edge(self, edge):
         """Record edge (src, act, dst) and, if they are new, its nodes."""
         self.edges[edge] = None
         self.nodes[edge[0]] = self.nodes[edge[2]] = None
-
-    def push_into(self, q):
-        """All (src, frame) with an edge src --Push(frame)--> q."""
-        return list(dict.fromkeys((s, g) for g, callers in
-                                  self.kstore.get(q, {}).items()
-                                  for s, _ in callers))
 
 
 def _closure(q, step):
@@ -109,33 +106,12 @@ class ECG:
     pair when s is a node and d is reachable from s in zero or more
     `same` steps; at the engine's fixpoint that is the reflexive,
     transitive ε-closure.  Nothing is built until a caller asks:
-    `ancestors`/`has` search from one state (and keep what
-    they found), `pair_count` counts the closure without storing it, and
-    only `pairs` materializes it.
+    `pair_count` counts the closure without storing it, and `pairs`
+    materializes it.
     """
 
     def __init__(self, nodes, same):
         self._nodes, self._same = nodes, same
-        self._desc, self._anc, self._pred = {}, {}, None
-
-    def _from(self, q):
-        if q not in self._desc:
-            self._desc[q] = _closure(q, self._same)
-        return self._desc[q]
-
-    def has(self, s, d):
-        return s in self._nodes and d in self._from(s)
-
-    def ancestors(self, q):
-        if self._pred is None:
-            self._pred = {}
-            for s, ds in self._same.items():
-                for d in ds:
-                    self._pred.setdefault(d, {})[s] = None
-        if q not in self._anc:
-            self._anc[q] = [s for s in _closure(q, self._pred)
-                            if s in self._nodes]
-        return list(self._anc[q])
 
     def pair_count(self):
         """len(self.pairs), one closure at a time."""
@@ -159,8 +135,8 @@ class Worklist:
 
     An *entry* is the root or the target of a push edge.  The work list is
     a FIFO of (state, entry) pairs.  Stepping q under e records q in
-    `paths[e]`, pops q against every frame stored at e, and follows q's
-    moves: an ε or tagged edge reaches its target under e, and a push
+    `graph.paths[e]`, pops q against every frame stored at e, and follows
+    q's moves: an ε or tagged edge reaches its target under e, and a push
     q --γ--> t stores the caller (q, e) under γ at t in `graph.kstore`.
     A new caller pops the states already at t, and t is stepped under
     itself when it first becomes an entry.  A pop x --pop γ--> r for a
@@ -180,7 +156,6 @@ class Worklist:
         self.oracle = oracle
         self.on_record = on_record
         self.graph = CRPDS(oracle.root)
-        self.paths = {oracle.root: {}}  # entry -> {q stepped under it: None}
         self.same = {}  # q -> {q2: None}
         self._entries = {}  # q -> its entry, or {entry: None} if several
         self._work = deque([(oracle.root, oracle.root)])
@@ -193,7 +168,7 @@ class Worklist:
     def _step(self, q, e):
         """q under entry e, unless it already was: its pops of the frames
         stored at e, then its moves."""
-        path = self.paths[e]
+        path = self.graph.paths[e]
         if q in path:
             return
         path[q] = None
@@ -230,17 +205,17 @@ class Worklist:
         if (q, e) in callers:
             return
         callers[q, e] = None
-        if t in self.paths:
-            for x in list(self.paths[t]):
+        if t in self.graph.paths:
+            for x in list(self.graph.paths[t]):
                 self._pop(x, gamma, ((q, e),))
         else:
-            self.paths[t] = {}
+            self.graph.paths[t] = {}
             self._work.append((t, t))
 
     def _pop(self, x, gamma, callers):
         """x's pops of γ for each (pusher, pusher's entry) in callers: a
         return is a summary of the pusher, reached under its entry."""
-        paths, work = self.paths, self._work
+        paths, work = self.graph.paths, self._work
         for r, act in self.oracle.top_delta(x, gamma):
             for p, pe in callers:
                 self._same(p, r)
@@ -271,7 +246,7 @@ class Worklist:
         if es is None:
             return  # not stepped yet: its first step sees the growth
         for e in es if type(es) is dict else (es,):
-            if self.paths[e].pop(q, 0) is None:  # not already waiting
+            if self.graph.paths[e].pop(q, 0) is None:  # not already waiting
                 self._work.append((q, e))
 
     def run(self, deadline: float | None = None,

@@ -43,6 +43,7 @@ from pdcfa.abstract import (K_HALT, AScalarTop, ABool, AClo, APrim, AAddr,
 from pdcfa.frozen import Frozen, setfield
 from pdcfa.gc import gc_store, touches
 from pdcfa.analyses import State
+from pdcfa.metrics import _PARTS
 from pdcfa.pushdown import CRPDS, ECG, Pop, Push, UNCH
 from pdcfa.syntax import (binders, If, Lambda, Let1, Lit, PrimRef, Ref, Ret,
                           TailCall)
@@ -577,30 +578,32 @@ def frame_leq(fa, gamma):
 
 
 def make_push_realizable(result):
-    """Decides whether a top-first frame sequence is realizable as a
-    rooted push-path ending in an ε-descent into the node."""
-    memo = {}
+    """Decides whether a node is reached with a top-first frame sequence
+    f1…fn, chained through the loop's two relations (pushdown.CRPDS):
+    some entry the node was stepped under is the root (n = 0), or stores
+    a frame γ ⊒ f1 with a caller whose entry realizes f2…fn."""
+    graph, memo = result.graph, {}
+    entries = {}  # node -> the entries it was stepped under
+    for entry, stepped in graph.paths.items():
+        for q in stepped:
+            entries.setdefault(q, []).append(entry)
 
-    def go(node, frames):
-        key = (node, frames)
+    def realizes(entry, frames):
+        key = (entry, frames)
         if key in memo:
             return memo[key]
         memo[key] = False  # cycle guard
         if not frames:
-            ok = result.ecg.has(result.graph.root, node)
+            ok = entry == graph.root
         else:
-            ok = False
-            for anc in result.ecg.ancestors(node):
-                for (src, fr) in result.graph.push_into(anc):
-                    if frame_leq(frames[0], fr) and go(src, frames[1:]):
-                        ok = True
-                        break
-                if ok:
-                    break
+            ok = any(frame_leq(frames[0], gamma) and realizes(pe, frames[1:])
+                     for gamma, callers in graph.kstore.get(entry, {}).items()
+                     for _, pe in callers)
         memo[key] = ok
         return ok
 
-    return go
+    return lambda node, frames: any(realizes(e, frames)
+                                    for e in entries.get(node, ()))
 
 
 def make_kont_realizable(kstore):
@@ -734,6 +737,14 @@ def widened_uncovered(pd, wide):
               if State.make(n.exp, n.env, None, n.ctx) not in wnodes
               or not leq(n.store, wide.global_store))
     return bad, len(pd.graph.nodes)
+
+
+def state_key(n):
+    """A State's canonical sort key from its parts' stored keys, in
+    metrics._PARTS order: the order to_json and to_dot list nodes in."""
+    return (n.exp.label, *(x if key is None else key(x)
+                           for part, key in _PARTS
+                           if (x := getattr(n, part)) is not None))
 
 
 def ref_skey(x):

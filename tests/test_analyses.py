@@ -123,7 +123,7 @@ def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
     (wl,) = engines
     assert r.saturated
     assert r.ecg.pair_count() == 21_229
-    stored = (sum(len(p) for p in wl.paths.values())
+    stored = (sum(len(p) for p in wl.graph.paths.values())
               + sum(len(s) for s in wl.same.values()))
     assert stored < 1_500
 
@@ -262,11 +262,12 @@ def test_approx_root_cache_is_fixpoint_of_recorded_structure(fig1):
     for e in (fig1, load("eta"), load("blur")):
         r = analyze_gc_approx(e, Mono())
         assert r.saturated
+        pairs = r.ecg.pairs
         rc = compute_root_cache(list(r.graph.nodes), r.guarded_edges,
-                                list(r.ecg.pairs))
+                                list(pairs))
         for q in r.graph.nodes:
             assert rc.get(q, frozenset()) == r.root_cache.get(q, frozenset())
-            assert r.ecg.has(q, q)
+            assert (q, q) in pairs
 
 
 def test_approx_equals_precise_on_eta():
@@ -313,7 +314,10 @@ def test_approx_roots_flow_along_earlier_push_edges(k):
 def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
     r = analyze(fig1, Mono(), node_limit=5)
     assert not r.saturated
-    assert len(r.graph.nodes) <= 5 + 64  # limit is checked every 64 work items
+    # the loop checks the count before every step, so it stops at the first
+    # step past the cap; that step adds at most its successors, and across
+    # the bundled programs at caps 1 to 500 no cell ends more than 3 past
+    assert len(r.graph.nodes) <= 5 + 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -47,6 +48,14 @@ def test_omega_exhausts_fuel():
     trace, outcome = run(e, fuel=100)
     assert outcome == ("fuel",)
     assert len(trace) == 101
+
+
+def test_deadline_is_checked_before_every_step():
+    e = parse_and_normalize("((lambda (x) (x x)) (lambda (x) (x x)))")
+    trace, outcome = run(e, fuel=100, deadline=time.monotonic())
+    assert outcome == ("timeout",)
+    assert trace == [inject(e)]
+    assert run(e, 100, deadline=math.inf) == run(e, 100)
 
 
 def test_step_is_deterministic_along_fig1():

@@ -7,18 +7,32 @@ with the digest recorded here, so any change to what an analysis reaches,
 or to how it is printed, shows up across commits and not only within one
 process.
 
+The `soak` test pins the programs the benchmark generates the same way:
+the 32 of the `fused` pool and the three `let*` chains, under all six
+analyses at k∈{0,1}, one digest per (program, k), each computed in its
+own interpreter.  It is deselected by default:
+
+    PYTHONPATH=src python -m pytest -m soak tests/test_golden.py
+
 A change that alters output on purpose re-records the digests and says
 why.  Regenerate with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--soak]
 """
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pdcfa.bench import BENCHMARKS, load
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.metrics import to_dot, to_json
+from pdcfa.syntax import parse_and_normalize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the fused pool and chains the benchmark runs)
 
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
          "pdcfa-widened")
@@ -244,10 +258,193 @@ def test_outputs_match_recorded_digests(name, k):
     assert got == want
 
 
+SOURCES = {**{f"fused{i}": workloads.fused_source(i)
+              for i in range(workloads.FUSED_POOL)},
+           **{f"chain{n}": workloads.chain_source(n)
+              for n in workloads.CHAIN_NS}}
+
+SOAK_GOLDEN = {
+    ('fused0', 0):
+        'e263b928eabdc9d9199246197878b583d76f242ab8ca8901870a89c9a7cdcebc',
+    ('fused0', 1):
+        '028cf0b4e7f1724e3d257c2986f6a00ea644a717267d4e50055a54efce2b234a',
+    ('fused1', 0):
+        '4575635f8658b869be7f51ed744c4a6005ed79fe5e6c7948bb825b6f08f9d2f0',
+    ('fused1', 1):
+        '669cbc827130129f5feabe8da59b2acaa58133e9c88ed84d872ddc4a1001c7fe',
+    ('fused2', 0):
+        'e36d8b3ed7dd28346a9548c3722c3e282532a6ba19fd0272270e482164d32ddc',
+    ('fused2', 1):
+        'e878910c126ddee8f2ea258f22b8f2013a3047a4c8fe8d395d201de764874c12',
+    ('fused3', 0):
+        '53411f40a62c0e0116118619f4a449c5860fbbdbb78b66bcdefa06bfdc44a08d',
+    ('fused3', 1):
+        'ed63e756b37da71bc9b32630a4d086fc89852a41a4db92521fa460e73dd4e6b0',
+    ('fused4', 0):
+        '3255f028bc1af952f42129a7eb7e2ff15a5706311949588452df6b59f292e727',
+    ('fused4', 1):
+        'e087fe45aa736b4795463fd348d04a453b0febdf7e2e7395f94e2559e0962278',
+    ('fused5', 0):
+        'de06c3386e113f90e2460a2d2b8f658d7b48cc979f271f8fde4fccfb5c2e72a5',
+    ('fused5', 1):
+        '475b7cd62c992b5437fa2ab24917934d6b072095b7bde4a190a06dd7ac023723',
+    ('fused6', 0):
+        'dc3b7c1c90abb4ac10e8f059ac2077221f0b67478c51948583e7e02b11dd8a15',
+    ('fused6', 1):
+        '6d0704eb84b1b7ebb83221d9c2e9f8a5c1c23890b74f356da10763f673ce18ce',
+    ('fused7', 0):
+        '5593577312f6452a4de71befc9c0e0ccb6b4f303e432f491e6052062e404a90c',
+    ('fused7', 1):
+        'dfa42172edeaf82b9e27568b39d83bca7c1117502afa7a66425ed705b688acf7',
+    ('fused8', 0):
+        '95d11ab9dc44f485bfbb8d662c7bab56313fbd20e604b891943f4dedb7885bdc',
+    ('fused8', 1):
+        '495a8a4c6a059c7d3175b2a55e8aabbf3c7beb78124f1121fd02557daba9eee8',
+    ('fused9', 0):
+        '6b2c5f7ecd6bbddf45a1485dfc970218c703a6613ce397c418933796a2fbae2e',
+    ('fused9', 1):
+        'a93a328a3fc09da46d8f21ae656d1f3df88605374afcee26229ad7cb90a5ffcb',
+    ('fused10', 0):
+        'a3bca685448dfbf861c42de8702d970563ad76925597e5c413b670c830ef4d70',
+    ('fused10', 1):
+        'f2e7cd3eeb067f4af6dd2877b4d965c9fc2006690883a40e99da918fb2d020d0',
+    ('fused11', 0):
+        '2d87a3e059e08ed6e67710eaf46ce29bb0b5b4334f100b99ba3fd6019b8f52ef',
+    ('fused11', 1):
+        '3a3e8536f58b975c38e41e0e437b89fd6c7591b2241c9c25bbf8497a676b97df',
+    ('fused12', 0):
+        '5fb640cd71ae406cb9160b1f75ae14c48cec13a21855c264f4ba54e74894dbb4',
+    ('fused12', 1):
+        'ba263e2795c11eb45c40be9b3f3ae7ae1eb8c940978015cfdc0aa780e877255c',
+    ('fused13', 0):
+        'cd608ad71dab3befe3bc163aba7a11fab42d420ea53b156654f307303596cce2',
+    ('fused13', 1):
+        '61a4c58d2e8aac9d305947b2ca10a9e0a63981582f66a1869c3a3b72de60b428',
+    ('fused14', 0):
+        '451950ba44ff7d623d813682e6d78865cdb34820ee0b91d553b4c5a32dcd64cd',
+    ('fused14', 1):
+        '00de38ccf188ea6fa310e1ea5bab0146efbbbb42ad6dc48917848d3f97c5a655',
+    ('fused15', 0):
+        'd90d291d3374a7e4e8be7c22da5aad8fb74529f1fae0adb4495acb82ec96de8c',
+    ('fused15', 1):
+        '373abaa4429d39372b6115a55710938d15c06eb09cdf5bb3f32278cf5b9d9c24',
+    ('fused16', 0):
+        'cd03f01e2be520fa4b53552840a67d394ef9404e1c7936f574d4cb0935a3fba2',
+    ('fused16', 1):
+        '1fea94134d268703b9d8d33ff79414fa10e7256c01ba1b34cd613917f0595b8a',
+    ('fused17', 0):
+        'b3e441d26035c0695f85dc2e6d2bb2bd6103d1c2a7c5ba0e2abdd221014a524f',
+    ('fused17', 1):
+        '26325008696ac849b850a9b75ebe6493f9dbf15fee5e9a81a88f47aab43786a1',
+    ('fused18', 0):
+        'f1b72e288a6d372a9ea370fb1eae552f0912d5fe547eca3e59f3b090681f2085',
+    ('fused18', 1):
+        'f89eb551b792a18ef802aba1bc5e5fd1add39513d94c8544129c01c8777f7338',
+    ('fused19', 0):
+        '54af1f6179fb41c86f7ebf5e21b5e95cb8a162388e2369cb23c4cd71107c029e',
+    ('fused19', 1):
+        '22ea680dfe721e1a465f46f2430052924933c8cb1250a8647203a75ecc8f0a16',
+    ('fused20', 0):
+        '3132fc86ba8b36357615cbbe64fb3708fbcbc3f821031e53fdf02a217a027bc1',
+    ('fused20', 1):
+        'dbabde07603316b3ebce8cd33f18aeecea4ac6098f5f1f23e3f6d40cfdf9b570',
+    ('fused21', 0):
+        'e0474746e9d9cabb18a87d5c0242a0df9e255969d328c2bf486ebac261a13cba',
+    ('fused21', 1):
+        'e8fcbfdc4aef2360c67eb0779f9dd1d3c8996c5b037060b0d63687851a2b7052',
+    ('fused22', 0):
+        'd2b64f347af60b0ef6356952d7d0c0c82091332246e531568a92349e89ed0c94',
+    ('fused22', 1):
+        '7133abd7297d790347901f54753473eff64cae8100005440fd6662ab89908a6b',
+    ('fused23', 0):
+        '0b9bc0941aafeef85cfe82711626238857801717d64cb45d9563d7d0c30651ec',
+    ('fused23', 1):
+        'd482797bc3c6643af77dc33bfc2281fed291757900b5dcfd04756a9daf8db75d',
+    ('fused24', 0):
+        '033fb8fababb986e20e058bef7a1e7063b48f7b02f7305b1beba592966325109',
+    ('fused24', 1):
+        'ec24df1b8bb0030004d1ef798fa1c824f496097b79cd96726ef9c6760d6a6c68',
+    ('fused25', 0):
+        '69662a3f90a9109a83bcb9ac6dcd8096fcf4cd19d3270cdd2b7458e25a617609',
+    ('fused25', 1):
+        '4c0d410b8c46de04a077fe7d3b55023537b2188df991dc0226782772dc9f333e',
+    ('fused26', 0):
+        '0b739d7212ba317ef45bfdde86c9cacf64c210f7b5eed2bec26b05190aa87883',
+    ('fused26', 1):
+        '282ca8c1a2667c34833787c92917122884b9cf56fd548bfc360eebcb89e3f9b3',
+    ('fused27', 0):
+        '6990f91e2a23b6b883f9834df3133cfc2ceb22d48ddd1df63f0a8218f12cdaa6',
+    ('fused27', 1):
+        'd9fd34e832058b8ccc5a4df6625a575c029df4e552c4a95d11da98649229522d',
+    ('fused28', 0):
+        'bd13ceaaee5ad3fe911bbf5df36b70943c43b273b1aaa57f9d18b1b66e095081',
+    ('fused28', 1):
+        '874fe1b94f3e9aeeaf110d593a2d07747c5df199e1e06d6f8a90619446788b95',
+    ('fused29', 0):
+        '5faa8da4784778040529dda01d1bcc17549393cc022fd2547843858f8ab651dd',
+    ('fused29', 1):
+        '3178d7f57d99cce454ba88abedbc17ffd7e2506acda405e30920598c734bdbf2',
+    ('fused30', 0):
+        '391fd54076e286bcb2e445c3eede3d484309c2de3243d27649704219b3c4cd9d',
+    ('fused30', 1):
+        '70fd9d67392f6641869dadb95db9d7e0de31195e32d4ce6aaa3cb33481f38afa',
+    ('fused31', 0):
+        '84158e5625a748c73aee1a01ac7845377c408d1de2111bec7716cbf7ef978f29',
+    ('fused31', 1):
+        '13485f8fa333275625eac3e27610837c53b19ddb9451ebc8039d8bcd2407f873',
+    ('chain15', 0):
+        'a0f92d3245a414ea1dbfcf286307d77fb8728b6b0493c357483ed098e6852479',
+    ('chain15', 1):
+        'facce8bcbbb7270e1f9191b1821bcade93b650f801458b0b733339f01924e8a0',
+    ('chain30', 0):
+        'f80269a864d6d895bf7a79aaadcd8a2085d663bca0a6188230bcf0468beb8785',
+    ('chain30', 1):
+        'ae20813d81fce3e12e12729ad51e0a7cc0620e4503196945b8e3d595054449d0',
+    ('chain60', 0):
+        '4f6c20d42ba066ed2f0d0be4cf82b89b6494ac2436831c23cf2dc231c943b9e3',
+    ('chain60', 1):
+        '35f0ddf5cb8c6df3583737f44a6100e777c1ce36e8c827ad40183567ddaf246a',
+}
+
+
+def source_digest(name, k):
+    """One sha256 over to_json + to_dot of all six analyses, in KINDS
+    order, for one generated program at one k."""
+    e = parse_and_normalize(SOURCES[name])
+    h = hashlib.sha256()
+    for kind in KINDS:
+        r = run_one(kind, e, policy_for_k(k))
+        h.update((to_json(r) + to_dot(r)).encode())
+    return h.hexdigest()
+
+
+def soak_digest(name, k):
+    """source_digest in a fresh interpreter.  Interned objects live as
+    long as their process: all 70 digests in one process reach 4 GB."""
+    out = subprocess.run([sys.executable, __file__, "--digest", name, str(k)],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("name, k", [(p, k) for p in SOURCES for k in (0, 1)])
+def test_generated_outputs_match_recorded_digests(name, k):
+    assert soak_digest(name, k) == SOAK_GOLDEN[(name, k)]
+
+
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for b in BENCHMARKS:
-        for k in (0, 1):
-            for kind, h in digest(b, k).items():
-                print(f"    ({b!r}, {kind!r}, {k}):\n        {h!r},")
+    if sys.argv[1:2] == ["--digest"]:
+        print(source_digest(sys.argv[2], int(sys.argv[3])))
+        sys.exit()
+    if "--soak" in sys.argv:
+        print("SOAK_GOLDEN = {")
+        for p in SOURCES:
+            for k in (0, 1):
+                print(f"    ({p!r}, {k}):\n        {soak_digest(p, k)!r},")
+    else:
+        print("GOLDEN = {")
+        for b in BENCHMARKS:
+            for k in (0, 1):
+                for kind, h in digest(b, k).items():
+                    print(f"    ({b!r}, {kind!r}, {k}):\n        {h!r},")
     print("}")

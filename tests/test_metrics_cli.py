@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 from pdcfa import analyses, cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
-from pdcfa.analyses import (act_skey, analyze_finite, analyze_gc_approx,
-                            analyze_pdcfa)
+from pdcfa.analyses import analyze_finite, analyze_gc_approx, analyze_pdcfa
 from pdcfa.bench import BENCHMARKS, load
 from pdcfa.cli import main
-from pdcfa.metrics import (Metrics, _act_label, _node_label, compute_metrics,
-                           singleton_count, to_dot, to_json)
+from pdcfa.metrics import (Metrics, _act_label, _node_label, act_skey,
+                           compute_metrics, singleton_count, to_dot, to_json)
 
-from helpers import ref_skey
+from helpers import ref_skey, state_key
 
 KINDS = tuple(analyses.ANALYSES)
 
@@ -119,8 +118,8 @@ def test_json_result_roundtrip():
 
 
 def _keyed_parts(n):
-    """n and the environments, stores and continuation address it holds."""
-    parts = [n, n.env]
+    """The environments, stores and continuation address n holds."""
+    parts = [n.env]
     if n.store is not None:
         parts.append(n.store)
     if n.kaddr is not None:
@@ -152,6 +151,8 @@ def test_stored_skey_equals_reference_key(prog, k, monkeypatch):
         for x in parts:
             assert x.skey() is x.skey()
             assert x.skey() == ref_skey(x), (kind, x)
+        for n in r.graph.nodes:
+            assert state_key(n) == ref_skey(n), (kind, n)
         # to_json numbers nodes in reference-key order
         order = sorted(r.graph.nodes, key=ref_skey)
         ids = {n: i for i, n in enumerate(order)}
@@ -180,13 +181,12 @@ def test_json_ecg_pairs_counts_the_closure(prog, kind, k, pairs):
 def _reference_json(r):
     """to_json's document as json.dumps(indent=2) writes it, nodes and
     edges ordered by their full keys."""
-    nodes = sorted(r.graph.nodes, key=lambda n: n.skey())
+    nodes = sorted(r.graph.nodes, key=state_key)
     ids = {n: i for i, n in enumerate(nodes)}
 
     def edge_key(e):
         s, a, d = e
-        return (s.skey(), (a,) if isinstance(a, str) else act_skey(a),
-                d.skey())
+        return state_key(s), act_skey(a), state_key(d)
     edges = sorted(r.graph.edges, key=edge_key)
     doc = {
         "schema": 1,
@@ -290,6 +290,30 @@ def test_cli_concrete_out_of_fuel(capsys):
                             "--fuel", "0"], capsys)
     assert code == 1
     assert out == "fig1: fuel (1 configurations)\n"
+
+
+# at the default fuel this loop runs for hours (the machine copies its
+# whole store every step)
+COUNT_LOOP = """(define (count n acc) (if (<= n 0) acc (count (- n 1) (+ acc 1))))
+(count 100000 0)
+"""
+
+
+def test_cli_concrete_stops_at_the_timeout(tmp_path, capsys):
+    prog = tmp_path / "count.scm"
+    prog.write_text(COUNT_LOOP)
+    code, out, _ = run_cli(["run", str(prog), "--analysis", "concrete",
+                            "--timeout-secs", "0"], capsys)
+    assert code == 1
+    assert out == "count: timeout (1 configurations)\n"
+    # without --timeout-secs only the fuel stops it, as before
+    code, out, _ = run_cli(["run", str(prog), "--analysis", "concrete",
+                            "--fuel", "50"], capsys)
+    assert code == 1
+    assert out == "count: fuel (51 configurations)\n"
+    code, out, _ = run_cli(["run", "fig1", "--analysis", "concrete",
+                            "--timeout-secs", "inf"], capsys)
+    assert code == 0 and out.startswith("fig1: halt 36 (")
 
 
 def test_cli_concrete_closure_result_is_the_same_under_any_hash_seed(

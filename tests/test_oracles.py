@@ -32,14 +32,14 @@ SOAK_CELLS = {("kcfa3", "pdcfa", 1)}
 @pytest.mark.parametrize("name, kind, k", [
     pytest.param(b, kind, k, marks=[pytest.mark.soak]
                  if (b, kind, k) in SOAK_CELLS else [])
-    for b in BENCHMARKS for kind in MACHINE_KINDS for k in (0, 1)])
+    for b in BENCHMARKS for kind in MACHINE_KINDS for k in (0, 1, 2)])
 def test_pushdown_analyses_reach_what_their_machine_reaches(name, kind, k):
     r = result_for(name, kind, k)
     assert r.saturated
     assert matches_machine(program(name), policy_for_k(k), r)
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("name", BENCHMARKS)
 def test_finite_baselines_cover_the_pushdown_analyses(name, k):
     """Every saturated bundled pair: plain ⊒ pdcfa and plain-gc ⊒ pdcfa-gc
@@ -55,6 +55,17 @@ def test_finite_baselines_cover_the_pushdown_analyses(name, k):
         assert finite_uncovered(rp, rf)[0] == 0, (pd, finite)
         pairs += 1
     assert pairs >= 1
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_k2_cells_saturate_and_cover_the_concrete_run(name):
+    """At k=2 (KCFA(2), by call-site history) no bundled cell needs a
+    cap, and every analysis covers the program's concrete run."""
+    e, policy = program(name), policy_for_k(2)
+    for kind in KINDS:
+        r = result_for(name, kind, 2)
+        assert r.saturated, kind
+        assert coverage_violations(e, policy, r)[0] == 0, kind
 
 
 def check_generated(src):
@@ -103,8 +114,8 @@ def _push_without_pops(self, q, gamma, e, t):
     """Worklist._push that stores a new caller of γ at t but pops none of
     the states already there."""
     self.graph.kstore.setdefault(t, {}).setdefault(gamma, {})[q, e] = None
-    if t not in self.paths:
-        self.paths[t] = {}
+    if t not in self.graph.paths:
+        self.graph.paths[t] = {}
         self._work.append((t, t))
 
 
@@ -118,7 +129,7 @@ def _restep_under_one(self, q):
     es = self._entries.get(q)
     if es is not None:
         e = next(iter(es)) if type(es) is dict else es
-        if self.paths[e].pop(q, 0) is None:
+        if self.graph.paths[e].pop(q, 0) is None:
             self._work.append((q, e))
 
 
