@@ -124,6 +124,8 @@ def abool(b):
 
 
 class AClo(Frozen):
+    __slots__ = ("lam", "env", "_skey")
+
     def __init__(self, lam, env):
         setfield(self, "lam", lam)
         setfield(self, "env", env)
@@ -141,6 +143,8 @@ class AClo(Frozen):
 
 
 class APrim(Frozen):
+    __slots__ = ("op", "args", "_skey")
+
     def __init__(self, op, args=()):
         setfield(self, "op", op)
         setfield(self, "args", args)
@@ -162,6 +166,8 @@ class APrim(Frozen):
 
 
 class AAddr(Frozen):
+    __slots__ = ("tag", "var", "extra", "_skey")
+
     def __init__(self, tag, var, extra=()):
         setfield(self, "tag", tag)  # 'mono' | '1cfa' | 'kcfa'
         setfield(self, "var", var)
@@ -227,6 +233,9 @@ def _select(m, keep):
 
 
 class AEnv(Frozen):
+    __slots__ = ("items", "_pos", "_extended", "_restricted", "_addrs",
+                 "_skey")
+
     def __init__(self, items):
         setfield(self, "items", items)  # of (Var, AAddr), sorted by var skey
 
@@ -284,6 +293,8 @@ EMPTY_ENV = AEnv.make([])
 
 
 class AStore(Frozen):
+    __slots__ = ("items", "_pos", "_bound", "_collected", "_skey")
+
     def __init__(self, items):
         setfield(self, "items", items)  # (AAddr, vals) by addr skey, no ∅
 
@@ -336,6 +347,8 @@ def store_join(s1: AStore, s2: AStore) -> AStore:
 
 
 class AFrame(Frozen):
+    __slots__ = ("var", "exp", "env", "_skey")
+
     def __init__(self, var, exp, env):
         setfield(self, "var", var)
         setfield(self, "exp", exp)
@@ -511,6 +524,8 @@ K_HALT = KHalt()
 
 
 class KAddr(Frozen):
+    __slots__ = ("exp", "env", "_skey")
+
     def __init__(self, exp, env):
         setfield(self, "exp", exp)
         setfield(self, "env", env)

@@ -61,6 +61,7 @@ astep_finite = astep
 class State(Frozen):
     """A node of every analysis (see the module docstring): kaddr is a
     KAddr or K_HALT, roots a frozenset of stack-root AAddrs."""
+    __slots__ = ("exp", "env", "store", "ctx", "kaddr", "roots")
 
     def __init__(self, exp, env, store, ctx, kaddr, roots):
         setfield(self, "exp", exp)

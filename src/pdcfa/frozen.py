@@ -1,10 +1,11 @@
 """Immutable objects without dataclasses.
 
-A Frozen subclass sets each field once, in __init__, with setfield (which
-keeps CPython's inline attribute values: a write through self.__dict__
-gives each instance a dict); later assignment or deletion raises.  A
-Frozen object equals only itself; a Record equals any of its class whose
-fields are equal.
+A Frozen subclass sets each field once, in __init__, with setfield; later
+assignment or deletion raises.  A class with many instances lists its
+fields in __init__ order, then those cached on first use (named _...), in
+__slots__, so its objects have no dict.  fields reads either kind, and
+copy.copy rebuilds either through setfield.  A Frozen object equals only
+itself; a Record equals any of its class whose fields are equal.
 """
 
 setfield = object.__setattr__
@@ -15,14 +16,22 @@ def _frozen(self, name, value=None):
 
 
 def fields(obj):
-    """The one reader of an object's fields: name -> value, in the order
-    they were set, cached ones (named _...) included."""
-    return vars(obj)
+    """The one reader of fields: name -> value of each set on obj."""
+    slots = getattr(type(obj), "__slots__", ())
+    return {k: getattr(obj, k) for k in slots
+            if hasattr(obj, k)} if slots else vars(obj)
 
 
 class Frozen:
     __slots__ = ()
     __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return object.__new__, (type(self),), dict(fields(self))
+
+    def __setstate__(self, values):
+        for k, v in values.items():
+            setfield(self, k, v)
 
     def __repr__(self):
         shown = (f"{k}={v!r}" for k, v in fields(self).items() if k[0] != "_")

@@ -3,11 +3,11 @@
 Canonical order is defined here alone.  Both formats list a graph's
 nodes in key order (a State's exp label, then each part its analysis
 uses, in _PARTS order) and its edges in (src, act_skey, dst) order,
-sorted on ranks: each distinct continuation address, root set and act
-is ranked once by its key, and each distinct env and store by the ranks
-of its entries, so no map builds its key; equal keys share a rank.  A
-node sorts on one tuple of its exp label, ctx and part ranks, an edge on
-one int packed from its src, act and dst ranks."""
+sorted on ranks: each distinct ctx, continuation address, root set and
+act is ranked once by its key, and each distinct env and store by the
+ranks of its entries, so no map builds its key; equal keys share a rank.
+A node sorts on one int packed from its exp label and part ranks, an
+edge on one int packed from its src, act and dst ranks."""
 from __future__ import annotations
 
 import json
@@ -142,18 +142,20 @@ def _order(r: AnalysisResult):
     """The nodes in canonical order, and each one's position in it, which
     is its rank: distinct interned nodes have distinct keys.  The parts
     ranked are those present on the root, as on every node."""
-    nodes = list(r.graph.nodes)
-    cols = [[n.exp.label for n in nodes]]
+    nodes, cols = list(r.graph.nodes), []  # (part, {x: rank}, rank bound)
     for part, key in _PARTS:
-        if getattr(nodes[0], part) is not None:
-            xs = [getattr(n, part) for n in nodes]
-            if key is not None:
-                ranks = (_map_ranks(xs) if isinstance(xs[0], (AEnv, AStore))
-                         else _ranks(xs, key))
-                xs = [*map(ranks.get, xs)]
-            cols.append(xs)
-    keys = list(zip(*cols))
-    nodes = [nodes[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        if (x := getattr(r.graph.root, part)) is not None:
+            xs = (getattr(n, part) for n in nodes)
+            ranks = (_map_ranks(xs) if isinstance(x, (AEnv, AStore))
+                     else _ranks(xs, key or (lambda c: c)))
+            cols.append((part, ranks, len(ranks)))
+
+    def node_key(n):
+        k = n.exp.label
+        for part, ranks, size in cols:
+            k = k * size + ranks[getattr(n, part)]
+        return k
+    nodes.sort(key=node_key)
     return nodes, {n: i for i, n in enumerate(nodes)}
 
 

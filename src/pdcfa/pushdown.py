@@ -146,7 +146,8 @@ class Worklist:
 
     `run` may be called again after it returns.  An oracle whose answers
     grow (a larger store, root set or continuation store) tells the loop
-    with `restep`, between runs or from inside a call.  `on_record(item)`,
+    with `restep`, between runs or from inside a call; only states also
+    stepped under a non-root entry are indexed for it.  `on_record(item)`,
     if given, is called once each same pair (s, d) or edge (s, act, d) is
     recorded, before its consequences are worked out.  The node limit is
     checked before every step, the deadline every CHECK_EVERY steps.
@@ -172,11 +173,13 @@ class Worklist:
         if q in path:
             return
         path[q] = None
-        had = self._entries.setdefault(q, e)  # the index restep reads
-        if had is not e:
+        root = self.graph.root
+        if e is not root or q in self._entries:  # the index restep reads
+            had = self._entries.setdefault(
+                q, root if q in self.graph.paths[root] else e)
             if type(had) is dict:
                 had[e] = None
-            else:
+            elif had is not e:
                 self._entries[q] = {had: None, e: None}
         for gamma, callers in self.graph.kstore.get(e, {}).items():
             self._pop(q, gamma, callers)
@@ -241,10 +244,8 @@ class Worklist:
 
     def restep(self, q):
         """q's transitions grew: step it again under every entry it was
-        stepped under."""
-        es = self._entries.get(q)
-        if es is None:
-            return  # not stepped yet: its first step sees the growth
+        stepped under (the root alone, if it is not indexed)."""
+        es = self._entries.get(q, self.graph.root)
         for e in es if type(es) is dict else (es,):
             if self.graph.paths[e].pop(q, 0) is None:  # not already waiting
                 self._work.append((q, e))

@@ -55,6 +55,8 @@ from pdcfa.syntax import (binders, If, Lambda, Let1, Lit, PrimRef, Ref, Ret,
 
 
 class AConf(Frozen):
+    __slots__ = ("exp", "env", "store", "kont", "ctx", "_skey")
+
     def __init__(self, exp, env, store, kont, ctx=()):
         setfield(self, "exp", exp)
         setfield(self, "env", env)

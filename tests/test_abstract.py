@@ -9,9 +9,9 @@ from pdcfa.abstract import (Mono, OneCFA, KCFA, aalloc, aeval,
                             store_join, AEnv, AStore, AClo, AAddr,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
                             SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
-                            AFrame)
+                            AFrame, KAddr)
 from pdcfa.analyses import ANALYSES, analyze_finite
-from pdcfa.pushdown import UNCH
+from pdcfa.pushdown import UNCH, Pop, Push
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
 from pdcfa import abstract, bench
@@ -462,6 +462,67 @@ def test_domain_objects_are_immutable_and_compare_by_identity(kind):
             continue  # stack actions are values (see test_pushdown)
         twin = copy.copy(x)  # every field the same, another object
         assert x == x and x != twin and fields(twin) == fields(x), type(x)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_reached_objects_carry_no_instance_dict(kind, k):
+    """Nodes and interned domain objects keep their fields in slots; the
+    boolean, scalar and halt singletons and stack actions keep a dict."""
+    r = run_one(kind, bench.load("fig1"), policy_for_k(k))
+    objs = [x for x in _reached_objects(r)
+            if x not in (A_TRUE, A_FALSE, A_BOOL_TOP, SCALAR_TOP, K_HALT)
+            and not isinstance(x, (Push, Pop))]
+    assert {type(x).__name__ for x in objs} >= {"State", "AEnv", "AAddr"}
+    for x in objs:
+        assert not hasattr(x, "__dict__"), type(x)
+
+
+def test_every_interned_class_declares_its_slots():
+    """A class interned through _intern (State.make included) must not
+    bring the instance dict back: it declares __slots__ itself."""
+    for kind in KINDS:
+        run_one(kind, bench.load("fig1"), policy_for_k(1))
+    ainject(bench.load("fig1"))
+    assert {c.__name__ for c in abstract._TABLES} >= {
+        "State", "AEnv", "AStore", "AClo", "APrim", "AAddr", "AFrame",
+        "KAddr", "AConf"}
+    for cls in abstract._TABLES:
+        assert "__slots__" in vars(cls), cls
+        assert all("__dict__" not in vars(c) for c in cls.__mro__), cls
+
+
+def test_fields_lists_exactly_the_set_slots():
+    lam = parse_and_normalize("(lambda (z) z)").atom
+    clo = AClo(lam, EMPTY_ENV)  # not interned: no cached field yet
+    assert list(fields(clo)) == ["lam", "env"]
+    assert fields(clo)["lam"] is lam and fields(clo)["env"] is EMPTY_ENV
+    key = clo.skey()
+    assert fields(clo) == {"lam": lam, "env": EMPTY_ENV, "_skey": key}
+    env = AEnv(((X, aalloc(Mono(), X, 0, ())),))
+    assert list(fields(env)) == ["items"]
+    env.skey()
+    env.addrs()
+    env.get(X)
+    # listed in declaration order, not in the order they were cached
+    assert list(fields(env)) == ["items", "_pos", "_addrs", "_skey"]
+    for x in (clo, env):
+        assert set(fields(x)) == {f for f in type(x).__slots__
+                                  if hasattr(x, f)}
+        assert fields(copy.copy(x)) == fields(x)
+
+
+def test_kaddr_repr_shows_its_init_fields_only():
+    e = parse_and_normalize("(let ((y (+ 1 2))) y)")
+    env = AEnv.make([(X, aalloc(Mono(), X, 0, ()))])
+    ka = KAddr.make(e.body, env)
+    ka.skey()  # a cached field, which repr leaves out
+    assert repr(ka) == (
+        "KAddr(exp=Let1(var=y_2, rhs=TailCall(fun=Ref(var=t_1), "
+        "arg=Lit(value=2), label=2, free=frozenset({t_1})), "
+        "body=Ret(atom=Ref(var=y_2), label=3, free=frozenset({y_2})), "
+        "label=4, free=frozenset({t_1}), frame_free=frozenset()), "
+        "env={x_1↦⟨x_1⟩})")
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -128,6 +128,29 @@ def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
     assert stored < 1_500
 
 
+@pytest.mark.parametrize("gc", [False, True])
+def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
+    """A finite baseline steps every state under the root alone, so its
+    re-steps find the state in paths[root] and the loop indexes none."""
+    engines, resteps = [], []
+
+    class Kept(pushdown.Worklist):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def restep(self, q):
+            resteps.append(q)
+            super().restep(q)
+    monkeypatch.setattr(analyses, "Worklist", Kept)
+    r = analyze_finite(load("fig1"), OneCFA(), gc=gc)
+    (wl,) = engines
+    assert r.saturated and resteps
+    assert wl._entries == {}
+    assert list(wl.graph.paths) == [r.graph.root]
+    assert set(wl.graph.paths[r.graph.root]) == set(r.graph.nodes)
+
+
 # ---------------------------------------------------------------------------
 # store widening
 

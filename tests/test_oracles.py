@@ -68,12 +68,12 @@ def test_k2_cells_saturate_and_cover_the_concrete_run(name):
         assert coverage_violations(e, policy, r)[0] == 0, kind
 
 
-def check_generated(src):
-    """Every analysis of src at k∈{0,1}: covers the concrete run, and the
-    orderings and machine equalities hold."""
+def check_generated(src, ks=(0, 1)):
+    """Every analysis of src at each k in ks: covers the concrete run, and
+    the orderings and machine equalities hold."""
     note(src)
     e = parse_and_normalize(src)
-    for k in (0, 1):
+    for k in ks:
         policy = policy_for_k(k)
         rs = {kind: run_one(kind, e, policy, deadline=time.monotonic() + 60)
               for kind in KINDS}
@@ -97,6 +97,14 @@ def check_generated(src):
 @given(surface_programs(depth=4))
 def test_generated_programs_pass_every_check(src):
     check_generated(src)
+
+
+# k=2 allocates by call-site history (KCFA(2)), not by binding label; 100
+# programs keep it under 2 s
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(surface_programs(depth=4))
+def test_generated_programs_pass_every_check_at_k2(src):
+    check_generated(src, ks=(2,))
 
 
 @pytest.mark.soak
@@ -124,13 +132,12 @@ def _restep_under_none(self, q):
 
 
 def _restep_under_one(self, q):
-    """Worklist.restep that steps q again under only one of its
-    entries."""
-    es = self._entries.get(q)
-    if es is not None:
-        e = next(iter(es)) if type(es) is dict else es
-        if self.graph.paths[e].pop(q, 0) is None:
-            self._work.append((q, e))
+    """Worklist.restep that steps q again under only the first of its
+    entries, the root included."""
+    es = self._entries.get(q, self.graph.root)
+    e = next(iter(es)) if type(es) is dict else es
+    if self.graph.paths[e].pop(q, 0) is None:
+        self._work.append((q, e))
 
 
 # cells that a broken copy gets wrong: k=0, pdcfa-gc on fig1 and

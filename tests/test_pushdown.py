@@ -270,6 +270,37 @@ def test_worklist_resumes_after_transitions_grow():
     assert grew >= 20
 
 
+def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
+    # r --ε--> a --push g--> b; d is stepped under the root and then
+    # under b, e under b and then under the root, a under the root alone
+    nops = {"r": [("a", UNCH)],
+            "a": [("b", Push("g")), ("d", UNCH), ("x", UNCH)],
+            "b": [("d", UNCH), ("e", UNCH)], "x": [("e", UNCH)]}
+    stepped = []
+
+    def nop_delta(q):
+        stepped.append(q)
+        return list(nops.get(q, ()))
+    wl = Worklist(RPDSOracle("r", lambda q, g: [], nop_delta))
+    assert wl.run()
+    assert {q: list(es) if type(es) is dict else es
+            for q, es in wl._entries.items()} == {
+        "b": "b", "d": ["r", "b"], "e": ["b", "r"]}
+    # a's moves grow: one restep queues it once, a second finds it waiting
+    nops["a"].append(("c", UNCH))
+    wl.restep("a")
+    wl.restep("a")
+    assert list(wl._work) == [("a", "r")]
+    wl.restep("e")  # under each of its entries, in the order first stepped
+    wl.restep("y")  # never stepped: nothing to redo
+    assert list(wl._work) == [("a", "r"), ("e", "b"), ("e", "r")]
+    stepped.clear()
+    assert wl.run()
+    assert stepped == ["a", "e", "e", "c"]
+    assert ("a", UNCH, "c") in wl.graph.edges and "c" in wl.graph.paths["r"]
+    assert "a" not in wl._entries and "c" not in wl._entries
+
+
 # ---------------------------------------------------------------------------
 # seeded differential test: the engine against the configuration search
 
