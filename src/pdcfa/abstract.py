@@ -16,6 +16,8 @@ continuation store.
 All abstract domain objects are hash-consed (interned), so equality is
 pointer equality; every container used for iteration is kept in a canonical
 sort order (see skey) to make analyses deterministic across processes.
+The tables are process-wide, so the analyses of one program share its
+domain objects and their memos; each run interns its nodes (analyses).
 Each interned object builds its sort key once (see _keyed).
 
 Stores and environments are updated in place of one entry, not rebuilt:

@@ -9,17 +9,21 @@ Six analyses over one normalized program:
 - analyze_finite:         store-allocated continuations (plain k-CFA baseline),
                           with or without GC
 
-Every node is one interned State(exp, env, store, ctx, kaddr, roots), the
-machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
-DLS 2014) plus a stack-root set.  An analysis leaves the parts it does
-not use None on all its nodes: pdcfa-widened has no store, only the
-finite baselines have a continuation address and only pdcfa-gc has
-roots.  Nothing here orders nodes: metrics alone defines that order.
+Every node is one State(exp, env, store, ctx, kaddr, roots), the machine
+state of AAC (Johnson & Van Horn, "Abstracting Abstract Control", DLS
+2014) plus a stack-root set.  An analysis leaves the parts it does not
+use None on all its nodes: pdcfa-widened has no store, only the finite
+baselines have a continuation address and only pdcfa-gc has roots.
+Nothing here orders nodes: metrics alone defines that order.
+
+No two analyses share a node, so each run interns its nodes in a table
+of its own (_node_table) and leaves no reference cycle: its nodes go
+with its result.  Domain objects, and their memos, stay process-wide.
 
 All run the one transfer function, abstract.astep, which leaves the
-continuation to its caller, and intern only their own nodes.  Every
-analysis runs on the one reachability loop, pushdown.Worklist, through
-an RPDSOracle, and explores successors in the order astep returns them.
+continuation to its caller.  Every analysis runs on the one reachability
+loop, pushdown.Worklist, through an RPDSOracle, and explores successors
+in the order astep returns them.
 The pushdown ones build theirs with _oracle: nop_delta takes astep's
 moves (push or ε transitions), top_delta(q, γ) binds its returns into γ
 with areturn (pop transitions).  Each steps through _stepper, which
@@ -48,7 +52,7 @@ from functools import partial
 from .frozen import Frozen, setfield
 from .syntax import Exp, Let1
 from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
-                       astep, store_join, _intern)
+                       astep, store_join)
 from .gc import gc_store, touches
 from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
                        compact_worklist)
@@ -71,15 +75,22 @@ class State(Frozen):
         setfield(self, "kaddr", kaddr)
         setfield(self, "roots", roots)
 
-    @classmethod
-    def make(cls, exp, env, store=None, ctx=(), kaddr=None, roots=None):
-        # no analysis uses both kaddr and roots, so one slot keys either
-        return _intern(cls, (exp, env, store, ctx,
-                             kaddr if roots is None else roots),
-                       exp, env, store, ctx, kaddr, roots)
-
     def __repr__(self):
         return f"q(e{self.exp.label})"
+
+
+def _node_table():
+    """A run's node constructor: one State per parts tuple."""
+    table = {}
+
+    def node(exp, env, store=None, ctx=(), kaddr=None, roots=None):
+        # no analysis uses both kaddr and roots, so one slot keys either
+        key = (exp, env, store, ctx, kaddr if roots is None else roots)
+        q = table.get(key)
+        if q is None:
+            q = table[key] = State(exp, env, store, ctx, kaddr, roots)
+        return q
+    return node
 
 
 class AnalysisResult:
@@ -155,8 +166,9 @@ def _oracle(root, store_of, node, policy):
 
 
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
-    oracle = _oracle(root, lambda q: q.store, State.make, policy)
+    node = _node_table()
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q: q.store,
+                     node, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", graph, ecg, e, sat)
 
@@ -168,9 +180,10 @@ def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisRes
 def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
     """Pushdown + GC: nodes carry the stack-root set A and step on their
     store collected under it (see _oracle for how A flows)."""
-    root = State.make(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset())
-    oracle = _oracle(root, lambda q: gc_store(q.env, q.store, q.roots),
-                     State.make, policy)
+    node = _node_table()
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset()),
+                     lambda q: gc_store(q.env, q.store, q.roots), node,
+                     policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
 
@@ -186,15 +199,16 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
     current store; if the successor stores grew it, the nodes whose
     environment maps to a grown address (a step reads the store only
     there) are re-stepped under the joined store and the engine resumes."""
-    root = State.make(e, EMPTY_ENV)
+    make = _node_table()
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
 
     def node(e2, env2, s2, ctx2, *_):
         out_stores[s2] = None
-        return State.make(e2, env2, None, ctx2)
+        return make(e2, env2, None, ctx2)
 
-    wl = Worklist(_oracle(root, lambda psi: store, node, policy))
+    wl = Worklist(_oracle(make(e, EMPTY_ENV), lambda psi: store, node,
+                          policy))
     while True:
         saturated = wl.run(deadline, node_limit)
         grown = store
@@ -226,7 +240,7 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     source when the edge lands.  When R grows the node
     is re-stepped; its old successors and guards stay in the graph, and a
     guard below the final R is counted as stale."""
-    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
+    node = _node_table()
     R = {}
     guards = {}  # edge -> R of its source when it landed
     push_out = {}  # src -> {(frame, dst): None}, the push half of root flow
@@ -277,9 +291,11 @@ def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
     def root_cache():
         return {q: roots(q) for q in (*wl.graph.nodes, *R)}
 
-    wl = Worklist(_oracle(root, lambda q: gc_store(q.env, q.store, roots(q)),
-                          State.make, policy), on_record)
+    wl = Worklist(_oracle(node(e, EMPTY_ENV, EMPTY_STORE),
+                          lambda q: gc_store(q.env, q.store, roots(q)),
+                          node, policy), on_record)
     saturated = wl.run(deadline, node_limit)
+    wl.on_record = None  # on_record refers to wl: break the cycle
     guarded = guarded_edges()
     return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e, saturated,
                           root_cache=root_cache(), guarded_edges=guarded,
@@ -296,6 +312,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     """The finite machine as an oracle whose continuation store lives
     beside it; a state that read a kaddr (to pop, or under GC for its
     roots) is re-stepped when that kaddr grows."""
+    node = _node_table()
     kstore = {}  # kaddr -> {(frame, kaddr below): None}
     deps = {}  # kaddr -> {state: None}
 
@@ -326,23 +343,21 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                     # every state whose pops or roots read ka2 steps again
                     for dep in deps.get(ka2, ()):
                         wl.restep(dep)
-            out.append((State.make(e2, env2, s2, ctx2, ka2), tag))
+            out.append((node(e2, env2, s2, ctx2, ka2), tag))
         for vals, s in returns:
             for fr, ka2 in kstore.get(st.kaddr, ()):
                 e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
-                out.append((State.make(e2, env2, s2, st.ctx, ka2),
+                out.append((node(e2, env2, s2, st.ctx, ka2),
                             "eps" if ka2 is st.kaddr else "pop"))
         return out
 
     def top_delta(st, gamma):
         return ()  # nothing is pushed on the engine's stack
 
-    root = State.make(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT)
-    wl = Worklist(RPDSOracle(root, top_delta, nop_delta))
+    wl = Worklist(RPDSOracle(node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT),
+                             top_delta, nop_delta))
     saturated = wl.run(deadline, node_limit)
-    # wl and nop_delta refer to each other, so without this the deps would
-    # live on until the next full collection, past the caller's to_json
-    deps.clear()
+    wl.oracle = None  # nop_delta refers to wl: break the cycle
     return AnalysisResult("plain-gc" if gc else "plain", wl.graph, None, e,
                           saturated, kstore=kstore)
 

@@ -6,8 +6,9 @@ uses, in _PARTS order) and its edges in (src, act_skey, dst) order,
 sorted on ranks: each distinct ctx, continuation address, root set and
 act is ranked once by its key, and each distinct env and store by the
 ranks of its entries, so no map builds its key; equal keys share a rank.
-A node sorts on one int packed from its exp label and part ranks, an
-edge on one int packed from its src, act and dst ranks."""
+Nodes and edges are put in order by stable sorts, least significant key
+first, each keyed on an int that already exists (a rank, a position or
+an exp label), so no sort builds a key per node or edge."""
 from __future__ import annotations
 
 import json
@@ -142,29 +143,25 @@ def _order(r: AnalysisResult):
     """The nodes in canonical order, and each one's position in it, which
     is its rank: distinct interned nodes have distinct keys.  The parts
     ranked are those present on the root, as on every node."""
-    nodes, cols = list(r.graph.nodes), []  # (part, {x: rank}, rank bound)
-    for part, key in _PARTS:
+    nodes = list(r.graph.nodes)
+    for part, key in reversed(_PARTS):  # stable sorts, last part first
         if (x := getattr(r.graph.root, part)) is not None:
             xs = (getattr(n, part) for n in nodes)
             ranks = (_map_ranks(xs) if isinstance(x, (AEnv, AStore))
                      else _ranks(xs, key or (lambda c: c)))
-            cols.append((part, ranks, len(ranks)))
-
-    def node_key(n):
-        k = n.exp.label
-        for part, ranks, size in cols:
-            k = k * size + ranks[getattr(n, part)]
-        return k
-    nodes.sort(key=node_key)
+            nodes.sort(key=lambda n: ranks[getattr(n, part)])
+    nodes.sort(key=lambda n: n.exp.label)
     return nodes, {n: i for i, n in enumerate(nodes)}
 
 
-def _edge_key(edges, pos):
-    """Sort key of an edge (src, act, dst, ...) in canonical (src, act,
-    dst) order: one int packed from their ranks."""
+def _sorted_edges(edges, pos):
+    """The edges (src, act, dst, ...) in canonical (src, act, dst) order:
+    stable sorts on dst, act and src ranks, ints that already exist."""
     acts = _ranks((e[1] for e in edges), act_skey)
-    na, nn = len(acts), len(pos)
-    return lambda e: (pos[e[0]] * na + acts[e[1]]) * nn + pos[e[2]]
+    out = sorted(edges, key=lambda e: pos[e[2]])
+    out.sort(key=lambda e: acts[e[1]])
+    out.sort(key=lambda e: pos[e[0]])
+    return out
 
 
 def to_dot(r: AnalysisResult) -> str:
@@ -179,8 +176,7 @@ def to_dot(r: AnalysisResult) -> str:
                     for (src, guard, act, dst) in r.guarded_edges]
     else:
         rendered = r.graph.edges
-    for src, act, dst, *gsize in sorted(rendered,
-                                        key=_edge_key(rendered, pos)):
+    for src, act, dst, *gsize in _sorted_edges(rendered, pos):
         lbl = _act_label(act) + "".join(f" ⟨{g}⟩" for g in gsize)
         lines.append(f'  n{pos[src]} -> n{pos[dst]} [label="{lbl}"];')
     lines.append("}")
@@ -189,7 +185,7 @@ def to_dot(r: AnalysisResult) -> str:
 
 _NODE = '    {\n      "id": %d,\n      "label": %s\n    }'
 _EDGE = '    {\n      "src": %d,\n      "act": %s,\n      "dst": %d\n    }'
-_CHUNK = 2048  # rows joined into one piece of the document
+_CHUNK = 256  # rows joined into one piece of the document
 
 
 def to_json(obj) -> str:
@@ -198,14 +194,16 @@ def to_json(obj) -> str:
     A result is written exactly as json.dumps(doc, indent=2) writes it,
     but row by row: with indent= json.dumps runs its pure-Python encoder,
     so each distinct label is escaped once by the C one instead.  Rows are
-    joined _CHUNK at a time, so few row strings are alive at once."""
+    joined _CHUNK at a time onto the one document string, which CPython
+    grows in place, so neither a list of pieces nor many row strings are
+    alive beside it."""
     if isinstance(obj, Metrics):
         doc = {"schema": 1, "metrics": {f: getattr(obj, f)
                                         for f in Metrics.__slots__}}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     r = obj
     nodes, pos = _order(r)
-    edges = sorted(r.graph.edges, key=_edge_key(r.graph.edges, pos))
+    edges = _sorted_edges(r.graph.edges, pos)
     labels = {}  # (exp label, env, ctx, |roots|) -> escaped node label
     acts = {a: _escape(_act_label(a))
             for a in dict.fromkeys(e[1] for e in edges)}
@@ -227,16 +225,16 @@ def to_json(obj) -> str:
         fields["stale_guards"] = r.stale_guards
     if r.ecg is not None:
         fields["ecg_pairs"] = r.ecg.pair_count()
-    out = []
+    doc = ""
     for k, v in fields.items():
-        out.append((",\n" if out else "{\n") + f'  "{k}": ')
+        doc += (",\n" if doc else "{\n") + f'  "{k}": '
         if not isinstance(v, tuple):
-            out.append(json.dumps(v))
+            doc += json.dumps(v)
             continue
         items, row = v  # an array, _CHUNK rows to a piece
         for lo in range(0, len(items), _CHUNK):
-            out += [",\n" if lo else "[\n",
-                    ",\n".join(map(row, items[lo:lo + _CHUNK]))]
-        out.append("\n  ]" if items else "[]")
-    out.append("\n}\n")
-    return "".join(out)
+            doc += (",\n" if lo else "[\n") + ",\n".join(
+                map(row, items[lo:lo + _CHUNK]))
+        doc += "\n  ]" if items else "[]"
+    doc += "\n}\n"
+    return doc

@@ -30,6 +30,7 @@ a raw trace store carries dead bindings the analysis rightly dropped.
 import time
 from collections import deque
 from functools import reduce
+from typing import NamedTuple
 
 from pdcfa import concrete
 from pdcfa.bench import load
@@ -488,39 +489,61 @@ def _kstore_machine(root, step, node, policy, collect=False):
     return seen
 
 
+class Node(NamedTuple):
+    """An analyses.State's parts as a value, defaulted as an analysis
+    leaves them.  A run makes one State per parts tuple, so comparing
+    parts is as strict as comparing one run's States by identity."""
+    exp: object
+    env: object
+    store: object = None
+    ctx: tuple = ()
+    kaddr: object = None
+    roots: object = None
+
+
+def parts(q):
+    """The parts of State q, as a Node."""
+    return Node(q.exp, q.env, q.store, q.ctx, q.kaddr, q.roots)
+
+
+def node_parts(r):
+    """The parts of every node of result r: one Node per node."""
+    out = {parts(n) for n in r.graph.nodes}
+    assert len(out) == len(r.graph.nodes)
+    return out
+
+
 def aac_nodes(e, policy, collect=False):
     """The nodes pdcfa reaches (collecting: pdcfa-gc), from the AAC
-    machine: States without roots, or (collecting) the same States with
+    machine: Nodes without roots, or (collecting) the same Nodes with
     the roots they step under, their store collected under those."""
     def step(q, roots):
         store = gc_store(q.env, q.store, roots) if collect else q.store
         return astep(q.exp, q.env, store, q.ctx, policy)
 
-    root = State.make(e, EMPTY_ENV, EMPTY_STORE)
-    states = _kstore_machine(root, step, State.make, policy, collect)
+    root = Node(e, EMPTY_ENV, EMPTY_STORE)
+    states = _kstore_machine(root, step, Node, policy, collect)
     if collect:
-        return {State.make(q.exp, q.env, q.store, q.ctx, None, roots)
-                for q, roots, _ in states}
+        return {q._replace(roots=roots) for q, roots, _ in states}
     return {q for q, _, _ in states}
 
 
 def p4f(e, policy):
     """pdcfa-widened's nodes and global store, from the P4F machine: its
-    store-less States under one store, run again from scratch under the join of
-    every store its steps produced until that join stops growing."""
+    store-less Nodes under one store, run again from scratch under the join
+    of every store its steps produced until that join stops growing."""
     store = EMPTY_STORE
     while True:
         produced = {}
 
         def node(e2, env2, s2, ctx2):
             produced[s2] = None
-            return State.make(e2, env2, None, ctx2)
+            return Node(e2, env2, None, ctx2)
 
         def step(psi, _roots):
             return astep(psi.exp, psi.env, store, psi.ctx, policy)
 
-        states = _kstore_machine(State.make(e, EMPTY_ENV), step, node,
-                                 policy)
+        states = _kstore_machine(Node(e, EMPTY_ENV), step, node, policy)
         grown = reduce(store_join, produced, store)
         if grown is store:
             return {psi for psi, _, _ in states}, store
@@ -532,8 +555,8 @@ def matches_machine(e, policy, r):
     the nodes (and, widened, the very global store) of its machine."""
     if r.kind == "pdcfa-widened":
         nodes, store = p4f(e, policy)
-        return set(r.graph.nodes) == nodes and r.global_store is store
-    return set(r.graph.nodes) == aac_nodes(e, policy, r.kind == "pdcfa-gc")
+        return node_parts(r) == nodes and r.global_store is store
+    return node_parts(r) == aac_nodes(e, policy, r.kind == "pdcfa-gc")
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +757,9 @@ def finite_uncovered(pushdown, finite):
 def widened_uncovered(pd, wide):
     """(uncovered, checked): pdcfa nodes whose (exp, env, ctx) pdcfa-widened
     did not reach, or whose store is not below its global store."""
-    wnodes = set(wide.graph.nodes)
+    wnodes = node_parts(wide)
     bad = sum(1 for n in pd.graph.nodes
-              if State.make(n.exp, n.env, None, n.ctx) not in wnodes
+              if Node(n.exp, n.env, None, n.ctx) not in wnodes
               or not leq(n.store, wide.global_store))
     return bad, len(pd.graph.nodes)
 

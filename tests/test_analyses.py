@@ -1,4 +1,5 @@
 """End-to-end behavior of the six analyses on small programs and benchmarks."""
+import gc
 import time
 from collections import Counter
 from functools import partial
@@ -21,8 +22,8 @@ from pdcfa import analyses, pushdown
 from pdcfa.gc import gc_store, touches
 from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
 
-from helpers import (AConf, approx_uncovered, compute_root_cache, leq,
-                     step_conf)
+from helpers import (AConf, Node, approx_uncovered, compute_root_cache, leq,
+                     node_parts, parts, step_conf)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,35 @@ def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
     assert set(wl.graph.paths[r.graph.root]) == set(r.graph.nodes)
 
 
+# perfbench's caps on the k=1 blowups (workloads.CAPS)
+BENCH_CAPS = {("kcfa2", "plain"): 10_000, ("kcfa3", "plain"): 10_000,
+              ("kcfa3", "pdcfa"): 2_000}
+
+
+@pytest.mark.parametrize("kind", tuple(analyses.ANALYSES))
+@pytest.mark.parametrize("prog", ["kcfa2", "kcfa3"])
+def test_a_dropped_result_frees_its_run_without_the_collector(prog, kind):
+    """A run interns its nodes in a table of its own and leaves no
+    reference cycle, so dropping its result frees every State by
+    reference counting alone: the cyclic collector finds nothing.
+    (Other tests' cached results keep their States: count this run's.)"""
+    def states():
+        return sum(1 for x in gc.get_objects() if type(x) is State)
+    e = load(prog)
+    gc.collect()
+    gc.disable()
+    try:
+        before = states()
+        r = run_one(kind, e, policy_for_k(1),
+                    node_limit=BENCH_CAPS.get((prog, kind)))
+        assert states() >= before + len(r.graph.nodes) > before
+        del r
+        assert states() == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # store widening
 
@@ -192,7 +222,7 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
             for c2 in step_conf(c, Mono()):
                 if not (kont and c2.kont):  # under a frame, pops only
                     succ_stores.append(c2.store)
-                    yield State.make(c2.exp, c2.env, None, c2.ctx), c2.kont
+                    yield Node(c2.exp, c2.env, None, c2.ctx), c2.kont
 
         def nop_delta(psi):
             return [(q, Push(k[0]) if k else UNCH)
@@ -201,11 +231,12 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
         def top_delta(psi, fr):
             return [(q, Pop(fr)) for q, _ in successors(psi, (fr,))]
 
-        g, _, sat = compact_worklist(RPDSOracle(r.graph.root, top_delta,
-                                                nop_delta))
+        g, _, sat = compact_worklist(RPDSOracle(parts(r.graph.root),
+                                                top_delta, nop_delta))
         assert sat
-        assert set(g.nodes) == set(r.graph.nodes)
-        assert set(g.edges) == set(r.graph.edges)
+        assert set(g.nodes) == node_parts(r)
+        assert set(g.edges) == {(parts(s), a, parts(d))
+                                for s, a, d in r.graph.edges}
         assert all(leq(s, store) for s in succ_stores)
 
 
@@ -237,7 +268,8 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     r = analyze_finite(load(prog), Mono(), gc=gc)
     assert r.saturated
     kstore = r.kstore
-    edges = {(s, d) for s, _, d in r.graph.edges}
+    nodes = node_parts(r)
+    edges = {(parts(s), parts(d)) for s, _, d in r.graph.edges}
     for st in r.graph.nodes:
         roots, seen, work = set(), {st.kaddr}, [st.kaddr]
         while work:
@@ -262,8 +294,8 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
             c = AConf.make(st.exp, st.env, store, (fr,), st.ctx)
             succs += [(c2, ka) for c2 in step_conf(c, Mono()) if not c2.kont]
         for c2, ka in succs:
-            s2 = State.make(c2.exp, c2.env, c2.store, c2.ctx, ka)
-            assert s2 in r.graph.nodes and (st, s2) in edges
+            s2 = Node(c2.exp, c2.env, c2.store, c2.ctx, ka)
+            assert s2 in nodes and (parts(st), s2) in edges
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +381,7 @@ def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
 
 def _mk_state(exp_label):
     e = parse_and_normalize("((lambda (x) x) 1)")
-    return State.make(e, AEnv.make([]), None, (exp_label,))
+    return State(e, AEnv.make([]), None, (exp_label,), None, None)
 
 
 def test_compute_root_cache_push_then_pair():
