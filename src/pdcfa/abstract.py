@@ -459,11 +459,9 @@ def _apply_aprim(p: APrim, avals, store, policy, label, ctx):
     some_int = any(a is SCALAR_TOP for a in avals)
     if not (args_ok and some_int):
         return []
-    if op in ("+", "-", "*", "quotient", "remainder"):
-        return [((SCALAR_TOP,), store)]
     if op in ("<=", "<", "="):
         return [((A_BOOL_TOP,), store)]
-    return []
+    return [((SCALAR_TOP,), store)]  # +, -, *, quotient, remainder
 
 
 def astep(e: Exp, env: AEnv, store: AStore, ctx: tuple, policy):

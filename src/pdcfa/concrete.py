@@ -1,17 +1,19 @@
 """Concrete CESK machine: the deterministic ground-truth evaluator.
 
 Configurations are (exp, env, store, kont).  Environments map variables to
-natural-number store addresses; `alloc` returns 1 + max(dom(store)), 0 on an
-empty store.  Three core rules (tail call, Let1 push, Ret pop) plus If
-branching on a concrete boolean and primitive application, which behaves
+store addresses, which a run writes once each, in allocation order: its
+stores are prefixes of one log, `alloc` is a prefix's length, and a run is
+linear in its steps.  Three core rules (tail call, Let1 push, Ret pop) plus
+If branching on a concrete boolean and primitive application, which behaves
 like a return of the computed value.  Values, frames and configurations
 compare by their fields.
 """
 from __future__ import annotations
 
+import operator
 import time
 
-from .frozen import Record, setfield
+from .frozen import Frozen, Record, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
                      Var, PRIM_ARITY)
 
@@ -65,36 +67,57 @@ def env_trim(env, keep):
     return tuple(p for p in env if p[0] in keep)
 
 
+class Store(Frozen):
+    """The first n values of a run's allocation log, address a at cells[a];
+    iterates as (address, value) pairs."""
+    __slots__ = ("cells", "n")
+
+    def __init__(self, cells, n):
+        setfield(self, "cells", cells)  # shared by every store of the run
+        setfield(self, "n", n)
+
+    def __iter__(self):
+        return zip(range(self.n), self.cells)
+
+    def __eq__(self, other):
+        return (type(other) is Store and self.n == other.n
+                and self.cells[:self.n] == other.cells[:other.n])
+
+    def __hash__(self):
+        return self.n
+
+    def lookup(self, a):
+        if not 0 <= a < self.n:
+            raise DanglingAddressError(str(a))
+        return self.cells[a]
+
+    def add(self, v):
+        """v at address n; copies the log only if a longer store extends
+        it, as when an older configuration is stepped again."""
+        cells = self.cells if len(self.cells) == self.n else self.cells[:self.n]
+        cells.append(v)
+        return Store(cells, self.n + 1)
+
+
 class Conf(Record):
     def __init__(self, exp, env, store, kont):
         setfield(self, "exp", exp)
         setfield(self, "env", env)
-        setfield(self, "store", store)  # sorted tuple of (Addr, Value)
+        setfield(self, "store", store)
         setfield(self, "kont", kont)  # of Frame, top first
 
 
-def store_make(d):
-    return tuple(sorted(d.items()))
-
-
 def alloc(v: Var, c: Conf) -> int:
-    """Fresh address: 1 + max(dom(store)); 0 for the empty store."""
-    if not c.store:
-        return 0
-    return 1 + max(a for a, _ in c.store)
+    return c.store.n  # a run's stores are dense: 1 + max(dom(store))
 
 
 def inject(e: Exp) -> Conf:
-    return Conf(e, (), (), ())
+    return Conf(e, (), Store([], 0), ())
 
 
 def atomic_eval(ae, env, store):
     if isinstance(ae, Ref):
-        a = env_lookup(env, ae.var)
-        d = dict(store)
-        if a not in d:
-            raise DanglingAddressError(str(a))
-        return d[a]
+        return store.lookup(env_lookup(env, ae.var))
     if isinstance(ae, Lambda):
         return Clo(ae, env_trim(env, ae.free))
     if isinstance(ae, Lit):
@@ -118,81 +141,62 @@ class Step:
         return type(other) is Step and vars(self) == vars(other)
 
 
-def _apply_prim(pv: PrimVal, arg, c: Conf):
-    """Returns ('val', value, store, allocs) or ('stuck', reason)."""
-    op = pv.op
-    args = pv.args + (arg,)
+def _quotient(x, y):
+    return x // y if (x < 0) == (y < 0) else -((-x) // y)  # truncate toward 0
+
+
+_INT_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "quotient": _quotient,
+    "remainder": lambda x, y: x - y * _quotient(x, y),
+    "<=": operator.le, "<": operator.lt, "=": operator.eq,
+}
+
+
+def _apply_prim(pv: PrimVal, arg, c: Conf) -> Step:
+    op, args = pv.op, pv.args + (arg,)
     if len(args) < PRIM_ARITY[op]:
-        return ("val", PrimVal(op, args), c.store, ())
+        return _do_return(PrimVal(op, args), c.store, c.kont)
     if op == "rec":
         (w,) = args
         if not (isinstance(w, Clo) and isinstance(w.lam.body, Ret)
                 and isinstance(w.lam.body.atom, Lambda)):
-            return ("stuck", "rec applied to a non-recursive wrapper")
+            return Step("stuck", reason="rec applied to a non-recursive wrapper")
         inner = w.lam.body.atom
         a = alloc(w.lam.param, c)
-        env2 = env_trim(env_extend(w.env, w.lam.param, a), inner.free)
-        clo = Clo(inner, env2)
-        d = dict(c.store)
-        d[a] = clo
-        return ("val", clo, store_make(d), ((w.lam.param, a),))
+        clo = Clo(inner, env_trim(env_extend(w.env, w.lam.param, a), inner.free))
+        return _do_return(clo, c.store.add(clo), c.kont, ((w.lam.param, a),))
     if op == "not":
-        return ("val", args[0] is False, c.store, ())  # only #f is false
+        return _do_return(args[0] is False, c.store, c.kont)  # only #f is false
     x, y = args
-    if not (isinstance(x, int) and not isinstance(x, bool)
-            and isinstance(y, int) and not isinstance(y, bool)):
-        return ("stuck", f"primitive {op} applied to non-integers")
-    if op == "+":
-        return ("val", x + y, c.store, ())
-    if op == "-":
-        return ("val", x - y, c.store, ())
-    if op == "*":
-        return ("val", x * y, c.store, ())
-    if op == "quotient":
-        if y == 0:
-            return ("stuck", "division by zero")
-        q = x // y if (x < 0) == (y < 0) else -((-x) // y)  # truncate toward 0
-        return ("val", q, c.store, ())
-    if op == "remainder":
-        if y == 0:
-            return ("stuck", "division by zero")
-        q = x // y if (x < 0) == (y < 0) else -((-x) // y)
-        return ("val", x - y * q, c.store, ())
-    if op == "<=":
-        return ("val", x <= y, c.store, ())
-    if op == "<":
-        return ("val", x < y, c.store, ())
-    if op == "=":
-        return ("val", x == y, c.store, ())
-    return ("stuck", f"unknown primitive {op}")
+    if not type(x) is type(y) is int:  # bool is not an integer here
+        return Step("stuck", reason=f"primitive {op} applied to non-integers")
+    try:
+        v = _INT_OPS[op](x, y)
+    except ZeroDivisionError:
+        return Step("stuck", reason="division by zero")
+    return _do_return(v, c.store, c.kont)
 
 
-def _do_return(v, store, c: Conf, allocs):
-    if not c.kont:
+def _do_return(v, store, kont, allocs=()):
+    if not kont:
         return Step("halt", value=v, allocs=allocs)
-    fr = c.kont[0]
-    c2 = Conf(c.exp, c.env, store, c.kont)
-    a = alloc(fr.var, c2)
-    d = dict(store)
-    d[a] = v
+    fr = kont[0]
+    a = store.n
     env2 = env_trim(env_extend(fr.env, fr.var, a), fr.exp.free)
-    return Step("next", Conf(fr.exp, env2, store_make(d), c.kont[1:]),
+    return Step("next", Conf(fr.exp, env2, store.add(v), kont[1:]),
                 allocs=allocs + ((fr.var, a),))
 
 
 def step(c: Conf) -> Step:
     e = c.exp
     if isinstance(e, Ret):
-        v = atomic_eval(e.atom, c.env, c.store)
-        return _do_return(v, c.store, c, ())
+        return _do_return(atomic_eval(e.atom, c.env, c.store), c.store, c.kont)
     if isinstance(e, If):
         v = atomic_eval(e.cond, c.env, c.store)
-        if v is True:
-            t = e.then
-        elif v is False:
-            t = e.els
-        else:
+        if v is not True and v is not False:
             return Step("stuck", reason="branch on a non-boolean")
+        t = e.then if v else e.els
         return Step("next", Conf(t, env_trim(c.env, t.free), c.store, c.kont))
     if isinstance(e, Let1):
         fr = Frame(e.var, e.body, env_trim(c.env, e.frame_free))
@@ -203,17 +207,11 @@ def step(c: Conf) -> Step:
         arg = atomic_eval(e.arg, c.env, c.store)
         if isinstance(f, Clo):
             a = alloc(f.lam.param, c)
-            d = dict(c.store)
-            d[a] = arg
             env2 = env_trim(env_extend(f.env, f.lam.param, a), f.lam.body.free)
-            return Step("next", Conf(f.lam.body, env2, store_make(d), c.kont),
+            return Step("next", Conf(f.lam.body, env2, c.store.add(arg), c.kont),
                         allocs=((f.lam.param, a),), applied_call_label=e.label)
         if isinstance(f, PrimVal):
-            r = _apply_prim(f, arg, c)
-            if r[0] == "stuck":
-                return Step("stuck", reason=r[1])
-            _, v, store2, allocs = r
-            return _do_return(v, store2, c, allocs)
+            return _apply_prim(f, arg, c)
         return Step("stuck", reason="apply a non-function")
     raise TypeError(e)
 

@@ -1,10 +1,12 @@
 import copy
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdcfa.syntax import parse_and_normalize, Var, Let1, Ret, TailCall
-from pdcfa.concrete import inject
+from pdcfa.syntax import (parse_and_normalize, Var, Let1, Ret, TailCall,
+                          PRIM_ARITY)
+from pdcfa.concrete import inject, run
 from pdcfa.abstract import (Mono, OneCFA, KCFA, aalloc, aeval,
                             store_join, AEnv, AStore, AClo, AAddr,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
@@ -17,7 +19,8 @@ from pdcfa.concrete import UnboundVariableError
 from pdcfa import abstract, bench
 from pdcfa.frozen import fields
 
-from helpers import (AConf, IncomparableKinds, ainject, alpha, leq, parts,
+from helpers import (AConf, IncomparableKinds, _alpha_val, ainject, alpha,
+                     leq, parts,
                      ref_bind, ref_extend, ref_get, ref_lookup,
                      ref_restrict, ref_skey, ref_store_join, run_abstracted,
                      step_conf)
@@ -30,7 +33,8 @@ X = Var("x", 1)
 def test_aalloc_policies():
     ctx = (7, (7,))  # exp label, history
     a_mono = aalloc(Mono(), X, *ctx)
-    assert a_mono.tag == "mono" and a_mono.var is X and a_mono.extra == ()
+    assert a_mono.tag == "mono" and a_mono.var == X and a_mono.extra == ()
+    assert aalloc(Mono(), Var("x", 1), *ctx) is a_mono  # interned by value
     a_1cfa = aalloc(OneCFA(), X, *ctx)
     assert a_1cfa.extra == (7,)
     a_k = aalloc(KCFA(2), X, 7, (7, 9, 11))
@@ -114,6 +118,38 @@ def test_astep_if_on_bool_top_forks():
     c = AConf.make(lam.body, env, store, ())
     succs = step_conf(c, Mono())
     assert len(succs) == 2
+
+
+def _aprim(op, args, arg):
+    return abstract._apply_aprim(APrim.make(op, args), vset([arg]),
+                                 EMPTY_STORE, Mono(), 0, ())
+
+
+@pytest.mark.parametrize("arg, want", [
+    (A_FALSE, A_TRUE), (A_TRUE, A_FALSE), (A_BOOL_TOP, A_BOOL_TOP),
+    (SCALAR_TOP, A_FALSE), (APrim.make("+"), A_FALSE),
+])
+def test_abstract_not(arg, want):
+    """Only #f is false, so `not` of anything but a boolean is #f."""
+    assert _aprim("not", (), arg) == [((want,), EMPTY_STORE)]
+
+
+PRIM_ARGS = {"0": 0, "1": 1, "-3": -3, "7": 7, "#t": True, "#f": False}
+
+
+@pytest.mark.parametrize("op", sorted(PRIM_ARITY))
+def test_abstract_primitives_cover_the_concrete_ones(op):
+    """α of every concrete result is below a value of the abstract result
+    for the α of the arguments; a stuck application has none to cover."""
+    for args in itertools.product(PRIM_ARGS, repeat=PRIM_ARITY[op]):
+        _, outcome = run(parse_and_normalize(f"({op} {' '.join(args)})"))
+        if outcome[0] == "stuck":
+            continue
+        assert outcome[0] == "halt", (op, args)
+        avals = [_alpha_val(PRIM_ARGS[a], {}) for a in args]
+        out = _aprim(op, tuple(avals[:-1]), avals[-1])
+        assert any(leq(_alpha_val(outcome[1], {}), v)
+                   for vals, _ in out for v in vals), (op, args)
 
 
 # ---------------------------------------------------------------------------

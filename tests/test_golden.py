@@ -1,11 +1,15 @@
 """Golden outputs: to_json and to_dot of every bundled cell, pinned by digest.
 
-The bundled programs × all six analyses × k∈{0,1}, with the intended
+The bundled programs × all six analyses × k∈{0,1,2}, with the intended
 blowups capped by node limits (the same caps as the benchmark's
-workloads).  Each cell's `to_json(r) + to_dot(r)` is hashed and compared
-with the digest recorded here, so any change to what an analysis reaches,
-or to how it is printed, shows up across commits and not only within one
-process.
+workloads; k=2 needs none).  Each cell's `to_json(r) + to_dot(r)` is
+hashed and compared with the digest recorded here, so any change to what
+an analysis reaches, or to how it is printed, shows up across commits and
+not only within one process.
+
+The concrete machine is pinned the same way: one digest per program (the
+bundled programs, the `fused` pool and the chains) over every
+configuration of `concrete.run` and its outcome.
 
 The `soak` test pins the programs the benchmark generates the same way:
 the 32 of the `fused` pool and the three `let*` chains, under all six
@@ -17,7 +21,7 @@ own interpreter.  It is deselected by default:
 A change that alters output on purpose re-records the digests and says
 why.  Regenerate with:
 
-    PYTHONPATH=src python tests/test_golden.py [--soak]
+    PYTHONPATH=src python tests/test_golden.py [--soak | --traces]
 """
 import hashlib
 import subprocess
@@ -26,8 +30,9 @@ from pathlib import Path
 
 import pytest
 
-from pdcfa.bench import BENCHMARKS, load
+from pdcfa.bench import BENCHMARKS, load, source
 from pdcfa.cli import policy_for_k, run_one
+from pdcfa.concrete import Clo, PrimVal, run
 from pdcfa.metrics import to_dot, to_json
 from pdcfa.syntax import parse_and_normalize
 
@@ -67,6 +72,18 @@ GOLDEN = {
         '2ada777bf91c20acd46a32487db0394be92006a532950dc088076b5628cfc95a',
     ('fig1', 'pdcfa-widened', 1):
         'c14fb0ebf5bf2cb44c24a53377e51d8f578da24c36a0607c6de6315be8c3b729',
+    ('fig1', 'plain', 2):
+        '27c93155bc84bae26d66d2403025e6fb00c6ef7aadf0c64095a1d6945b2003ef',
+    ('fig1', 'plain-gc', 2):
+        '15f460744bf5e8b4d6b98d01ecedaaffcd4a9c0061683505b1330bc855157669',
+    ('fig1', 'pdcfa', 2):
+        '2c2a9191160093cc562226d7705c9e55f68b801df9126ced9140c8b977880d9c',
+    ('fig1', 'pdcfa-gc', 2):
+        '19991742d4cf4080e9eff1df53c66efe9dd4390cec5e1aab231325d48703edb4',
+    ('fig1', 'pdcfa-gc-approx', 2):
+        '81c17c28febd8ef1dba988c56f0134f9f0a02e545881e2e8fc766852f2f14bfc',
+    ('fig1', 'pdcfa-widened', 2):
+        'b45973a1867023fd6350f247be1bc52eda97d5af131e04b4e4a72e65735decfb',
     ('mj09', 'plain', 0):
         'd8fad82e5dd565d256f4d331c09349b2006fbd3cdf7945a53ebef844cc4b6134',
     ('mj09', 'plain-gc', 0):
@@ -91,6 +108,18 @@ GOLDEN = {
         'd4999c5f27379f816b2a2ad7a701bedc31e68fe7a67b6f1ae3864bf114d6e719',
     ('mj09', 'pdcfa-widened', 1):
         'e68dda4ee327b26ab2acbf575a2341fd9f145d86b8ec5d535a832619c4ff7719',
+    ('mj09', 'plain', 2):
+        '282cf03588fb4ad32c89790c3f2e79e1bba25083217a60afbc8c5629dae59448',
+    ('mj09', 'plain-gc', 2):
+        '328a4efc9bf315936aab47188ace14a43d0d44b12313b14bf4325519f83f9530',
+    ('mj09', 'pdcfa', 2):
+        '67005225883bb5de45db3e1fb73c1a8aabbd270e3019bb820ba073bf98d45f4b',
+    ('mj09', 'pdcfa-gc', 2):
+        '041ea66eb06be8aa0104d5e4ae0e8660f183fb541e6067de576f89fb03664945',
+    ('mj09', 'pdcfa-gc-approx', 2):
+        '00426f0d1289a0d25fb0e33ecb7cb4fa7aefdd3da81236524edff6b0d46325d5',
+    ('mj09', 'pdcfa-widened', 2):
+        'dada5779f0be6c2a68288d0a91d7ccd21eb2622b2fde9c94e160cc11cecacdba',
     ('eta', 'plain', 0):
         'dcada734f44e1ca7f4a566a0fae6adc74f8545c24d660dd98d1edf05cabd0ee5',
     ('eta', 'plain-gc', 0):
@@ -115,6 +144,18 @@ GOLDEN = {
         'cc05302cbfeadd606710dc1a9e1eb073231e3e9b340b75730349524e4380dd13',
     ('eta', 'pdcfa-widened', 1):
         '4b3e9cd1b8d348d9c6361257173eb8de5e0a2fa28631708c8bf907c6dffe5787',
+    ('eta', 'plain', 2):
+        'b3c71a9f7652684ce5c5c965faaa9e29397a767ef522412b2724c31633a55c94',
+    ('eta', 'plain-gc', 2):
+        'f518f9221eb83680f3ef01bb766c4ccf904af69cff2058c00d250e7939c88d79',
+    ('eta', 'pdcfa', 2):
+        'be676bb08e5e1b451cc832cd25417b9473ff4c6300cae8a7abdcc66fdcf42b40',
+    ('eta', 'pdcfa-gc', 2):
+        '7b793990b7a80b8b124a50e92f45fc1834c3576a399864e78e5fa6d572b689e3',
+    ('eta', 'pdcfa-gc-approx', 2):
+        '5fa1f29c5fc0ab86ee45baa939a0a46214e86f552d19863f659ae59e0cbdfe3d',
+    ('eta', 'pdcfa-widened', 2):
+        '2de76020cb6fb2e23cbc63abbb85ecfd190671a9b234f6879cf368dd19b2e796',
     ('kcfa2', 'plain', 0):
         'f6cbae69789e4fbba160f2ba1c9bff6ab2b255a4d6e5c49daaec9191b528763b',
     ('kcfa2', 'plain-gc', 0):
@@ -139,6 +180,18 @@ GOLDEN = {
         'ecfc73bc0be2bf0277a98b0df2a0cb18339b72fa62ae41f28f189a1608166c7a',
     ('kcfa2', 'pdcfa-widened', 1):
         '28be42df1b4766dd426e0565821251ba2d78f103d571bd9b6593a3dfd24bac97',
+    ('kcfa2', 'plain', 2):
+        'c4b78ff9188d7b914f6201a50fc6c2faa9787bfbc45061c1546e7eaaedc6f40a',
+    ('kcfa2', 'plain-gc', 2):
+        'f4ceec0a2ef1e322f203e6162523824b9aba558d98e7bf7ad687bf36f69ea2ce',
+    ('kcfa2', 'pdcfa', 2):
+        'ed1eea195253eaaf7111aaf81a290f17886bb5437f83a703bc25610fa52d5799',
+    ('kcfa2', 'pdcfa-gc', 2):
+        '4c907c5f4d16780776ae34ceacfde0f05b586d97074c1a94486cf949b7eb976c',
+    ('kcfa2', 'pdcfa-gc-approx', 2):
+        '467246f7a7e150a37f939e47de58ea4a398fe601f4069618510b9272cc1c93fa',
+    ('kcfa2', 'pdcfa-widened', 2):
+        'de9ea681ff313f9d67e277b949ce0821074eeddaf958a9cafc3f92d8dd140e3f',
     ('kcfa3', 'plain', 0):
         '971ef980315a8191c4aa6c35d77afbbcb8675069046a34038cf4cad1425078fe',
     ('kcfa3', 'plain-gc', 0):
@@ -163,6 +216,18 @@ GOLDEN = {
         'e1819361d9ef4bbeb1e9251dbf70f328b016287d41644282e85c2b66d0c74c99',
     ('kcfa3', 'pdcfa-widened', 1):
         'b7d2cb5a59bf4badbe03a3bfd1eabeceba1b9142536d3e1b1fc9b2a2cd878f8c',
+    ('kcfa3', 'plain', 2):
+        '3c92b87262749de864210d3132f3e9047ae9ca1843c0c63a3312daa7989d8476',
+    ('kcfa3', 'plain-gc', 2):
+        '39e773e18d334bc7ebef53683dfd6487d3962c7c36d7cfc1fd8e5a155d83ab62',
+    ('kcfa3', 'pdcfa', 2):
+        'ea5321ee9ff5dc00863f2a685a009788db2f91644faf1b499dbf434dc313bfcc',
+    ('kcfa3', 'pdcfa-gc', 2):
+        '4e1bfd5a2fae54f45cce1f806f21dfb69239024d261fb168599154c9838838fd',
+    ('kcfa3', 'pdcfa-gc-approx', 2):
+        '8c57123b560ece890ee716a71e0da85d1a69e2cdaa4ccbd136dec668ad529853',
+    ('kcfa3', 'pdcfa-widened', 2):
+        '1793a050900ce89c140bf198875c432bcebb807c1a46ce2287997894a7b0824a',
     ('blur', 'plain', 0):
         '231ca96039fe73e32ebb7fd6e5987b692cf64360a7a9486de8bedfe7e1024cb1',
     ('blur', 'plain-gc', 0):
@@ -187,6 +252,18 @@ GOLDEN = {
         '0e35d96030c97f6fec322fb9bd4ec187d1624ab393b74b3ffbf0b0d07707017b',
     ('blur', 'pdcfa-widened', 1):
         '3eb8944b2a8a8d6415d33351e61c3f84735bdd46414e999e0d65353c9dd40f29',
+    ('blur', 'plain', 2):
+        '3c0c2125e9650ad1c804979a86089bf2f3ba4aa06b68c188d0a4d50f90caaed2',
+    ('blur', 'plain-gc', 2):
+        'e2b4706e4457568b460a71247931f7540510dd26b91d01542a47877408c7f17f',
+    ('blur', 'pdcfa', 2):
+        '210e2d9c3f23dca6e226837df1385e9b31fa34eb98464d0b6f86ab92915cc7f3',
+    ('blur', 'pdcfa-gc', 2):
+        'f12aa988378efc0de1c58695d828c8bc931e135d879686127984ed9e1fc38957',
+    ('blur', 'pdcfa-gc-approx', 2):
+        '693556732d28228419a73d59ac0263d3bbdab0c229f938138b0017b6a2ce3b1b',
+    ('blur', 'pdcfa-widened', 2):
+        '790aa2ce5b76ca99546a7da6dfb0a88426e5c6a702796ed6419dd8be2ef2a5e0',
     ('loop2', 'plain', 0):
         'a2e377ca0fd8f8062dbcd847141b3184934b52c95eb48ca179ab18645b36cbdd',
     ('loop2', 'plain-gc', 0):
@@ -211,6 +288,18 @@ GOLDEN = {
         '3540d8a3d46f9926fd56757e3a8f3c1e8f2d49c20e8a20f34a6656f9684686cc',
     ('loop2', 'pdcfa-widened', 1):
         '72ab53f229436cc1ef499be591c144b90aa799c093e13ebe3b329e3131ca8128',
+    ('loop2', 'plain', 2):
+        '51c736fe91152a7e2fe9593e0fdfd166127128e67de708d9ce6084d689ca023b',
+    ('loop2', 'plain-gc', 2):
+        'f8978599e3488d8c08b12d55d606bf8006a25edf27229302730aa8146b222a76',
+    ('loop2', 'pdcfa', 2):
+        '83e2cd0c6a18a2372c13e8d25e4b451ba93eaaa0586fd2c5e65cd3ffe757e3f8',
+    ('loop2', 'pdcfa-gc', 2):
+        'a4ba08633fa18942270d2b074cbec5b0ef393ff1ba23559b3de0e5b87b0df344',
+    ('loop2', 'pdcfa-gc-approx', 2):
+        'ac9793723ef51900ffbe95745fe55b3d76d2b51b33122d8eb3398f44277db6b5',
+    ('loop2', 'pdcfa-widened', 2):
+        '51a20068fe06d4b04ffe3b210034d11f407fe5306398f1f7079d85fce4f9b3c6',
     ('sat', 'plain', 0):
         'f335c0f487562d3faab056ad448156199f0aff5aa9847c9f165e018b1868e35e',
     ('sat', 'plain-gc', 0):
@@ -235,6 +324,18 @@ GOLDEN = {
         '0959c30dbe9a36c4faced3a229be5311c69644192fab4ae5609c6b118a4d33e0',
     ('sat', 'pdcfa-widened', 1):
         '558658cbca887b49a06e9188a9b85b04bce44e42fc2c39d95fcaf0f3ea9d92f9',
+    ('sat', 'plain', 2):
+        '830f65afb262d3638edfddead7327783d62d3d445109e58795d0faa9023a14fb',
+    ('sat', 'plain-gc', 2):
+        'a01df89d2a9dfabe97ca657d68c64084be0b7b9cf752b83d68ec1f2e63ef91ef',
+    ('sat', 'pdcfa', 2):
+        'f8b10a6e72954d8fee84d302f4788f170c44792a6f2d2e3fe1485a4f255df2ac',
+    ('sat', 'pdcfa-gc', 2):
+        '4b3834e7033a9bac5b36f32ba3def9e1a079e10759f84904cc64c97559bd18d7',
+    ('sat', 'pdcfa-gc-approx', 2):
+        '6d6d387217358f209804f9175f6d2bbca7e0541e9c689e4c4a969ef52fcb5a49',
+    ('sat', 'pdcfa-widened', 2):
+        '448e747f26fdb1ff9003ef342e7d6a5ea0e291b43cecb0ce14110526c2955b77',
 }
 
 
@@ -250,7 +351,7 @@ def digest(name, k):
     return out
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("name", BENCHMARKS)
 def test_outputs_match_recorded_digests(name, k):
     got = digest(name, k)
@@ -426,6 +527,141 @@ def soak_digest(name, k):
     return out.stdout.strip()
 
 
+def _env(env):
+    return tuple((v.name, v.id, a) for v, a in env)
+
+
+def _val(v):
+    if isinstance(v, Clo):
+        return ("clo", v.lam.body.label, _env(v.env))
+    if isinstance(v, PrimVal):
+        return ("prim", v.op, tuple(map(_val, v.args)))
+    return v
+
+
+def _text(v, shown):
+    text = shown.get(id(v))
+    if text is None:
+        text = shown[id(v)] = repr(_val(v))
+    return text
+
+
+def trace_digest(src):
+    """sha256 over every configuration of src's concrete run (exp label,
+    env, frames, store; a closure as its body label and env) and the
+    outcome."""
+    trace, outcome = run(parse_and_normalize(src))
+    shown = {}  # id(value or store) -> its text; the trace keeps them alive
+    h = hashlib.sha256()
+    for c in trace:
+        kont = tuple((f.var.name, f.var.id, f.exp.label, _env(f.env))
+                     for f in c.kont)
+        store = shown.get(id(c.store))
+        if store is None:
+            store = shown[id(c.store)] = ";".join(
+                f"{a}:{_text(v, shown)}" for a, v in c.store)
+        h.update(f"{(c.exp.label, _env(c.env), kont)!r}{store}".encode())
+    h.update(repr(outcome[:1] + tuple(map(_val, outcome[1:]))).encode())
+    return h.hexdigest()
+
+
+TRACE_SOURCES = {**{b: source(b) for b in BENCHMARKS}, **SOURCES}
+
+TRACE_GOLDEN = {
+    'fig1':
+        '5ea9205e3e82b44b2aadde1bff054cc6f58385b290bf7f8dc202fd4e3d149f99',
+    'mj09':
+        'b83efa2e44ee4bb60cae44a1281b51dd1f4e1f67f16eba0e16bd26bcd9790230',
+    'eta':
+        '05ced104cfc2d07a47bcca26e55938c2226462a3e6de3b293f5411d4ee2ef480',
+    'kcfa2':
+        'e12b9811efb640adeb28f6a04ad3ae6209caecb8ad8351c24519f89fe63146b8',
+    'kcfa3':
+        'd14f4b3700c52e03032d05a7e9f812e73012476970804152376bab395a7cae9b',
+    'blur':
+        '85b3ff0abf4900e3a1cd1baa2b93ffdb768d69d31d7bb8cd039d26bd414afd0a',
+    'loop2':
+        'c5d8bd7484ee28ed599ec6c4ecf772f08cc2d1956165407cddbabcc643723f99',
+    'sat':
+        'a46d8eb875a9853bd81881c3f092b5b5e2f9432ade325e69cd4de48e9d1d81fd',
+    'fused0':
+        'b8de8debda6ad71c5d1b5cd2f1aeb4fd7ae40f383c8486b5f2a6e7bff04b9c8c',
+    'fused1':
+        '35595a14b9eefc30e6c52e3b42555c2f01c233fe39fc45cc7e90af40c1fb4f32',
+    'fused2':
+        'feea53afccc8372daebd5c44264ce390b5dc097360e237345f15d23a097bf0dd',
+    'fused3':
+        'fef5944ad02988fafe4a4e69dfc0854101b39c4c2ab91cd736de3de4a80a05f8',
+    'fused4':
+        'f00acd30675bbdf4b55119a1ca8ba678fca5a16c8416658c9e6cc13c250ed2ba',
+    'fused5':
+        '55a0c149ac4d84e5418cc00dc6712b5ee1572617e2913ee84aa2add15887ac77',
+    'fused6':
+        '68a275f114f20cf138e871ab3b0e137cfb4b0970891752636744864d2aea63c7',
+    'fused7':
+        '280be75947dc4fb6f3bb6b7d2f654b1ad53f144e8f91d140aaf53310708620ae',
+    'fused8':
+        'c8fd240e18ad2c8e7f1ca098eaed39f3e6c42414047c8f4ba259c1f586f1139f',
+    'fused9':
+        'cea851d5f7857a816cdb8686b13e683563f153499d9af106e66ec514ebab681e',
+    'fused10':
+        '8983dcbffa615f3384807f511437cd0ada735e791197122fb6ac597de61ced7a',
+    'fused11':
+        'b116530b38b6aa0131e048acc155e187679a64a81cff6f82de8e79740a492b65',
+    'fused12':
+        'c6212c0ac08adbb30d097b1d1dbbfef5f6c4d937f24fbb3b4c75cf96cfad6dde',
+    'fused13':
+        '92989c188917532a8b1d3b69e2cdb3f068e9c8c5800f8168182e245f638e84ee',
+    'fused14':
+        '4cb9bd080ca984a2256de026c1f66cb41897f9a2a4434e3461f2bb2ef53c96a4',
+    'fused15':
+        '2ba5e6b217948e7c6f9882fb21db5c4df933fab85eaf2a3b615206655b3e781d',
+    'fused16':
+        'ead4ff06fb45aca26fc2f1c10cf8f146a2896cb1f48d3bd0b804ef76c3bc82c2',
+    'fused17':
+        'f956a7bf7f45c70647d5109db82b644906d800683a30bb9698d2c04d1358032a',
+    'fused18':
+        'bc7cf19bf6b099e8923f3a0a6e7e45095835526ff4792be229929614cd4ff2d9',
+    'fused19':
+        '93b78b0d7f8dd724a9152f8123d69f69c1bbd35f3e7a631c89e92040e86717ec',
+    'fused20':
+        'df17a0986de70e9c3a689b5fe11d64495a37655d870e1dfcd2e7d027c301e75f',
+    'fused21':
+        '75c650ca0ed81687ca9fd075a7998f2877f07d6c8065a7418304187922c225d3',
+    'fused22':
+        'b7cc827d2676856979c002440953458c6a9db3b3fd726df3a1a8d5298cff78cc',
+    'fused23':
+        'd2a79a628761b25ca67aa1b95363c9c1fa1782542a53e605f65209b5ac31f07b',
+    'fused24':
+        'bfc3469f5e9c4aaf2ce99617905c83d34081aa055da636c6039050aee40bb884',
+    'fused25':
+        'f3a919499e2f138cf60702f3f60737be70cfc12f2bc76480f490fef4d92a0c93',
+    'fused26':
+        '761cb822cebb4625a5f85409f7d26d10a4a285ccc165cf7040cf490dc21ac8e3',
+    'fused27':
+        'e512d380c6d81860d589de02f8993c66e91d98d6c0bf48191905135a617b3338',
+    'fused28':
+        'f59740d60cb26a91e23e83e1c8cea284050daf9f20f865ebdbe238a0f319cc93',
+    'fused29':
+        '170b218d41aead70c9f8958f57e7ccebec86bfe2dba147157bfa43c0b47433c1',
+    'fused30':
+        'f7ea0f76f13d50e6c38fd5c8f0b71f2bb568a1a27d8eec717ae3ac8fac5ea076',
+    'fused31':
+        '89f1a8c56c73be51fa1172e7080e3ead4f9d6e01b5959b4bfebd3fda4ba9bbba',
+    'chain15':
+        '5697bb792e783783c9c4c8e30ba44cf4ef07c37bef5b5c5b3d049cd8ab11b5f7',
+    'chain30':
+        'dace56fae4136da6c1183989aabd37f678258dcb8a5e468835f7eb7abb9e2927',
+    'chain60':
+        '4541b66aca3a43ed87e4e8df146fa2de503bc9317cd60c533dfde2014e7c0b73',
+}
+
+
+@pytest.mark.parametrize("name", TRACE_SOURCES)
+def test_concrete_traces_match_recorded_digests(name):
+    assert trace_digest(TRACE_SOURCES[name]) == TRACE_GOLDEN[name]
+
+
 @pytest.mark.soak
 @pytest.mark.parametrize("name, k", [(p, k) for p in SOURCES for k in (0, 1)])
 def test_generated_outputs_match_recorded_digests(name, k):
@@ -436,7 +672,11 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
         print(source_digest(sys.argv[2], int(sys.argv[3])))
         sys.exit()
-    if "--soak" in sys.argv:
+    if "--traces" in sys.argv:
+        print("TRACE_GOLDEN = {")
+        for p, src in TRACE_SOURCES.items():
+            print(f"    {p!r}:\n        {trace_digest(src)!r},")
+    elif "--soak" in sys.argv:
         print("SOAK_GOLDEN = {")
         for p in SOURCES:
             for k in (0, 1):
@@ -444,7 +684,7 @@ if __name__ == "__main__":
     else:
         print("GOLDEN = {")
         for b in BENCHMARKS:
-            for k in (0, 1):
+            for k in (0, 1, 2):
                 for kind, h in digest(b, k).items():
                     print(f"    ({b!r}, {kind!r}, {k}):\n        {h!r},")
     print("}")

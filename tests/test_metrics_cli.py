@@ -585,6 +585,23 @@ def test_cli_format_the_analysis_cannot_write_exits_2(analysis, fmt,
                    "output\n")
 
 
+@pytest.mark.parametrize("src, want", [
+    ("(f\n  x]", "2:4: mismatched bracket"),
+    ("(let x 1)", "1:1: let expects (let (bindings) body)"),
+    ("(define (f) 1) 1", "1:9: define needs at least one parameter"),
+])
+def test_cli_rejected_program_ends_in_one_line(src, want, tmp_path, capsys):
+    prog = tmp_path / "p.scm"
+    prog.write_text(src)
+    code, out, err = run_cli(["run", str(prog)], capsys)
+    assert (code, out, err) == (1, "", f"pdcfa: {want}\n")
+
+
+def test_run_one_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="concrete"):
+        cli.run_one("concrete", load("eta"), Mono())
+
+
 def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["run", "eta", "--bogus"])

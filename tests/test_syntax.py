@@ -258,6 +258,34 @@ def test_quote_is_reported_unsupported(src):
         parse_program(src)
 
 
+REJECTIONS = [
+    (")", (1, 1), "unexpected closing bracket"),
+    ("(f\n  x]", (2, 4), "mismatched bracket"),
+    ("(lambda x x)", (1, 1), "lambda expects (lambda (params...) body)"),
+    ("(lambda () 1)", (1, 1), "lambdas take at least one parameter"),
+    ("(let x 1)", (1, 1), "let expects (let (bindings) body)"),
+    ("(let ((x)) 1)", (1, 7), "bad let binding"),
+    ("(cond\n (#t))", (2, 2), "cond clause expects (test expr)"),
+    ("(+ 1 (define x 1))", (1, 6), "define only allowed at top level"),
+    ("1\n  2", (2, 3), "multiple top-level expressions"),
+    ("1 (define (f x) x)", (1, 3), "define after top expression"),
+    ("(define f)", (1, 1), "define expects 2 parts"),
+    ("(define f 1) 1", (1, 11), "define value must be a lambda"),
+    ("(define () 1) 1", (1, 9), "bad define signature"),
+    ("(define (f) 1) 1", (1, 9), "define needs at least one parameter"),
+    ("(define (f x) x)\n(define (f y) y) (f 1)", (2, 1),
+     "duplicate define 'f'"),
+]
+
+
+@pytest.mark.parametrize("src, span, msg", REJECTIONS,
+                         ids=[m for _, _, m in REJECTIONS])
+def test_front_end_rejection_names_its_place(src, span, msg):
+    with pytest.raises(ParseError) as ei:
+        parse_program(src)
+    assert (ei.value.span, ei.value.message) == (span, msg)
+
+
 # ---------------------------------------------------------------------------
 # depth: the front end keeps its stacks on the heap
 
