@@ -4,7 +4,7 @@ Six analyses over one normalized program:
 
 - analyze_pdcfa:          per-state-store pushdown reachability
 - analyze_gc_precise:     pushdown + abstract GC, root sets carried on nodes
-- analyze_gc_approx:      pushdown + abstract GC with a per-node root cache
+- analyze_gc_approx:      pushdown + abstract GC, one root set per entry
 - analyze_pdcfa_widened:  single-threaded (widened) store, partial states
 - analyze_finite:         store-allocated continuations (plain k-CFA baseline),
                           with or without GC
@@ -35,18 +35,17 @@ the loop's own facts: the states stepped under each entry (graph.paths),
 the callers stored at each (graph.kstore), and the ε-closure graph, a
 view of the one-step same-level summaries built only when
 read.  The widened and approximate-GC oracles read state that grows
-while the loop runs (the global store, the root cache); they re-step the
-nodes whose input grew and resume the loop.  The finite baselines keep
-their continuations in a store of their own: each pushed frame is joined
-into it, a return goes through every frame stored at the state's
-continuation address, and the states that read an address are re-stepped
-when it grows.  Their edges carry plain tags, so the loop stores no
+while the loop runs (the global store, each entry's root set); they
+re-step the nodes whose input grew and resume the loop.  The finite
+baselines keep their continuations in a store of their own: each pushed
+frame is joined into it, a return goes through every frame stored at the
+state's continuation address, and the states that read an address are
+re-stepped when it grows.  Their edges carry plain tags, so the loop stores no
 frames or same pairs for them, and all their states are stepped under
 the root.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 
 from .frozen import Frozen, setfield
@@ -95,16 +94,13 @@ def _node_table():
 
 class AnalysisResult:
     def __init__(self, kind, graph, ecg, exp, saturated=True,
-                 global_store=None, root_cache=None, guarded_edges=None,
-                 stale_guards=None, kstore=None):
+                 global_store=None, entry_roots=None, kstore=None):
         self.kind = kind
         self.gc_mode = "-gc" in kind  # plain-gc, pdcfa-gc, pdcfa-gc-approx
         self.graph, self.ecg, self.exp = graph, ecg, exp
         self.saturated = saturated
         self.global_store = global_store  # pdcfa-widened
-        self.root_cache = root_cache  # pdcfa-gc-approx
-        self.guarded_edges = guarded_edges  # pdcfa-gc-approx
-        self.stale_guards = stale_guards  # pdcfa-gc-approx
+        self.entry_roots = entry_roots  # pdcfa-gc-approx: entry -> Rk
         self.kstore = kstore  # plain, plain-gc
 
     def stores(self):
@@ -133,16 +129,17 @@ def _stepper(policy):
 
 
 def _oracle(root, store_of, node, policy):
-    """The pushdown system whose node q steps as (q.exp, q.env,
-    store_of(q), q.ctx) and whose successors are node(exp, env, store,
-    ctx, None, roots): moves for nop_delta, returns into γ for top_delta.
+    """The pushdown system whose node q, stepped under entry e, steps as
+    (q.exp, q.env, store_of(q, e), q.ctx) and whose successors are
+    node(exp, env, store, ctx, None, roots): moves for nop_delta, returns
+    into γ for top_delta.
     Under pdcfa-gc, where q.roots is a set, a push extends the roots by
     the pushed frame's touches and its stack character (frame, roots)
     keeps the pusher's, which the pop restores."""
     step = _stepper(policy)
 
-    def nop_delta(q):
-        moves, _ = step(q.exp, q.env, store_of(q), q.ctx)
+    def nop_delta(q, e):
+        moves, _ = step(q.exp, q.env, store_of(q, e), q.ctx)
         out = []
         for fr, e2, env2, s2, ctx2 in moves:
             roots = q.roots
@@ -155,9 +152,9 @@ def _oracle(root, store_of, node, policy):
             out.append((node(e2, env2, s2, ctx2, None, roots), act))
         return out
 
-    def top_delta(q, gamma):
+    def top_delta(q, gamma, e):
         fr, roots = (gamma, None) if q.roots is None else gamma
-        _, returns = step(q.exp, q.env, store_of(q), q.ctx)
+        _, returns = step(q.exp, q.env, store_of(q, e), q.ctx)
         act = Pop(gamma)
         return [(node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx,
                       None, roots), act) for vals, s in returns]
@@ -167,7 +164,7 @@ def _oracle(root, store_of, node, policy):
 
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
     node = _node_table()
-    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q: q.store,
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q, _: q.store,
                      node, policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", graph, ecg, e, sat)
@@ -182,7 +179,7 @@ def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> Analys
     store collected under it (see _oracle for how A flows)."""
     node = _node_table()
     oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset()),
-                     lambda q: gc_store(q.env, q.store, q.roots), node,
+                     lambda q, _: gc_store(q.env, q.store, q.roots), node,
                      policy)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
@@ -207,7 +204,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
         out_stores[s2] = None
         return make(e2, env2, None, ctx2)
 
-    wl = Worklist(_oracle(make(e, EMPTY_ENV), lambda psi: store, node,
+    wl = Worklist(_oracle(make(e, EMPTY_ENV), lambda psi, _: store, node,
                           policy))
     while True:
         saturated = wl.run(deadline, node_limit)
@@ -227,80 +224,44 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
 
 
 # ---------------------------------------------------------------------------
-# approximate GC pushdown analysis (per-node root cache)
+# approximate GC pushdown analysis (one root set per entry)
 
 
-def analyze_gc_approx(e: Exp, policy, deadline=None, node_limit=None,
-                      snapshot_cb=None) -> AnalysisResult:
-    """GC pushdown analysis over plain control states: each node caches an
-    over-approximate root set R, the least solution of
-        R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}
-    over what the engine has recorded so far: its push edges and its
-    one-step same-level pairs H.  Each edge records one guard, R of its
-    source when the edge lands.  When R grows the node
-    is re-stepped; its old successors and guards stay in the graph, and a
-    guard below the final R is counted as stale."""
+def analyze_gc_approx(e: Exp, policy, deadline=None,
+                      node_limit=None) -> AnalysisResult:
+    """GC pushdown analysis over plain control states: a state stepped
+    under entry e steps on its store collected under Rk(e), one root set
+    that covers every stack reaching e, read from the continuation store:
+        Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t}.
+    A push of γ from under e joins touches(γ) ∪ Rk(e) into Rk of its
+    target t; when Rk(t) grows, the states under t are re-stepped under
+    t, and the pushes they emit again carry the growth on."""
     node = _node_table()
-    R = {}
-    guards = {}  # edge -> R of its source when it landed
-    push_out = {}  # src -> {(frame, dst): None}, the push half of root flow
+    Rk = {}  # entry -> its root set, where that is not empty
+    none = frozenset()
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE),
+                     lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, none)),
+                     node, policy)
+    moves = oracle.nop_delta
 
-    def roots(q):
-        return R.get(q, frozenset())
+    def nop_delta(q, pe):
+        out = moves(q, pe)
+        for t, act in out:
+            if type(act) is Push:
+                roots = touches(act.frame) | Rk.get(pe, none)
+                old = Rk.get(t, none)
+                if not roots <= old:
+                    Rk[t] = old | roots
+                    for x in list(wl.graph.paths.get(t, ())):
+                        wl.restep(x, t)
+        return out
 
-    def grow(q, addrs):
-        """Monotone root flow along same-level steps and push edges; a node
-        is re-stepped when its collection roots (env range ∪ R) grow."""
-        work, grown = deque(), {}
-
-        def flow(y, addrs):
-            if not addrs <= roots(y):
-                if not addrs <= roots(y) | y.env.addrs():
-                    grown[y] = True
-                R[y] = roots(y) | addrs
-                work.append(y)
-
-        flow(q, addrs)
-        while work:
-            x = work.popleft()
-            if grown.pop(x, False):
-                wl.restep(x)
-            for y in wl.same.get(x, ()):
-                flow(y, R[x])
-            for fr, y in push_out.get(x, ()):
-                flow(y, R[x] | touches(fr))
-
-    def on_record(item):
-        if len(item) == 2:  # same pair: the source's roots reach the target
-            grow(item[1], roots(item[0]))
-        else:
-            src, act, dst = item
-            guards[item] = roots(src)
-            if isinstance(act, Push):
-                push_out.setdefault(src, {})[(act.frame, dst)] = None
-                grow(dst, roots(src) | touches(act.frame))
-        if snapshot_cb is not None:
-            snapshot_cb(guarded_edges(), same_pairs(), root_cache())
-
-    def guarded_edges():
-        return [(s, g, a, d) for (s, a, d), g in guards.items()]
-
-    def same_pairs():
-        return [(s, d) for s, ds in wl.same.items() for d in ds]
-
-    def root_cache():
-        return {q: roots(q) for q in (*wl.graph.nodes, *R)}
-
-    wl = Worklist(_oracle(node(e, EMPTY_ENV, EMPTY_STORE),
-                          lambda q: gc_store(q.env, q.store, roots(q)),
-                          node, policy), on_record)
+    oracle.nop_delta = nop_delta
+    wl = Worklist(oracle)
     saturated = wl.run(deadline, node_limit)
-    wl.on_record = None  # on_record refers to wl: break the cycle
-    guarded = guarded_edges()
+    wl.oracle = None  # nop_delta refers to wl: break the cycle
     return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e, saturated,
-                          root_cache=root_cache(), guarded_edges=guarded,
-                          stale_guards=sum(1 for (s, g, a, d) in guarded
-                                           if g != roots(s)))
+                          entry_roots=Rk)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +277,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
     kstore = {}  # kaddr -> {(frame, kaddr below): None}
     deps = {}  # kaddr -> {state: None}
 
-    def nop_delta(st):
+    def nop_delta(st, _):
         used_kas = {st.kaddr}
         store = st.store
         if gc:
@@ -351,7 +312,7 @@ def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                             "eps" if ka2 is st.kaddr else "pop"))
         return out
 
-    def top_delta(st, gamma):
+    def top_delta(st, gamma, _):
         return ()  # nothing is pushed on the engine's stack
 
     wl = Worklist(RPDSOracle(node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT),

@@ -147,9 +147,9 @@ def _run(args) -> int:
     if args.analysis == "concrete":
         deadline = (None if args.timeout_secs is None
                     else time.monotonic() + args.timeout_secs)
-        trace, outcome = concrete_run(e, args.fuel, deadline)
+        n, outcome = concrete_run(e, args.fuel, deadline)
         _emit(f"{name}: {' '.join(map(str, outcome))} "
-              f"({len(trace)} configurations)", args.out)
+              f"({n} configurations)", args.out)
         return 0 if outcome[0] == "halt" else 1
 
     kinds = list(ANALYSES) if args.analysis == "all" else [args.analysis]

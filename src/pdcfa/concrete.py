@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import time
+from bisect import bisect_left
 
 from .frozen import Frozen, Record, setfield
 from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
@@ -55,12 +56,11 @@ def env_lookup(env, v):
     raise UnboundVariableError(repr(v))
 
 
-def env_make(pairs):
-    return tuple(sorted(pairs, key=lambda p: p[0].skey()))
-
-
 def env_extend(env, v, a):
-    return env_make([(var, x) for var, x in env if var != v] + [(v, a)])
+    """env with v bound to a: its pair replaced, or inserted in order."""
+    i = bisect_left(env, v.skey(), key=lambda p: p[0].skey())
+    rest = i + 1 if i < len(env) and env[i][0] == v else i
+    return env[:i] + ((v, a),) + env[rest:]
 
 
 def env_trim(env, keep):
@@ -218,20 +218,22 @@ def step(c: Conf) -> Step:
 
 def run(e: Exp, fuel: int = 10 ** 5, deadline: float | None = None):
     """Run to completion, fuel exhaustion or the time.monotonic()
-    deadline, checked before every step; returns (trace, outcome).
+    deadline, checked before every step; returns (n, outcome), n the
+    number of configurations the run went through.  It keeps none of
+    them, so its memory is the allocation log's.
 
     outcome is ('halt', value), ('stuck', reason), ('fuel',) or ('timeout',).
     """
     c = inject(e)
-    trace = [c]
+    n = 1
     for _ in range(fuel):
         if deadline is not None and time.monotonic() >= deadline:
-            return trace, ("timeout",)
+            return n, ("timeout",)
         s = step(c)
         if s.kind == "halt":
-            return trace, ("halt", s.value)
+            return n, ("halt", s.value)
         if s.kind == "stuck":
-            return trace, ("stuck", s.reason)
+            return n, ("stuck", s.reason)
         c = s.conf
-        trace.append(c)
-    return trace, ("fuel",)
+        n += 1
+    return n, ("fuel",)

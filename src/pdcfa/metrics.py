@@ -155,7 +155,7 @@ def _order(r: AnalysisResult):
 
 
 def _sorted_edges(edges, pos):
-    """The edges (src, act, dst, ...) in canonical (src, act, dst) order:
+    """The edges (src, act, dst) in canonical order:
     stable sorts on dst, act and src ranks, ints that already exist."""
     acts = _ranks((e[1] for e in edges), act_skey)
     out = sorted(edges, key=lambda e: pos[e[2]])
@@ -171,14 +171,9 @@ def to_dot(r: AnalysisResult) -> str:
     for i, n in enumerate(nodes):
         shape = "doublecircle" if n is r.graph.root else "circle"
         lines.append(f'  n{i} [label="{_node_label(n)}", shape={shape}];')
-    if r.guarded_edges is not None:  # one guard per edge
-        rendered = [(src, act, dst, len(guard))
-                    for (src, guard, act, dst) in r.guarded_edges]
-    else:
-        rendered = r.graph.edges
-    for src, act, dst, *gsize in _sorted_edges(rendered, pos):
-        lbl = _act_label(act) + "".join(f" ⟨{g}⟩" for g in gsize)
-        lines.append(f'  n{pos[src]} -> n{pos[dst]} [label="{lbl}"];')
+    for src, act, dst in _sorted_edges(r.graph.edges, pos):
+        lines.append(f'  n{pos[src]} -> n{pos[dst]} '
+                     f'[label="{_act_label(act)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -220,9 +215,6 @@ def to_json(obj) -> str:
               "nodes": (range(len(nodes)), node_row),
               "edges": (edges, lambda e: _EDGE % (pos[e[0]], acts[e[1]],
                                                   pos[e[2]]))}
-    if r.guarded_edges is not None:
-        fields["guarded_edge_count"] = len(r.guarded_edges)
-        fields["stale_guards"] = r.stale_guards
     if r.ecg is not None:
         fields["ecg_pairs"] = r.ecg.pair_count()
     doc = ""

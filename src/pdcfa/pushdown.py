@@ -1,8 +1,9 @@
 """Generic pushdown reachability over a continuation store.
 
 A rooted pushdown system is given intensionally by an RPDSOracle:
-`nop_delta(q)` enumerates push/no-change transitions (no stack needed) and
-`top_delta(q, γ)` enumerates the pop transitions enabled when γ is on top.
+`nop_delta(q, e)` enumerates push/no-change transitions (no stack needed)
+and `top_delta(q, γ, e)` enumerates the pop transitions enabled when γ is
+on top; e is the entry q is stepped under.
 `compact_worklist` computes the compacted system and ε-closure graph with
 one resumable loop, `Worklist`, which every analysis runs.  As in the AAC
 and P4F machines (Johnson & Van Horn, DLS 2014; Gilray et al., POPL 2016),
@@ -13,9 +14,9 @@ reachability needs and nothing more.  Work is a FIFO of (state, entry)
 pairs, explored in the order the oracle answers; nothing is sorted here.
 The result is `graph.paths` plus `graph.kstore` (see CRPDS); `ECG` reads
 the ε-closure, never stored, from the one-step same-level relation.  An
-analysis whose transfer function grows (widened store, approximate GC
-roots, the finite baselines' continuation store) re-steps the affected
-states, and the loop works them in.
+analysis whose transfer function grows (widened store, an entry's root
+set under approximate GC, the finite baselines' continuation store)
+re-steps the affected states, and the loop works them in.
 """
 from __future__ import annotations
 
@@ -58,8 +59,9 @@ UNCH = _Unch()
 class RPDSOracle:
     """Intensional rooted pushdown system.
 
-    top_delta(q, γ) returns [(q', Pop(γ))...] — the pops enabled with γ on
-    top; nop_delta(q) returns [(q', Push(γ') | UNCH)...].  Both must be
+    top_delta(q, γ, e) returns [(q', Pop(γ))...] — the pops enabled with γ
+    on top; nop_delta(q, e) returns [(q', Push(γ') | UNCH)...].  e is the
+    entry q is stepped under; only approximate GC reads it.  Both must be
     repeatable, deterministic functions.
     """
 
@@ -147,15 +149,12 @@ class Worklist:
     `run` may be called again after it returns.  An oracle whose answers
     grow (a larger store, root set or continuation store) tells the loop
     with `restep`, between runs or from inside a call; only states also
-    stepped under a non-root entry are indexed for it.  `on_record(item)`,
-    if given, is called once each same pair (s, d) or edge (s, act, d) is
-    recorded, before its consequences are worked out.  The node limit is
+    stepped under a non-root entry are indexed for it.  The node limit is
     checked before every step, the deadline every CHECK_EVERY steps.
     """
 
-    def __init__(self, oracle, on_record=None):
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.on_record = on_record
         self.graph = CRPDS(oracle.root)
         self.same = {}  # q -> {q2: None}
         self._entries = {}  # q -> its entry, or {entry: None} if several
@@ -182,16 +181,15 @@ class Worklist:
             elif had is not e:
                 self._entries[q] = {had: None, e: None}
         for gamma, callers in self.graph.kstore.get(e, {}).items():
-            self._pop(q, gamma, callers)
-        record, work = self._record, self._work
-        for q2, act in self.oracle.nop_delta(q):
+            self._pop(q, gamma, callers, e)
+        record, work = self.graph.add_edge, self._work
+        for q2, act in self.oracle.nop_delta(q, e):
+            record((q, act, q2))
             if type(act) is Push:
-                record(q, act, q2)
                 self._push(q, act.frame, e, q2)
                 continue
             if act is UNCH:
                 self._same(q, q2)
-            record(q, act, q2)
             if q2 not in path:
                 work.append((q2, e))
 
@@ -210,42 +208,34 @@ class Worklist:
         callers[q, e] = None
         if t in self.graph.paths:
             for x in list(self.graph.paths[t]):
-                self._pop(x, gamma, ((q, e),))
+                self._pop(x, gamma, ((q, e),), t)
         else:
             self.graph.paths[t] = {}
             self._work.append((t, t))
 
-    def _pop(self, x, gamma, callers):
-        """x's pops of γ for each (pusher, pusher's entry) in callers: a
-        return is a summary of the pusher, reached under its entry."""
+    def _pop(self, x, gamma, callers, e):
+        """x's pops of γ, stepped under e, for each (pusher, pusher's
+        entry) in callers: a return is a summary of the pusher, reached
+        under its entry."""
         paths, work = self.graph.paths, self._work
-        for r, act in self.oracle.top_delta(x, gamma):
+        for r, act in self.oracle.top_delta(x, gamma, e):
             for p, pe in callers:
                 self._same(p, r)
                 if r not in paths[pe]:
                     work.append((r, pe))
-            self._record(x, act, r)
+            self.graph.add_edge((x, act, r))
 
     def _same(self, s, d):
         succ = self.same.get(s)
         if succ is None:
             succ = self.same[s] = {}
-        if d not in succ:
-            succ[d] = None
-            if self.on_record is not None:
-                self.on_record((s, d))
+        succ[d] = None
 
-    def _record(self, s, act, d):
-        edge = (s, act, d)
-        if edge not in self.graph.edges:
-            self.graph.add_edge(edge)
-            if self.on_record is not None:
-                self.on_record(edge)
-
-    def restep(self, q):
-        """q's transitions grew: step it again under every entry it was
-        stepped under (the root alone, if it is not indexed)."""
-        es = self._entries.get(q, self.graph.root)
+    def restep(self, q, e=None):
+        """q's transitions grew: step it again under entry e, or under
+        every entry it was stepped under (the root alone, if it is not
+        indexed)."""
+        es = self._entries.get(q, self.graph.root) if e is None else e
         for e in es if type(es) is dict else (es,):
             if self.graph.paths[e].pop(q, 0) is None:  # not already waiting
                 self._work.append((q, e))

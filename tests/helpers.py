@@ -10,8 +10,8 @@ of the library because only tests call it:
   abstract allocation;
 - the stack-action normal form (`net`, `stackify`) and `compact_naive`,
   a bounded explicit-stack search for pushdown reachability;
-- `compute_root_cache`, the from-scratch root-cache fixpoint, and
-  `alpha_equiv` on ANF terms;
+- `least_entry_roots`, the from-scratch fixpoint of approximate GC's
+  per-entry root sets, and `alpha_equiv` on ANF terms;
 - the AAC and P4F machines, which reach exactly what `pdcfa`, `pdcfa-gc`
   and `pdcfa-widened` must reach, with no depth bound;
 - the soundness and containment checks of the acceptance gate, shared
@@ -291,9 +291,9 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
     steps = 0
 
     def transitions(q, stack):
-        out = list(oracle.nop_delta(q))
+        out = list(oracle.nop_delta(q, None))  # no entries here
         if stack:
-            for q2, act in oracle.top_delta(q, stack[0]):
+            for q2, act in oracle.top_delta(q, stack[0], None):
                 if isinstance(act, Pop) and act.frame == stack[0]:
                     out.append((q2, act))
         return out
@@ -351,38 +351,27 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
 
 
 # ---------------------------------------------------------------------------
-# the approximate-GC root cache, from scratch
+# the approximate-GC entry roots, from scratch
 
 
-def compute_root_cache(nodes, guarded_edges, hpairs) -> dict:
-    """From-scratch least fixed point of the root-transfer equations:
-    R(ψ) = ⋃ {touches(φ) ∪ R(ψ′) : ψ′ --φ+--> ψ} ∪ {R(ψ′) : (ψ′,ψ) ∈ H}.
-
-    H may be the engine's one-step same-level pairs (ε edges and push…pop
-    summaries) or their transitive closure, the ε-closure graph: R flows
-    along both alike, so the least fixed point is the same."""
-    R = {n: frozenset() for n in nodes}
-    for (src, _g, act, dst) in guarded_edges:
-        R.setdefault(src, frozenset())
-        R.setdefault(dst, frozenset())
-    for (a, b) in hpairs:
-        R.setdefault(a, frozenset())
-        R.setdefault(b, frozenset())
+def least_entry_roots(result) -> dict:
+    """From-scratch least solution, over result.graph.kstore, of
+        Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t},
+    the root set approximate GC collects the states under entry t with.
+    Entries whose Rk is empty are left out, the root among them."""
+    kstore, Rk = result.graph.kstore, {}
     changed = True
     while changed:
         changed = False
-        for (src, _g, act, dst) in guarded_edges:
-            if isinstance(act, Push):
-                new = R[dst] | touches(act.frame) | R[src]
-                if new != R[dst]:
-                    R[dst] = new
-                    changed = True
-        for (a, b) in hpairs:
-            new = R[b] | R[a]
-            if new != R[b]:
-                R[b] = new
+        for t, frames in kstore.items():
+            old = new = Rk.get(t, frozenset())
+            for gamma, callers in frames.items():
+                for _p, pe in callers:
+                    new = new | touches(gamma) | Rk.get(pe, frozenset())
+            if new != old:
+                Rk[t] = new
                 changed = True
-    return R
+    return Rk
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +668,16 @@ def result_for(name, kind, k):
                         deadline=time.monotonic() + 120)
         _cache[key] = r
     return _cache[key]
+
+
+def kcfa2n_source(n):
+    """kcfa2.scm's shape nested n deep; n=2 is kcfa2 up to names.  At k=0
+    pdcfa-gc keeps 2n singletons, against n+1 for pdcfa and plain-gc."""
+    body = f"(let* ((z (lambda (y) (if y x1 x{n}))) (u (z x1))) (z x{n}))"
+    for i in range(n, 0, -1):
+        body = (f"(let* ((f{i} (lambda (x{i}) {body})) (c{i} (f{i} #t))) "
+                f"(f{i} #f))")
+    return body
 
 
 def coverage_violations(e, policy, result, fuel=10 ** 5):

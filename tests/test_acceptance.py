@@ -8,14 +8,18 @@ import sys
 import time
 
 import conftest
-from helpers import (approx_uncovered, compact_naive, compute_root_cache,
-                     coverage_violations, net, program, result_for, stackify,
+from helpers import (approx_uncovered, compact_naive, coverage_violations,
+                     least_entry_roots, net, program, result_for, stackify,
                      widened_uncovered)
-from pdcfa.analyses import ANALYSES, analyze_gc_approx
+from pdcfa import analyses
+from pdcfa.abstract import EMPTY_ENV, EMPTY_STORE
+from pdcfa.analyses import ANALYSES, AnalysisResult
+from pdcfa.gc import gc_store, touches
 from pdcfa.bench import BENCHMARKS
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.metrics import singleton_count, to_dot, to_json
-from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
+from pdcfa.pushdown import (Pop, Push, RPDSOracle, UNCH, Worklist,
+                            compact_worklist)
 
 KINDS = tuple(ANALYSES)
 
@@ -49,8 +53,8 @@ def _random_oracle(rng):
         nops[k] = list(dict.fromkeys(nops[k]))
     for k in pops:
         pops[k] = list(dict.fromkeys(pops[k]))
-    return RPDSOracle(0, lambda q, g: list(pops.get((q, g), ())),
-                      lambda q: list(nops.get(q, ())))
+    return RPDSOracle(0, lambda q, g, e: list(pops.get((q, g), ())),
+                      lambda q, e: list(nops.get(q, ())))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -227,25 +231,58 @@ def test_criterion_08_widened_containment():
            f"{states} per-state nodes contained in the widened result")
 
 
+def _incremental_roots_hold(results):
+    """Every result's entry roots are the least fixpoint over its store."""
+    return all(r.entry_roots == least_entry_roots(r) for r in results)
+
+
 def test_criterion_09_incremental_root_cache():
-    snapshots = []
-    for name in ("fig1", "eta", "blur", "loop2", "sat"):
-        def keep(guarded, hpairs, roots):
-            snapshots.append((list(guarded), list(hpairs), dict(roots)))
-        analyze_gc_approx(program(name), policy_for_k(0), snapshot_cb=keep)
-    assert len(snapshots) >= 100
-    rng = random.Random(0xCAC4E)
-    sample = rng.sample(snapshots, 100)
-    mismatches = 0
-    for guarded, hpairs, roots in sample:
-        fresh = compute_root_cache(list(roots), guarded, hpairs)
-        for q in roots:
-            if fresh.get(q, frozenset()) != roots[q]:
-                mismatches += 1
-                break
-    assert mismatches == 0
+    results = [result_for(b, "pdcfa-gc-approx", k)
+               for b in BENCHMARKS for k in (0, 1, 2)]
+    assert all(r.saturated for r in results)
+    assert _incremental_roots_hold(results)
+    entries = sum(len(r.entry_roots) for r in results)
     report(9, "incremental-root-cache",
-           f"100 of {len(snapshots)} prefixes match the from-scratch fixpoint")
+           f"{entries} entry root sets in {len(results)} cells equal the "
+           f"least fixpoint over the continuation store")
+
+
+def _approx_without_callers_roots(e, policy):
+    """analyze_gc_approx, broken: a push joins touches(γ) into its
+    target's roots, but not the roots of the pusher's entry."""
+    node, Rk = analyses._node_table(), {}
+    oracle = analyses._oracle(
+        node(e, EMPTY_ENV, EMPTY_STORE),
+        lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, frozenset())),
+        node, policy)
+    moves = oracle.nop_delta
+
+    def nop_delta(q, pe):
+        out = moves(q, pe)
+        for t, act in out:
+            if type(act) is Push:
+                old = Rk.get(t, frozenset())
+                if not touches(act.frame) <= old:
+                    Rk[t] = old | touches(act.frame)
+                    for x in list(wl.graph.paths.get(t, ())):
+                        wl.restep(x, t)
+        return out
+    oracle.nop_delta = nop_delta
+    wl = Worklist(oracle)
+    assert wl.run()
+    return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e,
+                          entry_roots=Rk)
+
+
+def test_criterion_09_fails_roots_that_skip_the_callers_entry():
+    policy = policy_for_k(0)
+    broken = {b: _approx_without_callers_roots(program(b), policy)
+              for b in ("fig1", "kcfa2")}
+    for b, r in broken.items():
+        assert not _incremental_roots_hold([r]), b
+    bad, checked = coverage_violations(program("fig1"), policy,
+                                       broken["fig1"])
+    assert bad > 0, checked
 
 
 def test_criterion_10_determinism():

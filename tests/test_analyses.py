@@ -9,6 +9,7 @@ import pytest
 from pdcfa.syntax import Var, parse_and_normalize
 from pdcfa.abstract import AAddr, AEnv, AFrame, K_HALT, KAddr, Mono, OneCFA
 from pdcfa.analyses import (
+    AnalysisResult,
     State,
     analyze_finite,
     analyze_gc_approx,
@@ -20,10 +21,13 @@ from pdcfa.bench import load
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa import analyses, pushdown
 from pdcfa.gc import gc_store, touches
-from pdcfa.pushdown import Pop, Push, RPDSOracle, UNCH, compact_worklist
+from pdcfa.metrics import singleton_count
+from pdcfa.pushdown import (CRPDS, Pop, Push, RPDSOracle, UNCH,
+                            compact_worklist)
 
-from helpers import (AConf, Node, approx_uncovered, compute_root_cache, leq,
-                     node_parts, parts, step_conf)
+from helpers import (AConf, Node, approx_uncovered, coverage_violations,
+                     kcfa2n_source, least_entry_roots, leq, node_parts,
+                     parts, step_conf)
 
 
 @pytest.fixture(scope="module")
@@ -224,11 +228,11 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
                     succ_stores.append(c2.store)
                     yield Node(c2.exp, c2.env, None, c2.ctx), c2.kont
 
-        def nop_delta(psi):
+        def nop_delta(psi, _):
             return [(q, Push(k[0]) if k else UNCH)
                     for q, k in successors(psi, ())]
 
-        def top_delta(psi, fr):
+        def top_delta(psi, fr, _):
             return [(q, Pop(fr)) for q, _ in successors(psi, (fr,))]
 
         g, _, sat = compact_worklist(RPDSOracle(parts(r.graph.root),
@@ -304,25 +308,20 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
 
 def test_approx_root_set_of_root_is_empty(fig1):
     r = analyze_gc_approx(fig1, Mono())
-    assert r.root_cache[r.graph.root] == frozenset()
-
-
-def test_approx_guards_below_final_roots(fig1):
-    r = analyze_gc_approx(fig1, Mono())
-    for (src, guard, act, dst) in r.guarded_edges:
-        assert frozenset(guard) <= r.root_cache.get(src, frozenset())
+    assert r.graph.root not in r.entry_roots  # only non-empty Rk are kept
+    assert r.entry_roots and all(r.entry_roots.values())
 
 
 def test_approx_root_cache_is_fixpoint_of_recorded_structure(fig1):
-    for e in (fig1, load("eta"), load("blur")):
+    """Each entry's roots are the least solution of their equation over
+    the continuation store the loop recorded."""
+    for e in (fig1, load("eta"), load("blur"),
+              parse_and_normalize(PUSH_FLOW_WITNESS)):
         r = analyze_gc_approx(e, Mono())
         assert r.saturated
+        assert r.entry_roots == least_entry_roots(r)
         pairs = r.ecg.pairs
-        rc = compute_root_cache(list(r.graph.nodes), r.guarded_edges,
-                                list(pairs))
-        for q in r.graph.nodes:
-            assert rc.get(q, frozenset()) == r.root_cache.get(q, frozenset())
-            assert (q, q) in pairs
+        assert all((q, q) in pairs for q in r.graph.nodes)
 
 
 def test_approx_equals_precise_on_eta():
@@ -334,17 +333,10 @@ def test_approx_equals_precise_on_eta():
     proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.graph.nodes}
     proj_p = {(n.exp.label, n.env, n.ctx) for n in rp.graph.nodes}
     assert proj_a == proj_p
-    assert ra.stale_guards == 0
 
 
-def test_approx_records_stale_guards_when_roots_grow(fig1):
-    r = analyze_gc_approx(fig1, Mono())
-    assert r.stale_guards > 0  # loops re-enter states with more roots
-
-
-# A generated program on which roots reach a node only along a push edge
-# recorded before its source's roots grew: without grow's push_out loop,
-# 9 pdcfa-gc states at k=0 and 1 at k=1 go uncovered.
+# A generated program on which roots reach an entry only after states
+# were stepped under it: the only one found on which approx re-steps.
 PUSH_FLOW_WITNESS = """
 (define (h0 n f x) (if (<= n 0) x (f (h0 (- n 1) f x))))
 (define (m1 n x) (lambda (y) (let ((v0 (let* ((v1 (let* ((v2 x) (v3 1)) (lambda (v4) 3))) (v5 (h0 3 (lambda (v6) 2) y))) (not #t)))) (+ ((lambda (v7) 2) y) (let ((v8 (lambda (v9) 0))) 0)))))
@@ -359,6 +351,26 @@ def test_approx_roots_flow_along_earlier_push_edges(k):
     approx = run_one("pdcfa-gc-approx", e, policy_for_k(k))
     assert precise.saturated and approx.saturated
     assert approx_uncovered(precise, approx)[0] == 0
+    assert coverage_violations(e, policy_for_k(k), approx)[0] == 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_approx_resteps_an_entry_when_its_roots_grow(k, monkeypatch):
+    """A push that grows Rk(t) after states were stepped under t re-steps
+    each of them under t alone.  Here that happens twice; on the bundled
+    programs, the fused pool and the generated programs tried, never."""
+    resteps = []
+
+    class Worklist(pushdown.Worklist):
+        def restep(self, q, e=None):
+            assert e is not None and q in self.graph.paths[e]
+            resteps.append(e)
+            super().restep(q, e)
+    monkeypatch.setattr(analyses, "Worklist", Worklist)
+    r = analyze_gc_approx(parse_and_normalize(PUSH_FLOW_WITNESS),
+                          policy_for_k(k))
+    assert r.saturated and len(resteps) == 2
+    assert all(e in r.entry_roots for e in resteps)
 
 
 @pytest.mark.parametrize("analyze", [
@@ -376,34 +388,22 @@ def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
 
 
 # ---------------------------------------------------------------------------
-# root cache recomputation on hand-built structure
+# entry roots recomputed on a hand-built continuation store
 
 
-def _mk_state(exp_label):
-    e = parse_and_normalize("((lambda (x) x) 1)")
-    return State(e, AEnv.make([]), None, (exp_label,), None, None)
-
-
-def test_compute_root_cache_push_then_pair():
+def test_least_entry_roots_chain_through_callers():
     e = parse_and_normalize("(lambda (q) q)")
-    lam = e.atom
-    v = Var("v", 99)
-    addr = AAddr.make("mono", v)
-    env = AEnv.make(((v, addr),))
-    fr = AFrame.make(Var("r", 100), lam.body, env)
-    a, b, c = _mk_state(1), _mk_state(2), _mk_state(3)
-    guarded = [(a, frozenset(), Push(fr), b)]
-    hpairs = [(a, a), (b, b), (c, c), (b, c)]
-    rc = compute_root_cache([a, b, c], guarded, hpairs)
-    assert rc[a] == frozenset()
-    assert rc[b] == touches(fr) == frozenset({addr})
-    assert rc[c] == rc[b]  # H pair forwards the pusher-side roots
-
-
-def test_compute_root_cache_no_edges_is_all_empty():
-    a, b = _mk_state(1), _mk_state(2)
-    rc = compute_root_cache([a, b], [], [(a, a), (b, b)])
-    assert rc[a] == rc[b] == frozenset()
+    addrs = [AAddr.make("mono", Var(f"v{i}", 90 + i)) for i in range(2)]
+    f1, f2 = (AFrame.make(Var("r", 100), e.atom.body,
+                          AEnv.make(((a.var, a),))) for a in addrs)
+    result = AnalysisResult("pdcfa-gc-approx", CRPDS("r"), None, e)
+    assert least_entry_roots(result) == {}
+    # r pushes f1 to t1; p, under t1, pushes f2 to t2
+    result.graph.kstore.update({"t1": {f1: {("r", "r"): None}},
+                                "t2": {f2: {("p", "t1"): None}}})
+    assert least_entry_roots(result) == {
+        "t1": touches(f1), "t2": touches(f1) | touches(f2)}
+    assert touches(f1) == {addrs[0]} and touches(f2) == {addrs[1]}
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -425,29 +425,23 @@ def test_pushdown_analyses_step_each_input_once(prog, k, monkeypatch):
         assert max(inputs.values()) == 1, kind
 
 
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
-def test_approx_resteps_only_when_collection_roots_grow(prog, k, monkeypatch):
-    """Approx re-steps a node only when the roots it is collected under
-    (its env's range and its cached R) grew since its last re-step."""
-    collected = []  # the root set of each gc_store call
-    real_gc_store = analyses.gc_store
-
-    def gc_store(env, store, extra_roots=frozenset()):
-        collected.append(env.addrs() | extra_roots)
-        return real_gc_store(env, store, extra_roots)
-    last = {}  # node -> roots it was collected under at its last re-step
-    resteps = []
-
-    class Worklist(pushdown.Worklist):
-        def restep(self, q):
-            self.oracle.nop_delta(q)  # collects q under its roots now
-            before = last.get(q, q.env.addrs())
-            assert collected[-1] > before, q
-            last[q] = collected[-1]
-            resteps.append(q)
-            super().restep(q)
-    monkeypatch.setattr(analyses, "gc_store", gc_store)
-    monkeypatch.setattr(analyses, "Worklist", Worklist)
-    r = analyze_gc_approx(load(prog), policy_for_k(k))
-    assert r.saturated and resteps
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kcfa2n_fused_gains_grow_with_n(n):
+    """The paper's better-than-both-worlds claim as a family: at k=0,
+    pdcfa-gc keeps 2n singletons where pdcfa, plain-gc and plain keep
+    n+1, in 12·2ⁿ − 4 states; approx covers it in no more."""
+    e, policy = parse_and_normalize(kcfa2n_source(n)), policy_for_k(0)
+    kinds = ("plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx")
+    r = {kind: run_one(kind, e, policy)
+         for kind in kinds + (("plain",) if n < 5 else ())}
+    assert all(x.saturated for x in r.values())
+    singletons = {kind: singleton_count(x)[0] for kind, x in r.items()}
+    assert singletons.pop("pdcfa-gc") == singletons.pop("pdcfa-gc-approx") \
+        == 2 * n
+    assert set(singletons.values()) == {n + 1}
+    precise, approx = r["pdcfa-gc"], r["pdcfa-gc-approx"]
+    assert len(precise.graph.nodes) == 12 * 2 ** n - 4
+    assert len(approx.graph.nodes) <= len(precise.graph.nodes)
+    assert approx_uncovered(precise, approx)[0] == 0
+    for kind in ("plain-gc", "pdcfa-gc", "pdcfa-gc-approx"):
+        assert coverage_violations(e, policy, r[kind])[0] == 0, kind

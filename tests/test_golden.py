@@ -32,12 +32,14 @@ import pytest
 
 from pdcfa.bench import BENCHMARKS, load, source
 from pdcfa.cli import policy_for_k, run_one
-from pdcfa.concrete import Clo, PrimVal, run
+from pdcfa.abstract import Mono
+from pdcfa.concrete import Clo, PrimVal
 from pdcfa.metrics import to_dot, to_json
 from pdcfa.syntax import parse_and_normalize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the fused pool and chains the benchmark runs)
+from helpers import run_abstracted  # noqa: E402
 
 KINDS = ("plain", "plain-gc", "pdcfa", "pdcfa-gc", "pdcfa-gc-approx",
          "pdcfa-widened")
@@ -57,7 +59,7 @@ GOLDEN = {
     ('fig1', 'pdcfa-gc', 0):
         '47705d89a98052d0d143bffde6ad3e0c41d53c4583c941e8cf73dfd0dbdda2e9',
     ('fig1', 'pdcfa-gc-approx', 0):
-        '50f68c859d5453af876aa6542afd8fcb209d2e12c1a759510fb4d800a981433d',
+        'f3d93409b68451294ece14cbc394107f53fffd3e2a58eb54807064e5b215eba6',
     ('fig1', 'pdcfa-widened', 0):
         '8158ae0e7645920c67c53e46a156704f32820e09947bbb3f46a3e18fb075c6c5',
     ('fig1', 'plain', 1):
@@ -69,7 +71,7 @@ GOLDEN = {
     ('fig1', 'pdcfa-gc', 1):
         '471d3602b1ad741fea84286d089ad3d70bd81bc5b0517c4e1bf0d1d80fbf6d9d',
     ('fig1', 'pdcfa-gc-approx', 1):
-        '2ada777bf91c20acd46a32487db0394be92006a532950dc088076b5628cfc95a',
+        '52792150b51c83fd3163714fb737267500f3694c6ea95250ee9c0b25a3b40ad1',
     ('fig1', 'pdcfa-widened', 1):
         'c14fb0ebf5bf2cb44c24a53377e51d8f578da24c36a0607c6de6315be8c3b729',
     ('fig1', 'plain', 2):
@@ -81,7 +83,7 @@ GOLDEN = {
     ('fig1', 'pdcfa-gc', 2):
         '19991742d4cf4080e9eff1df53c66efe9dd4390cec5e1aab231325d48703edb4',
     ('fig1', 'pdcfa-gc-approx', 2):
-        '81c17c28febd8ef1dba988c56f0134f9f0a02e545881e2e8fc766852f2f14bfc',
+        '34503ade26850aceea0cc75c88848e4e41b20db6bfd9d5cfbd08c3115632ddd9',
     ('fig1', 'pdcfa-widened', 2):
         'b45973a1867023fd6350f247be1bc52eda97d5af131e04b4e4a72e65735decfb',
     ('mj09', 'plain', 0):
@@ -93,7 +95,7 @@ GOLDEN = {
     ('mj09', 'pdcfa-gc', 0):
         'ff536789e885f6425ad4b9f07ee9192c762120b6f29a6487ef0a9f627c1d850e',
     ('mj09', 'pdcfa-gc-approx', 0):
-        '8d5c8fef121acfc9486d592630115f5e50e1be6b942316ac4b725b204776b9ae',
+        '5ab73c1c663304c655686f672a75bdcf84d9dc5feef67af385b109010252686d',
     ('mj09', 'pdcfa-widened', 0):
         '3ccb7509c99fdddd94884c0c624bd762c5d7a9e7bac637734eabaf59b653a44d',
     ('mj09', 'plain', 1):
@@ -105,7 +107,7 @@ GOLDEN = {
     ('mj09', 'pdcfa-gc', 1):
         '63b1e84c79870ee20c839abb2b835a954c50bfc58c8b727be74c4a1cff8881c4',
     ('mj09', 'pdcfa-gc-approx', 1):
-        'd4999c5f27379f816b2a2ad7a701bedc31e68fe7a67b6f1ae3864bf114d6e719',
+        '344041b476286a91eb50801797671d957dfcfd7eeec489e6fcbf064e02819309',
     ('mj09', 'pdcfa-widened', 1):
         'e68dda4ee327b26ab2acbf575a2341fd9f145d86b8ec5d535a832619c4ff7719',
     ('mj09', 'plain', 2):
@@ -117,7 +119,7 @@ GOLDEN = {
     ('mj09', 'pdcfa-gc', 2):
         '041ea66eb06be8aa0104d5e4ae0e8660f183fb541e6067de576f89fb03664945',
     ('mj09', 'pdcfa-gc-approx', 2):
-        '00426f0d1289a0d25fb0e33ecb7cb4fa7aefdd3da81236524edff6b0d46325d5',
+        '24217d78410d68ea719b70eb6662c0144062ae02bddb126268522662f024e403',
     ('mj09', 'pdcfa-widened', 2):
         'dada5779f0be6c2a68288d0a91d7ccd21eb2622b2fde9c94e160cc11cecacdba',
     ('eta', 'plain', 0):
@@ -129,7 +131,7 @@ GOLDEN = {
     ('eta', 'pdcfa-gc', 0):
         '98be5f7c05ca8925b58e203e99b1154e72d20b28428df4589409f70aff4d9d55',
     ('eta', 'pdcfa-gc-approx', 0):
-        'cc05302cbfeadd606710dc1a9e1eb073231e3e9b340b75730349524e4380dd13',
+        '8cc907d1986f32fe17cc152d95e810ea1ce62959c66beaef5073b87c48df3d56',
     ('eta', 'pdcfa-widened', 0):
         '86e6674b902109c57412a8bf3d1db39504b6a4b2f7392140b697b20200ddbe74',
     ('eta', 'plain', 1):
@@ -141,7 +143,7 @@ GOLDEN = {
     ('eta', 'pdcfa-gc', 1):
         '98be5f7c05ca8925b58e203e99b1154e72d20b28428df4589409f70aff4d9d55',
     ('eta', 'pdcfa-gc-approx', 1):
-        'cc05302cbfeadd606710dc1a9e1eb073231e3e9b340b75730349524e4380dd13',
+        '8cc907d1986f32fe17cc152d95e810ea1ce62959c66beaef5073b87c48df3d56',
     ('eta', 'pdcfa-widened', 1):
         '4b3e9cd1b8d348d9c6361257173eb8de5e0a2fa28631708c8bf907c6dffe5787',
     ('eta', 'plain', 2):
@@ -153,7 +155,7 @@ GOLDEN = {
     ('eta', 'pdcfa-gc', 2):
         '7b793990b7a80b8b124a50e92f45fc1834c3576a399864e78e5fa6d572b689e3',
     ('eta', 'pdcfa-gc-approx', 2):
-        '5fa1f29c5fc0ab86ee45baa939a0a46214e86f552d19863f659ae59e0cbdfe3d',
+        '9890857e5a3af1e142fa5cccce185a7d6b0f41d260f99b2432dcfaf001054a36',
     ('eta', 'pdcfa-widened', 2):
         '2de76020cb6fb2e23cbc63abbb85ecfd190671a9b234f6879cf368dd19b2e796',
     ('kcfa2', 'plain', 0):
@@ -165,7 +167,7 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-gc', 0):
         '2b92c307f690c9dfab9edc390e3de9e5b3202107310c0b1664dcf9340bbf0107',
     ('kcfa2', 'pdcfa-gc-approx', 0):
-        '8d5332891ed8786acd03e0b6cb1bb58de0d751df3852616c5aa12ce48def60a7',
+        '933ca0509fa04da08e796871bd8cde02bea5125fdb95662755cd2d4676dbaccd',
     ('kcfa2', 'pdcfa-widened', 0):
         '144ebff11f8970097571fc8c4021263967aa64eec3e660fcf28a2f8994d58d8d',
     ('kcfa2', 'plain', 1):
@@ -177,7 +179,7 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-gc', 1):
         '1f7851abf60965e5bc01068c43e32d4984b9f711f80246ddd9ff2e261f2db144',
     ('kcfa2', 'pdcfa-gc-approx', 1):
-        'ecfc73bc0be2bf0277a98b0df2a0cb18339b72fa62ae41f28f189a1608166c7a',
+        'a7f666d5f2ad8dfe88c6113e2934a98c514475ca3c512af8fe99996cdb7d3acf',
     ('kcfa2', 'pdcfa-widened', 1):
         '28be42df1b4766dd426e0565821251ba2d78f103d571bd9b6593a3dfd24bac97',
     ('kcfa2', 'plain', 2):
@@ -189,7 +191,7 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-gc', 2):
         '4c907c5f4d16780776ae34ceacfde0f05b586d97074c1a94486cf949b7eb976c',
     ('kcfa2', 'pdcfa-gc-approx', 2):
-        '467246f7a7e150a37f939e47de58ea4a398fe601f4069618510b9272cc1c93fa',
+        'c466f3167a62eb1852eb23b90dd166c994f71a1b1b954e3dfe9c5df3cc12a48d',
     ('kcfa2', 'pdcfa-widened', 2):
         'de9ea681ff313f9d67e277b949ce0821074eeddaf958a9cafc3f92d8dd140e3f',
     ('kcfa3', 'plain', 0):
@@ -201,7 +203,7 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-gc', 0):
         'd82835ddb731e61bb28603abed5fbb140983690c13587970f83f7acc065dad3e',
     ('kcfa3', 'pdcfa-gc-approx', 0):
-        'f77b61119e52c92524296149a39d78a50e5257285ba3d53fb46df760b5c78606',
+        '6ac024ea610a39160d0a3bb12d28a0232e0808a1fed811607cedc91f48dd190c',
     ('kcfa3', 'pdcfa-widened', 0):
         '2e6888e9ec83b63d8186816c2210a74ed6060bf1f33d29d13a11e486b518b9cc',
     ('kcfa3', 'plain', 1):
@@ -213,7 +215,7 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-gc', 1):
         '97b2bb8493388a6bbbe90effef3d379f3cf3b965adecee969360bc9f2aa4128e',
     ('kcfa3', 'pdcfa-gc-approx', 1):
-        'e1819361d9ef4bbeb1e9251dbf70f328b016287d41644282e85c2b66d0c74c99',
+        'fb582c06af0c01a7608ca466c5f20501344f81c4867a353a3468c3ea65f8826d',
     ('kcfa3', 'pdcfa-widened', 1):
         'b7d2cb5a59bf4badbe03a3bfd1eabeceba1b9142536d3e1b1fc9b2a2cd878f8c',
     ('kcfa3', 'plain', 2):
@@ -225,7 +227,7 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-gc', 2):
         '4e1bfd5a2fae54f45cce1f806f21dfb69239024d261fb168599154c9838838fd',
     ('kcfa3', 'pdcfa-gc-approx', 2):
-        '8c57123b560ece890ee716a71e0da85d1a69e2cdaa4ccbd136dec668ad529853',
+        'db8c57ef188860ec5090e9003a34e9116fe6a3f80ac2eb96d9ab87fffcf8a64b',
     ('kcfa3', 'pdcfa-widened', 2):
         '1793a050900ce89c140bf198875c432bcebb807c1a46ce2287997894a7b0824a',
     ('blur', 'plain', 0):
@@ -237,7 +239,7 @@ GOLDEN = {
     ('blur', 'pdcfa-gc', 0):
         '886e9d069297090da2ca49134cdc08dfb6820b3858e0c5c3a1bc07362e8bbbfa',
     ('blur', 'pdcfa-gc-approx', 0):
-        'f1502a76a32d571722732496da381f6775b64a9921f731213fe19ff4605429f9',
+        '6ae0c0912477dcafdf4c1c20eaac1f27bda059eb2c5398dd6ec4084dcbd41bb6',
     ('blur', 'pdcfa-widened', 0):
         'bf3a46fefc2f980cd62630bcf03c560ff54f3142f8e1db4ee90f45c145ea35f4',
     ('blur', 'plain', 1):
@@ -249,7 +251,7 @@ GOLDEN = {
     ('blur', 'pdcfa-gc', 1):
         'b9767c48e451624dbdcd241f57b395f176482b18100c7b2a2615cf43d12d2ff3',
     ('blur', 'pdcfa-gc-approx', 1):
-        '0e35d96030c97f6fec322fb9bd4ec187d1624ab393b74b3ffbf0b0d07707017b',
+        '6fa5032efd6ddc0d0708fbdab8211089ef621d8a7b3c48f44efe5929c52a2e56',
     ('blur', 'pdcfa-widened', 1):
         '3eb8944b2a8a8d6415d33351e61c3f84735bdd46414e999e0d65353c9dd40f29',
     ('blur', 'plain', 2):
@@ -261,7 +263,7 @@ GOLDEN = {
     ('blur', 'pdcfa-gc', 2):
         'f12aa988378efc0de1c58695d828c8bc931e135d879686127984ed9e1fc38957',
     ('blur', 'pdcfa-gc-approx', 2):
-        '693556732d28228419a73d59ac0263d3bbdab0c229f938138b0017b6a2ce3b1b',
+        '858e0bd3b3e3de325d00f776af25b83fcf9d926a79be5c4516a50c5ac67af80d',
     ('blur', 'pdcfa-widened', 2):
         '790aa2ce5b76ca99546a7da6dfb0a88426e5c6a702796ed6419dd8be2ef2a5e0',
     ('loop2', 'plain', 0):
@@ -273,7 +275,7 @@ GOLDEN = {
     ('loop2', 'pdcfa-gc', 0):
         '1d2c2107266969fa446459869abacf9e84586c35f545e238af6d5873ecceb81c',
     ('loop2', 'pdcfa-gc-approx', 0):
-        '9fb63cad993105d4e9f4c6a47bd5a95076ea4678af5f63031f0c44340cd91f9e',
+        'eac28870440005224a3d26694dde18743ea0ee7f9ee00316efd36f3b4c2c9a3a',
     ('loop2', 'pdcfa-widened', 0):
         '6002cebfd5c9864e1b6da410c0ab6d3fda7e5cc242f65f97f5665daf3eca1d5d',
     ('loop2', 'plain', 1):
@@ -285,7 +287,7 @@ GOLDEN = {
     ('loop2', 'pdcfa-gc', 1):
         '5477b1d6b92229e2dd9cb85273127d2ea58c41eda5e28ec0e3e03df578c1d4b7',
     ('loop2', 'pdcfa-gc-approx', 1):
-        '3540d8a3d46f9926fd56757e3a8f3c1e8f2d49c20e8a20f34a6656f9684686cc',
+        '1893712553b2476ea110a830481520dc3b0497568ba190abae0b6458f3254dba',
     ('loop2', 'pdcfa-widened', 1):
         '72ab53f229436cc1ef499be591c144b90aa799c093e13ebe3b329e3131ca8128',
     ('loop2', 'plain', 2):
@@ -297,7 +299,7 @@ GOLDEN = {
     ('loop2', 'pdcfa-gc', 2):
         'a4ba08633fa18942270d2b074cbec5b0ef393ff1ba23559b3de0e5b87b0df344',
     ('loop2', 'pdcfa-gc-approx', 2):
-        'ac9793723ef51900ffbe95745fe55b3d76d2b51b33122d8eb3398f44277db6b5',
+        'e3afb668ac5312913561474417d2dc788f5e8a58b750c81bc3f297d9ed8cb200',
     ('loop2', 'pdcfa-widened', 2):
         '51a20068fe06d4b04ffe3b210034d11f407fe5306398f1f7079d85fce4f9b3c6',
     ('sat', 'plain', 0):
@@ -309,7 +311,7 @@ GOLDEN = {
     ('sat', 'pdcfa-gc', 0):
         '737fe4e749b48ed8f8de27e10b6151c1b9810f23fff6d7f746ec8369d8cb0a43',
     ('sat', 'pdcfa-gc-approx', 0):
-        'e77fe6d5f36824d1c3d21c5492e1b0dd35ab8f61ce41a7f97498f0be3643b6be',
+        '8eca8daa7af97097099018f256ff85c6d4596c4abb2793267ad898dc2c79ad7b',
     ('sat', 'pdcfa-widened', 0):
         'bc704573db3ad3151b36b2a5b855f65bfdf46bc89c6ed6415ace39d6a7849c4b',
     ('sat', 'plain', 1):
@@ -321,7 +323,7 @@ GOLDEN = {
     ('sat', 'pdcfa-gc', 1):
         '39f599bf539fd0642be192f194feba6d92cc661b2c707ad3f71f6c39c0e0f67d',
     ('sat', 'pdcfa-gc-approx', 1):
-        '0959c30dbe9a36c4faced3a229be5311c69644192fab4ae5609c6b118a4d33e0',
+        'afc9cad2ca2ed6cfd406da377f5237f8e83c962985043b3a20c3d1328736967c',
     ('sat', 'pdcfa-widened', 1):
         '558658cbca887b49a06e9188a9b85b04bce44e42fc2c39d95fcaf0f3ea9d92f9',
     ('sat', 'plain', 2):
@@ -333,7 +335,7 @@ GOLDEN = {
     ('sat', 'pdcfa-gc', 2):
         '4b3834e7033a9bac5b36f32ba3def9e1a079e10759f84904cc64c97559bd18d7',
     ('sat', 'pdcfa-gc-approx', 2):
-        '6d6d387217358f209804f9175f6d2bbca7e0541e9c689e4c4a969ef52fcb5a49',
+        '51afb7783766760013e9cc9e360ae206ed1567e5597ab4e4da7da3dd0f00a262',
     ('sat', 'pdcfa-widened', 2):
         '448e747f26fdb1ff9003ef342e7d6a5ea0e291b43cecb0ce14110526c2955b77',
 }
@@ -366,145 +368,145 @@ SOURCES = {**{f"fused{i}": workloads.fused_source(i)
 
 SOAK_GOLDEN = {
     ('fused0', 0):
-        'e263b928eabdc9d9199246197878b583d76f242ab8ca8901870a89c9a7cdcebc',
+        '484c273eef00d183e1a71376d94d83e61c74d71110ea0287f6493384875faf6e',
     ('fused0', 1):
-        '028cf0b4e7f1724e3d257c2986f6a00ea644a717267d4e50055a54efce2b234a',
+        '0b767ca26aa2b2e37204d128c4f19c480e9b9bf7e124de26bbad3e5e79eb95ac',
     ('fused1', 0):
-        '4575635f8658b869be7f51ed744c4a6005ed79fe5e6c7948bb825b6f08f9d2f0',
+        'fe996b2b6eade71b150a9f5f61b2289e484a7580401842b7d15885962b6bd7e8',
     ('fused1', 1):
-        '669cbc827130129f5feabe8da59b2acaa58133e9c88ed84d872ddc4a1001c7fe',
+        'b81aa0d7e031da1e4acb2d0d68f2b2f856e0d408de5625b3f271d474db927ec4',
     ('fused2', 0):
-        'e36d8b3ed7dd28346a9548c3722c3e282532a6ba19fd0272270e482164d32ddc',
+        '905813407c7248c0decae813465166ecc4bb2adb8f3a3471cc590a7cd5b08a0a',
     ('fused2', 1):
-        'e878910c126ddee8f2ea258f22b8f2013a3047a4c8fe8d395d201de764874c12',
+        '9eccf9ab77669f59efb069f612ab2543cdf29674f6acc762e73c30085b78e9f4',
     ('fused3', 0):
-        '53411f40a62c0e0116118619f4a449c5860fbbdbb78b66bcdefa06bfdc44a08d',
+        'a6377db268c2816f5e8b1730ae57bbdf9cde4817260bd1654fc0ee7ede55780c',
     ('fused3', 1):
-        'ed63e756b37da71bc9b32630a4d086fc89852a41a4db92521fa460e73dd4e6b0',
+        'ccfaca2d13f301a14742850357db94a35077578f077bcca31f062c98ae8cb8b3',
     ('fused4', 0):
-        '3255f028bc1af952f42129a7eb7e2ff15a5706311949588452df6b59f292e727',
+        '0ebf741f5c9eb7d47a4e0fadfb46f06c6407e13e0fb3844bde57e00e2b6bb171',
     ('fused4', 1):
-        'e087fe45aa736b4795463fd348d04a453b0febdf7e2e7395f94e2559e0962278',
+        '73724bf04a15b56ff3a37af64156786206ea53de5aff2c0305d1ba012ad17742',
     ('fused5', 0):
-        'de06c3386e113f90e2460a2d2b8f658d7b48cc979f271f8fde4fccfb5c2e72a5',
+        '98565ceb2b7a8217135bbfdb365ae1292d3b7ac046fabd9c0830c6e45fb7981a',
     ('fused5', 1):
-        '475b7cd62c992b5437fa2ab24917934d6b072095b7bde4a190a06dd7ac023723',
+        '13a0ed68703ed69856be27a5f77e6ecded3e19bbdf6cc7281e25f98b2d0b538e',
     ('fused6', 0):
-        'dc3b7c1c90abb4ac10e8f059ac2077221f0b67478c51948583e7e02b11dd8a15',
+        'c952aeeb3bef28df284a7da6bb230679481d90d60d3b5b7b603861a4f4063091',
     ('fused6', 1):
-        '6d0704eb84b1b7ebb83221d9c2e9f8a5c1c23890b74f356da10763f673ce18ce',
+        '698daf804a1f61e0bfdf0a495a58f25705bf4d5cf93928c838d7708f4edccabc',
     ('fused7', 0):
-        '5593577312f6452a4de71befc9c0e0ccb6b4f303e432f491e6052062e404a90c',
+        '5aaa01779b8408a7f8d2546670b59c36af29d3786438728154b56ca208c1ec22',
     ('fused7', 1):
-        'dfa42172edeaf82b9e27568b39d83bca7c1117502afa7a66425ed705b688acf7',
+        '896986da541582463c25334f56c70b93bd0af7f95d7b45796234f0d3b870685a',
     ('fused8', 0):
-        '95d11ab9dc44f485bfbb8d662c7bab56313fbd20e604b891943f4dedb7885bdc',
+        '150875ef86a35ccb4fcd2e156c6caab7dcdde5601686a49016854854d14b9ec5',
     ('fused8', 1):
-        '495a8a4c6a059c7d3175b2a55e8aabbf3c7beb78124f1121fd02557daba9eee8',
+        '45b2fb24152eb6db1deba11070ae981b60fc2c52646bb4237b75afa11953b6a5',
     ('fused9', 0):
-        '6b2c5f7ecd6bbddf45a1485dfc970218c703a6613ce397c418933796a2fbae2e',
+        'd74925795982149eaec9d68c2c58890a078acab71149baea9b23e666d50835ed',
     ('fused9', 1):
-        'a93a328a3fc09da46d8f21ae656d1f3df88605374afcee26229ad7cb90a5ffcb',
+        '2b028375d2f1250e1ba30e82f3ca45627d044b84ddf3ca1433aef47a8013d640',
     ('fused10', 0):
-        'a3bca685448dfbf861c42de8702d970563ad76925597e5c413b670c830ef4d70',
+        '732e6f91697558dcfac1588fb0a0fa2da3b6f4b2544dcaf2ed9c2edbfeeb9ab7',
     ('fused10', 1):
-        'f2e7cd3eeb067f4af6dd2877b4d965c9fc2006690883a40e99da918fb2d020d0',
+        '6e4119846cf6b6360635c483f039fe34abda6b76b1fece81a46776ac876ee9b8',
     ('fused11', 0):
-        '2d87a3e059e08ed6e67710eaf46ce29bb0b5b4334f100b99ba3fd6019b8f52ef',
+        'f7c89afbd9f21c4d461f5fe02248ac2246c4c5d9c1e7b599a1430dde8192e509',
     ('fused11', 1):
-        '3a3e8536f58b975c38e41e0e437b89fd6c7591b2241c9c25bbf8497a676b97df',
+        '71425423d0ca5180e9baa26bd54ea38f2095f32503c134043fffc7027e0d2a0c',
     ('fused12', 0):
-        '5fb640cd71ae406cb9160b1f75ae14c48cec13a21855c264f4ba54e74894dbb4',
+        'ce5924aa513754a749342a00aa547d5e32f4dee6c28d33d5166df86c1dba3dd2',
     ('fused12', 1):
-        'ba263e2795c11eb45c40be9b3f3ae7ae1eb8c940978015cfdc0aa780e877255c',
+        '4a1789f027aa621078bfee08f34e30dcc391d0aae15af89172f2c448c3453258',
     ('fused13', 0):
-        'cd608ad71dab3befe3bc163aba7a11fab42d420ea53b156654f307303596cce2',
+        '3e7054228ae49e8d577b107dc88ea2d9eeb05764890411abdec01e225b92d8eb',
     ('fused13', 1):
-        '61a4c58d2e8aac9d305947b2ca10a9e0a63981582f66a1869c3a3b72de60b428',
+        '226fb6423750c3f6497ead77bd4b7606716981400fa824d277f34cab90beeb09',
     ('fused14', 0):
-        '451950ba44ff7d623d813682e6d78865cdb34820ee0b91d553b4c5a32dcd64cd',
+        '8564f7a7fae8b6b92374567a9d7015299b949d82e58662de58f357a51b5e57d9',
     ('fused14', 1):
-        '00de38ccf188ea6fa310e1ea5bab0146efbbbb42ad6dc48917848d3f97c5a655',
+        '2cf30c49afe031db35138c329012c065b8474503a2b7414318189f3f54e3ac2c',
     ('fused15', 0):
-        'd90d291d3374a7e4e8be7c22da5aad8fb74529f1fae0adb4495acb82ec96de8c',
+        '08713746f0914c29c11e0e1eef0f3d88eaca48e3739f5820bce51cb5cc926de8',
     ('fused15', 1):
-        '373abaa4429d39372b6115a55710938d15c06eb09cdf5bb3f32278cf5b9d9c24',
+        '51a656d1c795de7e6c425b12715f297bef58f2e99803ebc954b4cc4aa64a6e0c',
     ('fused16', 0):
-        'cd03f01e2be520fa4b53552840a67d394ef9404e1c7936f574d4cb0935a3fba2',
+        'f560527acf0d193b535fc13e04c7862f37b23f2a5a67068512cfc59e22e4e85f',
     ('fused16', 1):
-        '1fea94134d268703b9d8d33ff79414fa10e7256c01ba1b34cd613917f0595b8a',
+        '7f2778c25a3c4a95d8981d5f1c59a1a9534e693f3e5cbfc61e075d222f46410d',
     ('fused17', 0):
-        'b3e441d26035c0695f85dc2e6d2bb2bd6103d1c2a7c5ba0e2abdd221014a524f',
+        '18aa75db2a89701b0503a8e7fde0373766fbddb20421a6212ee6bdd3f7e800a0',
     ('fused17', 1):
-        '26325008696ac849b850a9b75ebe6493f9dbf15fee5e9a81a88f47aab43786a1',
+        '1092e557ec60850fa0fc05d30273c6933e13ba1f41df4901b4a8dd5f003a78fd',
     ('fused18', 0):
-        'f1b72e288a6d372a9ea370fb1eae552f0912d5fe547eca3e59f3b090681f2085',
+        '950ac1b928f3639c2662186bd922f0e0eb4172a20220bb2a67a1d7194af3f4c1',
     ('fused18', 1):
-        'f89eb551b792a18ef802aba1bc5e5fd1add39513d94c8544129c01c8777f7338',
+        '0a116daedfc68ce138affc9287920735295c51f31ce171dc10a3834db8b47139',
     ('fused19', 0):
-        '54af1f6179fb41c86f7ebf5e21b5e95cb8a162388e2369cb23c4cd71107c029e',
+        '8e25d057755278a8dfb9f62265a9280ac65cee470ea12365362f8ca2d015433a',
     ('fused19', 1):
-        '22ea680dfe721e1a465f46f2430052924933c8cb1250a8647203a75ecc8f0a16',
+        'a6bd198d6152d08193423a0281a7c9504fb977e950268df8feee0a0985f56be2',
     ('fused20', 0):
-        '3132fc86ba8b36357615cbbe64fb3708fbcbc3f821031e53fdf02a217a027bc1',
+        'bcab089285b06f53bcdaeebc32bb5e95cac162db328186245888f598225dc300',
     ('fused20', 1):
-        'dbabde07603316b3ebce8cd33f18aeecea4ac6098f5f1f23e3f6d40cfdf9b570',
+        '1fc04794664e20c4b1efddc6ae5ce4cf877e9c256590fad64c75e444f9e68823',
     ('fused21', 0):
-        'e0474746e9d9cabb18a87d5c0242a0df9e255969d328c2bf486ebac261a13cba',
+        '862b76eb8180adf982886bdc588f372cdec72c0f2f4126dc3bc630252fdc8db2',
     ('fused21', 1):
-        'e8fcbfdc4aef2360c67eb0779f9dd1d3c8996c5b037060b0d63687851a2b7052',
+        'f630986f8e7f566033e82c608024738275f88825141f30238655fc83e0e751f8',
     ('fused22', 0):
-        'd2b64f347af60b0ef6356952d7d0c0c82091332246e531568a92349e89ed0c94',
+        '685aa0a441bbd2ad8c11dd885e08740bde22f0a72ee2179b1594b562f150012e',
     ('fused22', 1):
-        '7133abd7297d790347901f54753473eff64cae8100005440fd6662ab89908a6b',
+        'c029892082cb9bc618d802c785b67943b1ea69363ece4d11b0eba7281cc8e6ab',
     ('fused23', 0):
-        '0b9bc0941aafeef85cfe82711626238857801717d64cb45d9563d7d0c30651ec',
+        '5c567973e3c13049addde01de49b9678a33e6e1690e7b21fef92362680ec8366',
     ('fused23', 1):
-        'd482797bc3c6643af77dc33bfc2281fed291757900b5dcfd04756a9daf8db75d',
+        'fab70ee7cce87a03b4437960597023b834f75d87235b92777b6c6ce400d6e417',
     ('fused24', 0):
-        '033fb8fababb986e20e058bef7a1e7063b48f7b02f7305b1beba592966325109',
+        'ff857d2c8ad1c7ef906431ee50322cfaf5738dfe8ad19cf2064faeef8cfbc201',
     ('fused24', 1):
-        'ec24df1b8bb0030004d1ef798fa1c824f496097b79cd96726ef9c6760d6a6c68',
+        '39454f77d7926b5c32f9c20db390280875eea84c7c9f2ebef05a681905da7799',
     ('fused25', 0):
-        '69662a3f90a9109a83bcb9ac6dcd8096fcf4cd19d3270cdd2b7458e25a617609',
+        '95ef1ab8c4c547becc8d9d1504917f56ffb991a423c8ac997182bc75519da9b7',
     ('fused25', 1):
-        '4c0d410b8c46de04a077fe7d3b55023537b2188df991dc0226782772dc9f333e',
+        'd2286fe400a1693117cd2b1d2bb46961e39e4fadd3980762ead54dd3e7653ffe',
     ('fused26', 0):
-        '0b739d7212ba317ef45bfdde86c9cacf64c210f7b5eed2bec26b05190aa87883',
+        'b097840b39b5b875c6b1e50740d53203528331de935357275185871b30335c59',
     ('fused26', 1):
-        '282ca8c1a2667c34833787c92917122884b9cf56fd548bfc360eebcb89e3f9b3',
+        '9f3528df8eb67b57298a46fd3ee721ff0c9e2f8beea87d3ab028898130da7da6',
     ('fused27', 0):
-        '6990f91e2a23b6b883f9834df3133cfc2ceb22d48ddd1df63f0a8218f12cdaa6',
+        'cd9befd8c8269805766708377ddb2ad4eb7ba68f1be3303b87efc52612183f39',
     ('fused27', 1):
-        'd9fd34e832058b8ccc5a4df6625a575c029df4e552c4a95d11da98649229522d',
+        'd298889a5619e14136758eb41f3a9bc564727c2f4ff64a8e68821db6d514535c',
     ('fused28', 0):
-        'bd13ceaaee5ad3fe911bbf5df36b70943c43b273b1aaa57f9d18b1b66e095081',
+        '7bbc2340dfd87fc29b7597336027fffd4addfa16fe38acf8379df293a43d21dc',
     ('fused28', 1):
-        '874fe1b94f3e9aeeaf110d593a2d07747c5df199e1e06d6f8a90619446788b95',
+        'ea8cd1e66a9f8e7668d3277fe6005bb3211f5be05b5e0ccefdb20a5b03f1b4b9',
     ('fused29', 0):
-        '5faa8da4784778040529dda01d1bcc17549393cc022fd2547843858f8ab651dd',
+        '9d84d091063e00f1a7ed637e484bb587a2e2de600cb5566558bce3a15ecb3d20',
     ('fused29', 1):
-        '3178d7f57d99cce454ba88abedbc17ffd7e2506acda405e30920598c734bdbf2',
+        'bf0082314b6920e76b3a6938c47cfc3732c62562e20d79dc4b42df194107564a',
     ('fused30', 0):
-        '391fd54076e286bcb2e445c3eede3d484309c2de3243d27649704219b3c4cd9d',
+        '0150f6375c35b504547641e5ed3c6107ee52d964ca4a8c1ec0b4b54b19bda643',
     ('fused30', 1):
-        '70fd9d67392f6641869dadb95db9d7e0de31195e32d4ce6aaa3cb33481f38afa',
+        '6d188911ad9cae658cd813dbe5c4dd06e73933ac4fff5966eb832524428ee60c',
     ('fused31', 0):
-        '84158e5625a748c73aee1a01ac7845377c408d1de2111bec7716cbf7ef978f29',
+        '51e15c3f87141bfd54dcbe7d09bf62768d0f744f183ed095096bded2b36835cf',
     ('fused31', 1):
-        '13485f8fa333275625eac3e27610837c53b19ddb9451ebc8039d8bcd2407f873',
+        '8c3e182aa3be2cc766d8a2a70c2ee009a1eeaf1c1c2aeea725fc4bfbbedded1e',
     ('chain15', 0):
-        'a0f92d3245a414ea1dbfcf286307d77fb8728b6b0493c357483ed098e6852479',
+        '247938ddc12dbe5f78928746778887760952892d3c2780c47fa956527d1b1a29',
     ('chain15', 1):
-        'facce8bcbbb7270e1f9191b1821bcade93b650f801458b0b733339f01924e8a0',
+        '401171e9fdfc9a3cbd6b744f378bfb168c1ab610597a94e8258bff0164526693',
     ('chain30', 0):
-        'f80269a864d6d895bf7a79aaadcd8a2085d663bca0a6188230bcf0468beb8785',
+        '17161258c1cf201fa51822c1050e4ebf8e1711c9bd5334d35ab6c2e7b869b507',
     ('chain30', 1):
-        'ae20813d81fce3e12e12729ad51e0a7cc0620e4503196945b8e3d595054449d0',
+        '12671c099c03f74be0c3e03a4443d6a4e28bf3807ae23e170dfed6039f25df3f',
     ('chain60', 0):
-        '4f6c20d42ba066ed2f0d0be4cf82b89b6494ac2436831c23cf2dc231c943b9e3',
+        '26293733936580bb0b40b5609d5a5ce446250af5085304484d2d15d796a1eb2b',
     ('chain60', 1):
-        '35f0ddf5cb8c6df3583737f44a6100e777c1ce36e8c827ad40183567ddaf246a',
+        '4e2b06534697e41b0e1e3debc70c769c4fa7450ad21838539f15c6b9f782c567',
 }
 
 
@@ -550,7 +552,7 @@ def trace_digest(src):
     """sha256 over every configuration of src's concrete run (exp label,
     env, frames, store; a closure as its body label and env) and the
     outcome."""
-    trace, outcome = run(parse_and_normalize(src))
+    trace, outcome = run_abstracted(parse_and_normalize(src), Mono())[:2]
     shown = {}  # id(value or store) -> its text; the trace keeps them alive
     h = hashlib.sha256()
     for c in trace:

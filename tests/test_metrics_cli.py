@@ -87,11 +87,11 @@ def test_dot_edge_count_matches_metrics():
     assert dot.count("doublecircle") == 1  # exactly one root
 
 
-def test_dot_shows_guard_sizes_for_approx():
+def test_dot_of_approx_has_one_plain_line_per_edge():
     r = analyze_gc_approx(load("eta"), Mono())
     dot = to_dot(r)
-    assert dot.count(" -> ") == len(r.guarded_edges)
-    assert "⟨0⟩" in dot  # at least the root's first step has no roots yet
+    assert dot.count(" -> ") == len(r.graph.edges)
+    assert "⟨" not in dot  # edges carry their act alone
 
 
 def test_serialization_is_deterministic_across_runs():
@@ -198,9 +198,6 @@ def _reference_json(r):
         "edges": [{"src": ids[s], "act": _act_label(a), "dst": ids[d]}
                   for (s, a, d) in edges],
     }
-    if r.guarded_edges is not None:
-        doc["guarded_edge_count"] = len(r.guarded_edges)
-        doc["stale_guards"] = r.stale_guards
     if r.ecg is not None:
         doc["ecg_pairs"] = len(r.ecg.pairs)
     return json.dumps(doc, indent=2) + "\n"

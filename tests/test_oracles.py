@@ -130,14 +130,14 @@ def _push_without_pops(self, q, gamma, e, t):
         self._work.append((t, t))
 
 
-def _restep_under_none(self, q):
+def _restep_under_none(self, q, e=None):
     pass
 
 
-def _restep_under_one(self, q):
+def _restep_under_one(self, q, e=None):
     """Worklist.restep that steps q again under only the first of its
     entries, the root included."""
-    es = self._entries.get(q, self.graph.root)
+    es = self._entries.get(q, self.graph.root) if e is None else e
     e = next(iter(es)) if type(es) is dict else es
     if self.graph.paths[e].pop(q, 0) is None:
         self._work.append((q, e))

@@ -90,8 +90,8 @@ def table_oracle(root, nops, pops):
     """nops: q -> [(q2, act)]; pops: (q, frame) -> [(q2, Pop(frame))]."""
     return RPDSOracle(
         root=root,
-        nop_delta=lambda q: list(nops.get(q, ())),
-        top_delta=lambda q, g: list(pops.get((q, g), ())),
+        nop_delta=lambda q, e: list(nops.get(q, ())),
+        top_delta=lambda q, g, e: list(pops.get((q, g), ())),
     )
 
 
@@ -252,8 +252,8 @@ def test_worklist_resumes_after_transitions_grow():
 
         wl = Worklist(RPDSOracle(
             root=full.root,
-            nop_delta=lambda q: part(full.nop_delta(q)),
-            top_delta=lambda q, g: part(full.top_delta(q, g)),
+            nop_delta=lambda q, e: part(full.nop_delta(q, e)),
+            top_delta=lambda q, g, e: part(full.top_delta(q, g, e)),
         ))
         assert wl.run()
         edges_before = len(wl.graph.edges)
@@ -272,17 +272,25 @@ def test_worklist_resumes_after_transitions_grow():
 
 def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
     # r --ε--> a --push g--> b; d is stepped under the root and then
-    # under b, e under b and then under the root, a under the root alone
+    # under b, e under b and then under the root, a under the root alone.
+    # Both callbacks are told the entry their state is stepped under.
     nops = {"r": [("a", UNCH)],
             "a": [("b", Push("g")), ("d", UNCH), ("x", UNCH)],
             "b": [("d", UNCH), ("e", UNCH)], "x": [("e", UNCH)]}
-    stepped = []
+    stepped, popped = [], []
 
-    def nop_delta(q):
-        stepped.append(q)
+    def nop_delta(q, e):
+        stepped.append((q, e))
         return list(nops.get(q, ()))
-    wl = Worklist(RPDSOracle("r", lambda q, g: [], nop_delta))
+
+    def top_delta(q, gamma, e):
+        popped.append((q, gamma, e))
+        return []
+    wl = Worklist(RPDSOracle("r", top_delta, nop_delta))
     assert wl.run()
+    assert stepped == [("r", "r"), ("a", "r"), ("b", "b"), ("d", "r"),
+                       ("x", "r"), ("d", "b"), ("e", "b"), ("e", "r")]
+    assert popped == [("b", "g", "b"), ("d", "g", "b"), ("e", "g", "b")]
     assert {q: list(es) if type(es) is dict else es
             for q, es in wl._entries.items()} == {
         "b": "b", "d": ["r", "b"], "e": ["b", "r"]}
@@ -296,9 +304,19 @@ def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
     assert list(wl._work) == [("a", "r"), ("e", "b"), ("e", "r")]
     stepped.clear()
     assert wl.run()
-    assert stepped == ["a", "e", "e", "c"]
+    assert [q for q, _ in stepped] == ["a", "e", "e", "c"]
     assert ("a", UNCH, "c") in wl.graph.edges and "c" in wl.graph.paths["r"]
     assert "a" not in wl._entries and "c" not in wl._entries
+    # a restep under one entry queues that pair once, and d stays stepped
+    # under its other entry
+    wl.restep("d", "b")
+    wl.restep("d", "b")
+    assert list(wl._work) == [("d", "b")]
+    assert "d" in wl.graph.paths["r"] and "d" not in wl.graph.paths["b"]
+    stepped.clear()
+    popped.clear()
+    assert wl.run()
+    assert stepped == [("d", "b")] and popped == [("d", "g", "b")]
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +342,13 @@ def system_oracle(rules, reveal):
     def shown(rule):
         return reveal[0] or not rule[4]
 
-    def nop_delta(q):
+    def nop_delta(q, e):
         return [(q2, UNCH if kind == "eps" else Push(g))
                 for rule in rules if shown(rule)
                 for (q1, q2, kind, g, _) in [rule]
                 if q1 == q and kind != "pop"]
 
-    def top_delta(q, gamma):
+    def top_delta(q, gamma, e):
         return [(q2, Pop(g)) for rule in rules if shown(rule)
                 for (q1, q2, kind, g, _) in [rule]
                 if q1 == q and kind == "pop" and g == gamma]

@@ -323,10 +323,10 @@ def test_reader_reads_deep_nesting():
 
 
 def _outcome(e):
-    trace, outcome = run(e, fuel=2_000)
+    n, outcome = run(e, fuel=2_000)
     if outcome[0] == "halt" and not isinstance(outcome[1], (int, bool)):
         outcome = ("halt", type(outcome[1]).__name__)  # a Clo or a PrimVal
-    return len(trace), outcome
+    return n, outcome
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
