@@ -391,14 +391,24 @@ def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
 # entry roots recomputed on a hand-built continuation store
 
 
-def test_least_entry_roots_chain_through_callers():
+def _approx_result():
     e = parse_and_normalize("(lambda (q) q)")
+    return e, AnalysisResult("pdcfa-gc-approx", CRPDS("r"), None, e)
+
+
+def test_compute_root_cache_no_edges_is_all_empty():
+    # no push recorded: every entry root set is empty, so none is kept
+    _, result = _approx_result()
+    assert least_entry_roots(result) == {}
+
+
+def test_compute_root_cache_push_then_pair():
+    e, result = _approx_result()
     addrs = [AAddr.make("mono", Var(f"v{i}", 90 + i)) for i in range(2)]
     f1, f2 = (AFrame.make(Var("r", 100), e.atom.body,
                           AEnv.make(((a.var, a),))) for a in addrs)
-    result = AnalysisResult("pdcfa-gc-approx", CRPDS("r"), None, e)
-    assert least_entry_roots(result) == {}
-    # r pushes f1 to t1; p, under t1, pushes f2 to t2
+    # r pushes f1 to t1; p, under t1, pushes f2 to t2, which carries
+    # t1's roots on to t2 along with f2's own
     result.graph.kstore.update({"t1": {f1: {("r", "r"): None}},
                                 "t2": {f2: {("p", "t1"): None}}})
     assert least_entry_roots(result) == {
