@@ -6,7 +6,7 @@ Six analyses over one normalized program:
 - analyze_gc_precise:     pushdown + abstract GC, root sets carried on nodes
 - analyze_gc_approx:      pushdown + abstract GC, one root set per entry
 - analyze_pdcfa_widened:  single-threaded (widened) store, partial states
-- analyze_finite:         store-allocated continuations (plain k-CFA baseline),
+- analyze_finite:         plain k-CFA: continuations at return points,
                           with or without GC
 
 Every node is one State(exp, env, store, ctx, kaddr, roots), the machine
@@ -21,35 +21,35 @@ of its own (_node_table) and leaves no reference cycle: its nodes go
 with its result.  Domain objects, and their memos, stay process-wide.
 
 All run the one transfer function, abstract.astep, which leaves the
-continuation to its caller.  Every analysis runs on the one reachability
-loop, pushdown.Worklist, through an RPDSOracle, and explores successors
-in the order astep returns them.
-The pushdown ones build theirs with _oracle: nop_delta takes astep's
+continuation to its caller, through _oracle: nop_delta takes astep's
 moves (push or ε transitions), top_delta(q, γ) binds its returns into γ
-with areturn (pop transitions).  Each steps through _stepper, which
-keeps one astep result per input (exp, env, store, ctx): a node's moves
-under each of its entries, all its pops, and every node whose (collected)
-store is the same, share one call; widened and approximate-GC re-steps
-call astep again only when the node's store changed.  A result carries
-the loop's own facts: the states stepped under each entry (graph.paths),
-the callers stored at each (graph.kstore), and the ε-closure graph, a
-view of the one-step same-level summaries built only when
-read.  The widened and approximate-GC oracles read state that grows
-while the loop runs (the global store, each entry's root set); they
-re-step the nodes whose input grew and resume the loop.  The finite
-baselines keep their continuations in a store of their own: each pushed
-frame is joined into it, a return goes through every frame stored at the
-state's continuation address, and the states that read an address are
-re-stepped when it grows.  Their edges carry plain tags, so the loop stores no
-frames or same pairs for them, and all their states are stepped under
-the root.
+with areturn (pop transitions).  All run on the one reachability loop,
+pushdown.Worklist, and explore successors in the order astep returns
+them.  The loop's continuation allocator is what makes the finite
+baselines finite (Gilray et al., POPL 2016): a push enters the frame's
+return point KAddr(frame.exp, frame.env), which every caller of the
+frame shares, instead of its target, and a node carries that entry as
+its kaddr.  plain-gc collects per entry as pdcfa-gc-approx does.
+The pushdown analyses step through _stepper's whole-run memo, one astep
+result per input (exp, env, store, ctx): a node's moves under each of
+its entries, all its pops, and every node whose (collected) store is the
+same, share one call; widened and approximate-GC re-steps call astep
+again only when the node's store changed.  The finite ones keep only the
+last result.  A result carries the loop's own facts: the states stepped
+under each entry (graph.paths), the callers stored at each
+(graph.kstore), and, for the pushdown analyses, the ε-closure graph, a
+view of the one-step same-level summaries built only when read.  The
+widened and GC-per-entry oracles read state that grows while the loop
+runs (the global store, each entry's root set); they re-step the
+(node, entry) pairs whose input grew and resume the loop.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
+from operator import attrgetter
 
 from .frozen import Frozen, setfield
-from .syntax import Exp, Let1
+from .syntax import Exp
 from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
                        astep, store_join)
 from .gc import gc_store, touches
@@ -94,14 +94,13 @@ def _node_table():
 
 class AnalysisResult:
     def __init__(self, kind, graph, ecg, exp, saturated=True,
-                 global_store=None, entry_roots=None, kstore=None):
+                 global_store=None, entry_roots=None):
         self.kind = kind
         self.gc_mode = "-gc" in kind  # plain-gc, pdcfa-gc, pdcfa-gc-approx
         self.graph, self.ecg, self.exp = graph, ecg, exp
         self.saturated = saturated
         self.global_store = global_store  # pdcfa-widened
-        self.entry_roots = entry_roots  # pdcfa-gc-approx: entry -> Rk
-        self.kstore = kstore  # plain, plain-gc
+        self.entry_roots = entry_roots  # plain-gc, approx: entry -> Rk
 
     def stores(self):
         """Every abstract store the analysis reached (for precision metrics)."""
@@ -114,14 +113,17 @@ class AnalysisResult:
 # per-state-store pushdown analysis
 
 
-def _stepper(policy):
-    """astep under policy, run once per input (exp, env, store, ctx)."""
+def _stepper(policy, memo=True):
+    """astep under policy, run once per input (exp, env, store, ctx); or,
+    without memo, only when the input is not the last one's."""
     steps = {}
 
     def step(e, env, store, ctx):
         key = (e, env, store, ctx)
         out = steps.get(key)
         if out is None:
+            if not memo:
+                steps.clear()
             out = steps[key] = astep(e, env, store, ctx, policy)
         return out
 
@@ -131,33 +133,49 @@ def _stepper(policy):
 def _oracle(root, store_of, node, policy):
     """The pushdown system whose node q, stepped under entry e, steps as
     (q.exp, q.env, store_of(q, e), q.ctx) and whose successors are
-    node(exp, env, store, ctx, None, roots): moves for nop_delta, returns
-    into γ for top_delta.
-    Under pdcfa-gc, where q.roots is a set, a push extends the roots by
-    the pushed frame's touches and its stack character (frame, roots)
-    keeps the pusher's, which the pop restores."""
-    step = _stepper(policy)
+    node(exp, env, store, ctx, kaddr, roots): moves for nop_delta, returns
+    into γ for top_delta.  The root's parts fix the kind:
+    - pdcfa-gc (q.roots a set): a push extends the roots by the pushed
+      frame's touches, and its stack character (frame, roots) keeps the
+      pusher's, which the pop restores;
+    - finite (q.kaddr set): a push from under entry ka makes the
+      character (frame, ka) and a successor at the frame's return point
+      KAddr(frame.exp, frame.env); the pop goes back to ka.  Here astep
+      keeps only its last result: the pops of a state come just before
+      its moves.
+    """
+    finite = root.kaddr is not None
+    step = _stepper(policy, memo=not finite)
+    push, pop = cache(Push), cache(Pop)  # one act per stack character
 
     def nop_delta(q, e):
         moves, _ = step(q.exp, q.env, store_of(q, e), q.ctx)
         out = []
         for fr, e2, env2, s2, ctx2 in moves:
-            roots = q.roots
+            ka, roots = q.kaddr, q.roots
             if fr is None:
                 act = UNCH
+            elif finite:
+                act, ka = push((fr, ka)), KAddr.make(fr.exp, fr.env)
             elif roots is None:
-                act = Push(fr)
+                act = push(fr)
             else:  # pdcfa-gc
-                act, roots = Push((fr, roots)), roots | touches(fr)
-            out.append((node(e2, env2, s2, ctx2, None, roots), act))
+                act, roots = push((fr, roots)), roots | touches(fr)
+            out.append((node(e2, env2, s2, ctx2, ka, roots), act))
         return out
 
     def top_delta(q, gamma, e):
-        fr, roots = (gamma, None) if q.roots is None else gamma
         _, returns = step(q.exp, q.env, store_of(q, e), q.ctx)
-        act = Pop(gamma)
+        if not returns:
+            return ()
+        fr, ka, roots = gamma, None, None
+        if finite:
+            fr, ka = gamma
+        elif q.roots is not None:
+            fr, roots = gamma
+        act = pop(gamma)
         return [(node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx,
-                      None, roots), act) for vals, s in returns]
+                      ka, roots), act) for vals, s in returns]
 
     return RPDSOracle(root, top_delta, nop_delta)
 
@@ -216,39 +234,45 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
         changed = {a for a, vs in grown.items if store.lookup(a) is not vs}
         store = grown
         out_stores.clear()
-        for psi in list(wl.graph.nodes):
-            if not psi.env.addrs().isdisjoint(changed):
-                wl.restep(psi)
+        for psi, entry in [(psi, entry)
+                           for entry, path in wl.graph.paths.items()
+                           for psi in path
+                           if not psi.env.addrs().isdisjoint(changed)]:
+            wl.restep(psi, entry)
     return AnalysisResult("pdcfa-widened", wl.graph, wl.ecg, e, saturated,
                           global_store=store)
 
 
 # ---------------------------------------------------------------------------
-# approximate GC pushdown analysis (one root set per entry)
+# GC per entry (pdcfa-gc-approx, plain-gc) and the finite baselines
 
 
-def analyze_gc_approx(e: Exp, policy, deadline=None,
-                      node_limit=None) -> AnalysisResult:
-    """GC pushdown analysis over plain control states: a state stepped
-    under entry e steps on its store collected under Rk(e), one root set
-    that covers every stack reaching e, read from the continuation store:
-        Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t}.
-    A push of γ from under e joins touches(γ) ∪ Rk(e) into Rk of its
-    target t; when Rk(t) grows, the states under t are re-stepped under
-    t, and the pushes they emit again carry the growth on."""
-    node = _node_table()
-    Rk = {}  # entry -> its root set, where that is not empty
-    none = frozenset()
-    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE),
-                     lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, none)),
-                     node, policy)
+def _per_entry(kind, e, policy, deadline, node_limit, gc, enters=None):
+    """The loop under allocator `enters` over nodes without roots.  Under
+    gc, a state stepped under entry e steps on its store collected under
+    Rk(e), one root set that covers every stack reaching e, read from the
+    continuation store:
+        Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t},
+    where a finite character (frame, ka) touches what its frame does.  A
+    push of γ from under e joins touches(γ) ∪ Rk(e) into Rk of the entry
+    t it enters; when Rk(t) grows, the states under t are re-stepped
+    under t, and the pushes they emit again carry the growth on."""
+    node, Rk, none = _node_table(), {}, frozenset()
+    kaddr = None if enters is None else K_HALT  # the root's
+    oracle = _oracle(
+        node(e, EMPTY_ENV, EMPTY_STORE, (), kaddr),
+        (lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, none))) if gc
+        else (lambda q, _: q.store), node, policy)
     moves = oracle.nop_delta
 
     def nop_delta(q, pe):
         out = moves(q, pe)
         for t, act in out:
             if type(act) is Push:
-                roots = touches(act.frame) | Rk.get(pe, none)
+                fr = act.frame
+                if enters is not None:
+                    fr, t = fr[0], enters(t)
+                roots = touches(fr) | Rk.get(pe, none)
                 old = Rk.get(t, none)
                 if not roots <= old:
                     Rk[t] = old | roots
@@ -256,71 +280,31 @@ def analyze_gc_approx(e: Exp, policy, deadline=None,
                         wl.restep(x, t)
         return out
 
-    oracle.nop_delta = nop_delta
-    wl = Worklist(oracle)
+    if gc:
+        oracle.nop_delta = nop_delta
+    wl = Worklist(oracle, enters)
     saturated = wl.run(deadline, node_limit)
     wl.oracle = None  # nop_delta refers to wl: break the cycle
-    return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e, saturated,
-                          entry_roots=Rk)
+    return AnalysisResult(kind, wl.graph, wl.ecg, e, saturated,
+                          entry_roots=Rk if gc else None)
 
 
-# ---------------------------------------------------------------------------
-# finite baseline (plain k-CFA, optionally GC-composed)
+def analyze_gc_approx(e: Exp, policy, deadline=None,
+                      node_limit=None) -> AnalysisResult:
+    """GC pushdown analysis over plain control states, collected under
+    one root set per entry (see _per_entry)."""
+    return _per_entry("pdcfa-gc-approx", e, policy, deadline, node_limit,
+                      True)
 
 
 def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                    node_limit=None) -> AnalysisResult:
-    """The finite machine as an oracle whose continuation store lives
-    beside it; a state that read a kaddr (to pop, or under GC for its
-    roots) is re-stepped when that kaddr grows."""
-    node = _node_table()
-    kstore = {}  # kaddr -> {(frame, kaddr below): None}
-    deps = {}  # kaddr -> {state: None}
-
-    def nop_delta(st, _):
-        used_kas = {st.kaddr}
-        store = st.store
-        if gc:
-            roots, work = set(), [st.kaddr]
-            while work:  # K_HALT holds no frames
-                for fr, ka2 in kstore.get(work.pop(), ()):
-                    roots |= touches(fr)
-                    if ka2 not in used_kas:
-                        used_kas.add(ka2)
-                        work.append(ka2)
-            store = gc_store(st.env, st.store, frozenset(roots))
-        for ka in used_kas:
-            deps.setdefault(ka, {})[st] = None
-        moves, returns = astep(st.exp, st.env, store, st.ctx, policy)
-        out = []
-        tag = "push" if isinstance(st.exp, Let1) else "eps"
-        for fr, e2, env2, s2, ctx2 in moves:
-            ka2 = st.kaddr
-            if fr is not None:  # allocate the frame's continuation
-                ka2 = KAddr.make(fr.exp, fr.env)
-                entries = kstore.setdefault(ka2, {})
-                if (fr, st.kaddr) not in entries:
-                    entries[(fr, st.kaddr)] = None
-                    # every state whose pops or roots read ka2 steps again
-                    for dep in deps.get(ka2, ()):
-                        wl.restep(dep)
-            out.append((node(e2, env2, s2, ctx2, ka2), tag))
-        for vals, s in returns:
-            for fr, ka2 in kstore.get(st.kaddr, ()):
-                e2, env2, s2 = areturn(fr, vals, s, st.exp, st.ctx, policy)
-                out.append((node(e2, env2, s2, st.ctx, ka2),
-                            "eps" if ka2 is st.kaddr else "pop"))
-        return out
-
-    def top_delta(st, gamma, _):
-        return ()  # nothing is pushed on the engine's stack
-
-    wl = Worklist(RPDSOracle(node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT),
-                             top_delta, nop_delta))
-    saturated = wl.run(deadline, node_limit)
-    wl.oracle = None  # nop_delta refers to wl: break the cycle
-    return AnalysisResult("plain-gc" if gc else "plain", wl.graph, None, e,
-                          saturated, kstore=kstore)
+    """Plain k-CFA, optionally GC-composed: the loop under the return-point
+    allocator, where a state's entry is its kaddr and a push of frame f
+    enters KAddr(f.exp, f.env) (see _oracle).  Under gc a state is
+    collected per entry, as under approximate GC."""
+    return _per_entry("plain-gc" if gc else "plain", e, policy, deadline,
+                      node_limit, gc, attrgetter("kaddr"))
 
 
 # kind -> driver(e, policy, deadline=None, node_limit=None), in the order

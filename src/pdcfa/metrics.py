@@ -80,16 +80,17 @@ def _node_label(n):
 
 
 def _frame_label(frame):
-    if isinstance(frame, tuple):  # GC-precise character: (frame, root set)
-        return f"{_frame_label(frame[0])}/|A|={len(frame[1])}"
+    if isinstance(frame, tuple):
+        label = _frame_label(frame[0])
+        if isinstance(frame[1], frozenset):  # GC-precise: (frame, root set)
+            label += f"/|A|={len(frame[1])}"
+        return label  # finite: (frame, kaddr below)
     return f"{frame.var.name}:=e{frame.exp.label}"
 
 
 def _act_label(act):
     if act is UNCH:
         return "ε"
-    if isinstance(act, str):  # finite-baseline edges use plain tags
-        return act
     word = "push" if isinstance(act, Push) else "pop"
     return f"{word} {_frame_label(act.frame)}"
 
@@ -105,13 +106,13 @@ _PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", skey),
 
 
 def act_skey(act):
-    if isinstance(act, str):  # finite-baseline tag
-        return (act,)
     if act is UNCH:
         return (0,)
     frame = act.frame
-    if isinstance(frame, tuple):  # GC-precise stack character (frame, roots)
-        fk = (frame[0].skey(), _roots_key(frame[1]))
+    if isinstance(frame, tuple):  # (frame, roots) or finite (frame, kaddr)
+        below = frame[1]
+        fk = (frame[0].skey(), _roots_key(below)
+              if isinstance(below, frozenset) else below.skey())
     else:
         fk = frame.skey()
     return ((1,) if isinstance(act, Push) else (2,)) + fk

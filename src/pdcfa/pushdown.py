@@ -5,18 +5,23 @@ A rooted pushdown system is given intensionally by an RPDSOracle:
 and `top_delta(q, γ, e)` enumerates the pop transitions enabled when γ is
 on top; e is the entry q is stepped under.
 `compact_worklist` computes the compacted system and ε-closure graph with
-one resumable loop, `Worklist`, which every analysis runs.  As in the AAC
-and P4F machines (Johnson & Van Horn, DLS 2014; Gilray et al., POPL 2016),
-each pushed frame is stored at its push target with its pusher and the
-pusher's entry, so a return reaches exactly the frames pushed on the way
-to its entry: the loop computes the same-level summaries that pushdown
-reachability needs and nothing more.  Work is a FIFO of (state, entry)
-pairs, explored in the order the oracle answers; nothing is sorted here.
-The result is `graph.paths` plus `graph.kstore` (see CRPDS); `ECG` reads
-the ε-closure, never stored, from the one-step same-level relation.  An
-analysis whose transfer function grows (widened store, an entry's root
-set under approximate GC, the finite baselines' continuation store)
-re-steps the affected states, and the loop works them in.
+one resumable loop, `Worklist`, which every analysis runs.  The loop's
+continuation allocator decides what a push enters, and so which analysis
+it is (Gilray et al., "Pushdown Control-Flow Analysis for Free", POPL
+2016; Johnson & Van Horn, "Abstracting Abstract Control", DLS 2014).  By
+default a pushed frame is stored at its push target with its pusher and
+the pusher's entry, so a return reaches exactly the frames pushed on the
+way to its entry: the loop computes the same-level summaries that
+pushdown reachability needs and nothing more.  A return-point allocator
+stores the frame at an address of the frame itself, which every caller
+of it shares: that is finite k-CFA, and no summaries are kept.  Work is
+a FIFO of (state, entry) pairs, explored in the order the oracle
+answers; nothing is sorted here.  The result is `graph.paths` plus
+`graph.kstore` (see CRPDS); `ECG` reads the ε-closure, never stored,
+from the one-step same-level relation.  An analysis whose transfer
+function grows (widened store, an entry's root set under approximate
+GC) re-steps the affected (state, entry) pairs, and the loop works them
+in.
 """
 from __future__ import annotations
 
@@ -73,15 +78,16 @@ class CRPDS:
     """Compacted rooted pushdown system: nodes, edges and the two relations
     Worklist fills, the states stepped under each entry (paths) and the
     callers stored at each (kstore).  q is reached with top-first frames
-    γ1…γn when one of its entries is the root (n = 0) or stores under γ1
-    a caller whose entry is reached with γ2…γn."""
+    γ1…γn when one of its entries is the root's (n = 0) or stores under
+    γ1 a caller whose entry is reached with γ2…γn."""
 
-    def __init__(self, root):
-        self.root = root
+    def __init__(self, root, root_entry):
+        self.root, self.root_entry = root, root_entry
         self.nodes = {root: None}  # insertion-ordered set
         self.edges = {}  # (src, act, dst) -> None
-        self.paths = {root: {}}  # entry -> {q stepped under it: None}
-        self.kstore = {}  # entry -> {γ: {(pusher, pusher's entry): None}}
+        self.paths = {root_entry: {}}  # entry -> {q stepped under it: None}
+        # entry -> {γ: {(pusher or None, pusher's entry): None}}
+        self.kstore = {}
 
     def add_edge(self, edge):
         """Record edge (src, act, dst) and, if they are new, its nodes."""
@@ -135,35 +141,43 @@ class Worklist:
     """Pushdown reachability over a continuation store, as a resumable
     loop.
 
-    An *entry* is the root or the target of a push edge.  The work list is
-    a FIFO of (state, entry) pairs.  Stepping q under e records q in
+    An *entry* is the root's or what a push enters.  The work list is a
+    FIFO of (state, entry) pairs.  Stepping q under e records q in
     `graph.paths[e]`, pops q against every frame stored at e, and follows
-    q's moves: an ε or tagged edge reaches its target under e, and a push
-    q --γ--> t stores the caller (q, e) under γ at t in `graph.kstore`.
-    A new caller pops the states already at t, and t is stepped under
-    itself when it first becomes an entry.  A pop x --pop γ--> r for a
-    caller (p, pe) adds the summary p → r to `same` and reaches r under
-    pe.  So `same[q]` holds q's ε successors and its push…pop summaries,
-    and `ecg` is their closure, built only when read.
+    q's moves: an ε edge reaches its target under e, and a push
+    q --γ--> t stores the caller (q, e) under γ at the entry t enters,
+    which t is stepped under.  A new caller pops the states already under
+    that entry.  A pop x --pop γ--> r for a caller (p, pe) adds the
+    summary p → r to `same` and reaches r under pe.  So `same[q]` holds
+    q's ε successors and its push…pop summaries, and `ecg` is their
+    closure, built only when read.
+
+    `enters` is the continuation allocator.  None: a push enters its
+    target, and the root is its own entry (pushdown).  Otherwise a push
+    into t, and the root, enter enters(t): a return point that every
+    caller of the frame shares (finite k-CFA).  A caller is then stored
+    as (None, its entry), since γ names what it returns to, and no `same`
+    pairs are kept: a summary through a shared return point would join
+    callers that no stack joins, so `ecg` is None.
 
     `run` may be called again after it returns.  An oracle whose answers
-    grow (a larger store, root set or continuation store) tells the loop
-    with `restep`, between runs or from inside a call; only states also
-    stepped under a non-root entry are indexed for it.  The node limit is
-    checked before every step, the deadline every CHECK_EVERY steps.
+    grow (a larger store or root set) tells the loop with `restep`,
+    between runs or from inside a call.  The node limit is checked before
+    every step, the deadline every CHECK_EVERY steps.
     """
 
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.graph = CRPDS(oracle.root)
-        self.same = {}  # q -> {q2: None}
-        self._entries = {}  # q -> its entry, or {entry: None} if several
-        self._work = deque([(oracle.root, oracle.root)])
+    def __init__(self, oracle, enters=None):
+        self.oracle, self._enters = oracle, enters
+        root = oracle.root
+        entry = root if enters is None else enters(root)
+        self.graph = CRPDS(root, entry)
+        self.same = {} if enters is None else None  # q -> {q2: None}
+        self._work = deque([(root, entry)])
 
     @property
     def ecg(self):
         """The ε-closure graph of what has been found so far."""
-        return ECG(self.graph.nodes, self.same)
+        return None if self.same is None else ECG(self.graph.nodes, self.same)
 
     def _step(self, q, e):
         """q under entry e, unless it already was: its pops of the frames
@@ -172,55 +186,53 @@ class Worklist:
         if q in path:
             return
         path[q] = None
-        root = self.graph.root
-        if e is not root or q in self._entries:  # the index restep reads
-            had = self._entries.setdefault(
-                q, root if q in self.graph.paths[root] else e)
-            if type(had) is dict:
-                had[e] = None
-            elif had is not e:
-                self._entries[q] = {had: None, e: None}
         for gamma, callers in self.graph.kstore.get(e, {}).items():
             self._pop(q, gamma, callers, e)
-        record, work = self.graph.add_edge, self._work
+        record, work, same = self.graph.add_edge, self._work, self.same
         for q2, act in self.oracle.nop_delta(q, e):
             record((q, act, q2))
             if type(act) is Push:
                 self._push(q, act.frame, e, q2)
                 continue
-            if act is UNCH:
+            if same is not None:
                 self._same(q, q2)
             if q2 not in path:
                 work.append((q2, e))
 
     def _push(self, q, gamma, e, t):
-        """Store the frame q pushed under e at t; a new caller pops the
-        states already there."""
-        kstore = self.graph.kstore
-        frames = kstore.get(t)
+        """Store the frame q pushed under e at the entry t enters; a new
+        caller pops the states already there."""
+        if self._enters is None:
+            entry, caller = t, (q, e)
+        else:
+            entry, caller = self._enters(t), (None, e)
+        kstore, paths = self.graph.kstore, self.graph.paths
+        frames = kstore.get(entry)
         if frames is None:
-            frames = kstore[t] = {}
+            frames = kstore[entry] = {}
         callers = frames.get(gamma)
         if callers is None:
             callers = frames[gamma] = {}
-        if (q, e) in callers:
-            return
-        callers[q, e] = None
-        if t in self.graph.paths:
-            for x in list(self.graph.paths[t]):
-                self._pop(x, gamma, ((q, e),), t)
-        else:
-            self.graph.paths[t] = {}
-            self._work.append((t, t))
+        path = paths.get(entry)
+        if caller not in callers:
+            callers[caller] = None
+            for x in list(path or ()):
+                self._pop(x, gamma, (caller,), entry)
+        if path is None:
+            paths[entry] = {}
+            self._work.append((t, entry))
+        elif entry is not t and t not in path:  # a return point's new state
+            self._work.append((t, entry))
 
     def _pop(self, x, gamma, callers, e):
         """x's pops of γ, stepped under e, for each (pusher, pusher's
         entry) in callers: a return is a summary of the pusher, reached
         under its entry."""
-        paths, work = self.graph.paths, self._work
+        paths, work, same = self.graph.paths, self._work, self.same
         for r, act in self.oracle.top_delta(x, gamma, e):
             for p, pe in callers:
-                self._same(p, r)
+                if same is not None:
+                    self._same(p, r)
                 if r not in paths[pe]:
                     work.append((r, pe))
             self.graph.add_edge((x, act, r))
@@ -231,14 +243,10 @@ class Worklist:
             succ = self.same[s] = {}
         succ[d] = None
 
-    def restep(self, q, e=None):
-        """q's transitions grew: step it again under entry e, or under
-        every entry it was stepped under (the root alone, if it is not
-        indexed)."""
-        es = self._entries.get(q, self.graph.root) if e is None else e
-        for e in es if type(es) is dict else (es,):
-            if self.graph.paths[e].pop(q, 0) is None:  # not already waiting
-                self._work.append((q, e))
+    def restep(self, q, e):
+        """q's transitions under entry e grew: step it again under e."""
+        if self.graph.paths[e].pop(q, 0) is None:  # not already waiting
+            self._work.append((q, e))
 
     def run(self, deadline: float | None = None,
             node_limit: int | None = None) -> bool:

@@ -20,8 +20,8 @@ of the library because only tests call it:
 
 The soundness checks compare an instrumented concrete run against each
 analysis: every trace configuration must be covered (⊑) by a reached
-node, and its continuation must be realizable as a push-path (pushdown
-analyses) or a continuation-store chain (finite baselines).
+node, and its continuation must be realizable as a chain through the
+loop's continuation store, whichever allocator filled it.
 
 For the GC analyses the concrete configuration is garbage-collected
 first: the collected machine is the thing those analyses abstract, and
@@ -285,7 +285,7 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
     not exhausted — in that case the result is exact.
     """
     root = oracle.root
-    graph = CRPDS(root)
+    graph = CRPDS(root, root)
     balanced = {}  # s -> {q: None}, already transitive
     saturated = True
     steps = 0
@@ -357,8 +357,9 @@ def compact_naive(oracle, depth_bound: int, step_bound: int):
 def least_entry_roots(result) -> dict:
     """From-scratch least solution, over result.graph.kstore, of
         Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t},
-    the root set approximate GC collects the states under entry t with.
-    Entries whose Rk is empty are left out, the root among them."""
+    the root set approximate GC and plain-gc collect the states under
+    entry t with; a finite character (f, ka) touches what f does.
+    Entries whose Rk is empty are left out, the root's among them."""
     kstore, Rk = result.graph.kstore, {}
     changed = True
     while changed:
@@ -366,8 +367,9 @@ def least_entry_roots(result) -> dict:
         for t, frames in kstore.items():
             old = new = Rk.get(t, frozenset())
             for gamma, callers in frames.items():
+                fr = gamma[0] if isinstance(gamma, tuple) else gamma
                 for _p, pe in callers:
-                    new = new | touches(gamma) | Rk.get(pe, frozenset())
+                    new = new | touches(fr) | Rk.get(pe, frozenset())
             if new != old:
                 Rk[t] = new
                 changed = True
@@ -580,7 +582,8 @@ def concrete_gc(c: Conf) -> Conf:
 
 def frame_leq(fa, gamma):
     """fa (an α-image frame) against a stack character of the analysis;
-    GC-precise characters are (frame, roots) pairs."""
+    GC-precise characters are (frame, roots) pairs, finite ones (frame,
+    kaddr below)."""
     if isinstance(gamma, tuple):
         gamma = gamma[0]
     if fa.var is not gamma.var or fa.exp is not gamma.exp:
@@ -594,8 +597,8 @@ def frame_leq(fa, gamma):
 def make_push_realizable(result):
     """Decides whether a node is reached with a top-first frame sequence
     f1…fn, chained through the loop's two relations (pushdown.CRPDS):
-    some entry the node was stepped under is the root (n = 0), or stores
-    a frame γ ⊒ f1 with a caller whose entry realizes f2…fn."""
+    some entry the node was stepped under is the root's (n = 0), or
+    stores a frame γ ⊒ f1 with a caller whose entry realizes f2…fn."""
     graph, memo = result.graph, {}
     entries = {}  # node -> the entries it was stepped under
     for entry, stepped in graph.paths.items():
@@ -608,7 +611,7 @@ def make_push_realizable(result):
             return memo[key]
         memo[key] = False  # cycle guard
         if not frames:
-            ok = entry == graph.root
+            ok = entry == graph.root_entry
         else:
             ok = any(frame_leq(frames[0], gamma) and realizes(pe, frames[1:])
                      for gamma, callers in graph.kstore.get(entry, {}).items()
@@ -618,26 +621,6 @@ def make_push_realizable(result):
 
     return lambda node, frames: any(realizes(e, frames)
                                     for e in entries.get(node, ()))
-
-
-def make_kont_realizable(kstore):
-    """Same, but chained through the finite baseline's continuation store."""
-    memo = {}
-
-    def go(ka, frames):
-        key = (ka, frames)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        if not frames:
-            ok = ka is K_HALT
-        else:
-            ok = any(frame_leq(frames[0], fr) and go(ka2, frames[1:])
-                     for fr, ka2 in kstore.get(ka, ()))
-        memo[key] = ok
-        return ok
-
-    return go
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +667,7 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
     """(uncovered, checked): the configurations of e's concrete run, up to
     fuel steps, that `result` does not cover, and the run's length."""
     trace, outcome, addr_map, ctxs = run_abstracted(e, policy, fuel)
-    if result.kind in ("plain", "plain-gc"):
-        realizable = make_kont_realizable(result.kstore)
-    else:
-        realizable = make_push_realizable(result)
+    realizable = make_push_realizable(result)
     by_exp = {}
     for n in result.graph.nodes:
         by_exp.setdefault(n.exp, []).append(n)
@@ -711,11 +691,7 @@ def coverage_violations(e, policy, result, fuel=10 ** 5):
                     continue
             except IncomparableKinds:
                 continue
-            if result.kind in ("plain", "plain-gc"):
-                if realizable(n.kaddr, ac.kont):
-                    ok = True
-                    break
-            elif realizable(n, ac.kont):
+            if realizable(n, ac.kont):
                 ok = True
                 break
         if not ok:

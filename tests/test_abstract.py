@@ -312,8 +312,8 @@ def test_finite_no_let_no_kstore_growth():
     e = parse_and_normalize(ID_ON_ID)
     r = analyze_finite(e, Mono())
     assert r.saturated
-    assert r.kstore == {}
-    assert all(act == "eps" for _, act, _ in r.graph.edges)
+    assert r.graph.kstore == {}
+    assert all(act is UNCH for _, act, _ in r.graph.edges)
 
 
 def test_finite_let_roundtrip():
@@ -321,12 +321,20 @@ def test_finite_let_roundtrip():
     e = parse_and_normalize(src)
     r = analyze_finite(e, Mono())
     assert r.saturated
-    # the Let1 stored its continuation
-    (ka, entries), = r.kstore.items()
-    assert [act for _, act, _ in r.graph.edges].count("push") == 1
+    # the Let1 stored its frame at the frame's return point, with the
+    # halt address below it
+    (ka, frames), = r.graph.kstore.items()
+    (gamma, callers), = frames.items()
+    assert isinstance(ka, KAddr) and gamma[1] is K_HALT
+    assert callers == {(None, K_HALT): None}
+    pushes = [(s, act, d) for s, act, d in r.graph.edges
+              if isinstance(act, Push)]
+    assert [(s.kaddr, act.frame, d.kaddr) for s, act, d in pushes] == [
+        (K_HALT, gamma, ka)]
     # and the Ret popped back out through it, to a halting Ret
-    pops = [(s, d) for s, act, d in r.graph.edges if act == "pop"]
-    assert pops
+    pops = [(s, d) for s, act, d in r.graph.edges if act == Pop(gamma)]
+    assert pops and all(isinstance(act, (Push, Pop)) or act is UNCH
+                        for _, act, _ in r.graph.edges)
     assert all(s.kaddr is ka and d.kaddr is K_HALT for s, d in pops)
     assert any(isinstance(d.exp, Ret)
                and not any(s is d for s, _, _ in r.graph.edges)
@@ -437,19 +445,18 @@ def test_a_repeated_run_derives_no_map_anew(monkeypatch):
 
 def _reached_maps(r):
     """Every store and env an analysis result holds: node stores and envs,
-    frame envs (pushed frames or the continuation store's), closure envs
+    frame and continuation-address envs, closure envs
     inside stored values, and the widened global store."""
     stores, envs, frames, vals = [], [], [], []
     for n in r.graph.nodes:
         envs.append(n.env)
+        if isinstance(n.kaddr, KAddr):
+            envs.append(n.kaddr.env)
         if n.store is not None:
             stores.append(n.store)
     for _, act, _ in r.graph.edges:
         fr = getattr(act, "frame", None)
         frames.append(fr[0] if isinstance(fr, tuple) else fr)
-    for ka, entries in (r.kstore or {}).items():
-        envs.append(ka.env)
-        frames += [fr for fr, _ in entries]
     if r.global_store is not None:
         stores.append(r.global_store)
     envs += [fr.env for fr in frames if isinstance(fr, AFrame)]
@@ -475,12 +482,11 @@ def _reached_objects(r):
         out.append(act)
         fr = getattr(act, "frame", None)
         out.append(fr[0] if isinstance(fr, tuple) else fr)
-    out += (r.kstore or {}).keys()
     for s in [r.global_store] + [x for x in out if isinstance(x, AStore)]:
         for a, vs in getattr(s, "items", ()):
             out += [a, *vs]
     return [x for x in dict.fromkeys(out) if x is not None
-            and not isinstance(x, str) and x is not UNCH]
+            and x is not UNCH]
 
 
 @pytest.mark.parametrize("kind", KINDS)

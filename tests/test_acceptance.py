@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 import time
+from operator import attrgetter
 
 import conftest
 from helpers import (approx_uncovered, compact_naive, coverage_violations,
                      least_entry_roots, net, program, result_for, stackify,
                      widened_uncovered)
 from pdcfa import analyses
-from pdcfa.abstract import EMPTY_ENV, EMPTY_STORE
+from pdcfa.abstract import EMPTY_ENV, EMPTY_STORE, K_HALT
 from pdcfa.analyses import ANALYSES, AnalysisResult
 from pdcfa.gc import gc_store, touches
 from pdcfa.bench import BENCHMARKS
@@ -237,8 +238,8 @@ def _incremental_roots_hold(results):
 
 
 def test_criterion_09_incremental_root_cache():
-    results = [result_for(b, "pdcfa-gc-approx", k)
-               for b in BENCHMARKS for k in (0, 1, 2)]
+    results = [result_for(b, kind, k) for b in BENCHMARKS for k in (0, 1, 2)
+               for kind in ("pdcfa-gc-approx", "plain-gc")]
     assert all(r.saturated for r in results)
     assert _incremental_roots_hold(results)
     entries = sum(len(r.entry_roots) for r in results)
@@ -247,12 +248,14 @@ def test_criterion_09_incremental_root_cache():
            f"least fixpoint over the continuation store")
 
 
-def _approx_without_callers_roots(e, policy):
-    """analyze_gc_approx, broken: a push joins touches(γ) into its
-    target's roots, but not the roots of the pusher's entry."""
+def _without_callers_roots(kind, e, policy):
+    """analyze_gc_approx or plain-gc, broken: a push joins touches(γ) into
+    the roots of the entry it enters, but not the roots of the pusher's
+    entry."""
     node, Rk = analyses._node_table(), {}
+    finite = kind == "plain-gc"
     oracle = analyses._oracle(
-        node(e, EMPTY_ENV, EMPTY_STORE),
+        node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT if finite else None),
         lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, frozenset())),
         node, policy)
     moves = oracle.nop_delta
@@ -261,28 +264,29 @@ def _approx_without_callers_roots(e, policy):
         out = moves(q, pe)
         for t, act in out:
             if type(act) is Push:
+                fr, t = (act.frame[0], t.kaddr) if finite else (act.frame, t)
                 old = Rk.get(t, frozenset())
-                if not touches(act.frame) <= old:
-                    Rk[t] = old | touches(act.frame)
+                if not touches(fr) <= old:
+                    Rk[t] = old | touches(fr)
                     for x in list(wl.graph.paths.get(t, ())):
                         wl.restep(x, t)
         return out
     oracle.nop_delta = nop_delta
-    wl = Worklist(oracle)
+    wl = Worklist(oracle, attrgetter("kaddr") if finite else None)
     assert wl.run()
-    return AnalysisResult("pdcfa-gc-approx", wl.graph, wl.ecg, e,
-                          entry_roots=Rk)
+    return AnalysisResult(kind, wl.graph, wl.ecg, e, entry_roots=Rk)
 
 
 def test_criterion_09_fails_roots_that_skip_the_callers_entry():
     policy = policy_for_k(0)
-    broken = {b: _approx_without_callers_roots(program(b), policy)
-              for b in ("fig1", "kcfa2")}
-    for b, r in broken.items():
-        assert not _incremental_roots_hold([r]), b
-    bad, checked = coverage_violations(program("fig1"), policy,
-                                       broken["fig1"])
-    assert bad > 0, checked
+    for kind in ("pdcfa-gc-approx", "plain-gc"):
+        broken = {b: _without_callers_roots(kind, program(b), policy)
+                  for b in ("fig1", "kcfa2")}
+        for b, r in broken.items():
+            assert not _incremental_roots_hold([r]), (kind, b)
+        bad, checked = coverage_violations(program("fig1"), policy,
+                                           broken["fig1"])
+        assert bad > 0, (kind, checked)
 
 
 def test_criterion_10_determinism():

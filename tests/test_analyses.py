@@ -135,30 +135,51 @@ def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
 
 @pytest.mark.parametrize("gc", [False, True])
 def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
-    """A finite baseline steps every state under the root alone, so its
-    re-steps find the state in paths[root] and the loop indexes none."""
-    engines, resteps = [], []
+    """A finite baseline steps each state under its own kaddr alone, from
+    the halt address, and keeps no same-level pairs: a summary through a
+    return point that callers share would join them.  Each caller is
+    stored as its entry alone, which its stack character names."""
+    engines = []
 
     class Kept(pushdown.Worklist):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             engines.append(self)
-
-        def restep(self, q):
-            resteps.append(q)
-            super().restep(q)
     monkeypatch.setattr(analyses, "Worklist", Kept)
     r = analyze_finite(load("fig1"), OneCFA(), gc=gc)
     (wl,) = engines
-    assert r.saturated and resteps
-    assert wl._entries == {}
-    assert list(wl.graph.paths) == [r.graph.root]
-    assert set(wl.graph.paths[r.graph.root]) == set(r.graph.nodes)
+    assert r.saturated and r.ecg is None and wl.same is None
+    assert r.graph.root_entry is K_HALT and len(r.graph.paths) > 1
+    stepped = [(q, e) for e, path in r.graph.paths.items() for q in path]
+    assert len(stepped) == len(r.graph.nodes)
+    assert all(e is q.kaddr for q, e in stepped)
+    assert r.graph.kstore and all(
+        callers == {(None, gamma[1]): None}
+        for frames in r.graph.kstore.values()
+        for gamma, callers in frames.items())
 
 
 # perfbench's caps on the k=1 blowups (workloads.CAPS)
 BENCH_CAPS = {("kcfa2", "plain"): 10_000, ("kcfa3", "plain"): 10_000,
               ("kcfa3", "pdcfa"): 2_000}
+
+
+@pytest.mark.parametrize("prog, most", [("kcfa2", 8_851), ("kcfa3", 7_740)])
+def test_capped_plain_cells_read_pops_and_moves_from_one_astep(
+        prog, most, monkeypatch):
+    """The capped plain k=1 cells run astep at most 8,851 and 7,740
+    times: a finite state's pops and then its moves read one astep
+    result, kept until the next input."""
+    calls = []
+    real_astep = analyses.astep
+
+    def astep(*args):
+        calls.append(None)
+        return real_astep(*args)
+    monkeypatch.setattr(analyses, "astep", astep)
+    r = run_one("plain", load(prog), policy_for_k(1),
+                node_limit=BENCH_CAPS[prog, "plain"])
+    assert not r.saturated and len(calls) <= most
 
 
 @pytest.mark.parametrize("kind", tuple(analyses.ANALYSES))
@@ -268,23 +289,19 @@ def test_widened_resteps_only_nodes_that_read_a_grown_address(monkeypatch):
 @pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
 def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     # one more pass against the final continuation store must find nothing
-    # new: every state that read a kaddr was re-stepped after it last grew
+    # new: every state was re-stepped after the frames or, under GC, the
+    # root set of its kaddr last grew
     r = analyze_finite(load(prog), Mono(), gc=gc)
     assert r.saturated
-    kstore = r.kstore
+    kstore, Rk = r.graph.kstore, least_entry_roots(r)
+    assert r.entry_roots == (Rk if gc else None)
     nodes = node_parts(r)
     edges = {(parts(s), parts(d)) for s, _, d in r.graph.edges}
     for st in r.graph.nodes:
-        roots, seen, work = set(), {st.kaddr}, [st.kaddr]
-        while work:
-            for fr, ka in kstore.get(work.pop(), ()):
-                roots |= touches(fr)
-                if ka not in seen:
-                    seen.add(ka)
-                    work.append(ka)
+        roots = Rk.get(st.kaddr, frozenset())
         store = st.store
         if gc:
-            store = gc_store(st.env, st.store, frozenset(roots))
+            store = gc_store(st.env, st.store, roots)
         succs = []
         for c2 in step_conf(AConf.make(st.exp, st.env, store, (), st.ctx),
                             Mono()):
@@ -362,8 +379,8 @@ def test_approx_resteps_an_entry_when_its_roots_grow(k, monkeypatch):
     resteps = []
 
     class Worklist(pushdown.Worklist):
-        def restep(self, q, e=None):
-            assert e is not None and q in self.graph.paths[e]
+        def restep(self, q, e):
+            assert q in self.graph.paths[e]
             resteps.append(e)
             super().restep(q, e)
     monkeypatch.setattr(analyses, "Worklist", Worklist)
@@ -393,7 +410,7 @@ def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
 
 def _approx_result():
     e = parse_and_normalize("(lambda (q) q)")
-    return e, AnalysisResult("pdcfa-gc-approx", CRPDS("r"), None, e)
+    return e, AnalysisResult("pdcfa-gc-approx", CRPDS("r", "r"), None, e)
 
 
 def test_compute_root_cache_no_edges_is_all_empty():

@@ -51,9 +51,9 @@ CAPS = {
 
 GOLDEN = {
     ('fig1', 'plain', 0):
-        'cd591b98cbc6c6cc47d89d9e873ebbaa25a6d659af34df465c021d900283ea54',
+        '7fb00fa9e85f6eff75ea405518659e476ad9517ba109fbc35a62797ecf7f0be9',
     ('fig1', 'plain-gc', 0):
-        '4b173f76b4af8528627068039464ae4dbb9af04a352a4e9d670a173178026099',
+        '3f8b444716ac2308401bd4b0d90f3e53471aea45d910d956cb4bfad20514eed6',
     ('fig1', 'pdcfa', 0):
         '706e1171410c04a0eaa8ca8e14deedb619e6e08f82ed385a0a77ca04a00a6224',
     ('fig1', 'pdcfa-gc', 0):
@@ -63,9 +63,9 @@ GOLDEN = {
     ('fig1', 'pdcfa-widened', 0):
         '8158ae0e7645920c67c53e46a156704f32820e09947bbb3f46a3e18fb075c6c5',
     ('fig1', 'plain', 1):
-        'b6e78d7a51ca3b7feb5143c12d57b5dbc9d077f20857f5bf6eece79db559045b',
+        'e36d6e45651cbcfb3f885ca3f5fd0c81de780136c84215ce803bc237fd7e3922',
     ('fig1', 'plain-gc', 1):
-        '8c6ff055a0b697a970c97a9b8d8b705197db1994ad6a1ce41270a61befde1278',
+        '359de0824cd6c5db9c8644b4f547dd43ffc37a9cca98a89dd625288d844fd231',
     ('fig1', 'pdcfa', 1):
         '98cdc0d345ce66c1c3af4e854531c7c77b4b06fcae161d4a966d9b2e105e9c3a',
     ('fig1', 'pdcfa-gc', 1):
@@ -75,9 +75,9 @@ GOLDEN = {
     ('fig1', 'pdcfa-widened', 1):
         'c14fb0ebf5bf2cb44c24a53377e51d8f578da24c36a0607c6de6315be8c3b729',
     ('fig1', 'plain', 2):
-        '27c93155bc84bae26d66d2403025e6fb00c6ef7aadf0c64095a1d6945b2003ef',
+        'd86ec130d30d88bb3d4cd4bf34168370eb776bfa5d2801043e95ef8ad6811ad9',
     ('fig1', 'plain-gc', 2):
-        '15f460744bf5e8b4d6b98d01ecedaaffcd4a9c0061683505b1330bc855157669',
+        'e15565bb056673358f952e606d1a153f8cf9533e4215bb06bfaf023a35a2267c',
     ('fig1', 'pdcfa', 2):
         '2c2a9191160093cc562226d7705c9e55f68b801df9126ced9140c8b977880d9c',
     ('fig1', 'pdcfa-gc', 2):
@@ -87,9 +87,9 @@ GOLDEN = {
     ('fig1', 'pdcfa-widened', 2):
         'b45973a1867023fd6350f247be1bc52eda97d5af131e04b4e4a72e65735decfb',
     ('mj09', 'plain', 0):
-        'd8fad82e5dd565d256f4d331c09349b2006fbd3cdf7945a53ebef844cc4b6134',
+        '6a0ec77a5e96242b8470b42079acc2a3d833c7997b2f36a326deb5e8890ede6a',
     ('mj09', 'plain-gc', 0):
-        '0978b00ca84c2a51cb130be2115eebbcf6091105af8aedf230021d9ecb67ed4f',
+        'e77f5f4e753ceae284a0d948247d3073256da59214eceb995096a4e1f3af760d',
     ('mj09', 'pdcfa', 0):
         'cd2117d303a9575f08bb0eb50de230c43d1f066e7ff16de3dd94c739da35a167',
     ('mj09', 'pdcfa-gc', 0):
@@ -99,9 +99,9 @@ GOLDEN = {
     ('mj09', 'pdcfa-widened', 0):
         '3ccb7509c99fdddd94884c0c624bd762c5d7a9e7bac637734eabaf59b653a44d',
     ('mj09', 'plain', 1):
-        '06c24baebc2998adcb7011a554a9fca0962de7073a6984d0258f328984dd1d7d',
+        'cf5e12567ecd5501327b5ecc58312db78fa635ca9788faf14e9c0b2d192bdda1',
     ('mj09', 'plain-gc', 1):
-        'bbf39c5b2ab705fac5b489dd35a58534e67c6c85dba78aa6fb3840eeaf3b6691',
+        '9de44759e8569877a00c52ae4d9deb32db56bd7b010eeeea8a15f5cf64617943',
     ('mj09', 'pdcfa', 1):
         '7aad7db3c2d380042ee52c56c0616a9183c69c536a515ab86798812b1759c476',
     ('mj09', 'pdcfa-gc', 1):
@@ -111,9 +111,9 @@ GOLDEN = {
     ('mj09', 'pdcfa-widened', 1):
         'e68dda4ee327b26ab2acbf575a2341fd9f145d86b8ec5d535a832619c4ff7719',
     ('mj09', 'plain', 2):
-        '282cf03588fb4ad32c89790c3f2e79e1bba25083217a60afbc8c5629dae59448',
+        'dd84da3efe885bc4952753eb2e0d1dc84444382300a7ac1b4b226fbcacba35c1',
     ('mj09', 'plain-gc', 2):
-        '328a4efc9bf315936aab47188ace14a43d0d44b12313b14bf4325519f83f9530',
+        '5e890642a13bab8452d2f269f48714620cc905c1b096e702618dfa7da2a439fe',
     ('mj09', 'pdcfa', 2):
         '67005225883bb5de45db3e1fb73c1a8aabbd270e3019bb820ba073bf98d45f4b',
     ('mj09', 'pdcfa-gc', 2):
@@ -123,9 +123,9 @@ GOLDEN = {
     ('mj09', 'pdcfa-widened', 2):
         'dada5779f0be6c2a68288d0a91d7ccd21eb2622b2fde9c94e160cc11cecacdba',
     ('eta', 'plain', 0):
-        'dcada734f44e1ca7f4a566a0fae6adc74f8545c24d660dd98d1edf05cabd0ee5',
+        '65c78b422aa3ff6225fd3408660e59bc374582a914e6701d6587f0496b0984b6',
     ('eta', 'plain-gc', 0):
-        '0216eb12345e64564f395bedca597eb45dbcb03fd1fed8b7ee63f865533401e9',
+        '780800fda712af11ebbf27011497d90cbf213fb0be52e3abb26fc9de59c714f9',
     ('eta', 'pdcfa', 0):
         '9f52a15eadf94cf45c72b168bc6b28acf2cff4d44b3b967929eac6ec77fbf9c9',
     ('eta', 'pdcfa-gc', 0):
@@ -135,9 +135,9 @@ GOLDEN = {
     ('eta', 'pdcfa-widened', 0):
         '86e6674b902109c57412a8bf3d1db39504b6a4b2f7392140b697b20200ddbe74',
     ('eta', 'plain', 1):
-        'dcada734f44e1ca7f4a566a0fae6adc74f8545c24d660dd98d1edf05cabd0ee5',
+        '65c78b422aa3ff6225fd3408660e59bc374582a914e6701d6587f0496b0984b6',
     ('eta', 'plain-gc', 1):
-        '0216eb12345e64564f395bedca597eb45dbcb03fd1fed8b7ee63f865533401e9',
+        '780800fda712af11ebbf27011497d90cbf213fb0be52e3abb26fc9de59c714f9',
     ('eta', 'pdcfa', 1):
         '9f52a15eadf94cf45c72b168bc6b28acf2cff4d44b3b967929eac6ec77fbf9c9',
     ('eta', 'pdcfa-gc', 1):
@@ -147,9 +147,9 @@ GOLDEN = {
     ('eta', 'pdcfa-widened', 1):
         '4b3e9cd1b8d348d9c6361257173eb8de5e0a2fa28631708c8bf907c6dffe5787',
     ('eta', 'plain', 2):
-        'b3c71a9f7652684ce5c5c965faaa9e29397a767ef522412b2724c31633a55c94',
+        '6e49602b95ff2ec1bd7187265ad1b100c97f19435e95a7736d9b60f656f72a8f',
     ('eta', 'plain-gc', 2):
-        'f518f9221eb83680f3ef01bb766c4ccf904af69cff2058c00d250e7939c88d79',
+        'cb789f50c76d07ba2b1987c6f6d368d6939c180e2d67ad2633bd3fbe52a29c2a',
     ('eta', 'pdcfa', 2):
         'be676bb08e5e1b451cc832cd25417b9473ff4c6300cae8a7abdcc66fdcf42b40',
     ('eta', 'pdcfa-gc', 2):
@@ -159,9 +159,9 @@ GOLDEN = {
     ('eta', 'pdcfa-widened', 2):
         '2de76020cb6fb2e23cbc63abbb85ecfd190671a9b234f6879cf368dd19b2e796',
     ('kcfa2', 'plain', 0):
-        'f6cbae69789e4fbba160f2ba1c9bff6ab2b255a4d6e5c49daaec9191b528763b',
+        'a6db835aa1cf6858e9d8fee342a30201f3e23a8bc141875eba62b6a4a3c8f686',
     ('kcfa2', 'plain-gc', 0):
-        '29d8dc8517c760e4a1e01d4ed629bf00ab088c3b180370e8051d58717d5bf080',
+        '9cb8b0a63093bf65969a58a55495dffba860d92e2eb8d8d234ee82fef99c65ef',
     ('kcfa2', 'pdcfa', 0):
         '30b4d1e510f7e04f79e12f871be6e5216a8c8feb6389a87727dcb34bbeff4b39',
     ('kcfa2', 'pdcfa-gc', 0):
@@ -171,9 +171,9 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-widened', 0):
         '144ebff11f8970097571fc8c4021263967aa64eec3e660fcf28a2f8994d58d8d',
     ('kcfa2', 'plain', 1):
-        'ac4c8c8a1d24cff4437a430e27073f31b52cfeed5828a86c466a88e23f71aa11',
+        'a689456188ce4d0dfb153b3eebe8394018aeba38a5a61d1e8bf4649a4a14b8da',
     ('kcfa2', 'plain-gc', 1):
-        '48270883db50cde3c886034f2806265529302ae5866855ee72a943885d18289f',
+        '59e6db995a4abee96d7487e9989cb137e8157e68400cd61e0486cdbe610bdbb1',
     ('kcfa2', 'pdcfa', 1):
         'a4c5a21b8c93898884dff89c67ee11d6f5d1345a0cab09d14ffac0792759f90a',
     ('kcfa2', 'pdcfa-gc', 1):
@@ -183,9 +183,9 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-widened', 1):
         '28be42df1b4766dd426e0565821251ba2d78f103d571bd9b6593a3dfd24bac97',
     ('kcfa2', 'plain', 2):
-        'c4b78ff9188d7b914f6201a50fc6c2faa9787bfbc45061c1546e7eaaedc6f40a',
+        '3813b6e895019a7b5fa3852a137dcdf4e456b2e68e5c5028fa56543f4ba7e4a9',
     ('kcfa2', 'plain-gc', 2):
-        'f4ceec0a2ef1e322f203e6162523824b9aba558d98e7bf7ad687bf36f69ea2ce',
+        '505e3f5746778a432626a3b6388e67c719c0758126756b50e449789ef99d47f8',
     ('kcfa2', 'pdcfa', 2):
         'ed1eea195253eaaf7111aaf81a290f17886bb5437f83a703bc25610fa52d5799',
     ('kcfa2', 'pdcfa-gc', 2):
@@ -195,9 +195,9 @@ GOLDEN = {
     ('kcfa2', 'pdcfa-widened', 2):
         'de9ea681ff313f9d67e277b949ce0821074eeddaf958a9cafc3f92d8dd140e3f',
     ('kcfa3', 'plain', 0):
-        '971ef980315a8191c4aa6c35d77afbbcb8675069046a34038cf4cad1425078fe',
+        '4c9a4e561439549a04e560ed4bd916b95d48f4537ae5483d169dc549829af97e',
     ('kcfa3', 'plain-gc', 0):
-        'a09fdd1a2fd55fc1bb259bc83b4c5a0b61915f70ef6db1f127167f73e7729872',
+        '65bcfc02b76fcc67fa01c53792cbe53ebc7cc332b316d896c6a082773b6609fa',
     ('kcfa3', 'pdcfa', 0):
         'e929f61577f8aa2063627a9e026178569e376b1e7fc4d22891f6b32cb597c258',
     ('kcfa3', 'pdcfa-gc', 0):
@@ -207,9 +207,9 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-widened', 0):
         '2e6888e9ec83b63d8186816c2210a74ed6060bf1f33d29d13a11e486b518b9cc',
     ('kcfa3', 'plain', 1):
-        '72af4dc544ae099b3463f73752353c194d51dc9e431d2637659a71ee41548924',
+        '19d75cbf7b9d17a17023efdf7ba828e4d532c437efec7cd3f6b0bb0d1358c2d1',
     ('kcfa3', 'plain-gc', 1):
-        '3b3a7cb63b302a1bb554f00e80f9d48f1977f6287a4a4f12284200bad0b94612',
+        '7f33c2153de17f1c916d3a6719926cc0ab76a9b18ca9263e7982f511dcba3924',
     ('kcfa3', 'pdcfa', 1):
         '6bf6d7ccbb29903e0b0380549db817991de042aa0c1de42c49f76e48bfb6f075',
     ('kcfa3', 'pdcfa-gc', 1):
@@ -219,9 +219,9 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-widened', 1):
         'b7d2cb5a59bf4badbe03a3bfd1eabeceba1b9142536d3e1b1fc9b2a2cd878f8c',
     ('kcfa3', 'plain', 2):
-        '3c92b87262749de864210d3132f3e9047ae9ca1843c0c63a3312daa7989d8476',
+        'e88340bbcf94211deda1fc903b959f41b379aedec5d62e786ceaf42fe6599dd6',
     ('kcfa3', 'plain-gc', 2):
-        '39e773e18d334bc7ebef53683dfd6487d3962c7c36d7cfc1fd8e5a155d83ab62',
+        '28ede123ef067ffddf7ab5eeccd5ea3b9890f4cd4defe0478faae0feb4730fad',
     ('kcfa3', 'pdcfa', 2):
         'ea5321ee9ff5dc00863f2a685a009788db2f91644faf1b499dbf434dc313bfcc',
     ('kcfa3', 'pdcfa-gc', 2):
@@ -231,9 +231,9 @@ GOLDEN = {
     ('kcfa3', 'pdcfa-widened', 2):
         '1793a050900ce89c140bf198875c432bcebb807c1a46ce2287997894a7b0824a',
     ('blur', 'plain', 0):
-        '231ca96039fe73e32ebb7fd6e5987b692cf64360a7a9486de8bedfe7e1024cb1',
+        'c5e5dea815140f9636f637da9ecf79f0171c591d06f4b3230386fc2af38cb9bb',
     ('blur', 'plain-gc', 0):
-        'a1f2a61f783fdb37a9b91a1c7329ba155fb4685aa41a6f125830013515557a3a',
+        'a548ec6ff3220048f63df79e8475bf41a48b7a939b10ed4ebe1d579943c71b66',
     ('blur', 'pdcfa', 0):
         '681a6a0f78318100c15807da5ec6621195e5caa07aa4404a01fa9dd9a5de3a1c',
     ('blur', 'pdcfa-gc', 0):
@@ -243,9 +243,9 @@ GOLDEN = {
     ('blur', 'pdcfa-widened', 0):
         'bf3a46fefc2f980cd62630bcf03c560ff54f3142f8e1db4ee90f45c145ea35f4',
     ('blur', 'plain', 1):
-        '3f414d5026ac06adc9db060eea2f33abd17967ab6d95f60ab15946f0a36b47ec',
+        '0f165b4ba80642fb4d68d448fb2d68371ed02c611f806f03815ea2bf092a9f61',
     ('blur', 'plain-gc', 1):
-        'f1895757e23b212853241448814c645b7a9ed1ad39b5bdc44d66635b987f5535',
+        '08fde8f6c27677414e30584f76b0d1f3dc1080c60a56dd9178122e411c5e5912',
     ('blur', 'pdcfa', 1):
         '1fe449c0b4d49bebe8239df829694dedb42471a2175b2c40ae6d2a92ca853af6',
     ('blur', 'pdcfa-gc', 1):
@@ -255,9 +255,9 @@ GOLDEN = {
     ('blur', 'pdcfa-widened', 1):
         '3eb8944b2a8a8d6415d33351e61c3f84735bdd46414e999e0d65353c9dd40f29',
     ('blur', 'plain', 2):
-        '3c0c2125e9650ad1c804979a86089bf2f3ba4aa06b68c188d0a4d50f90caaed2',
+        '2fe0445cfa2d66012090c04a1c5713604990b5969711164ef92e195aeca486b4',
     ('blur', 'plain-gc', 2):
-        'e2b4706e4457568b460a71247931f7540510dd26b91d01542a47877408c7f17f',
+        'defc88b263c06a855ac375d7c543bbab636445e2f87a38a2da0794b49b9aa707',
     ('blur', 'pdcfa', 2):
         '210e2d9c3f23dca6e226837df1385e9b31fa34eb98464d0b6f86ab92915cc7f3',
     ('blur', 'pdcfa-gc', 2):
@@ -267,9 +267,9 @@ GOLDEN = {
     ('blur', 'pdcfa-widened', 2):
         '790aa2ce5b76ca99546a7da6dfb0a88426e5c6a702796ed6419dd8be2ef2a5e0',
     ('loop2', 'plain', 0):
-        'a2e377ca0fd8f8062dbcd847141b3184934b52c95eb48ca179ab18645b36cbdd',
+        'fb8e9d05a44c62b977616308a9417fee2b7bd50ff0a6f678a85ac0ee3d50d0d0',
     ('loop2', 'plain-gc', 0):
-        'e1e3c822a07257405daf5481e9a9df5b142bb28b10a912adbcf07ed7fa779ab6',
+        'ac0caa2a8c69814ab183191ce91eeba73789dbfcb448ffc27a02e711b0a01342',
     ('loop2', 'pdcfa', 0):
         '4429b407762ecd4838fee45b97601e0621eb04c1d605b2b330b3c000ef6f46f1',
     ('loop2', 'pdcfa-gc', 0):
@@ -279,9 +279,9 @@ GOLDEN = {
     ('loop2', 'pdcfa-widened', 0):
         '6002cebfd5c9864e1b6da410c0ab6d3fda7e5cc242f65f97f5665daf3eca1d5d',
     ('loop2', 'plain', 1):
-        'cb91be497a75c0bfe6730b392acd9fa86046c304b585f43cb5e3d42627ddb09b',
+        '6759f4b3cec5027f5eb92c05e450343d47b2b7ff2f84835559a386bb9b2aa46b',
     ('loop2', 'plain-gc', 1):
-        '2ae6c5f0e7f679f955af48780b7af09bf965b1342e53cc9a9fd6a581d76bbf05',
+        '1b9a7c86e3e9c5c350bb682187d95f0b2790073169cb4003f510a9c713976cf0',
     ('loop2', 'pdcfa', 1):
         '83688d1376b5605540b0a55755f9af355e7c6088311205d22360136971cbdf5e',
     ('loop2', 'pdcfa-gc', 1):
@@ -291,9 +291,9 @@ GOLDEN = {
     ('loop2', 'pdcfa-widened', 1):
         '72ab53f229436cc1ef499be591c144b90aa799c093e13ebe3b329e3131ca8128',
     ('loop2', 'plain', 2):
-        '51c736fe91152a7e2fe9593e0fdfd166127128e67de708d9ce6084d689ca023b',
+        '3fc7dd4c03664ee01a7d760de5ec675d02549e35ecb7f06fc635e5c2084163f8',
     ('loop2', 'plain-gc', 2):
-        'f8978599e3488d8c08b12d55d606bf8006a25edf27229302730aa8146b222a76',
+        '8a46b4a97bbe6057a8a21af1f29f0161db6ac0b42744429a1f654666b6f911bf',
     ('loop2', 'pdcfa', 2):
         '83e2cd0c6a18a2372c13e8d25e4b451ba93eaaa0586fd2c5e65cd3ffe757e3f8',
     ('loop2', 'pdcfa-gc', 2):
@@ -303,9 +303,9 @@ GOLDEN = {
     ('loop2', 'pdcfa-widened', 2):
         '51a20068fe06d4b04ffe3b210034d11f407fe5306398f1f7079d85fce4f9b3c6',
     ('sat', 'plain', 0):
-        'f335c0f487562d3faab056ad448156199f0aff5aa9847c9f165e018b1868e35e',
+        '12ebf41b5fe9b25a5e521fa5d04d511b45553b3c8a291b8641c8bcd186e6b4a0',
     ('sat', 'plain-gc', 0):
-        '613d98893bf861a3d46d35ac652cb97d055f2847b7320cb132bf49fb47d463dd',
+        '5a79d40d32c1bfe308e89b12ee52a60215004a72f75f9b6209d996caacd3b8ae',
     ('sat', 'pdcfa', 0):
         '50bb20970a0a49ddd8bc68bf40423f826956c9e444a862bc01908fbbbf8d55e6',
     ('sat', 'pdcfa-gc', 0):
@@ -315,9 +315,9 @@ GOLDEN = {
     ('sat', 'pdcfa-widened', 0):
         'bc704573db3ad3151b36b2a5b855f65bfdf46bc89c6ed6415ace39d6a7849c4b',
     ('sat', 'plain', 1):
-        'ba47179583bdd9157f0bef9692b67ff039af7210c35a239453cb60b7aca8cf8e',
+        '067ae7045a14aaf9ee5a925f751a4ff5235886e02b230010b9537d031d62f597',
     ('sat', 'plain-gc', 1):
-        '6b4b4f32fb5ccd44c7a8405c7ac06a714660d0b36b23cc0548abb79e64db1db7',
+        '9fe092560758d67f12486472221d6d246884ff2dc1b0285ec608a44897f9f361',
     ('sat', 'pdcfa', 1):
         '983d93a970924a05001f04c7c03536dddaf41db54b69727f8e25321513a1393b',
     ('sat', 'pdcfa-gc', 1):
@@ -327,9 +327,9 @@ GOLDEN = {
     ('sat', 'pdcfa-widened', 1):
         '558658cbca887b49a06e9188a9b85b04bce44e42fc2c39d95fcaf0f3ea9d92f9',
     ('sat', 'plain', 2):
-        '830f65afb262d3638edfddead7327783d62d3d445109e58795d0faa9023a14fb',
+        '1888c1d8203f416b624217923e0a1ed13b7d29a6b2f54d7ad3ef30d4edf6a31f',
     ('sat', 'plain-gc', 2):
-        'a01df89d2a9dfabe97ca657d68c64084be0b7b9cf752b83d68ec1f2e63ef91ef',
+        'e58b8a7260e53d718943ea88c0dba6dc7270ab3f6531679e5d3f5f5aedc4cd5a',
     ('sat', 'pdcfa', 2):
         'f8b10a6e72954d8fee84d302f4788f170c44792a6f2d2e3fe1485a4f255df2ac',
     ('sat', 'pdcfa-gc', 2):
@@ -368,145 +368,145 @@ SOURCES = {**{f"fused{i}": workloads.fused_source(i)
 
 SOAK_GOLDEN = {
     ('fused0', 0):
-        '484c273eef00d183e1a71376d94d83e61c74d71110ea0287f6493384875faf6e',
+        '8edb4558a291cac0687b70a31ab7cf1ff98870b17df57063df77f6f0a3a4431a',
     ('fused0', 1):
-        '0b767ca26aa2b2e37204d128c4f19c480e9b9bf7e124de26bbad3e5e79eb95ac',
+        '64e7efae57943d0a0ef295eb5b6ae34368984e54f1d788ac0502f0f15a3592fb',
     ('fused1', 0):
-        'fe996b2b6eade71b150a9f5f61b2289e484a7580401842b7d15885962b6bd7e8',
+        '3936d9a1337952df169f97f9a3ad792d6615b3282889d2b991de91dc2be2c19f',
     ('fused1', 1):
-        'b81aa0d7e031da1e4acb2d0d68f2b2f856e0d408de5625b3f271d474db927ec4',
+        '01514d7e9627a7625ea79f1a015c11770265321f383cd0db7ab9343d6034d0a3',
     ('fused2', 0):
-        '905813407c7248c0decae813465166ecc4bb2adb8f3a3471cc590a7cd5b08a0a',
+        '6e398470e486e1508513b037b99d727cc1e9a25c39b8202e9a142cd4a89e4e50',
     ('fused2', 1):
-        '9eccf9ab77669f59efb069f612ab2543cdf29674f6acc762e73c30085b78e9f4',
+        '53c399740f624697a86f83ec930bae979e6a1b994ccd43b4244232ec25042cd8',
     ('fused3', 0):
-        'a6377db268c2816f5e8b1730ae57bbdf9cde4817260bd1654fc0ee7ede55780c',
+        '63d84c6fa67509a1a44c5efddcc89f8292dbcbabb87f44c84b48e8fd64ca5744',
     ('fused3', 1):
-        'ccfaca2d13f301a14742850357db94a35077578f077bcca31f062c98ae8cb8b3',
+        '3803106bc6b9782e937857438ed8527fd4e0ffc1913b14a0a08c565c99d8544b',
     ('fused4', 0):
-        '0ebf741f5c9eb7d47a4e0fadfb46f06c6407e13e0fb3844bde57e00e2b6bb171',
+        'ff7e3cb7dff99b434e13a8b9a1d8b5469080e9ecbda838edf57b9ad243d5872e',
     ('fused4', 1):
-        '73724bf04a15b56ff3a37af64156786206ea53de5aff2c0305d1ba012ad17742',
+        '8dd55a1eef623ece62f057464d79ffb2b4e340b29f305cf7c839c40943875663',
     ('fused5', 0):
-        '98565ceb2b7a8217135bbfdb365ae1292d3b7ac046fabd9c0830c6e45fb7981a',
+        '7f2b33daa53800ce251eff67c71837256a083d02953f1d59d26f19d762eb3cc7',
     ('fused5', 1):
-        '13a0ed68703ed69856be27a5f77e6ecded3e19bbdf6cc7281e25f98b2d0b538e',
+        '9c24328999da07669974887e1e73cf624e6ad7c7eb8b25a326f4f67f78f23f25',
     ('fused6', 0):
-        'c952aeeb3bef28df284a7da6bb230679481d90d60d3b5b7b603861a4f4063091',
+        '8f1cf0699eed4adfdec002864a3d3ca84d9e9b6aec30909a3f5cb7e931cc54fe',
     ('fused6', 1):
-        '698daf804a1f61e0bfdf0a495a58f25705bf4d5cf93928c838d7708f4edccabc',
+        '26f32830290fb9aeb58379a1ea5becad0e38378e75bd1417f2ccab69833df922',
     ('fused7', 0):
-        '5aaa01779b8408a7f8d2546670b59c36af29d3786438728154b56ca208c1ec22',
+        '2135e4c8cbc79bceb102b20712fc912ad7cc98e29915eed458bda1b9d4303449',
     ('fused7', 1):
-        '896986da541582463c25334f56c70b93bd0af7f95d7b45796234f0d3b870685a',
+        '8cd5bc0d11c3a4b5c9177968511b4fccd64cf33f88197769e03fbdd49eb46289',
     ('fused8', 0):
-        '150875ef86a35ccb4fcd2e156c6caab7dcdde5601686a49016854854d14b9ec5',
+        '6b049b2b05671ad4592eaff3ee8f3d7ca188983611bf47edcd5be3d5abeacea5',
     ('fused8', 1):
-        '45b2fb24152eb6db1deba11070ae981b60fc2c52646bb4237b75afa11953b6a5',
+        '3c1011bf3b07ff79ca99b4855995bd6673e007fe15e5654260f71e8b17e06d21',
     ('fused9', 0):
-        'd74925795982149eaec9d68c2c58890a078acab71149baea9b23e666d50835ed',
+        '4cf5286e7104ca7ad6d3cc1ddd6ec40502b4fbb2c9b56dc703574d10be78a1f5',
     ('fused9', 1):
-        '2b028375d2f1250e1ba30e82f3ca45627d044b84ddf3ca1433aef47a8013d640',
+        '45f2b8a3b6451cd3c5d7bbd9162a446a69a09d6cb72a8a28333e00e9912aa3ff',
     ('fused10', 0):
-        '732e6f91697558dcfac1588fb0a0fa2da3b6f4b2544dcaf2ed9c2edbfeeb9ab7',
+        '148e111057aa50234ae69915f8fe139120db8ca97f775b8f0782638e6da37652',
     ('fused10', 1):
-        '6e4119846cf6b6360635c483f039fe34abda6b76b1fece81a46776ac876ee9b8',
+        '21faa26cdbe71128e891d15f65939882f69267ad275c36b60c4a6e13cd886e46',
     ('fused11', 0):
-        'f7c89afbd9f21c4d461f5fe02248ac2246c4c5d9c1e7b599a1430dde8192e509',
+        '21861be4c7a2b89cdcdd32dbeee1775f55b18e0c63f41a1064162bcd6be6997a',
     ('fused11', 1):
-        '71425423d0ca5180e9baa26bd54ea38f2095f32503c134043fffc7027e0d2a0c',
+        'b1f095be8d7e9d249c0f5a1070df6b7df7229ffb766cbff3a76fe2e51ec08532',
     ('fused12', 0):
-        'ce5924aa513754a749342a00aa547d5e32f4dee6c28d33d5166df86c1dba3dd2',
+        'ff0b31e5bebac7379764f50bfcc653c79014bb2adfc833782d2160fe164f9a1e',
     ('fused12', 1):
-        '4a1789f027aa621078bfee08f34e30dcc391d0aae15af89172f2c448c3453258',
+        '96a02c7b63108e2ed2da95dc411786e21cf5d52facc52c74b87d196b4e60bff7',
     ('fused13', 0):
-        '3e7054228ae49e8d577b107dc88ea2d9eeb05764890411abdec01e225b92d8eb',
+        '92ce18e01b6a7dca7038b7be7b7def926b95e5493ec030b06d45d249f3cc2b2b',
     ('fused13', 1):
-        '226fb6423750c3f6497ead77bd4b7606716981400fa824d277f34cab90beeb09',
+        'e9e753e862cef9854ee64ae7d3d73bfc781899eafce0abba2306812cf4d96370',
     ('fused14', 0):
-        '8564f7a7fae8b6b92374567a9d7015299b949d82e58662de58f357a51b5e57d9',
+        '8eddf42a1706d4bba6776b603577e55b570e5e39daa3c5f722a16808f854d019',
     ('fused14', 1):
-        '2cf30c49afe031db35138c329012c065b8474503a2b7414318189f3f54e3ac2c',
+        'f9007d7c4b3e8864c34ac75e2cc8e65cabaf7d6eb377b051eaf52b33a31b1d2d',
     ('fused15', 0):
-        '08713746f0914c29c11e0e1eef0f3d88eaca48e3739f5820bce51cb5cc926de8',
+        '8b232d663bb0e040b313a92c46de5ad425bfd825656e82c74c20adfd869ad139',
     ('fused15', 1):
-        '51a656d1c795de7e6c425b12715f297bef58f2e99803ebc954b4cc4aa64a6e0c',
+        '7656261bec8d6a10634c5de3b20b0fe9137807b0d4dfb7798eb04f643543f71b',
     ('fused16', 0):
-        'f560527acf0d193b535fc13e04c7862f37b23f2a5a67068512cfc59e22e4e85f',
+        '6dc54721417989bc214da3a70ab869f9c93dc16139f5cbb5916908b08a86b3b0',
     ('fused16', 1):
-        '7f2778c25a3c4a95d8981d5f1c59a1a9534e693f3e5cbfc61e075d222f46410d',
+        'e54ef7d68998238fc454ef327fb76bc2f4b97f4221ba28e6493d2aa3497dd26c',
     ('fused17', 0):
-        '18aa75db2a89701b0503a8e7fde0373766fbddb20421a6212ee6bdd3f7e800a0',
+        'de52e7e7c1fe3b098cfea6cb3ea70281a2c01bb130d03043d6d9e6614d2aa994',
     ('fused17', 1):
-        '1092e557ec60850fa0fc05d30273c6933e13ba1f41df4901b4a8dd5f003a78fd',
+        '049f08d038b0ab91d1e54cb162eff1a6c6baeef089463b6ae11eca4debf109f1',
     ('fused18', 0):
-        '950ac1b928f3639c2662186bd922f0e0eb4172a20220bb2a67a1d7194af3f4c1',
+        '8455c1e17d01d56ec93bbd12f47b284e58af399dcb96492b6d8b890c291176b1',
     ('fused18', 1):
-        '0a116daedfc68ce138affc9287920735295c51f31ce171dc10a3834db8b47139',
+        'a0cbaf09ce89fb23a91a515a41cd443bb4152dc9661b3ca0a24924b87e381466',
     ('fused19', 0):
-        '8e25d057755278a8dfb9f62265a9280ac65cee470ea12365362f8ca2d015433a',
+        'fa7d98c49eadc39b8d73b3f2b85080e4452bf2ea2b331a5212125e4870d279b4',
     ('fused19', 1):
-        'a6bd198d6152d08193423a0281a7c9504fb977e950268df8feee0a0985f56be2',
+        'efd812bf935449ea926d0b01c89d74c4e96883bc592cbb249128e3140c62dae9',
     ('fused20', 0):
-        'bcab089285b06f53bcdaeebc32bb5e95cac162db328186245888f598225dc300',
+        '0da29c23412d3c9df1958baa554eb11217eb229c44fa491393507e3538a91959',
     ('fused20', 1):
-        '1fc04794664e20c4b1efddc6ae5ce4cf877e9c256590fad64c75e444f9e68823',
+        '8ebc429acde833d0345c920eecfcf49d42fe74149d281f5974f702d9f2c40ed4',
     ('fused21', 0):
-        '862b76eb8180adf982886bdc588f372cdec72c0f2f4126dc3bc630252fdc8db2',
+        '375310def1adb074822e2ebe805c0d5556c9c8289810100d181519582325d4c7',
     ('fused21', 1):
-        'f630986f8e7f566033e82c608024738275f88825141f30238655fc83e0e751f8',
+        'e72bcc2bd79a8006347d9c8c4bea271b5df2faae6461836917823ca2be314393',
     ('fused22', 0):
-        '685aa0a441bbd2ad8c11dd885e08740bde22f0a72ee2179b1594b562f150012e',
+        'fa34f612d4ef3bb14d6a65039c58e6b7668aed8692f3afad0764afecafbc2648',
     ('fused22', 1):
-        'c029892082cb9bc618d802c785b67943b1ea69363ece4d11b0eba7281cc8e6ab',
+        'b4e6b2ad8b803389643da6e469a08fe9cb4cddba4a183915ed567873b5a44b39',
     ('fused23', 0):
-        '5c567973e3c13049addde01de49b9678a33e6e1690e7b21fef92362680ec8366',
+        '37518838f80ee2b569804d44d42897c07feb3e7b09627aee41a4a80f4c656aa4',
     ('fused23', 1):
-        'fab70ee7cce87a03b4437960597023b834f75d87235b92777b6c6ce400d6e417',
+        '166b373a553ac9cda944bc9fff1448fd38dd996bdb923752088e3225ba84d132',
     ('fused24', 0):
-        'ff857d2c8ad1c7ef906431ee50322cfaf5738dfe8ad19cf2064faeef8cfbc201',
+        '1195c995c572c7620cb2700e6b9cce938d954f4c2d31b98d93211b35477ad0d4',
     ('fused24', 1):
-        '39454f77d7926b5c32f9c20db390280875eea84c7c9f2ebef05a681905da7799',
+        'd4acf93e71f57264b5e373526b00c2e8a487ec99c74e2d5471f8b249ddecd521',
     ('fused25', 0):
-        '95ef1ab8c4c547becc8d9d1504917f56ffb991a423c8ac997182bc75519da9b7',
+        'e5f6aee8c4e643d6e45026e5e10ab26654f9a648674695b4553d57305fb1d10f',
     ('fused25', 1):
-        'd2286fe400a1693117cd2b1d2bb46961e39e4fadd3980762ead54dd3e7653ffe',
+        '155e54d8ea018ebb17deb1cfb5625803727f89dd99dac1a8bf318465b007ccf7',
     ('fused26', 0):
-        'b097840b39b5b875c6b1e50740d53203528331de935357275185871b30335c59',
+        'f6e6e0b283106fe7ac9ed2410ef409b2f7d1e12f558382be83ab3390de328a83',
     ('fused26', 1):
-        '9f3528df8eb67b57298a46fd3ee721ff0c9e2f8beea87d3ab028898130da7da6',
+        '818a1fbf71d2f3dbc12740b38ea3e123eab566eebe706584c7b638b6c7d78803',
     ('fused27', 0):
-        'cd9befd8c8269805766708377ddb2ad4eb7ba68f1be3303b87efc52612183f39',
+        'db4b0e66b30e1eb2d5622d98524de465f9b2e9db62a9a700216f8a43c98c0e6f',
     ('fused27', 1):
-        'd298889a5619e14136758eb41f3a9bc564727c2f4ff64a8e68821db6d514535c',
+        '0356ae115c7d0c1b44c82c102884e4126c513707e67e7feb0bfcf783ff49e9b3',
     ('fused28', 0):
-        '7bbc2340dfd87fc29b7597336027fffd4addfa16fe38acf8379df293a43d21dc',
+        '2c25997a28de14a66a7d01d96b2eb9702202964b0648125eb9f7f8fb75fb75b1',
     ('fused28', 1):
-        'ea8cd1e66a9f8e7668d3277fe6005bb3211f5be05b5e0ccefdb20a5b03f1b4b9',
+        '3d391cae4d3fdb5aa1127aa173333e8e6789b4dde26ee2d550f5680a2856c84d',
     ('fused29', 0):
-        '9d84d091063e00f1a7ed637e484bb587a2e2de600cb5566558bce3a15ecb3d20',
+        '5c92d0a7eca8e95fc8ea7d94280f5dd56ea3afeb6870335e0d820cca5c4eb6b2',
     ('fused29', 1):
-        'bf0082314b6920e76b3a6938c47cfc3732c62562e20d79dc4b42df194107564a',
+        '3ee10d20f545e624e025b9bf525a22a14355b1ab1f81a5c94d0d34ed9afa45b4',
     ('fused30', 0):
-        '0150f6375c35b504547641e5ed3c6107ee52d964ca4a8c1ec0b4b54b19bda643',
+        'f2f5e17130808fff39dfb61302e64bcfea823998dc293f42ca61cf95e97570f9',
     ('fused30', 1):
-        '6d188911ad9cae658cd813dbe5c4dd06e73933ac4fff5966eb832524428ee60c',
+        '59cee6841f27de8e519a94e807449c991d5c77a983add2aede891eecc7183848',
     ('fused31', 0):
-        '51e15c3f87141bfd54dcbe7d09bf62768d0f744f183ed095096bded2b36835cf',
+        '6327c6a3f7d9728a1900147a098a35f5e1b049554074205a01f6443b4fe31d4e',
     ('fused31', 1):
-        '8c3e182aa3be2cc766d8a2a70c2ee009a1eeaf1c1c2aeea725fc4bfbbedded1e',
+        '9d098f073c0bda3cb80f5274a08597673fe0efb9c01c966960ad2e527c742ba7',
     ('chain15', 0):
-        '247938ddc12dbe5f78928746778887760952892d3c2780c47fa956527d1b1a29',
+        'da72cae4b03047e24c7aed1ec4511e20bd959276b2121d05a85b9da949970abb',
     ('chain15', 1):
-        '401171e9fdfc9a3cbd6b744f378bfb168c1ab610597a94e8258bff0164526693',
+        '2ba68c2d0800e941449d93adb00e45a4386b4d552cd480b453ccff8694d01505',
     ('chain30', 0):
-        '17161258c1cf201fa51822c1050e4ebf8e1711c9bd5334d35ab6c2e7b869b507',
+        'd91bc690636b10539de242aecfd8327c068e1dbbcd556b533ed33f07f56b3e5c',
     ('chain30', 1):
-        '12671c099c03f74be0c3e03a4443d6a4e28bf3807ae23e170dfed6039f25df3f',
+        '79b73266f23b8ffd65a9e84b9098e0b836ed79c437092fc5f57f84013c988eb0',
     ('chain60', 0):
-        '26293733936580bb0b40b5609d5a5ce446250af5085304484d2d15d796a1eb2b',
+        'a3e472013c005903bfd591ee9b4b490d383fa80b4b3b23d139076a1b05a851a0',
     ('chain60', 1):
-        '4e2b06534697e41b0e1e3debc70c769c4fa7450ad21838539f15c6b9f782c567',
+        '8d2d4f5678ad20bfd323061c90f1289bf9c6bc1dae2a8a4679cb32e2a89fd983',
 }
 
 

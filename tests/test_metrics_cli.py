@@ -23,7 +23,7 @@ from pdcfa.cli import main
 from pdcfa.metrics import (Metrics, _act_label, _node_label, act_skey,
                            compute_metrics, singleton_count, to_dot, to_json)
 
-from helpers import ref_skey, state_key
+from helpers import kcfa2n_source, ref_skey, state_key
 
 KINDS = tuple(analyses.ANALYSES)
 
@@ -396,7 +396,7 @@ def test_cli_all_gives_each_analysis_its_own_budget(monkeypatch, capsys):
         assert deadline == start + 10.0, kind
 
 
-def test_cli_max_states_and_timeout_markers(capsys):
+def test_cli_max_states_and_timeout_markers(tmp_path, capsys):
     # kcfa3 plain k=1 is an intended blowup: it passes any small cap
     base = ["run", "kcfa3", "--analysis", "plain", "--k", "1"]
     code, out, _ = run_cli([*base, "--max-states", "500"], capsys)
@@ -405,6 +405,12 @@ def test_cli_max_states_and_timeout_markers(capsys):
     code, out, _ = run_cli([*base, "--max-states", "500", "--timeout-secs",
                             "0"], capsys)
     assert code == 0 and out.rstrip().endswith("  [timeout]")
+    # so is kcfa2-n at n=3: plain k=1 passes a cap of 20,000 states
+    prog = tmp_path / "kcfa2n3.scm"
+    prog.write_text(kcfa2n_source(3))
+    code, out, _ = run_cli(["run", str(prog), "--analysis", "plain", "--k",
+                            "1", "--max-states", "20000"], capsys)
+    assert code == 0 and out.rstrip().endswith("  [max-states]")
 
 
 def test_cli_all_gives_each_analysis_the_whole_state_budget(monkeypatch,
@@ -640,3 +646,21 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "states=" in proc.stdout
+
+
+def test_traced_benchmark_child_runs_every_cell():
+    """perfbench's tracer replaces RPDSOracle and compact_worklist with
+    wrappers of their own signatures: a traced child must still run every
+    cell of a bundled job."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    import workloads
+    job = next(j for j in workloads.children("bundled", 0)
+               if j["id"] == "fig1/k0")
+    proc = subprocess.run([sys.executable, str(bench / "child.py")],
+                          input=json.dumps(dict(job, trace=1)),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    cells = json.loads(proc.stdout.splitlines()[-1])["cells"]
+    assert [c["kind"] for c in cells] == list(analyses.ANALYSES)
+    assert [c for c in cells if "error" in c] == []

@@ -237,6 +237,13 @@ def test_random_systems_agree():
     assert compared >= 20
 
 
+def restep_all(wl):
+    """Step every (state, entry) pair the loop has stepped again."""
+    for e, path in list(wl.graph.paths.items()):
+        for q in list(path):
+            wl.restep(q, e)
+
+
 def test_worklist_resumes_after_transitions_grow():
     # saturate on every other transition of a random system, reveal the
     # rest, re-step every node: the resumed run must reach the fixed point
@@ -258,8 +265,7 @@ def test_worklist_resumes_after_transitions_grow():
         assert wl.run()
         edges_before = len(wl.graph.edges)
         hidden[0] = False
-        for q in list(wl.graph.nodes):
-            wl.restep(q)
+        restep_all(wl)
         assert wl.run()
         gw, ew, sw = compact_worklist(full)
         assert sw
@@ -273,7 +279,8 @@ def test_worklist_resumes_after_transitions_grow():
 def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
     # r --ε--> a --push g--> b; d is stepped under the root and then
     # under b, e under b and then under the root, a under the root alone.
-    # Both callbacks are told the entry their state is stepped under.
+    # Both callbacks are told the entry their state is stepped under, and
+    # a re-step finds the entries of a state in graph.paths.
     nops = {"r": [("a", UNCH)],
             "a": [("b", Push("g")), ("d", UNCH), ("x", UNCH)],
             "b": [("d", UNCH), ("e", UNCH)], "x": [("e", UNCH)]}
@@ -291,22 +298,20 @@ def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
     assert stepped == [("r", "r"), ("a", "r"), ("b", "b"), ("d", "r"),
                        ("x", "r"), ("d", "b"), ("e", "b"), ("e", "r")]
     assert popped == [("b", "g", "b"), ("d", "g", "b"), ("e", "g", "b")]
-    assert {q: list(es) if type(es) is dict else es
-            for q, es in wl._entries.items()} == {
-        "b": "b", "d": ["r", "b"], "e": ["b", "r"]}
+    assert {e: list(path) for e, path in wl.graph.paths.items()} == {
+        "r": ["r", "a", "d", "x", "e"], "b": ["b", "d", "e"]}
     # a's moves grow: one restep queues it once, a second finds it waiting
     nops["a"].append(("c", UNCH))
-    wl.restep("a")
-    wl.restep("a")
+    wl.restep("a", "r")
+    wl.restep("a", "r")
     assert list(wl._work) == [("a", "r")]
-    wl.restep("e")  # under each of its entries, in the order first stepped
-    wl.restep("y")  # never stepped: nothing to redo
-    assert list(wl._work) == [("a", "r"), ("e", "b"), ("e", "r")]
+    for e in [e for e, path in wl.graph.paths.items() if "e" in path]:
+        wl.restep("e", e)  # under each of its entries
+    assert list(wl._work) == [("a", "r"), ("e", "r"), ("e", "b")]
     stepped.clear()
     assert wl.run()
     assert [q for q, _ in stepped] == ["a", "e", "e", "c"]
     assert ("a", UNCH, "c") in wl.graph.edges and "c" in wl.graph.paths["r"]
-    assert "a" not in wl._entries and "c" not in wl._entries
     # a restep under one entry queues that pair once, and d stays stepped
     # under its other entry
     wl.restep("d", "b")
@@ -317,6 +322,32 @@ def test_restep_finds_root_entries_in_paths_and_indexes_the_rest():
     popped.clear()
     assert wl.run()
     assert stepped == [("d", "b")] and popped == [("d", "g", "b")]
+
+
+def test_return_point_allocator_merges_the_callers_of_a_frame():
+    # r pushes g1 into p1 and g2 into p2; each pushes f, into t1 and t2,
+    # which return through f to x1 and x2.  Pushed into their targets, f's
+    # two callers stay apart: x1 returns through g1 alone.  Pushed into
+    # f's one return point kf, they merge: x1 and x2 return through both.
+    nops = {"r": [("p1", Push("g1")), ("p2", Push("g2"))],
+            "p1": [("t1", Push("f"))], "p2": [("t2", Push("f"))]}
+    pops = {("t1", "f"): "x1", ("t2", "f"): "x2", ("x1", "g1"): "y1",
+            ("x2", "g2"): "y2", ("x1", "g2"): "bad1", ("x2", "g1"): "bad2"}
+    oracle = RPDSOracle(
+        "r", lambda q, g, e: [(pops[q, g], Pop(g))] if (q, g) in pops else [],
+        lambda q, e: nops.get(q, []))
+    kaddrs = {"r": "halt", "p1": "k1", "p2": "k2", "t1": "kf", "t2": "kf"}
+    pushdown, finite = Worklist(oracle), Worklist(oracle, kaddrs.get)
+    assert pushdown.run() and finite.run()
+    apart = {"r", "p1", "p2", "t1", "t2", "x1", "x2", "y1", "y2"}
+    assert set(pushdown.graph.nodes) == apart
+    assert set(finite.graph.nodes) == apart | {"bad1", "bad2"}
+    assert pushdown.graph.kstore["t1"] == {"f": {("p1", "p1"): None}}
+    assert finite.graph.kstore["kf"] == {
+        "f": {(None, "k1"): None, (None, "k2"): None}}
+    assert finite.graph.root_entry == "halt" and finite.ecg is None
+    assert set(finite.graph.paths["kf"]) == {"t1", "t2"}
+    assert set(finite.graph.paths["k1"]) == {"p1", "x1", "x2"}
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +403,7 @@ def test_engine_matches_naive_and_resumes(rules):
     wl = Worklist(system_oracle(rules, reveal))
     assert wl.run()
     reveal[0] = True
-    for q in list(wl.graph.nodes):
-        wl.restep(q)
+    restep_all(wl)
     assert wl.run()
     assert set(wl.graph.nodes) == set(gw.nodes)
     assert set(wl.graph.edges) == set(gw.edges)
