@@ -9,27 +9,31 @@ Six analyses over one normalized program:
 - analyze_finite:         plain k-CFA: continuations at return points,
                           with or without GC
 
-Every node is one State(exp, env, store, ctx, kaddr, roots), the machine
-state of AAC (Johnson & Van Horn, "Abstracting Abstract Control", DLS
-2014) plus a stack-root set.  An analysis leaves the parts it does not
-use None on all its nodes: pdcfa-widened has no store, only the finite
-baselines have a continuation address and only pdcfa-gc has roots.
+Every node is one State(exp, env, store, ctx, kaddr, roots), the tuple of
+the parts of a machine state of AAC (Johnson & Van Horn, "Abstracting
+Abstract Control", DLS 2014) plus a stack-root set.  An analysis leaves
+the parts it does not use None on all its nodes: pdcfa-widened has no
+store, only the finite baselines have a continuation address and only
+pdcfa-gc has roots.
 Nothing here orders nodes: metrics alone defines that order.
 
 No two analyses share a node, so each run interns its nodes in a table
-of its own (_node_table) and leaves no reference cycle: its nodes go
-with its result.  Domain objects, and their memos, stay process-wide.
+of its own (_node_table), which maps each node to itself and is the
+run's graph.nodes, and leaves no reference cycle: its nodes go with its
+result.  Domain objects, and their memos, stay process-wide.
 
 All run the one transfer function, abstract.astep, which leaves the
 continuation to its caller, through _oracle: nop_delta takes astep's
 moves (push or ε transitions), top_delta(q, γ) binds its returns into γ
-with areturn (pop transitions).  All run on the one reachability loop,
-pushdown.Worklist, and explore successors in the order astep returns
-them.  The loop's continuation allocator is what makes the finite
-baselines finite (Gilray et al., POPL 2016): a push enters the frame's
-return point KAddr(frame.exp, frame.env), which every caller of the
-frame shares, instead of its target, and a node carries that entry as
-its kaddr.  plain-gc collects per entry as pdcfa-gc-approx does.
+with areturn (pop transitions), and answers a Let1 or an If, from which
+astep returns nothing, without stepping it.  All run on the one
+reachability loop, pushdown.Worklist, and explore successors in the
+order astep returns them.  The loop's continuation allocator is what
+makes the finite baselines finite (Gilray et al., POPL 2016): a push
+enters the frame's return point KAddr(frame.exp, frame.env), which every
+caller of the frame shares, instead of its target, and a node carries
+that entry as its kaddr.  plain-gc collects per entry as pdcfa-gc-approx
+does.
 The pushdown analyses step through _stepper's whole-run memo, one astep
 result per input (exp, env, store, ctx): a node's moves under each of
 its entries, all its pops, and every node whose (collected) store is the
@@ -45,11 +49,11 @@ runs (the global store, each entry's root set); they re-step the
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache, partial
 from operator import attrgetter
 
-from .frozen import Frozen, setfield
-from .syntax import Exp
+from .syntax import Exp, If, Let1
 from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
                        astep, store_join)
 from .gc import gc_store, touches
@@ -61,35 +65,33 @@ from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
 astep_finite = astep
 
 
-class State(Frozen):
+class State(namedtuple("State", "exp env store ctx kaddr roots")):
     """A node of every analysis (see the module docstring): kaddr is a
-    KAddr or K_HALT, roots a frozenset of stack-root AAddrs."""
-    __slots__ = ("exp", "env", "store", "ctx", "kaddr", "roots")
-
-    def __init__(self, exp, env, store, ctx, kaddr, roots):
-        setfield(self, "exp", exp)
-        setfield(self, "env", env)
-        setfield(self, "store", store)
-        setfield(self, "ctx", ctx)
-        setfield(self, "kaddr", kaddr)
-        setfield(self, "roots", roots)
+    KAddr or K_HALT, roots a frozenset of stack-root AAddrs.  A State is
+    the tuple of its parts and compares by them; within a run, which makes
+    one State per parts tuple, equal States are the same object."""
+    __slots__ = ()
 
     def __repr__(self):
         return f"q(e{self.exp.label})"
 
 
 def _node_table():
-    """A run's node constructor: one State per parts tuple."""
+    """A run's node set and its constructor, which makes one State per
+    parts tuple: the set maps each node to itself, so a lookup by parts
+    finds the node without a key kept beside it.  It is the run's
+    graph.nodes."""
     table = {}
+    new = tuple.__new__
 
     def node(exp, env, store=None, ctx=(), kaddr=None, roots=None):
-        # no analysis uses both kaddr and roots, so one slot keys either
-        key = (exp, env, store, ctx, kaddr if roots is None else roots)
-        q = table.get(key)
+        parts = (exp, env, store, ctx, kaddr, roots)
+        q = table.get(parts)
         if q is None:
-            q = table[key] = State(exp, env, store, ctx, kaddr, roots)
+            q = new(State, parts)
+            table[q] = q
         return q
-    return node
+    return table, node
 
 
 class AnalysisResult:
@@ -130,11 +132,12 @@ def _stepper(policy, memo=True):
     return step
 
 
-def _oracle(root, store_of, node, policy):
+def _oracle(root, store_of, node, policy, nodes):
     """The pushdown system whose node q, stepped under entry e, steps as
     (q.exp, q.env, store_of(q, e), q.ctx) and whose successors are
-    node(exp, env, store, ctx, kaddr, roots): moves for nop_delta, returns
-    into γ for top_delta.  The root's parts fix the kind:
+    node(exp, env, store, ctx, kaddr, roots), made in the node table
+    `nodes`: moves for nop_delta, returns into γ for top_delta.  The
+    root's parts fix the kind:
     - pdcfa-gc (q.roots a set): a push extends the roots by the pushed
       frame's touches, and its stack character (frame, roots) keeps the
       pusher's, which the pop restores;
@@ -165,6 +168,8 @@ def _oracle(root, store_of, node, policy):
         return out
 
     def top_delta(q, gamma, e):
+        if isinstance(q.exp, (Let1, If)):  # astep returns nothing here
+            return ()
         _, returns = step(q.exp, q.env, store_of(q, e), q.ctx)
         if not returns:
             return ()
@@ -177,13 +182,15 @@ def _oracle(root, store_of, node, policy):
         return [(node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx,
                       ka, roots), act) for vals, s in returns]
 
-    return RPDSOracle(root, top_delta, nop_delta)
+    oracle = RPDSOracle(root, top_delta, nop_delta)
+    oracle.nodes = nodes
+    return oracle
 
 
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    node = _node_table()
+    nodes, node = _node_table()
     oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q, _: q.store,
-                     node, policy)
+                     node, policy, nodes)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", graph, ecg, e, sat)
 
@@ -195,10 +202,10 @@ def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisRes
 def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
     """Pushdown + GC: nodes carry the stack-root set A and step on their
     store collected under it (see _oracle for how A flows)."""
-    node = _node_table()
+    nodes, node = _node_table()
     oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset()),
                      lambda q, _: gc_store(q.env, q.store, q.roots), node,
-                     policy)
+                     policy, nodes)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
 
@@ -214,7 +221,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
     current store; if the successor stores grew it, the nodes whose
     environment maps to a grown address (a step reads the store only
     there) are re-stepped under the joined store and the engine resumes."""
-    make = _node_table()
+    nodes, make = _node_table()
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
 
@@ -223,7 +230,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
         return make(e2, env2, None, ctx2)
 
     wl = Worklist(_oracle(make(e, EMPTY_ENV), lambda psi, _: store, node,
-                          policy))
+                          policy, nodes))
     while True:
         saturated = wl.run(deadline, node_limit)
         grown = store
@@ -257,12 +264,12 @@ def _per_entry(kind, e, policy, deadline, node_limit, gc, enters=None):
     push of γ from under e joins touches(γ) ∪ Rk(e) into Rk of the entry
     t it enters; when Rk(t) grows, the states under t are re-stepped
     under t, and the pushes they emit again carry the growth on."""
-    node, Rk, none = _node_table(), {}, frozenset()
+    (nodes, node), Rk, none = _node_table(), {}, frozenset()
     kaddr = None if enters is None else K_HALT  # the root's
     oracle = _oracle(
         node(e, EMPTY_ENV, EMPTY_STORE, (), kaddr),
         (lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, none))) if gc
-        else (lambda q, _: q.store), node, policy)
+        else (lambda q, _: q.store), node, policy, nodes)
     moves = oracle.nop_delta
 
     def nop_delta(q, pe):

@@ -5,7 +5,8 @@ assignment or deletion raises.  A class with many instances lists its
 fields in __init__ order, then those cached on first use (named _...), in
 __slots__, so its objects have no dict.  fields reads either kind, and
 copy.copy rebuilds either through setfield.  A Frozen object equals only
-itself; a Record equals any of its class whose fields are equal.
+itself; a Record equals any of its class whose fields are equal.  fields
+also reads a namedtuple's, for analyses.State, which is one.
 """
 
 setfield = object.__setattr__
@@ -17,6 +18,8 @@ def _frozen(self, name, value=None):
 
 def fields(obj):
     """The one reader of fields: name -> value of each set on obj."""
+    if isinstance(obj, tuple):  # a namedtuple, such as analyses.State
+        return obj._asdict()
     slots = getattr(type(obj), "__slots__", ())
     return {k: getattr(obj, k) for k in slots
             if hasattr(obj, k)} if slots else vars(obj)

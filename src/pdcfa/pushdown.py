@@ -67,23 +67,28 @@ class RPDSOracle:
     top_delta(q, γ, e) returns [(q', Pop(γ))...] — the pops enabled with γ
     on top; nop_delta(q, e) returns [(q', Push(γ') | UNCH)...].  e is the
     entry q is stepped under; only approximate GC reads it.  Both must be
-    repeatable, deterministic functions.
+    repeatable, deterministic functions.  An oracle that interns its nodes
+    sets `nodes` to its node table, a dict that maps each node to itself:
+    the loop fills that dict as `graph.nodes`, so a run keeps one node set.
     """
+    nodes = None
 
     def __init__(self, root, top_delta, nop_delta):
         self.root, self.top_delta, self.nop_delta = root, top_delta, nop_delta
 
 
 class CRPDS:
-    """Compacted rooted pushdown system: nodes, edges and the two relations
-    Worklist fills, the states stepped under each entry (paths) and the
-    callers stored at each (kstore).  q is reached with top-first frames
+    """Compacted rooted pushdown system: nodes (a dict mapping each node
+    to itself, in the order found), edges and the two relations Worklist
+    fills, the states stepped under each entry (paths) and the callers
+    stored at each (kstore).  q is reached with top-first frames
     γ1…γn when one of its entries is the root's (n = 0) or stores under
     γ1 a caller whose entry is reached with γ2…γn."""
 
-    def __init__(self, root, root_entry):
+    def __init__(self, root, root_entry, nodes=None):
         self.root, self.root_entry = root, root_entry
-        self.nodes = {root: None}  # insertion-ordered set
+        self.nodes = {} if nodes is None else nodes
+        self.nodes[root] = root
         self.edges = {}  # (src, act, dst) -> None
         self.paths = {root_entry: {}}  # entry -> {q stepped under it: None}
         # entry -> {γ: {(pusher or None, pusher's entry): None}}
@@ -92,7 +97,9 @@ class CRPDS:
     def add_edge(self, edge):
         """Record edge (src, act, dst) and, if they are new, its nodes."""
         self.edges[edge] = None
-        self.nodes[edge[0]] = self.nodes[edge[2]] = None
+        src, _, dst = edge
+        self.nodes[src] = src
+        self.nodes[dst] = dst
 
 
 def _closure(q, step):
@@ -122,8 +129,26 @@ class ECG:
         self._nodes, self._same = nodes, same
 
     def pair_count(self):
-        """len(self.pairs), one closure at a time."""
-        return sum(len(_closure(s, self._same)) for s in self._nodes)
+        """len(self.pairs), one closure at a time, over integer ids: the
+        nodes are numbered once so that no step hashes a state."""
+        ids = {q: i for i, q in enumerate(self._nodes)}
+        n = len(ids)
+        succ = {ids.setdefault(s, len(ids)):
+                [ids.setdefault(d, len(ids)) for d in ds]
+                for s, ds in self._same.items()}
+        succ = [succ.get(i, ()) for i in range(len(ids))]
+        seen = [-1] * len(ids)  # seen[d] == s: d is in s's closure
+        count = n
+        for s in range(n):
+            seen[s] = s
+            stack = [s]
+            while stack:
+                for d in succ[stack.pop()]:
+                    if seen[d] != s:
+                        seen[d] = s
+                        stack.append(d)
+                        count += 1
+        return count
 
     @property
     def pairs(self):
@@ -170,7 +195,7 @@ class Worklist:
         self.oracle, self._enters = oracle, enters
         root = oracle.root
         entry = root if enters is None else enters(root)
-        self.graph = CRPDS(root, entry)
+        self.graph = CRPDS(root, entry, oracle.nodes)
         self.same = {} if enters is None else None  # q -> {q2: None}
         self._work = deque([(root, entry)])
 

@@ -252,12 +252,12 @@ def _without_callers_roots(kind, e, policy):
     """analyze_gc_approx or plain-gc, broken: a push joins touches(γ) into
     the roots of the entry it enters, but not the roots of the pusher's
     entry."""
-    node, Rk = analyses._node_table(), {}
+    (nodes, node), Rk = analyses._node_table(), {}
     finite = kind == "plain-gc"
     oracle = analyses._oracle(
         node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT if finite else None),
         lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, frozenset())),
-        node, policy)
+        node, policy, nodes)
     moves = oracle.nop_delta
 
     def nop_delta(q, pe):

@@ -1,13 +1,15 @@
 """End-to-end behavior of the six analyses on small programs and benchmarks."""
 import gc
 import time
+import tracemalloc
 from collections import Counter
 from functools import partial
 
 import pytest
 
-from pdcfa.syntax import Var, parse_and_normalize
-from pdcfa.abstract import AAddr, AEnv, AFrame, K_HALT, KAddr, Mono, OneCFA
+from pdcfa.syntax import If, Let1, Ret, Var, parse_and_normalize
+from pdcfa.abstract import (AAddr, AEnv, AFrame, EMPTY_STORE, K_HALT, KAddr,
+                            Mono, OneCFA)
 from pdcfa.analyses import (
     AnalysisResult,
     State,
@@ -185,8 +187,9 @@ def test_capped_plain_cells_read_pops_and_moves_from_one_astep(
 @pytest.mark.parametrize("kind", tuple(analyses.ANALYSES))
 @pytest.mark.parametrize("prog", ["kcfa2", "kcfa3"])
 def test_a_dropped_result_frees_its_run_without_the_collector(prog, kind):
-    """A run interns its nodes in a table of its own and leaves no
-    reference cycle, so dropping its result frees every State by
+    """A run interns its nodes in a table of its own, graph.nodes, which
+    maps each node to itself, and makes no State outside it.  It leaves
+    no reference cycle, so dropping its result frees every State by
     reference counting alone: the cyclic collector finds nothing.
     (Other tests' cached results keep their States: count this run's.)"""
     def states():
@@ -198,12 +201,81 @@ def test_a_dropped_result_frees_its_run_without_the_collector(prog, kind):
         before = states()
         r = run_one(kind, e, policy_for_k(1),
                     node_limit=BENCH_CAPS.get((prog, kind)))
-        assert states() >= before + len(r.graph.nodes) > before
-        del r
+        nodes = r.graph.nodes
+        assert all(v is q for q, v in nodes.items())
+        assert states() == before + len(nodes) > before
+        del r, nodes
         assert states() == before
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_capped_plain_cell_peaks_at_what_it_holds():
+    """With one node table per run, the capped kcfa2 plain k=1 cell's
+    traced heap peak during the run is within 5% of what it holds when
+    the run returns (a key tuple kept per node beside the table put the
+    peak at 5.30 MB over 4.35 MB held)."""
+    e = load("kcfa2")
+    tracemalloc.start()
+    try:
+        r = run_one("plain", e, policy_for_k(1),
+                    node_limit=BENCH_CAPS["kcfa2", "plain"])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not r.saturated
+    assert peak <= 1.05 * held, (peak, held)
+
+
+@pytest.mark.soak
+def test_largest_cell_peaks_under_55_mib():
+    """Uncapped kcfa3 pdcfa k=1 (48,824 nodes): its traced heap peak
+    during the run stays at or under 55 MiB (53.0 MiB in a fresh
+    process)."""
+    e = load("kcfa3")
+    tracemalloc.start()
+    try:
+        r = run_one("pdcfa", e, policy_for_k(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.saturated and len(r.graph.nodes) == 48_824
+    assert peak <= 55 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("kind", tuple(analyses.ANALYSES))
+def test_states_that_cannot_return_pop_without_a_step(fig1, kind,
+                                                      monkeypatch):
+    """astep returns nothing from a Let1 or an If, so top_delta answers
+    such a state with no pops before it reads its store (for GC, a
+    gc_store call) or steps it."""
+    r = run_one(kind, fig1, policy_for_k(1))
+    gammas = {act.frame for _, act, _ in r.graph.edges if type(act) is Push}
+    silent = [q for q in r.graph.nodes if isinstance(q.exp, (Let1, If))]
+    assert gammas and silent
+
+    def store_of(q, e):
+        assert not isinstance(q.exp, (Let1, If)), q
+        return q.store if q.store is not None else EMPTY_STORE
+    nodes, node = analyses._node_table()
+    oracle = analyses._oracle(r.graph.root, store_of, node,
+                              policy_for_k(1), nodes)
+    calls = []
+    real_astep = analyses.astep
+
+    def astep(*args):
+        calls.append(args[0])
+        return real_astep(*args)
+    monkeypatch.setattr(analyses, "astep", astep)
+    for q in silent:
+        for gamma in gammas:
+            assert oracle.top_delta(q, gamma, None) == ()
+    assert calls == [] and nodes == {}
+    # a state that can return still steps
+    ret = next(q for q in r.graph.nodes if isinstance(q.exp, Ret))
+    oracle.top_delta(ret, next(iter(gammas)), None)
+    assert calls == [ret.exp]
 
 
 # ---------------------------------------------------------------------------
