@@ -38,8 +38,7 @@ from bisect import bisect_left
 from collections import defaultdict
 
 from .frozen import Frozen, Record, setfield
-from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
-                     Var, PRIM_ARITY)
+from .syntax import Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY
 from . import concrete
 
 
@@ -408,16 +407,16 @@ def push_ctx(policy, ctx: tuple, call_label: int) -> tuple:
 
 
 def aeval(ae, env: AEnv, store: AStore):
-    if isinstance(ae, Ref):
-        return store.lookup(env.get(ae.var))
+    if isinstance(ae, Var):
+        return store.lookup(env.get(ae))
     if isinstance(ae, Lambda):
         return (AClo.make(ae, env.restrict(ae.free)),)
-    if isinstance(ae, Lit):
-        if isinstance(ae.value, bool):
-            return (abool(ae.value),)
+    if isinstance(ae, bool):  # before int: True is an int
+        return (abool(ae),)
+    if isinstance(ae, int):
         return (SCALAR_TOP,)
-    if isinstance(ae, PrimRef):
-        return (APrim.make(ae.op),)
+    if isinstance(ae, str):
+        return (APrim.make(ae),)
     raise TypeError(ae)
 
 

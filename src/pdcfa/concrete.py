@@ -15,8 +15,7 @@ import time
 from bisect import bisect_left
 
 from .frozen import Frozen, Record, setfield
-from .syntax import (Exp, Let1, TailCall, Ret, If, Ref, Lit, PrimRef, Lambda,
-                     Var, PRIM_ARITY)
+from .syntax import Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY
 
 
 class UnboundVariableError(Exception):
@@ -116,14 +115,14 @@ def inject(e: Exp) -> Conf:
 
 
 def atomic_eval(ae, env, store):
-    if isinstance(ae, Ref):
-        return store.lookup(env_lookup(env, ae.var))
+    if isinstance(ae, Var):
+        return store.lookup(env_lookup(env, ae))
     if isinstance(ae, Lambda):
         return Clo(ae, env_trim(env, ae.free))
-    if isinstance(ae, Lit):
-        return ae.value
-    if isinstance(ae, PrimRef):
-        return PrimVal(ae.op)
+    if isinstance(ae, int):  # a literal; a bool is an int
+        return ae
+    if isinstance(ae, str):
+        return PrimVal(ae)
     raise TypeError(ae)
 
 

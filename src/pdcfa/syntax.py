@@ -6,7 +6,7 @@ literals, a fixed primitive table) and lowers it to uniquely-labeled,
 uniquely-bound A-normal form:
 
     Exp  ::= Let1(v, TailCall, e) | TailCall(ae, ae) | Ret(ae) | If(ae, e, e)
-    AExp ::= Ref(v) | Lambda(v, e) | Lit(int|bool) | PrimRef(op)
+    ae   ::= Var | Lambda(v, e) | int | bool | op  (each atom is its value)
 
 Lambdas are unary; multi-parameter lambdas and multi-argument calls are
 curried at parse time.  Recursion from `define` is encoded with an internal
@@ -145,26 +145,7 @@ class Var(Frozen):
         return f"{self.name}_{self.id}"
 
 
-class AExp(Frozen):
-    __slots__ = ()
-
-
-class Ref(AExp):
-    def __init__(self, var):
-        setfield(self, "var", var)
-
-
-class Lit(AExp):
-    def __init__(self, value):
-        setfield(self, "value", value)  # int or bool
-
-
-class PrimRef(AExp):
-    def __init__(self, op):
-        setfield(self, "op", op)
-
-
-class Lambda(AExp):
+class Lambda(Frozen):
     def __init__(self, param, body):
         setfield(self, "param", param)
         setfield(self, "body", body)
@@ -174,9 +155,9 @@ class Lambda(AExp):
         return self.body.label
 
 
-def _aexp_free(ae: AExp) -> frozenset:
-    if isinstance(ae, Ref):
-        return frozenset((ae.var,))
+def _atom_free(ae) -> frozenset:
+    if isinstance(ae, Var):
+        return frozenset((ae,))
     if isinstance(ae, Lambda):
         return ae.free
     return frozenset()
@@ -190,7 +171,7 @@ class Ret(Exp):
     def __init__(self, atom, label):
         setfield(self, "atom", atom)
         setfield(self, "label", label)
-        setfield(self, "free", _aexp_free(atom))
+        setfield(self, "free", _atom_free(atom))
 
 
 class TailCall(Exp):
@@ -198,7 +179,7 @@ class TailCall(Exp):
         setfield(self, "fun", fun)
         setfield(self, "arg", arg)
         setfield(self, "label", label)
-        setfield(self, "free", _aexp_free(fun) | _aexp_free(arg))
+        setfield(self, "free", _atom_free(fun) | _atom_free(arg))
 
 
 class Let1(Exp):
@@ -218,7 +199,7 @@ class If(Exp):
         setfield(self, "then", then)
         setfield(self, "els", els)
         setfield(self, "label", label)
-        setfield(self, "free", _aexp_free(cond) | then.free | els.free)
+        setfield(self, "free", _atom_free(cond) | then.free | els.free)
 
 
 class Program(Frozen):
@@ -237,12 +218,12 @@ class Program(Frozen):
 #
 # A block is a mutable [param, lets, tail]: `lets` lists the (var, fun, arg)
 # calls it binds in order, and `tail` is ("ret", atom), ("call", fun, arg)
-# or ("if", atom, block, block).  An atom is a Var (a reference), a Lit, a
-# PrimRef, or a block whose param is a Var (a lambda).  Lowering runs tasks
-# from one stack, and an expression in value position leaves its atom on a
-# second one.  A destination is _TAIL (the expression is its block's tail),
-# None (a value; a call is bound to a fresh temporary) or a Var (a value a
-# `let` binds; a call is bound to that Var).
+# or ("if", atom, block, block).  An atom is as in ANF, but a lambda is a
+# block whose param is a Var.  Lowering runs tasks from one stack, and an
+# expression in value position leaves its atom on a second one.  A
+# destination is _TAIL (the expression is its block's tail), None (a value;
+# a call is bound to a fresh temporary) or a Var (a value a `let` binds; a
+# call is bound to that Var).
 
 _TAIL = object()
 
@@ -279,11 +260,11 @@ class _Frontend:
         tok = sx.atom
         lit = self._literal(tok)
         if lit is not None:
-            return Lit(lit)
+            return lit
         if tok in env:
             return env[tok]
         if tok in PRIM_ARITY:
-            return PrimRef(tok)
+            return tok
         if tok in KEYWORDS:
             raise ParseError(sx.span, f"misplaced keyword {tok!r}")
         raise UnboundVariable(tok, sx.span)
@@ -309,9 +290,11 @@ class _Frontend:
         return list(names)
 
     def name(self, sx: SExpr) -> str:
-        """The name the atom sx binds; `.` (no rest parameters) and a
-        literal, which always reads as itself, are none."""
-        if sx.atom == "." or self._literal(sx.atom) is not None:
+        """The name the atom sx binds; `.` (no rest parameters), a literal,
+        which always reads as itself, and a keyword, which always reads as
+        its form, are none."""
+        if (sx.atom == "." or sx.atom in KEYWORDS
+                or self._literal(sx.atom) is not None):
             raise ParseError(sx.span, f"{sx.atom!r} is not a name")
         return sx.atom
 
@@ -526,7 +509,7 @@ def normalize(p: Program) -> Exp:
     around the top expression.  Variable ids count binders in binding order
     (a Let1's after its call) and labels count nodes in post-order.
     """
-    rec = [(v, PrimRef("rec"), lam) for v, lam in p.defines]
+    rec = [(v, "rec", lam) for v, lam in p.defines]
     todo = [("exp", [None, rec + p.top[1], p.top[2]])]
     out = []  # finished nodes, and the (Var, rhs) of Let1s awaiting a body
     numbered = {}  # lowered Var -> its Var in the result
@@ -543,7 +526,7 @@ def normalize(p: Program) -> Exp:
                 todo.append(("lam", number(x[0])))
                 todo.append(("exp", x))
             else:
-                out.append(Ref(numbered[x]) if type(x) is Var else x)
+                out.append(numbered[x] if type(x) is Var else x)
         elif op == "exp":  # a block: its lets in order, its tail, the Let1s
             _, lets, tail = x
             todo.append(("wrap", len(lets)))
@@ -618,15 +601,14 @@ def print_anf(e: Exp) -> str:
     out, stack = [], [e]
     while stack:
         x = stack.pop()
-        if type(x) is str:
+        if type(x) is str:  # a text piece or a primitive's name
             out.append(x)
-        elif isinstance(x, Ref):
-            out.append(repr(x.var))
-        elif isinstance(x, Lit):
-            v = x.value
-            out.append("#t" if v is True else "#f" if v is False else str(v))
-        elif isinstance(x, PrimRef):
-            out.append(x.op)
+        elif type(x) is Var:
+            out.append(repr(x))
+        elif type(x) is bool:
+            out.append("#t" if x else "#f")
+        elif type(x) is int:
+            out.append(str(x))
         elif isinstance(x, Lambda):
             stack += (")", x.body, f"(lambda ({x.param!r}) ")
         elif isinstance(x, Ret):

@@ -46,8 +46,7 @@ from pdcfa.gc import gc_store, touches
 from pdcfa.analyses import State
 from pdcfa.metrics import _PARTS
 from pdcfa.pushdown import CRPDS, ECG, Pop, Push, UNCH
-from pdcfa.syntax import (binders, If, Lambda, Let1, Lit, PrimRef, Ref, Ret,
-                          TailCall)
+from pdcfa.syntax import binders, If, Lambda, Let1, Ret, TailCall, Var
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +400,11 @@ def alpha_equiv(e1, e2) -> bool:
                 m[va] = before
         elif type(a) is not type(b):
             return False
-        elif isinstance(a, Ref):
-            if m.get(a.var) != b.var:
+        elif isinstance(a, Var):
+            if m.get(a) != b:
                 return False
-        elif isinstance(a, Lit):
-            if a.value != b.value or type(a.value) is not type(b.value):
-                return False
-        elif isinstance(a, PrimRef):
-            if a.op != b.op:
+        elif isinstance(a, (int, str)):  # a literal or a primitive's name
+            if a != b:
                 return False
         elif isinstance(a, Lambda):
             stack.append((_SCOPE, (a.param, b.param, a.body, b.body)))

@@ -61,10 +61,9 @@ def test_aeval_closure_and_lookup():
     a = AAddr.make("mono", X)
     env = EMPTY_ENV.extend(X, a)
     store = EMPTY_STORE.bind(a, vals)
-    from pdcfa.syntax import Ref
-    assert aeval(Ref(X), env, store) == vals
+    assert aeval(X, env, store) == vals
     # empty image → bottom
-    assert aeval(Ref(X), env, EMPTY_STORE) == ()
+    assert aeval(X, env, EMPTY_STORE) == ()
 
 
 def test_astep_let_pushes_one_frame():
@@ -569,9 +568,9 @@ def test_kaddr_repr_shows_its_init_fields_only():
     ka = KAddr.make(e.body, env)
     ka.skey()  # a cached field, which repr leaves out
     assert repr(ka) == (
-        "KAddr(exp=Let1(var=y_2, rhs=TailCall(fun=Ref(var=t_1), "
-        "arg=Lit(value=2), label=2, free=frozenset({t_1})), "
-        "body=Ret(atom=Ref(var=y_2), label=3, free=frozenset({y_2})), "
+        "KAddr(exp=Let1(var=y_2, rhs=TailCall(fun=t_1, "
+        "arg=2, label=2, free=frozenset({t_1})), "
+        "body=Ret(atom=y_2, label=3, free=frozenset({y_2})), "
         "label=4, free=frozenset({t_1}), frame_free=frozenset()), "
         "env={x_1↦⟨x_1⟩})")
 

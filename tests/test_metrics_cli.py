@@ -495,6 +495,7 @@ def test_cli_out_of_memory_in_a_child_is_one_line():
     ("(let ((1 5)) 1)", "'1' is not a name"),
     ("(let* ((1 5)) 1)", "'1' is not a name"),
     ("(define 7 (lambda (x) x)) 1", "'7' is not a name"),
+    ("(let ((if 1)) if)", "'if' is not a name"),
 ])
 def test_cli_rejected_front_end_forms_exit_1(src, msg, tmp_path, capsys):
     prog = tmp_path / "p.scm"

@@ -6,13 +6,15 @@ from hypothesis import given, note, settings
 
 from pdcfa.syntax import (parse_program, parse_and_normalize, print_anf,
                           binders, count_let1, read_sexprs, ParseError,
-                          UnboundVariable, Ret, TailCall, Let1, If, Ref,
-                          Lambda, Lit, PrimRef, Var)
+                          UnboundVariable, Ret, TailCall, Let1, If, Lambda,
+                          Var)
 from pdcfa import bench
-from pdcfa.frozen import fields
+from pdcfa.frozen import Frozen, fields
+from pdcfa.analyses import ANALYSES
+from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import run
 
-from helpers import alpha_equiv
+from helpers import alpha_equiv, coverage_violations
 from strategies import surface_programs
 
 
@@ -44,8 +46,7 @@ def test_smallest_lambda():
     lam = e.atom
     assert isinstance(lam, Lambda)
     body = lam.body
-    assert isinstance(body, Ret) and isinstance(body.atom, Ref)
-    assert body.atom.var is lam.param
+    assert isinstance(body, Ret) and body.atom is lam.param
 
 
 def test_unbalanced_parens():
@@ -77,7 +78,7 @@ def test_normalize_nontail_call_introduces_let():
     let = lets[0]
     assert isinstance(let.rhs, TailCall)  # (g x)
     assert isinstance(let.body, TailCall)  # (f t)
-    assert let.body.arg.var is let.var
+    assert let.body.arg is let.var
 
 
 def test_normalize_labels_and_binders_unique():
@@ -131,12 +132,12 @@ def test_free_vars_simple():
 
 
 def _ref_free(x):
-    """Free variables of an Exp or AExp, walked from scratch."""
-    if isinstance(x, Ref):
-        return {x.var}
+    """Free variables of an Exp or atom, walked from scratch."""
+    if isinstance(x, Var):
+        return {x}
     if isinstance(x, Lambda):
         return _ref_free(x.body) - {x.param}
-    if isinstance(x, (Lit, PrimRef)):
+    if isinstance(x, (int, str)):  # a literal or a primitive's name
         return set()
     if isinstance(x, Ret):
         return _ref_free(x.atom)
@@ -168,14 +169,14 @@ def test_vars_are_values_exps_are_not():
     assert {v: 1}[Var("x", 3)] == 1
     e1, e2 = parse_and_normalize("(+ 1 2)"), parse_and_normalize("(+ 1 2)")
     assert alpha_equiv(e1, e2) and e1 == e1 and e1 != e2
-    assert Lit(1) != Lit(1) and Ref(v) != Ref(v)
 
 
 def test_syntax_nodes_are_immutable():
     e = parse_and_normalize("(let* ((f (lambda (x) x))) (f (f 1)))")
-    nodes = walk(e)
-    nodes += [a for x in walk(e) for a in atoms(x)]
-    nodes += binders(e)
+    aes = [a for x in walk(e) for a in atoms(x)]
+    assert all(isinstance(a, (Var, Lambda, int, str)) for a in aes)
+    nodes = walk(e) + binders(e)
+    nodes += [a for a in aes if isinstance(a, Frozen)]
     for x in nodes:
         for field in [*fields(x), "label", "new_field"]:
             with pytest.raises(AttributeError):
@@ -247,6 +248,29 @@ def test_a_literal_is_not_a_name(src, name):
         parse_program(src)
 
 
+@pytest.mark.parametrize("src, name, value", [
+    ("(let ((+ (lambda (x) x))) (+ 1))", "+", 1),
+    ("(define (not x) x) (not #t)", "not", True),
+    ("(define (rec f) f) (rec 3)", "rec", 3),
+])
+def test_a_bound_primitive_name_is_a_variable(src, name, value):
+    """A primitive is its name, a str; the same name bound by the program
+    is a Var, also where it meets the `rec` a define lowers to."""
+    e = parse_and_normalize(src)
+    funs = [x.fun for x in walk(e) if isinstance(x, TailCall)]
+    assert any(type(f) is Var and f.name == name for f in funs)
+    assert [f for f in funs if type(f) is str] == ["rec"] * src.count("define")
+    outcome = run(e)[1]
+    assert outcome == ("halt", value) and type(outcome[1]) is type(value)
+    assert alpha_equiv(e, parse_and_normalize(print_anf(e)))
+    for k in (0, 1):
+        policy = policy_for_k(k)
+        for kind in ANALYSES:
+            r = run_one(kind, e, policy)
+            assert r.saturated, (kind, k)
+            assert coverage_violations(e, policy, r)[0] == 0, (kind, k)
+
+
 def test_a_parameter_may_shadow_its_function():
     e = parse_and_normalize("(define (f f) f) (f 7)")
     assert run(e)[1] == ("halt", 7)
@@ -275,6 +299,14 @@ REJECTIONS = [
     ("(define (f) 1) 1", (1, 9), "define needs at least one parameter"),
     ("(define (f x) x)\n(define (f y) y) (f 1)", (2, 1),
      "duplicate define 'f'"),
+    # a keyword always reads as its form: binding one is refused at the binder
+    ("(let ((if 1)) if)", (1, 8), "'if' is not a name"),
+    ("(let ((cond (lambda (x) x))) (cond 1))", (1, 8), "'cond' is not a name"),
+    ("(let* ((x 1) (let* 2)) x)", (1, 15), "'let*' is not a name"),
+    ("(lambda (x else) x)", (1, 12), "'else' is not a name"),
+    ("(define (f and) and) (f 1)", (1, 12), "'and' is not a name"),
+    ("(define (lambda x) x) (lambda 1)", (1, 10), "'lambda' is not a name"),
+    ("(define or (lambda (x) x)) (or 1)", (1, 9), "'or' is not a name"),
 ]
 
 
