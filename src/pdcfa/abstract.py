@@ -38,8 +38,8 @@ from bisect import bisect_left
 from collections import defaultdict
 
 from .frozen import Frozen, Record, setfield
-from .syntax import Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY
-from . import concrete
+from .syntax import (Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY,
+                     UnboundVariableError)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ class AEnv(Frozen):
     def get(self, v):
         i = _positions(self).get(v)
         if i is None:
-            raise concrete.UnboundVariableError(repr(v))
+            raise UnboundVariableError(repr(v))
         return self.items[i][1]
 
     def extend(self, v, a):

@@ -9,43 +9,39 @@ Six analyses over one normalized program:
 - analyze_finite:         plain k-CFA: continuations at return points,
                           with or without GC
 
-Every node is one State(exp, env, store, ctx, kaddr, roots), the tuple of
-the parts of a machine state of AAC (Johnson & Van Horn, "Abstracting
-Abstract Control", DLS 2014) plus a stack-root set.  An analysis leaves
-the parts it does not use None on all its nodes: pdcfa-widened has no
-store, only the finite baselines have a continuation address and only
-pdcfa-gc has roots.
-Nothing here orders nodes: metrics alone defines that order.
+Every node is one State(exp, env, store, ctx, stack), the parts of a
+machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
+DLS 2014); pdcfa-widened leaves store None.  Each run interns its nodes
+in a table of its own (_node_table), which is its graph.nodes and holds
+no reference cycle, so a run's nodes go with its result; domain objects
+and their memos stay process-wide.  Nothing here orders nodes: metrics
+alone defines that order.
 
-No two analyses share a node, so each run interns its nodes in a table
-of its own (_node_table), which maps each node to itself and is the
-run's graph.nodes, and leaves no reference cycle: its nodes go with its
-result.  Domain objects, and their memos, stay process-wide.
+All run the one transfer function, abstract.astep, through _oracle, on
+the one reachability loop, pushdown.Worklist, and explore successors in
+the order astep returns them.  nop_delta takes astep's moves (ε or
+push); top_delta(q, γ) binds its returns into γ with areturn (pop), and
+answers a Let1 or an If, from which astep returns nothing, without
+stepping it.  A push of frame f from q pushes the character (f, q.stack)
+to a node whose stack is enter(q.stack, f); a pop of (f, below) returns
+with below.  The continuation allocator `enter` is all the kinds differ
+in (Gilray et al., POPL 2016).  _return_point, the frame's return point
+KAddr(f.exp, f.env), which all its callers share, makes plain and
+plain-gc finite, and they step a state under its stack; _add_roots
+grows pdcfa-gc's stack-root set by what f touches; elsewhere _no_stack
+keeps None.  plain-gc collects per entry as pdcfa-gc-approx does.
 
-All run the one transfer function, abstract.astep, which leaves the
-continuation to its caller, through _oracle: nop_delta takes astep's
-moves (push or ε transitions), top_delta(q, γ) binds its returns into γ
-with areturn (pop transitions), and answers a Let1 or an If, from which
-astep returns nothing, without stepping it.  All run on the one
-reachability loop, pushdown.Worklist, and explore successors in the
-order astep returns them.  The loop's continuation allocator is what
-makes the finite baselines finite (Gilray et al., POPL 2016): a push
-enters the frame's return point KAddr(frame.exp, frame.env), which every
-caller of the frame shares, instead of its target, and a node carries
-that entry as its kaddr.  plain-gc collects per entry as pdcfa-gc-approx
-does.
 The pushdown analyses step through _stepper's whole-run memo, one astep
 result per input (exp, env, store, ctx): a node's moves under each of
 its entries, all its pops, and every node whose (collected) store is the
-same, share one call; widened and approximate-GC re-steps call astep
-again only when the node's store changed.  The finite ones keep only the
-last result.  A result carries the loop's own facts: the states stepped
-under each entry (graph.paths), the callers stored at each
-(graph.kstore), and, for the pushdown analyses, the ε-closure graph, a
-view of the one-step same-level summaries built only when read.  The
+same share one call, and a re-step calls astep again only when the store
+it steps on changed.  The finite ones keep only the last result.  A
+result carries the loop's own facts: the states stepped under each entry
+(graph.paths), the callers stored at each (graph.kstore), and, for the
+pushdown analyses, the ε-closure graph, built only when read.  The
 widened and GC-per-entry oracles read state that grows while the loop
-runs (the global store, each entry's root set); they re-step the
-(node, entry) pairs whose input grew and resume the loop.
+runs (the global store, each entry's root set); they re-step the (node,
+entry) pairs whose input grew and resume the loop.
 """
 from __future__ import annotations
 
@@ -65,9 +61,9 @@ from .pushdown import (Push, Pop, UNCH, RPDSOracle, Worklist,
 astep_finite = astep
 
 
-class State(namedtuple("State", "exp env store ctx kaddr roots")):
-    """A node of every analysis (see the module docstring): kaddr is a
-    KAddr or K_HALT, roots a frozenset of stack-root AAddrs.  A State is
+class State(namedtuple("State", "exp env store ctx stack")):
+    """A node of every analysis (see the module docstring): stack is a
+    KAddr or K_HALT, a frozenset of stack-root AAddrs, or None.  A State is
     the tuple of its parts and compares by them; within a run, which makes
     one State per parts tuple, equal States are the same object."""
     __slots__ = ()
@@ -84,8 +80,8 @@ def _node_table():
     table = {}
     new = tuple.__new__
 
-    def node(exp, env, store=None, ctx=(), kaddr=None, roots=None):
-        parts = (exp, env, store, ctx, kaddr, roots)
+    def node(exp, env, store=None, ctx=(), stack=None):
+        parts = (exp, env, store, ctx, stack)
         q = table.get(parts)
         if q is None:
             q = new(State, parts)
@@ -132,40 +128,36 @@ def _stepper(policy, memo=True):
     return step
 
 
-def _oracle(root, store_of, node, policy, nodes):
+# The continuation allocators: the stack part of the node that a push of
+# frame reaches from a node whose stack part is `stack`.
+def _return_point(stack, frame):  # plain, plain-gc
+    return KAddr.make(frame.exp, frame.env)
+
+
+def _add_roots(roots, frame):  # pdcfa-gc
+    return roots | touches(frame)
+
+
+def _no_stack(stack, frame):
+    return None
+
+
+def _oracle(root, store_of, node, policy, nodes, enter):
     """The pushdown system whose node q, stepped under entry e, steps as
-    (q.exp, q.env, store_of(q, e), q.ctx) and whose successors are
-    node(exp, env, store, ctx, kaddr, roots), made in the node table
-    `nodes`: moves for nop_delta, returns into γ for top_delta.  The
-    root's parts fix the kind:
-    - pdcfa-gc (q.roots a set): a push extends the roots by the pushed
-      frame's touches, and its stack character (frame, roots) keeps the
-      pusher's, which the pop restores;
-    - finite (q.kaddr set): a push from under entry ka makes the
-      character (frame, ka) and a successor at the frame's return point
-      KAddr(frame.exp, frame.env); the pop goes back to ka.  Here astep
-      keeps only its last result: the pops of a state come just before
-      its moves.
-    """
-    finite = root.kaddr is not None
-    step = _stepper(policy, memo=not finite)
+    (q.exp, q.env, store_of(q, e), q.ctx), its successors made by node in
+    the table `nodes`, their stack parts by the allocator enter (see the
+    module docstring).  Under _return_point astep keeps only its last
+    result: the pops of a state come just before its moves."""
+    step = _stepper(policy, memo=enter is not _return_point)
     push, pop = cache(Push), cache(Pop)  # one act per stack character
 
     def nop_delta(q, e):
         moves, _ = step(q.exp, q.env, store_of(q, e), q.ctx)
-        out = []
-        for fr, e2, env2, s2, ctx2 in moves:
-            ka, roots = q.kaddr, q.roots
-            if fr is None:
-                act = UNCH
-            elif finite:
-                act, ka = push((fr, ka)), KAddr.make(fr.exp, fr.env)
-            elif roots is None:
-                act = push(fr)
-            else:  # pdcfa-gc
-                act, roots = push((fr, roots)), roots | touches(fr)
-            out.append((node(e2, env2, s2, ctx2, ka, roots), act))
-        return out
+        stack = q.stack
+        return [(node(e2, env2, s2, ctx2, stack), UNCH) if fr is None else
+                (node(e2, env2, s2, ctx2, enter(stack, fr)),
+                 push((fr, stack)))
+                for fr, e2, env2, s2, ctx2 in moves]
 
     def top_delta(q, gamma, e):
         if isinstance(q.exp, (Let1, If)):  # astep returns nothing here
@@ -173,14 +165,10 @@ def _oracle(root, store_of, node, policy, nodes):
         _, returns = step(q.exp, q.env, store_of(q, e), q.ctx)
         if not returns:
             return ()
-        fr, ka, roots = gamma, None, None
-        if finite:
-            fr, ka = gamma
-        elif q.roots is not None:
-            fr, roots = gamma
+        fr, below = gamma
         act = pop(gamma)
         return [(node(*areturn(fr, vals, s, q.exp, q.ctx, policy), q.ctx,
-                      ka, roots), act) for vals, s in returns]
+                      below), act) for vals, s in returns]
 
     oracle = RPDSOracle(root, top_delta, nop_delta)
     oracle.nodes = nodes
@@ -190,7 +178,7 @@ def _oracle(root, store_of, node, policy, nodes):
 def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
     nodes, node = _node_table()
     oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q, _: q.store,
-                     node, policy, nodes)
+                     node, policy, nodes, _no_stack)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa", graph, ecg, e, sat)
 
@@ -200,12 +188,12 @@ def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisRes
 
 
 def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    """Pushdown + GC: nodes carry the stack-root set A and step on their
-    store collected under it (see _oracle for how A flows)."""
+    """Pushdown + GC: a node's stack is its stack-root set A, and it steps
+    on its store collected under A (see _oracle for how A flows)."""
     nodes, node = _node_table()
-    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, roots=frozenset()),
-                     lambda q, _: gc_store(q.env, q.store, q.roots), node,
-                     policy, nodes)
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, stack=frozenset()),
+                     lambda q, _: gc_store(q.env, q.store, q.stack), node,
+                     policy, nodes, _add_roots)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
     return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
 
@@ -230,7 +218,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
         return make(e2, env2, None, ctx2)
 
     wl = Worklist(_oracle(make(e, EMPTY_ENV), lambda psi, _: store, node,
-                          policy, nodes))
+                          policy, nodes, _no_stack))
     while True:
         saturated = wl.run(deadline, node_limit)
         grown = store
@@ -255,30 +243,29 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
 
 
 def _per_entry(kind, e, policy, deadline, node_limit, gc, enters=None):
-    """The loop under allocator `enters` over nodes without roots.  Under
-    gc, a state stepped under entry e steps on its store collected under
-    Rk(e), one root set that covers every stack reaching e, read from the
-    continuation store:
-        Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t},
-    where a finite character (frame, ka) touches what its frame does.  A
-    push of γ from under e joins touches(γ) ∪ Rk(e) into Rk of the entry
-    t it enters; when Rk(t) grows, the states under t are re-stepped
+    """The loop over nodes without roots: pdcfa-gc-approx (enters None)
+    or, under the return-point allocator, a finite baseline whose states
+    enter their stack (enters).  Under gc, a state stepped under entry e
+    steps on its store collected under Rk(e), one root set that covers
+    every stack reaching e, read from the continuation store:
+        Rk(t) = ⋃ {touches(f) ∪ Rk(pe) : (p, pe) stored under (f, _) at t}.
+    A push of (f, _) from under e joins touches(f) ∪ Rk(e) into Rk of the
+    entry t it enters; when Rk(t) grows, the states under t are re-stepped
     under t, and the pushes they emit again carry the growth on."""
     (nodes, node), Rk, none = _node_table(), {}, frozenset()
-    kaddr = None if enters is None else K_HALT  # the root's
+    finite = enters is not None
     oracle = _oracle(
-        node(e, EMPTY_ENV, EMPTY_STORE, (), kaddr),
+        node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT if finite else None),
         (lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, none))) if gc
-        else (lambda q, _: q.store), node, policy, nodes)
+        else (lambda q, _: q.store), node, policy, nodes,
+        _return_point if finite else _no_stack)
     moves = oracle.nop_delta
 
     def nop_delta(q, pe):
         out = moves(q, pe)
         for t, act in out:
             if type(act) is Push:
-                fr = act.frame
-                if enters is not None:
-                    fr, t = fr[0], enters(t)
+                fr, t = act.frame[0], enters(t) if finite else t
                 roots = touches(fr) | Rk.get(pe, none)
                 old = Rk.get(t, none)
                 if not roots <= old:
@@ -307,11 +294,11 @@ def analyze_gc_approx(e: Exp, policy, deadline=None,
 def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
                    node_limit=None) -> AnalysisResult:
     """Plain k-CFA, optionally GC-composed: the loop under the return-point
-    allocator, where a state's entry is its kaddr and a push of frame f
-    enters KAddr(f.exp, f.env) (see _oracle).  Under gc a state is
+    allocator, where a state's entry is its stack, the KAddr(f.exp, f.env)
+    of the last frame f pushed (see _oracle).  Under gc a state is
     collected per entry, as under approximate GC."""
     return _per_entry("plain-gc" if gc else "plain", e, policy, deadline,
-                      node_limit, gc, attrgetter("kaddr"))
+                      node_limit, gc, attrgetter("stack"))
 
 
 # kind -> driver(e, policy, deadline=None, node_limit=None), in the order

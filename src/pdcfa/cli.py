@@ -61,16 +61,22 @@ def _summary_line(m, max_states):
 
 
 def _emit(text, out_path):
+    """Write text to out_path, or with a final newline to stdout; as UTF-8
+    where stdout's encoding cannot write it (ε, a λ in a name)."""
     if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return Path(out_path).write_text(text, encoding="utf-8")
+    text += "" if text.endswith("\n") else "\n"
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _load_program(spec: str):
     p = Path(spec)
     if p.exists():
-        return p.stem, parse_and_normalize(p.read_text())
+        return p.stem, parse_and_normalize(p.read_text(encoding="utf-8"))
     if spec in bench.BENCHMARKS:
         return spec, bench.load(spec)
     raise FileNotFoundError(spec)

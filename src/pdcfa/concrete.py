@@ -15,11 +15,8 @@ import time
 from bisect import bisect_left
 
 from .frozen import Frozen, Record, setfield
-from .syntax import Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY
-
-
-class UnboundVariableError(Exception):
-    pass
+from .syntax import (Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY,
+                     UnboundVariableError)
 
 
 class DanglingAddressError(Exception):

@@ -3,12 +3,14 @@
 Canonical order is defined here alone.  Both formats list a graph's
 nodes in key order (a State's exp label, then each part its analysis
 uses, in _PARTS order) and its edges in (src, act_skey, dst) order,
-sorted on ranks: each distinct ctx, continuation address, root set and
-act is ranked once by its key, and each distinct env and store by the
-ranks of its entries, so no map builds its key; equal keys share a rank.
-Nodes and edges are put in order by stable sorts, least significant key
-first, each keyed on an int that already exists (a rank, a position or
-an exp label), so no sort builds a key per node or edge."""
+sorted on ranks: each distinct ctx, stack part and act is ranked once by
+its key (a stack part's is _stack_key, also for the one below an act's
+frame), and each distinct env and store by the ranks of its entries, so
+no map builds its key; equal keys share a rank.  Nodes and edges are put
+in order by stable sorts, least significant key first, each keyed on an
+int that already exists (a rank, a position or an exp label), so no sort
+builds a key per node or edge.  Labels show a pdcfa-gc root set by its
+size |A|; DOT quotes them with \\ and " escaped, JSON as ASCII."""
 from __future__ import annotations
 
 import json
@@ -68,54 +70,49 @@ def compute_metrics(name, r: AnalysisResult, k: int, wall_ms: float) -> Metrics:
 # serialization
 
 
+def _stack_key(stack):
+    """A stack part's sort key: a pdcfa-gc root set's sorted addresses, a
+    return point's skey, () for None."""
+    if isinstance(stack, frozenset):
+        return tuple(sorted(a.skey() for a in stack))
+    return () if stack is None else stack.skey()
+
+
+def _stack_label(stack, sep):
+    """What a label shows of a stack part: a root set's size, after sep."""
+    return f"{sep}|A|={len(stack)}" if isinstance(stack, frozenset) else ""
+
+
 def _node_label(n):
     lbl = f"e{n.exp.label}"
     if n.ctx:
         lbl += " @" + ",".join(str(c) for c in n.ctx)
     if n.env.items:
         lbl += " [" + ",".join(v.name for v, _ in n.env.items) + "]"
-    if n.roots is not None:
-        lbl += f" |A|={len(n.roots)}"
-    return lbl
-
-
-def _frame_label(frame):
-    if isinstance(frame, tuple):
-        label = _frame_label(frame[0])
-        if isinstance(frame[1], frozenset):  # GC-precise: (frame, root set)
-            label += f"/|A|={len(frame[1])}"
-        return label  # finite: (frame, kaddr below)
-    return f"{frame.var.name}:=e{frame.exp.label}"
+    return lbl + _stack_label(n.stack, " ")
 
 
 def _act_label(act):
     if act is UNCH:
         return "ε"
     word = "push" if isinstance(act, Push) else "pop"
-    return f"{word} {_frame_label(act.frame)}"
-
-
-def _roots_key(roots):
-    return tuple(sorted(a.skey() for a in roots))
+    frame, below = act.frame
+    return (f"{word} {frame.var.name}:=e{frame.exp.label}"
+            + _stack_label(below, "/"))
 
 
 # A State's parts after its exp, in the order its key compares them, each
 # with its part's sort key (None: the part is its own key).
-_PARTS = (("env", skey), ("store", skey), ("ctx", None), ("kaddr", skey),
-          ("roots", _roots_key))
+_PARTS = (("env", skey), ("store", skey), ("ctx", None),
+          ("stack", _stack_key))
 
 
-def act_skey(act):
+def act_skey(act):  # UNCH, pushes, pops; each by frame, then by below
     if act is UNCH:
         return (0,)
-    frame = act.frame
-    if isinstance(frame, tuple):  # (frame, roots) or finite (frame, kaddr)
-        below = frame[1]
-        fk = (frame[0].skey(), _roots_key(below)
-              if isinstance(below, frozenset) else below.skey())
-    else:
-        fk = frame.skey()
-    return ((1,) if isinstance(act, Push) else (2,)) + fk
+    frame, below = act.frame
+    return (1 if isinstance(act, Push) else 2, frame.skey(),
+            _stack_key(below))
 
 
 def _ranks(xs, key):
@@ -165,16 +162,22 @@ def _sorted_edges(edges, pos):
     return out
 
 
+def _dot_escape(label):
+    """label in a DOT quoted string: only \\ and " are escaped (ε stays)."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(r: AnalysisResult) -> str:
     """Deterministic DOT rendering of the reachable transition graph."""
     nodes, pos = _order(r)
     lines = ["digraph pdcfa {", '  rankdir="LR";']
     for i, n in enumerate(nodes):
         shape = "doublecircle" if n is r.graph.root else "circle"
-        lines.append(f'  n{i} [label="{_node_label(n)}", shape={shape}];')
+        lines.append(f'  n{i} [label="{_dot_escape(_node_label(n))}", '
+                     f'shape={shape}];')
     for src, act, dst in _sorted_edges(r.graph.edges, pos):
         lines.append(f'  n{pos[src]} -> n{pos[dst]} '
-                     f'[label="{_act_label(act)}"];')
+                     f'[label="{_dot_escape(_act_label(act))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -200,13 +203,13 @@ def to_json(obj) -> str:
     r = obj
     nodes, pos = _order(r)
     edges = _sorted_edges(r.graph.edges, pos)
-    labels = {}  # (exp label, env, ctx, |roots|) -> escaped node label
+    labels = {}  # (exp label, env, ctx, stack) -> escaped node label
     acts = {a: _escape(_act_label(a))
             for a in dict.fromkeys(e[1] for e in edges)}
 
     def node_row(i):
         n = nodes[i]
-        key = (n.exp.label, n.env, n.ctx, len(n.roots or ()))  # all it reads
+        key = (n.exp.label, n.env, n.ctx, n.stack)  # all it reads
         if key not in labels:
             labels[key] = _escape(_node_label(n))
         return _NODE % (i, labels[key])

@@ -5,16 +5,17 @@ A rooted pushdown system is given intensionally by an RPDSOracle:
 and `top_delta(q, γ, e)` enumerates the pop transitions enabled when γ is
 on top; e is the entry q is stepped under.
 `compact_worklist` computes the compacted system and ε-closure graph with
-one resumable loop, `Worklist`, which every analysis runs.  The loop's
-continuation allocator decides what a push enters, and so which analysis
-it is (Gilray et al., "Pushdown Control-Flow Analysis for Free", POPL
-2016; Johnson & Van Horn, "Abstracting Abstract Control", DLS 2014).  By
+one resumable loop, `Worklist`, which every analysis runs.  A stack
+character γ is opaque here; the analyses push (frame, the pusher's stack
+part).  What a push enters decides which analysis the loop computes
+(Gilray et al., "Pushdown Control-Flow Analysis for Free", POPL 2016;
+Johnson & Van Horn, "Abstracting Abstract Control", DLS 2014).  By
 default a pushed frame is stored at its push target with its pusher and
 the pusher's entry, so a return reaches exactly the frames pushed on the
 way to its entry: the loop computes the same-level summaries that
-pushdown reachability needs and nothing more.  A return-point allocator
-stores the frame at an address of the frame itself, which every caller
-of it shares: that is finite k-CFA, and no summaries are kept.  Work is
+pushdown reachability needs and nothing more.  Entered at the target's
+return point, an address of the frame itself that every caller of it
+shares, the loop computes finite k-CFA, and keeps no summaries.  Work is
 a FIFO of (state, entry) pairs, explored in the order the oracle
 answers; nothing is sorted here.  The result is `graph.paths` plus
 `graph.kstore` (see CRPDS); `ECG` reads the ε-closure, never stored,

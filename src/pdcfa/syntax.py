@@ -50,6 +50,10 @@ class UnboundVariable(Exception):
         self.span = span
 
 
+class UnboundVariableError(Exception):
+    """A machine looked up a variable its environment does not bind."""
+
+
 # ---------------------------------------------------------------------------
 # s-expressions
 

@@ -357,7 +357,7 @@ def least_entry_roots(result) -> dict:
     """From-scratch least solution, over result.graph.kstore, of
         Rk(t) = ⋃ {touches(γ) ∪ Rk(pe) : (p, pe) stored under γ at t},
     the root set approximate GC and plain-gc collect the states under
-    entry t with; a finite character (f, ka) touches what f does.
+    entry t with; a character (f, below) touches what f does.
     Entries whose Rk is empty are left out, the root's among them."""
     kstore, Rk = result.graph.kstore, {}
     changed = True
@@ -365,8 +365,7 @@ def least_entry_roots(result) -> dict:
         changed = False
         for t, frames in kstore.items():
             old = new = Rk.get(t, frozenset())
-            for gamma, callers in frames.items():
-                fr = gamma[0] if isinstance(gamma, tuple) else gamma
+            for (fr, _), callers in frames.items():
                 for _p, pe in callers:
                     new = new | touches(fr) | Rk.get(pe, frozenset())
             if new != old:
@@ -484,13 +483,12 @@ class Node(NamedTuple):
     env: object
     store: object = None
     ctx: tuple = ()
-    kaddr: object = None
-    roots: object = None
+    stack: object = None
 
 
 def parts(q):
     """The parts of State q, as a Node."""
-    return Node(q.exp, q.env, q.store, q.ctx, q.kaddr, q.roots)
+    return Node(q.exp, q.env, q.store, q.ctx, q.stack)
 
 
 def node_parts(r):
@@ -511,7 +509,7 @@ def aac_nodes(e, policy, collect=False):
     root = Node(e, EMPTY_ENV, EMPTY_STORE)
     states = _kstore_machine(root, step, Node, policy, collect)
     if collect:
-        return {q._replace(roots=roots) for q, roots, _ in states}
+        return {q._replace(stack=roots) for q, roots, _ in states}
     return {q for q, _, _ in states}
 
 
@@ -577,15 +575,13 @@ def concrete_gc(c: Conf) -> Conf:
 
 
 def frame_leq(fa, gamma):
-    """fa (an α-image frame) against a stack character of the analysis;
-    GC-precise characters are (frame, roots) pairs, finite ones (frame,
-    kaddr below)."""
-    if isinstance(gamma, tuple):
-        gamma = gamma[0]
-    if fa.var is not gamma.var or fa.exp is not gamma.exp:
+    """fa (an α-image frame) against the frame of a stack character
+    (frame, below) of the analysis."""
+    fr, _ = gamma
+    if fa.var is not fr.var or fa.exp is not fr.exp:
         return False
     try:
-        return leq(fa.env, gamma.env)
+        return leq(fa.env, fr.env)
     except IncomparableKinds:
         return False
 
@@ -712,7 +708,7 @@ def finite_uncovered(pushdown, finite):
     baseline plain (plain-gc) does not cover.  Without GC, plain must reach
     the node's (exp, env, store, ctx); with GC, some plain-gc node with the
     same (exp, env, ctx) must have a store above the node's, as plain-gc
-    collects under the frames of every stack its kaddr stands for."""
+    collects under the frames of every stack its return point stands for."""
     index = {}
     for m in finite.graph.nodes:
         index.setdefault((m.exp, m.env, m.ctx), []).append(m.store)
@@ -775,10 +771,10 @@ def ref_skey(x):
         if x.store is not None:
             key += (ref_skey(x.store),)
         key += (x.ctx,)
-        if x.kaddr is not None:
-            key += (ref_skey(x.kaddr),)
-        if x.roots is not None:
-            key += (tuple(sorted(ref_skey(a) for a in x.roots)),)
+        if isinstance(x.stack, frozenset):
+            key += (tuple(sorted(ref_skey(a) for a in x.stack)),)
+        elif x.stack is not None:
+            key += (ref_skey(x.stack),)
         return key
     raise TypeError(x)
 

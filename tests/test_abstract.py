@@ -328,13 +328,13 @@ def test_finite_let_roundtrip():
     assert callers == {(None, K_HALT): None}
     pushes = [(s, act, d) for s, act, d in r.graph.edges
               if isinstance(act, Push)]
-    assert [(s.kaddr, act.frame, d.kaddr) for s, act, d in pushes] == [
+    assert [(s.stack, act.frame, d.stack) for s, act, d in pushes] == [
         (K_HALT, gamma, ka)]
     # and the Ret popped back out through it, to a halting Ret
     pops = [(s, d) for s, act, d in r.graph.edges if act == Pop(gamma)]
     assert pops and all(isinstance(act, (Push, Pop)) or act is UNCH
                         for _, act, _ in r.graph.edges)
-    assert all(s.kaddr is ka and d.kaddr is K_HALT for s, d in pops)
+    assert all(s.stack is ka and d.stack is K_HALT for s, d in pops)
     assert any(isinstance(d.exp, Ret)
                and not any(s is d for s, _, _ in r.graph.edges)
                for _, d in pops)
@@ -449,16 +449,16 @@ def _reached_maps(r):
     stores, envs, frames, vals = [], [], [], []
     for n in r.graph.nodes:
         envs.append(n.env)
-        if isinstance(n.kaddr, KAddr):
-            envs.append(n.kaddr.env)
+        if isinstance(n.stack, KAddr):
+            envs.append(n.stack.env)
         if n.store is not None:
             stores.append(n.store)
     for _, act, _ in r.graph.edges:
-        fr = getattr(act, "frame", None)
-        frames.append(fr[0] if isinstance(fr, tuple) else fr)
+        if act is not UNCH:
+            frames.append(act.frame[0])
     if r.global_store is not None:
         stores.append(r.global_store)
-    envs += [fr.env for fr in frames if isinstance(fr, AFrame)]
+    envs += [fr.env for fr in frames]
     for s in stores:
         for _, vs in s.items:
             vals += vs
@@ -472,15 +472,17 @@ def _reached_maps(r):
 
 
 def _reached_objects(r):
-    """Nodes, edge actions, frames, continuation addresses and their
-    parts: every kind of domain object an analysis builds."""
+    """Nodes, edge actions, frames, continuation addresses, stack roots
+    and their parts: every kind of domain object an analysis builds."""
     out = []
     for n in r.graph.nodes:
-        out += [n, n.env, n.store, n.kaddr]
+        stack = n.stack
+        out += [n, n.env, n.store,
+                *(stack if isinstance(stack, frozenset) else (stack,))]
     for _, act, _ in r.graph.edges:
         out.append(act)
-        fr = getattr(act, "frame", None)
-        out.append(fr[0] if isinstance(fr, tuple) else fr)
+        if act is not UNCH:
+            out.append(act.frame[0])
     for s in [r.global_store] + [x for x in out if isinstance(x, AStore)]:
         for a, vs in getattr(s, "items", ()):
             out += [a, *vs]

@@ -257,14 +257,15 @@ def _without_callers_roots(kind, e, policy):
     oracle = analyses._oracle(
         node(e, EMPTY_ENV, EMPTY_STORE, (), K_HALT if finite else None),
         lambda q, pe: gc_store(q.env, q.store, Rk.get(pe, frozenset())),
-        node, policy, nodes)
+        node, policy, nodes,
+        analyses._return_point if finite else analyses._no_stack)
     moves = oracle.nop_delta
 
     def nop_delta(q, pe):
         out = moves(q, pe)
         for t, act in out:
             if type(act) is Push:
-                fr, t = (act.frame[0], t.kaddr) if finite else (act.frame, t)
+                fr, t = act.frame[0], t.stack if finite else t
                 old = Rk.get(t, frozenset())
                 if not touches(fr) <= old:
                     Rk[t] = old | touches(fr)
@@ -272,7 +273,7 @@ def _without_callers_roots(kind, e, policy):
                         wl.restep(x, t)
         return out
     oracle.nop_delta = nop_delta
-    wl = Worklist(oracle, attrgetter("kaddr") if finite else None)
+    wl = Worklist(oracle, attrgetter("stack") if finite else None)
     assert wl.run()
     return AnalysisResult(kind, wl.graph, wl.ecg, e, entry_roots=Rk)
 

@@ -29,7 +29,7 @@ from pdcfa.pushdown import (CRPDS, Pop, Push, RPDSOracle, UNCH,
 
 from helpers import (AConf, Node, approx_uncovered, coverage_violations,
                      kcfa2n_source, least_entry_roots, leq, node_parts,
-                     parts, step_conf)
+                     parts, result_for, step_conf)
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +74,12 @@ def test_all_analyses_saturate_on_fig1(fig1):
 # The State parts each analysis leaves None.  metrics serializes the parts
 # its root carries, so every node must carry the same ones.
 NONE_PARTS = {
-    "plain": {"roots"},
-    "plain-gc": {"roots"},
-    "pdcfa": {"kaddr", "roots"},
-    "pdcfa-gc": {"kaddr"},
-    "pdcfa-gc-approx": {"kaddr", "roots"},
-    "pdcfa-widened": {"store", "kaddr", "roots"},
+    "plain": set(),
+    "plain-gc": set(),
+    "pdcfa": {"stack"},
+    "pdcfa-gc": set(),
+    "pdcfa-gc-approx": {"stack"},
+    "pdcfa-widened": {"store", "stack"},
 }
 
 
@@ -87,13 +87,61 @@ NONE_PARTS = {
 @pytest.mark.parametrize("kind", NONE_PARTS)
 def test_each_analysis_uses_the_same_parts_on_every_node(fig1, kind, k):
     r = run_one(kind, fig1, policy_for_k(k))
-    parts = ("exp", "env", "store", "ctx", "kaddr", "roots")
     assert len(r.graph.nodes) > 20
     for n in r.graph.nodes:
         assert type(n) is State
-        assert {p for p in parts if getattr(n, p) is None} == NONE_PARTS[kind]
-        assert n.kaddr is None or n.kaddr is K_HALT or type(n.kaddr) is KAddr
-        assert n.roots is None or type(n.roots) is frozenset
+        assert {p for p in State._fields
+                if getattr(n, p) is None} == NONE_PARTS[kind]
+
+
+def _is_return_point(stack):
+    return stack is K_HALT or type(stack) is KAddr
+
+
+# What a node's stack part is, by kind: what the kind's continuation
+# allocator attaches.
+STACK_TYPE = {
+    "plain": _is_return_point,
+    "plain-gc": _is_return_point,
+    "pdcfa": lambda stack: stack is None,
+    "pdcfa-gc": lambda stack: type(stack) is frozenset,
+    "pdcfa-gc-approx": lambda stack: stack is None,
+    "pdcfa-widened": lambda stack: stack is None,
+}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("prog", ["fig1", "kcfa2"])
+@pytest.mark.parametrize("kind", STACK_TYPE)
+def test_every_stack_character_is_a_frame_over_the_pushers_stack(kind, prog,
+                                                                 k):
+    """One stack shape for all six kinds: a node's stack is what its
+    kind's allocator attaches, and every character, on an edge or in the
+    continuation store, is (frame, below), below the pusher's stack, to
+    which a pop returns."""
+    r = result_for(prog, kind, k)
+    assert all(STACK_TYPE[kind](n.stack) for n in r.graph.nodes)
+    pushes = pops = 0
+    for src, act, dst in r.graph.edges:
+        if act is UNCH:
+            assert dst.stack is src.stack
+            continue
+        fr, below = act.frame
+        assert type(fr) is AFrame
+        if type(act) is Push:
+            pushes += 1
+            assert below is src.stack
+        else:
+            pops += 1
+            assert type(act) is Pop and dst.stack is below
+    assert pushes and pops
+    finite = r.graph.root_entry is not r.graph.root
+    for frames in r.graph.kstore.values():
+        for (fr, below), callers in frames.items():
+            assert type(fr) is AFrame
+            for p, pe in callers:
+                # a finite caller is its entry alone: the pusher's stack
+                assert below is (pe if finite else p.stack)
 
 
 def test_state_count_ordering_on_fig1(fig1):
@@ -137,8 +185,8 @@ def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
 
 @pytest.mark.parametrize("gc", [False, True])
 def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
-    """A finite baseline steps each state under its own kaddr alone, from
-    the halt address, and keeps no same-level pairs: a summary through a
+    """A finite baseline steps each state under its own return point alone,
+    from the halt address, and keeps no same-level pairs: a summary through a
     return point that callers share would join them.  Each caller is
     stored as its entry alone, which its stack character names."""
     engines = []
@@ -154,7 +202,7 @@ def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
     assert r.graph.root_entry is K_HALT and len(r.graph.paths) > 1
     stepped = [(q, e) for e, path in r.graph.paths.items() for q in path]
     assert len(stepped) == len(r.graph.nodes)
-    assert all(e is q.kaddr for q, e in stepped)
+    assert all(e is q.stack for q, e in stepped)
     assert r.graph.kstore and all(
         callers == {(None, gamma[1]): None}
         for frames in r.graph.kstore.values()
@@ -260,7 +308,7 @@ def test_states_that_cannot_return_pop_without_a_step(fig1, kind,
         return q.store if q.store is not None else EMPTY_STORE
     nodes, node = analyses._node_table()
     oracle = analyses._oracle(r.graph.root, store_of, node,
-                              policy_for_k(1), nodes)
+                              policy_for_k(1), nodes, analyses._no_stack)
     calls = []
     real_astep = analyses.astep
 
@@ -322,11 +370,11 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
                     yield Node(c2.exp, c2.env, None, c2.ctx), c2.kont
 
         def nop_delta(psi, _):
-            return [(q, Push(k[0]) if k else UNCH)
+            return [(q, Push((k[0], None)) if k else UNCH)
                     for q, k in successors(psi, ())]
 
-        def top_delta(psi, fr, _):
-            return [(q, Pop(fr)) for q, _ in successors(psi, (fr,))]
+        def top_delta(psi, gamma, _):
+            return [(q, Pop(gamma)) for q, _ in successors(psi, gamma[:1])]
 
         g, _, sat = compact_worklist(RPDSOracle(parts(r.graph.root),
                                                 top_delta, nop_delta))
@@ -362,7 +410,7 @@ def test_widened_resteps_only_nodes_that_read_a_grown_address(monkeypatch):
 def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     # one more pass against the final continuation store must find nothing
     # new: every state was re-stepped after the frames or, under GC, the
-    # root set of its kaddr last grew
+    # root set of its return point last grew
     r = analyze_finite(load(prog), Mono(), gc=gc)
     assert r.saturated
     kstore, Rk = r.graph.kstore, least_entry_roots(r)
@@ -370,20 +418,20 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     nodes = node_parts(r)
     edges = {(parts(s), parts(d)) for s, _, d in r.graph.edges}
     for st in r.graph.nodes:
-        roots = Rk.get(st.kaddr, frozenset())
+        roots = Rk.get(st.stack, frozenset())
         store = st.store
         if gc:
             store = gc_store(st.env, st.store, roots)
         succs = []
         for c2 in step_conf(AConf.make(st.exp, st.env, store, (), st.ctx),
                             Mono()):
-            ka = st.kaddr
-            if c2.kont:  # a pushed frame is already stored at its kaddr
+            ka = st.stack
+            if c2.kont:  # a pushed frame is already stored at its return point
                 (fr,) = c2.kont
                 ka = KAddr.make(fr.exp, fr.env)
-                assert (fr, st.kaddr) in kstore.get(ka, ())
+                assert (fr, st.stack) in kstore.get(ka, ())
             succs.append((c2, ka))
-        for fr, ka in kstore.get(st.kaddr, ()):
+        for fr, ka in kstore.get(st.stack, ()):
             c = AConf.make(st.exp, st.env, store, (fr,), st.ctx)
             succs += [(c2, ka) for c2 in step_conf(c, Mono()) if not c2.kont]
         for c2, ka in succs:
@@ -498,8 +546,8 @@ def test_compute_root_cache_push_then_pair():
                           AEnv.make(((a.var, a),))) for a in addrs)
     # r pushes f1 to t1; p, under t1, pushes f2 to t2, which carries
     # t1's roots on to t2 along with f2's own
-    result.graph.kstore.update({"t1": {f1: {("r", "r"): None}},
-                                "t2": {f2: {("p", "t1"): None}}})
+    result.graph.kstore.update({"t1": {(f1, None): {("r", "r"): None}},
+                                "t2": {(f2, None): {("p", "t1"): None}}})
     assert least_entry_roots(result) == {
         "t1": touches(f1), "t2": touches(f1) | touches(f2)}
     assert touches(f1) == {addrs[0]} and touches(f2) == {addrs[1]}

@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -94,6 +95,29 @@ def test_dot_of_approx_has_one_plain_line_per_edge():
     assert "⟨" not in dot  # edges carry their act alone
 
 
+# A DOT quoted string: any character but " and \, or a \-escape.
+DOT_LABEL = re.compile(r'label="((?:[^"\\]|\\.)*)"')
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dot_labels_are_quoted_strings_for_any_name(kind):
+    """Names holding " or \\ are escaped in node and edge labels; ε is
+    left as it is."""
+    e = parse_and_normalize('(let ((a"b (lambda (x) x)) (c\\d 1)) '
+                            '(let ((y (a"b c\\d))) y))')
+    dot = to_dot(analyses.ANALYSES[kind](e, Mono()))
+    lines = [ln for ln in dot.splitlines() if "label=" in ln]
+    assert len(lines) > 4 and any(" -> " in ln for ln in lines)
+    for ln in lines:
+        (m,) = DOT_LABEL.finditer(ln)
+        assert re.fullmatch(r'  n\d+ (-> n\d+ )?\[', ln[:m.start()]), ln
+        assert re.fullmatch(r'(, shape=(double)?circle)?\];', ln[m.end():])
+    labels = [re.sub(r"\\(.)", r"\1", m.group(1))
+              for m in map(DOT_LABEL.search, lines)]
+    assert any('a"b' in x and "c\\d" in x for x in labels)
+    assert "ε" in labels and any(x.startswith("push y:=") for x in labels)
+
+
 def test_serialization_is_deterministic_across_runs():
     def render():
         r = analyze_gc_approx(load("fig1"), Mono())
@@ -118,14 +142,17 @@ def test_json_result_roundtrip():
 
 
 def _keyed_parts(n):
-    """The environments, stores and continuation address n holds."""
+    """The environments, stores, continuation address and stack roots n
+    holds."""
     parts = [n.env]
     if n.store is not None:
         parts.append(n.store)
-    if n.kaddr is not None:
-        parts.append(n.kaddr)
-    if isinstance(n.kaddr, KAddr):
-        parts.append(n.kaddr.env)
+    if isinstance(n.stack, frozenset):
+        parts += n.stack
+    elif n.stack is not None:
+        parts.append(n.stack)
+    if isinstance(n.stack, KAddr):
+        parts.append(n.stack.env)
     return parts
 
 
@@ -647,6 +674,39 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "states=" in proc.stdout
+
+
+# Environments whose stdout cannot encode ε: an ASCII stream, and the C
+# locale with neither locale coercion nor UTF-8 mode, which also makes the
+# locale's codec ASCII.
+ASCII_ENVS = {
+    "ascii-stdout": {"PYTHONIOENCODING": "ascii"},
+    "c-locale": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+}
+
+
+@pytest.mark.parametrize("env, dest", [("ascii-stdout", "stdout"),
+                                       ("c-locale", "stdout"),
+                                       ("c-locale", "out")])
+def test_cli_writes_utf8_whatever_the_locale(env, dest, tmp_path):
+    """A UTF-8 program with a λ name is read as UTF-8, and its DOT, with
+    ε and λ, is written as UTF-8 bytes to stdout or to --out."""
+    src = "(let ((λ (lambda (x) x))) (let ((y (λ 1))) y))"
+    prog = tmp_path / "p.scm"
+    prog.write_bytes(src.encode("utf-8"))
+    want = to_dot(analyze_pdcfa(parse_and_normalize(src), Mono()))
+    assert "ε" in want and "λ" in want
+    out = tmp_path / "p.dot"
+    environ = {k: v for k, v in os.environ.items()
+               if not k.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdcfa.cli", "run", str(prog),
+         "--analysis", "pdcfa", "--format", "dot",
+         *(["--out", str(out)] if dest == "out" else [])],
+        capture_output=True, timeout=120, env={**environ, **ASCII_ENVS[env]})
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    got = out.read_bytes() if dest == "out" else proc.stdout
+    assert got == want.encode("utf-8")
 
 
 def test_traced_benchmark_child_runs_every_cell():

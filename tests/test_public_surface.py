@@ -74,3 +74,15 @@ def test_no_unused_imports():
     unused = {str(p.relative_to(ROOT)): u for p in paths
               if (u := _unused_imports(p))}
     assert unused == {}
+
+
+def test_abstract_machine_imports_nothing_of_the_concrete_one():
+    """Both machines raise syntax.UnboundVariableError; the concrete module
+    still offers it under its old name."""
+    from pdcfa import concrete, syntax
+    tree = ast.parse((ROOT / "src" / "pdcfa" / "abstract.py")
+                     .read_text(encoding="utf-8"))
+    names = [(n.module or "") + ":" + a.name for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    assert names and not [x for x in names if "concrete" in x]
+    assert concrete.UnboundVariableError is syntax.UnboundVariableError
