@@ -1,13 +1,11 @@
 """End-to-end analysis drivers.
 
-Six analyses over one normalized program:
-
-- analyze_pdcfa:          per-state-store pushdown reachability
-- analyze_gc_precise:     pushdown + abstract GC, root sets carried on nodes
-- analyze_gc_approx:      pushdown + abstract GC, one root set per entry
-- analyze_pdcfa_widened:  single-threaded (widened) store, partial states
-- analyze_finite:         plain k-CFA: continuations at return points,
-                          with or without GC
+run_one(kind, e, policy) is the one way to start an analysis: it runs
+the kind's row of ANALYSES on one of three drivers, one per way the loop
+runs.  _pushdown runs pdcfa and pdcfa-gc once; _per_entry runs plain,
+plain-gc (k-CFA) and pdcfa-gc-approx, and under GC re-steps the states
+whose entry's root set grew; _widened runs pdcfa-widened, a loop per
+round of its global store.
 
 Every node is one State(exp, env, store, ctx, stack), the parts of a
 machine state of AAC (Johnson & Van Horn, "Abstracting Abstract Control",
@@ -29,7 +27,7 @@ in (Gilray et al., POPL 2016).  _return_point, the frame's return point
 KAddr(f.exp, f.env), which all its callers share, makes plain and
 plain-gc finite, and they step a state under its stack; _add_roots
 grows pdcfa-gc's stack-root set by what f touches; elsewhere _no_stack
-keeps None.  plain-gc collects per entry as pdcfa-gc-approx does.
+keeps None.
 
 The pushdown analyses step through _stepper's whole-run memo, one astep
 result per input (exp, env, store, ctx): a node's moves under each of
@@ -49,7 +47,7 @@ from collections import namedtuple
 from functools import cache, partial
 from operator import attrgetter
 
-from .syntax import Exp, If, Let1
+from .syntax import If, Let1
 from .abstract import (EMPTY_ENV, EMPTY_STORE, K_HALT, KAddr, areturn,
                        astep, store_join)
 from .gc import gc_store, touches
@@ -105,10 +103,6 @@ class AnalysisResult:
         if self.kind == "pdcfa-widened":
             return [self.global_store]
         return [n.store for n in self.graph.nodes]
-
-
-# ---------------------------------------------------------------------------
-# per-state-store pushdown analysis
 
 
 def _stepper(policy, memo=True):
@@ -175,40 +169,26 @@ def _oracle(root, store_of, node, policy, nodes, enter):
     return oracle
 
 
-def analyze_pdcfa(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
+def _pushdown(kind, e, policy, deadline, node_limit, stack, store_of, enter):
+    """The summary loop from a root whose stack part is `stack`, its nodes
+    stepped on store_of(q, entry), its pushes entering enter(q.stack, f)."""
     nodes, node = _node_table()
-    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE), lambda q, _: q.store,
-                     node, policy, nodes, _no_stack)
+    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, (), stack), store_of,
+                     node, policy, nodes, enter)
     graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
-    return AnalysisResult("pdcfa", graph, ecg, e, sat)
-
-
-# ---------------------------------------------------------------------------
-# precise GC pushdown analysis
-
-
-def analyze_gc_precise(e: Exp, policy, deadline=None, node_limit=None) -> AnalysisResult:
-    """Pushdown + GC: a node's stack is its stack-root set A, and it steps
-    on its store collected under A (see _oracle for how A flows)."""
-    nodes, node = _node_table()
-    oracle = _oracle(node(e, EMPTY_ENV, EMPTY_STORE, stack=frozenset()),
-                     lambda q, _: gc_store(q.env, q.store, q.stack), node,
-                     policy, nodes, _add_roots)
-    graph, ecg, sat = compact_worklist(oracle, deadline, node_limit)
-    return AnalysisResult("pdcfa-gc", graph, ecg, e, sat)
+    return AnalysisResult(kind, graph, ecg, e, sat)
 
 
 # ---------------------------------------------------------------------------
 # store-widened pushdown analysis
 
 
-def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
-                          node_limit=None) -> AnalysisResult:
-    """Least fixed point of the widened transfer function: a single global
-    store and partial (exp, env) states.  The engine saturates under the
-    current store; if the successor stores grew it, the nodes whose
-    environment maps to a grown address (a step reads the store only
-    there) are re-stepped under the joined store and the engine resumes."""
+def _widened(kind, e, policy, deadline, node_limit):
+    """pdcfa-widened, the widened transfer function's least fixed point
+    (one global store, partial states): saturate under the store; if the
+    successor stores grew it, re-step the nodes whose environment maps to
+    a grown address (a step reads the store only there) under the joined
+    store, and resume."""
     nodes, make = _node_table()
     store = EMPTY_STORE
     out_stores = {}  # successor stores reached under `store`
@@ -234,7 +214,7 @@ def analyze_pdcfa_widened(e: Exp, policy, deadline=None,
                            for psi in path
                            if not psi.env.addrs().isdisjoint(changed)]:
             wl.restep(psi, entry)
-    return AnalysisResult("pdcfa-widened", wl.graph, wl.ecg, e, saturated,
+    return AnalysisResult(kind, wl.graph, wl.ecg, e, saturated,
                           global_store=store)
 
 
@@ -283,31 +263,25 @@ def _per_entry(kind, e, policy, deadline, node_limit, gc, enters=None):
                           entry_roots=Rk if gc else None)
 
 
-def analyze_gc_approx(e: Exp, policy, deadline=None,
-                      node_limit=None) -> AnalysisResult:
-    """GC pushdown analysis over plain control states, collected under
-    one root set per entry (see _per_entry)."""
-    return _per_entry("pdcfa-gc-approx", e, policy, deadline, node_limit,
-                      True)
-
-
-def analyze_finite(e: Exp, policy, gc: bool = False, deadline=None,
-                   node_limit=None) -> AnalysisResult:
-    """Plain k-CFA, optionally GC-composed: the loop under the return-point
-    allocator, where a state's entry is its stack, the KAddr(f.exp, f.env)
-    of the last frame f pushed (see _oracle).  Under gc a state is
-    collected per entry, as under approximate GC."""
-    return _per_entry("plain-gc" if gc else "plain", e, policy, deadline,
-                      node_limit, gc, attrgetter("stack"))
-
-
-# kind -> driver(e, policy, deadline=None, node_limit=None), in the order
-# `pdcfa run --analysis all` runs them
+# kind -> its driver(kind, e, policy, deadline, node_limit), in the order
+# `pdcfa run --analysis all` runs them.  A finite baseline's entry is its
+# state's stack, the return point of the last frame pushed.
 ANALYSES = {
-    "plain": partial(analyze_finite, gc=False),
-    "plain-gc": partial(analyze_finite, gc=True),
-    "pdcfa": analyze_pdcfa,
-    "pdcfa-gc": analyze_gc_precise,
-    "pdcfa-gc-approx": analyze_gc_approx,
-    "pdcfa-widened": analyze_pdcfa_widened,
+    "plain": partial(_per_entry, gc=False, enters=attrgetter("stack")),
+    "plain-gc": partial(_per_entry, gc=True, enters=attrgetter("stack")),
+    "pdcfa": partial(_pushdown, stack=None, store_of=lambda q, _: q.store,
+                     enter=_no_stack),
+    "pdcfa-gc": partial(
+        _pushdown, stack=frozenset(), enter=_add_roots,
+        store_of=lambda q, _: gc_store(q.env, q.store, q.stack)),
+    "pdcfa-gc-approx": partial(_per_entry, gc=True),
+    "pdcfa-widened": _widened,
 }
+
+
+def run_one(kind, e, policy, deadline=None, node_limit=None):
+    """The AnalysisResult of `kind` on e under policy, unsaturated if the
+    time.monotonic() deadline passed or it reached node_limit nodes."""
+    if kind not in ANALYSES:
+        raise ValueError(kind)
+    return ANALYSES[kind](kind, e, policy, deadline, node_limit)

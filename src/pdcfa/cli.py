@@ -9,9 +9,9 @@ import time
 from pathlib import Path
 
 from .syntax import parse_and_normalize, print_anf, ParseError, UnboundVariable
-from .concrete import run as concrete_run
+from .concrete import run as concrete_run, show
 from .abstract import Mono, OneCFA, KCFA
-from .analyses import ANALYSES
+from .analyses import ANALYSES, run_one
 from .metrics import compute_metrics, to_dot, to_json
 from . import bench
 
@@ -39,12 +39,6 @@ def _seconds(text: str) -> float:
         from argparse import ArgumentTypeError
         raise ArgumentTypeError(f"expected seconds >= 0, not {text!r}")
     return secs
-
-
-def run_one(kind, e, policy, deadline=None, node_limit=None):
-    if kind not in ANALYSES:
-        raise ValueError(kind)
-    return ANALYSES[kind](e, policy, deadline=deadline, node_limit=node_limit)
 
 
 def _summary_line(m, max_states):
@@ -154,7 +148,7 @@ def _run(args) -> int:
         deadline = (None if args.timeout_secs is None
                     else time.monotonic() + args.timeout_secs)
         n, outcome = concrete_run(e, args.fuel, deadline)
-        _emit(f"{name}: {' '.join(map(str, outcome))} "
+        _emit(f"{name}: {' '.join(map(show, outcome))} "
               f"({n} configurations)", args.out)
         return 0 if outcome[0] == "halt" else 1
 

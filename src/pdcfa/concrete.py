@@ -38,6 +38,14 @@ class PrimVal(Record):
         setfield(self, "args", args)
 
 
+def show(v):
+    """v as the language writes it (#t, 42, #<primitive + 1>): a closure
+    by its repr, anything else (an outcome's tag, a reason) by its str."""
+    if isinstance(v, PrimVal):
+        return f"#<primitive {' '.join([v.op, *map(show, v.args)])}>"
+    return ("#t" if v else "#f") if isinstance(v, bool) else str(v)
+
+
 class Frame(Record):
     def __init__(self, var, exp, env):
         setfield(self, "var", var)

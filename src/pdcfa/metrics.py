@@ -1,16 +1,18 @@
 """Precision metrics and graph serialization (JSON / DOT).
 
-Canonical order is defined here alone.  Both formats list a graph's
-nodes in key order (a State's exp label, then each part its analysis
-uses, in _PARTS order) and its edges in (src, act_skey, dst) order,
-sorted on ranks: each distinct ctx, stack part and act is ranked once by
-its key (a stack part's is _stack_key, also for the one below an act's
-frame), and each distinct env and store by the ranks of its entries, so
-no map builds its key; equal keys share a rank.  Nodes and edges are put
-in order by stable sorts, least significant key first, each keyed on an
-int that already exists (a rank, a position or an exp label), so no sort
-builds a key per node or edge.  Labels show a pdcfa-gc root set by its
-size |A|; DOT quotes them with \\ and " escaped, JSON as ASCII."""
+Output order is defined here; the domain keeps map entries and value
+sets in skey order, so that equal ones intern to one object.  Both
+formats list a graph's nodes in key order (a State's exp label, then
+each part its analysis uses, in _PARTS order) and its edges in (src,
+act_skey, dst) order, sorted on ranks: each distinct ctx, stack part and
+act is ranked once by its key (a stack part's is _stack_key, also for
+the one below an act's frame), and each distinct env and store by the
+ranks of its entries, so no map builds its key; equal keys share a
+rank.  Nodes and edges are put in order by stable sorts, least
+significant key first, each keyed on an int that already exists (a
+rank, a position or an exp label), so no sort builds a key per node or
+edge.  Labels show a pdcfa-gc root set by its size |A|; DOT quotes them
+with \\ and " escaped, JSON as ASCII."""
 from __future__ import annotations
 
 import json

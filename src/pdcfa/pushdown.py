@@ -189,7 +189,7 @@ class Worklist:
     `run` may be called again after it returns.  An oracle whose answers
     grow (a larger store or root set) tells the loop with `restep`,
     between runs or from inside a call.  The node limit is checked before
-    every step, the deadline every CHECK_EVERY steps.
+    every step, the deadline every CHECK_EVERY steps of all runs.
     """
 
     def __init__(self, oracle, enters=None):
@@ -198,7 +198,7 @@ class Worklist:
         entry = root if enters is None else enters(root)
         self.graph = CRPDS(root, entry, oracle.nodes)
         self.same = {} if enters is None else None  # q -> {q2: None}
-        self._work = deque([(root, entry)])
+        self._work, self._ticks = deque([(root, entry)]), 0  # steps so far
 
     @property
     def ecg(self):
@@ -279,16 +279,17 @@ class Worklist:
         """Work until the work list is empty (True) or a limit hits
         (False)."""
         work, nodes, step = self._work, self.graph.nodes, self._step
-        ticks = 0
+        ticks = self._ticks
         while work:
             if node_limit is not None and len(nodes) > node_limit:
-                return False
+                break
             ticks += 1
             if (deadline is not None and ticks % CHECK_EVERY == 0
                     and time.monotonic() > deadline):
-                return False
+                break
             step(*work.popleft())
-        return True
+        self._ticks = ticks
+        return not work
 
 
 def compact_worklist(oracle, deadline: float | None = None,

@@ -12,7 +12,7 @@ from pdcfa.abstract import (Mono, OneCFA, KCFA, aalloc, aeval,
                             A_TRUE, A_FALSE, EMPTY_ENV, EMPTY_STORE,
                             SCALAR_TOP, A_BOOL_TOP, K_HALT, vset, APrim,
                             AFrame, KAddr)
-from pdcfa.analyses import ANALYSES, State, analyze_finite
+from pdcfa.analyses import ANALYSES, State
 from pdcfa.pushdown import UNCH, Pop, Push
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa.concrete import UnboundVariableError
@@ -309,7 +309,7 @@ def test_astep_stack_discipline():
 
 def test_finite_no_let_no_kstore_growth():
     e = parse_and_normalize(ID_ON_ID)
-    r = analyze_finite(e, Mono())
+    r = run_one("plain", e, Mono())
     assert r.saturated
     assert r.graph.kstore == {}
     assert all(act is UNCH for _, act, _ in r.graph.edges)
@@ -318,7 +318,7 @@ def test_finite_no_let_no_kstore_growth():
 def test_finite_let_roundtrip():
     src = "(let* ((u ((lambda (x) x) 1))) u)"
     e = parse_and_normalize(src)
-    r = analyze_finite(e, Mono())
+    r = run_one("plain", e, Mono())
     assert r.saturated
     # the Let1 stored its frame at the frame's return point, with the
     # halt address below it

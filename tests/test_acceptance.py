@@ -249,7 +249,7 @@ def test_criterion_09_incremental_root_cache():
 
 
 def _without_callers_roots(kind, e, policy):
-    """analyze_gc_approx or plain-gc, broken: a push joins touches(γ) into
+    """pdcfa-gc-approx or plain-gc, broken: a push joins touches(γ) into
     the roots of the entry it enters, but not the roots of the pusher's
     entry."""
     (nodes, node), Rk = analyses._node_table(), {}

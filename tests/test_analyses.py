@@ -3,22 +3,13 @@ import gc
 import time
 import tracemalloc
 from collections import Counter
-from functools import partial
 
 import pytest
 
 from pdcfa.syntax import If, Let1, Ret, Var, parse_and_normalize
 from pdcfa.abstract import (AAddr, AEnv, AFrame, EMPTY_STORE, K_HALT, KAddr,
                             Mono, OneCFA)
-from pdcfa.analyses import (
-    AnalysisResult,
-    State,
-    analyze_finite,
-    analyze_gc_approx,
-    analyze_gc_precise,
-    analyze_pdcfa,
-    analyze_pdcfa_widened,
-)
+from pdcfa.analyses import AnalysisResult, State
 from pdcfa.bench import load
 from pdcfa.cli import policy_for_k, run_one
 from pdcfa import analyses, pushdown
@@ -43,7 +34,7 @@ def fig1():
 
 def test_identity_applied_to_identity_is_two_states():
     e = parse_and_normalize("((lambda (x) x) (lambda (y) y))")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     assert r.saturated
     assert len(r.graph.nodes) == 2  # tail call, then the returned reference
     assert len(r.graph.edges) == 1
@@ -52,8 +43,8 @@ def test_identity_applied_to_identity_is_two_states():
 
 def test_finite_matches_pushdown_on_tail_call_program():
     e = parse_and_normalize("((lambda (x) x) (lambda (y) y))")
-    rp = analyze_pdcfa(e, Mono())
-    rf = analyze_finite(e, Mono())
+    rp = run_one("pdcfa", e, Mono())
+    rf = run_one("plain", e, Mono())
     assert ({n.exp.label for n in rp.graph.nodes}
             == {n.exp.label for n in rf.graph.nodes})
     assert len(rf.graph.nodes) == 2
@@ -61,12 +52,12 @@ def test_finite_matches_pushdown_on_tail_call_program():
 
 def test_all_analyses_saturate_on_fig1(fig1):
     for run in (
-        lambda: analyze_finite(fig1, Mono()),
-        lambda: analyze_finite(fig1, Mono(), gc=True),
-        lambda: analyze_pdcfa(fig1, Mono()),
-        lambda: analyze_gc_precise(fig1, Mono()),
-        lambda: analyze_pdcfa_widened(fig1, Mono()),
-        lambda: analyze_gc_approx(fig1, Mono()),
+        lambda: run_one("plain", fig1, Mono()),
+        lambda: run_one("plain-gc", fig1, Mono()),
+        lambda: run_one("pdcfa", fig1, Mono()),
+        lambda: run_one("pdcfa-gc", fig1, Mono()),
+        lambda: run_one("pdcfa-widened", fig1, Mono()),
+        lambda: run_one("pdcfa-gc-approx", fig1, Mono()),
     ):
         assert run().saturated
 
@@ -145,20 +136,20 @@ def test_every_stack_character_is_a_frame_over_the_pushers_stack(kind, prog,
 
 
 def test_state_count_ordering_on_fig1(fig1):
-    plain = len(analyze_finite(fig1, Mono()).graph.nodes)
-    plain_gc = len(analyze_finite(fig1, Mono(), gc=True).graph.nodes)
-    pd = len(analyze_pdcfa(fig1, Mono()).graph.nodes)
-    fused = len(analyze_gc_precise(fig1, Mono()).graph.nodes)
+    plain = len(run_one("plain", fig1, Mono()).graph.nodes)
+    plain_gc = len(run_one("plain-gc", fig1, Mono()).graph.nodes)
+    pd = len(run_one("pdcfa", fig1, Mono()).graph.nodes)
+    fused = len(run_one("pdcfa-gc", fig1, Mono()).graph.nodes)
     # each refinement strictly helps on this program
     assert fused < plain_gc < pd < plain
 
 
 def test_fused_gc_beats_plain_by_wide_margin_at_k1():
     e = load("kcfa2")
-    fused = analyze_gc_precise(e, OneCFA())
+    fused = run_one("pdcfa-gc", e, OneCFA())
     assert fused.saturated and len(fused.graph.nodes) < 100
-    plain = analyze_finite(e, OneCFA(), node_limit=2000,
-                           deadline=time.monotonic() + 30)
+    plain = run_one("plain", e, OneCFA(), node_limit=2000,
+                    deadline=time.monotonic() + 30)
     count = len(plain.graph.nodes)
     assert not plain.saturated or count >= 3 * len(fused.graph.nodes)
     assert count >= 3 * len(fused.graph.nodes)
@@ -174,7 +165,7 @@ def test_engine_keeps_entry_relative_facts_not_the_closure(monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
     monkeypatch.setattr(pushdown, "Worklist", Kept)
-    r = analyze_pdcfa(load("blur"), Mono())
+    r = run_one("pdcfa", load("blur"), Mono())
     (wl,) = engines
     assert r.saturated
     assert r.ecg.pair_count() == 21_229
@@ -196,7 +187,7 @@ def test_finite_baselines_keep_no_restep_index(gc, monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
     monkeypatch.setattr(analyses, "Worklist", Kept)
-    r = analyze_finite(load("fig1"), OneCFA(), gc=gc)
+    r = run_one("plain-gc" if gc else "plain", load("fig1"), OneCFA())
     (wl,) = engines
     assert r.saturated and r.ecg is None and wl.same is None
     assert r.graph.root_entry is K_HALT and len(r.graph.paths) > 1
@@ -332,8 +323,8 @@ def test_states_that_cannot_return_pop_without_a_step(fig1, kind,
 
 def test_widened_visits_same_expressions_as_pushdown():
     e = load("kcfa3")
-    rw = analyze_pdcfa_widened(e, Mono())
-    rp = analyze_pdcfa(e, Mono())
+    rw = run_one("pdcfa-widened", e, Mono())
+    rp = run_one("pdcfa", e, Mono())
     assert rw.saturated and rp.saturated
     assert ({id(n.exp) for n in rw.graph.nodes}
             == {id(n.exp) for n in rp.graph.nodes})
@@ -341,7 +332,7 @@ def test_widened_visits_same_expressions_as_pushdown():
 
 
 def test_widened_has_single_global_store(fig1):
-    r = analyze_pdcfa_widened(fig1, Mono())
+    r = run_one("pdcfa-widened", fig1, Mono())
     assert r.global_store is not None
     assert r.stores() == [r.global_store]
 
@@ -357,7 +348,7 @@ def test_widened_is_fixpoint_under_its_global_store(fig1):
     # one more pass under the final store must find nothing new: every
     # node was re-stepped after the last time the store grew
     for e in (fig1, _let_chain(8)):
-        r = analyze_pdcfa_widened(e, Mono())
+        r = run_one("pdcfa-widened", e, Mono())
         assert r.saturated
         store = r.global_store
         succ_stores = []
@@ -395,8 +386,8 @@ def test_widened_resteps_only_nodes_that_read_a_grown_address(monkeypatch):
         calls.append(args)
         return real_astep(*args)
     monkeypatch.setattr(analyses, "astep", astep)
-    r = analyze_pdcfa_widened(
-        parse_and_normalize("(+ 1 " * 100 + "0" + ")" * 100), Mono())
+    r = run_one("pdcfa-widened",
+                parse_and_normalize("(+ 1 " * 100 + "0" + ")" * 100), Mono())
     assert r.saturated
     assert len(calls) <= 3 * len(r.graph.nodes)
 
@@ -411,7 +402,7 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
     # one more pass against the final continuation store must find nothing
     # new: every state was re-stepped after the frames or, under GC, the
     # root set of its return point last grew
-    r = analyze_finite(load(prog), Mono(), gc=gc)
+    r = run_one("plain-gc" if gc else "plain", load(prog), Mono())
     assert r.saturated
     kstore, Rk = r.graph.kstore, least_entry_roots(r)
     assert r.entry_roots == (Rk if gc else None)
@@ -444,7 +435,7 @@ def test_finite_is_fixpoint_under_its_kstore(prog, gc):
 
 
 def test_approx_root_set_of_root_is_empty(fig1):
-    r = analyze_gc_approx(fig1, Mono())
+    r = run_one("pdcfa-gc-approx", fig1, Mono())
     assert r.graph.root not in r.entry_roots  # only non-empty Rk are kept
     assert r.entry_roots and all(r.entry_roots.values())
 
@@ -454,7 +445,7 @@ def test_approx_root_cache_is_fixpoint_of_recorded_structure(fig1):
     the continuation store the loop recorded."""
     for e in (fig1, load("eta"), load("blur"),
               parse_and_normalize(PUSH_FLOW_WITNESS)):
-        r = analyze_gc_approx(e, Mono())
+        r = run_one("pdcfa-gc-approx", e, Mono())
         assert r.saturated
         assert r.entry_roots == least_entry_roots(r)
         pairs = r.ecg.pairs
@@ -465,8 +456,8 @@ def test_approx_equals_precise_on_eta():
     # no reuse of a state under distinct root sets here, so approximation
     # loses nothing: same (exp, env, ctx) projections on both sides
     e = load("eta")
-    ra = analyze_gc_approx(e, Mono())
-    rp = analyze_gc_precise(e, Mono())
+    ra = run_one("pdcfa-gc-approx", e, Mono())
+    rp = run_one("pdcfa-gc", e, Mono())
     proj_a = {(n.exp.label, n.env, n.ctx) for n in ra.graph.nodes}
     proj_p = {(n.exp.label, n.env, n.ctx) for n in rp.graph.nodes}
     assert proj_a == proj_p
@@ -504,24 +495,41 @@ def test_approx_resteps_an_entry_when_its_roots_grow(k, monkeypatch):
             resteps.append(e)
             super().restep(q, e)
     monkeypatch.setattr(analyses, "Worklist", Worklist)
-    r = analyze_gc_approx(parse_and_normalize(PUSH_FLOW_WITNESS),
-                          policy_for_k(k))
+    r = run_one("pdcfa-gc-approx", parse_and_normalize(PUSH_FLOW_WITNESS),
+                policy_for_k(k))
     assert r.saturated and len(resteps) == 2
     assert all(e in r.entry_roots for e in resteps)
 
 
-@pytest.mark.parametrize("analyze", [
-    analyze_finite, partial(analyze_finite, gc=True),
-    analyze_pdcfa, analyze_gc_precise, analyze_gc_approx,
-    analyze_pdcfa_widened],
-    ids=["plain", "plain-gc", "pdcfa", "pdcfa-gc", "approx", "widened"])
-def test_approx_within_node_limit_reports_unsaturated(fig1, analyze):
-    r = analyze(fig1, Mono(), node_limit=5)
+@pytest.mark.parametrize("kind", tuple(analyses.ANALYSES), ids=[
+    "plain", "plain-gc", "pdcfa", "pdcfa-gc", "approx", "widened"])
+def test_approx_within_node_limit_reports_unsaturated(fig1, kind):
+    r = run_one(kind, fig1, Mono(), node_limit=5)
     assert not r.saturated
     # the loop checks the count before every step, so it stops at the first
     # step past the cap; that step adds at most its successors, and across
     # the bundled programs at caps 1 to 500 no cell ends more than 3 past
     assert len(r.graph.nodes) <= 5 + 3
+
+
+@pytest.mark.parametrize("kind", tuple(analyses.ANALYSES))
+@pytest.mark.parametrize("prog", ["fig1", "kcfa3", "blur"])
+def test_a_passed_deadline_stops_every_kind_within_one_check(
+        monkeypatch, prog, kind):
+    """The loop counts steps across its runs, so pdcfa-widened, which runs
+    it once per store round, also stops at its first deadline check (each
+    round's run used to count from 0, and 11 of the 16 bundled cells at
+    k∈{0,1} saturated past a passed deadline over 7-17 rounds)."""
+    steps = []
+    real_step = pushdown.Worklist._step
+
+    def step(self, q, e):
+        steps.append(q)
+        return real_step(self, q, e)
+    monkeypatch.setattr(pushdown.Worklist, "_step", step)
+    r = run_one(kind, load(prog), policy_for_k(1),
+                deadline=time.monotonic() - 1)
+    assert not r.saturated and len(steps) < pushdown.CHECK_EVERY
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from pdcfa import analyses, cli
 from pdcfa.syntax import parse_and_normalize
 from pdcfa.abstract import KAddr, Mono
-from pdcfa.analyses import analyze_finite, analyze_gc_approx, analyze_pdcfa
+from pdcfa.analyses import run_one
 from pdcfa.bench import BENCHMARKS, load
 from pdcfa.cli import main
 from pdcfa.metrics import (Metrics, _act_label, _node_label, act_skey,
@@ -35,7 +35,7 @@ KINDS = tuple(analyses.ANALYSES)
 
 def test_all_singletons_on_monovariant_identity_chain():
     e = parse_and_normalize("((lambda (x) x) (lambda (y) y))")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     count, table = singleton_count(r)
     assert count == 1  # x sees exactly one closure; y is never bound
     x = next(v for v in table if v.name == "x")
@@ -49,7 +49,7 @@ def test_shared_binder_is_not_singleton_under_plain_k0():
         "(let ((id (lambda (x) x)))"
         " (let ((a (id (lambda (p) p))))"
         "  (id (lambda (q) q))))")
-    r = analyze_finite(e, Mono())
+    r = run_one("plain", e, Mono())
     count, table = singleton_count(r)
     x = next(v for v in table if v.name == "x")
     assert len(table[x]) == 2
@@ -57,14 +57,14 @@ def test_shared_binder_is_not_singleton_under_plain_k0():
 
 def test_no_variables_means_zero_of_zero():
     e = parse_and_normalize("42")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     count, table = singleton_count(r)
     assert (count, len(table)) == (0, 0)
 
 
 def test_compute_metrics_fields():
     e = load("eta")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     m = compute_metrics("eta", r, 0, 12.3456)
     assert isinstance(m, Metrics)
     assert m.program == "eta" and m.analysis == "pdcfa" and m.k == 0
@@ -81,7 +81,7 @@ def test_compute_metrics_fields():
 
 def test_dot_edge_count_matches_metrics():
     e = load("eta")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     dot = to_dot(r)
     assert dot.count(" -> ") == len(r.graph.edges)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
@@ -89,7 +89,7 @@ def test_dot_edge_count_matches_metrics():
 
 
 def test_dot_of_approx_has_one_plain_line_per_edge():
-    r = analyze_gc_approx(load("eta"), Mono())
+    r = run_one("pdcfa-gc-approx", load("eta"), Mono())
     dot = to_dot(r)
     assert dot.count(" -> ") == len(r.graph.edges)
     assert "⟨" not in dot  # edges carry their act alone
@@ -105,7 +105,7 @@ def test_dot_labels_are_quoted_strings_for_any_name(kind):
     left as it is."""
     e = parse_and_normalize('(let ((a"b (lambda (x) x)) (c\\d 1)) '
                             '(let ((y (a"b c\\d))) y))')
-    dot = to_dot(analyses.ANALYSES[kind](e, Mono()))
+    dot = to_dot(run_one(kind, e, Mono()))
     lines = [ln for ln in dot.splitlines() if "label=" in ln]
     assert len(lines) > 4 and any(" -> " in ln for ln in lines)
     for ln in lines:
@@ -120,7 +120,7 @@ def test_dot_labels_are_quoted_strings_for_any_name(kind):
 
 def test_serialization_is_deterministic_across_runs():
     def render():
-        r = analyze_gc_approx(load("fig1"), Mono())
+        r = run_one("pdcfa-gc-approx", load("fig1"), Mono())
         return to_dot(r), to_json(r)
     d1, j1 = render()
     d2, j2 = render()
@@ -130,7 +130,7 @@ def test_serialization_is_deterministic_across_runs():
 
 def test_json_result_roundtrip():
     e = load("eta")
-    r = analyze_pdcfa(e, Mono())
+    r = run_one("pdcfa", e, Mono())
     doc = json.loads(to_json(r))
     assert doc["schema"] == 1
     assert doc["kind"] == "pdcfa"
@@ -265,13 +265,13 @@ def test_to_json_peak_memory_is_a_small_multiple_of_the_document():
 
 
 def test_to_json_of_edgeless_result_equals_indented_json_dumps():
-    r = analyze_pdcfa(parse_and_normalize("42"), Mono())
+    r = run_one("pdcfa", parse_and_normalize("42"), Mono())
     assert not r.graph.edges
     assert to_json(r) == _reference_json(r)
 
 
 def test_json_metrics_roundtrip():
-    m = compute_metrics("eta", analyze_pdcfa(load("eta"), Mono()), 1, 5.0)
+    m = compute_metrics("eta", run_one("pdcfa", load("eta"), Mono()), 1, 5.0)
     doc = json.loads(to_json(m))
     assert doc["schema"] == 1
     assert doc["metrics"]["program"] == "eta"
@@ -310,6 +310,20 @@ def test_cli_concrete_outcome(capsys):
     code, out, _ = run_cli(["run", "fig1", "--analysis", "concrete"], capsys)
     assert code == 0
     assert "halt 36" in out
+
+
+@pytest.mark.parametrize("src, shown", [
+    ("(< 1 2)", "#t"), ("(cond)", "#f"), ("+", "#<primitive +>"),
+    ("(+ 1)", "#<primitive + 1>"), ("(+ #t)", "#<primitive + #t>"),
+    ("(+ (lambda (x) x))", "#<primitive + #<closure x_1 e1>>")])
+def test_cli_concrete_prints_values_in_the_language(tmp_path, capsys, src,
+                                                    shown):
+    """Not Python's True or PrimVal(op='+', args=(1,))."""
+    prog = tmp_path / "p.scm"
+    prog.write_text(src)
+    code, out, _ = run_cli(["run", str(prog), "--analysis", "concrete"],
+                           capsys)
+    assert code == 0 and out.startswith(f"p: halt {shown} (")
 
 
 def test_cli_concrete_out_of_fuel(capsys):
@@ -694,7 +708,7 @@ def test_cli_writes_utf8_whatever_the_locale(env, dest, tmp_path):
     src = "(let ((λ (lambda (x) x))) (let ((y (λ 1))) y))"
     prog = tmp_path / "p.scm"
     prog.write_bytes(src.encode("utf-8"))
-    want = to_dot(analyze_pdcfa(parse_and_normalize(src), Mono()))
+    want = to_dot(run_one("pdcfa", parse_and_normalize(src), Mono()))
     assert "ε" in want and "λ" in want
     out = tmp_path / "p.dot"
     environ = {k: v for k, v in os.environ.items()

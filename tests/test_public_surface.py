@@ -13,9 +13,10 @@ README = ROOT / "README.md"
 
 # definitions that live in tests/helpers.py, and ones deleted outright (the
 # node classes analyses.State replaced, PolySplit, a policy no --k reached,
-# the wrappers a Lambda, a TailCall and a benchmark name replaced, and the
+# the wrappers a Lambda, a TailCall and a benchmark name replaced, the
 # atom wrappers a Var, a literal's value and a primitive's name replaced,
-# among them: no alias survives)
+# and the per-kind entry points run_one replaced, among them: no alias
+# survives)
 ORACLE_NAMES = (
     "AConf", "ainject", "step_conf", "leq", "_val_leq", "_vals_leq",
     "_env_leq", "alpha", "_alpha_val", "_alpha_env", "run_abstracted",
@@ -24,7 +25,8 @@ ORACLE_NAMES = (
     "alpha_equiv", "_SCOPE", "_UNSCOPE", "stack_root", "gc", "gc_step",
     "free_vars", "ControlState", "PState", "OPState", "FState", "finject",
     "kaddr_skey", "PolySplit", "Lam", "Call", "BenchmarkEntry", "BY_NAME",
-    "AExp", "Ref", "Lit", "PrimRef")
+    "AExp", "Ref", "Lit", "PrimRef", "analyze_pdcfa", "analyze_gc_precise",
+    "analyze_gc_approx", "analyze_pdcfa_widened", "analyze_finite")
 
 
 def test_readme_library_use_runs_as_written():
@@ -34,6 +36,14 @@ def test_readme_library_use_runs_as_written():
     exec(compile(code, "README.md", "exec"), ns)
     assert ns["outcome"] == ("halt", 42)
     assert ns["result"].saturated and ns["count"] >= 1
+
+
+def test_run_one_is_the_one_way_to_start_an_analysis():
+    """The CLI, the package and the benchmark child (which imports
+    pdcfa.cli.run_one) start every analysis through one function."""
+    from pdcfa import analyses, cli
+    assert cli.run_one is analyses.run_one is pdcfa.run_one
+    assert not hasattr(pdcfa, "compact_worklist")
 
 
 def test_no_module_defines_a_test_oracle():
