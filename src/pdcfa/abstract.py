@@ -45,8 +45,8 @@ from .syntax import (Exp, Let1, TailCall, Ret, If, Lambda, Var, PRIM_ARITY,
 # ---------------------------------------------------------------------------
 # interning
 
-# class -> {intern key: object}; keys hold the syntax objects (Exp, Lambda)
-# themselves, which hash and compare by identity
+# class -> {intern key: object}; keys hold the syntax objects (Exp, Lambda,
+# Var) themselves, which hash and compare by identity
 _TABLES = defaultdict(dict)
 
 

@@ -141,9 +141,6 @@ class Step:
         self.allocs = allocs
         self.applied_call_label = applied_call_label
 
-    def __eq__(self, other):
-        return type(other) is Step and vars(self) == vars(other)
-
 
 def _quotient(x, y):
     return x // y if (x < 0) == (y < 0) else -((-x) // y)  # truncate toward 0

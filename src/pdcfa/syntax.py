@@ -15,13 +15,16 @@ unary primitive `rec`: `(define (f x) B)` binds f to `(rec (lambda (f)
 inner closure so the closure's environment can reference itself.
 
 No function here recurses on program structure, so nesting depth is
-bounded by memory, not by Python's call stack.  The reader keeps a stack of
-open lists.  `parse_program` lowers into mutable blocks by running tasks
-from one stack.  `normalize` then builds each frozen node once, in one
-stack pass that numbers variables in binding order and labels in
-post-order.  The queries and `print_anf` are loops.
+bounded by memory, not by Python's call stack.  The reader scans the text
+once with one pattern and keeps a stack of open lists.  `parse_program`
+lowers into mutable blocks by running tasks from one stack.  `normalize`
+then builds each frozen node once, in one stack pass that numbers
+variables in binding order and labels in post-order.  The queries and
+`print_anf` are loops.
 """
 from __future__ import annotations
+
+import re
 
 from .frozen import Frozen, setfield
 
@@ -69,49 +72,32 @@ class SExpr(Frozen):
         return self.atom is not None
 
 
-def _tokenize(text):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    toks = []
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()[]":
-            toks.append((ch, (line, col)))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n()[];":
-                j += 1
-            toks.append((text[i:j], (line, col)))
-            col += j - i
-            i = j
-    return toks
+# a bracket, a token run, a newline, a blank run or a `;` comment: every
+# character is in exactly one, so the matches tile the text
+_LEXEME = re.compile(r"([()\[\]])|([^ \t\r\n()\[\];]+)|(\n)|[ \t\r]+|;[^\n]*")
 
 
 def read_sexprs(text: str) -> list:
     """Parse source text into a list of top-level SExprs."""
     out = items = []
     open_lists = []  # (enclosing items, span, closer) of each open list
-    for tok, span in _tokenize(text):
-        if tok in "([":
-            open_lists.append((items, span, ")" if tok == "(" else "]"))
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        bracket, tok, newline = m.groups()
+        if newline:
+            line, line_start = line + 1, m.end()
+            continue
+        if not (bracket or tok):  # a blank run or a comment
+            continue
+        span = (line, m.start() - line_start + 1)
+        if bracket in ("(", "["):
+            open_lists.append((items, span, ")" if bracket == "(" else "]"))
             items = []
-        elif tok in ")]":
+        elif bracket:
             if not open_lists:
                 raise ParseError(span, "unexpected closing bracket")
             outer, start, closer = open_lists.pop()
-            if tok != closer:
+            if bracket != closer:
                 raise ParseError(span, "mismatched bracket")
             outer.append(SExpr(None, tuple(items), start))
             items = outer
@@ -129,18 +115,12 @@ def read_sexprs(text: str) -> list:
 
 
 class Var(Frozen):
+    """A binder; it equals only itself, and every reference to the binder
+    is this object."""
+
     def __init__(self, name, id):
         setfield(self, "name", name)
         setfield(self, "id", id)
-        setfield(self, "_hash", hash((name, id)))  # Vars key every table
-
-    # not a Record: Vars key every table, so the hash is kept, not rebuilt
-    def __eq__(self, other):
-        return (type(other) is Var and self.name == other.name
-                and self.id == other.id)
-
-    def __hash__(self):
-        return self._hash
 
     def skey(self):
         return (self.name, self.id)
@@ -223,7 +203,8 @@ class Program(Frozen):
 # A block is a mutable [param, lets, tail]: `lets` lists the (var, fun, arg)
 # calls it binds in order, and `tail` is ("ret", atom), ("call", fun, arg)
 # or ("if", atom, block, block).  An atom is as in ANF, but a lambda is a
-# block whose param is a Var.  Lowering runs tasks from one stack, and an
+# block whose param is a Var.  Each binder is a new Var with id 0, which
+# normalize numbers.  Lowering runs tasks from one stack, and an
 # expression in value position leaves its atom on a second one.  A
 # destination is _TAIL (the expression is its block's tail), None (a value;
 # a call is bound to a fresh temporary) or a Var (a value a `let` binds; a
@@ -234,13 +215,8 @@ _TAIL = object()
 
 class _Frontend:
     def __init__(self):
-        self.var_counter = 0
         self.tasks = []  # (method, args...), run last-pushed first
         self.values = []  # atoms of expressions lowered in value position
-
-    def fresh_var(self, name):
-        self.var_counter += 1
-        return Var(name, self.var_counter)
 
     def run(self):
         tasks = self.tasks
@@ -308,7 +284,7 @@ class _Frontend:
         env = dict(env)
         vs = []
         for name in params:
-            env[name] = v = self.fresh_var(name)
+            env[name] = v = Var(name, 0)
             vs.append(v)
         blk = [vs.pop(), [], None]
         self.tasks.append((self.lower, body_sx, env, blk, _TAIL))
@@ -350,6 +326,8 @@ class _Frontend:
         elif head == "define":
             raise ParseError(sx.span, "define only allowed at top level")
         else:  # application, curried left to right
+            if head in KEYWORDS:  # `else` outside a cond clause
+                raise ParseError(items[0].span, f"misplaced keyword {head!r}")
             if len(items) < 2:
                 raise ParseError(sx.span, "application needs an argument")
             last = len(items) - 1
@@ -368,7 +346,7 @@ class _Frontend:
         if dest is _TAIL:
             blk[2] = ("call", fun, arg)
         else:
-            v = self.fresh_var("t") if dest is None else dest
+            v = Var("t", 0) if dest is None else dest
             blk[1].append((v, fun, arg))
             self.values.append(v)
 
@@ -384,7 +362,7 @@ class _Frontend:
         else:
             # non-tail if: a join lambda applied to the condition, so both
             # branches return into one Let1 frame
-            c = self.fresh_var("c")
+            c = Var("c", 0)
             self._call(blk, [c, [], ("if", c, then, els)], cond, dest)
         self.tasks.append((self.lower, e_sx, env, els, _TAIL))
         self.tasks.append((self.lower, t_sx, env, then, _TAIL))
@@ -418,7 +396,7 @@ class _Frontend:
         if b.is_atom or len(b.items) != 2 or not b.items[0].is_atom:
             raise ParseError(b.span, "bad let binding")
         name = self.name(b.items[0])
-        v = self.fresh_var(name)
+        v = Var(name, 0)
         env2 = dict(env)
         env2[name] = v
         self.tasks.append((self._bind, v, bindings, i + 1, body_sx, env2, blk,
@@ -478,7 +456,7 @@ def parse_program(text: str) -> Program:
             if (body.is_atom or not body.items
                     or body.items[0].atom != "lambda"):
                 raise ParseError(body.span, "define value must be a lambda")
-            env2[name] = me = fe.fresh_var(name)
+            env2[name] = me = Var(name, 0)
             lam = fe.lam(body, env2)
         else:
             if not sig.items or not sig.items[0].is_atom:
@@ -487,12 +465,12 @@ def parse_program(text: str) -> Program:
             params = fe.params(sig.items[1:])
             if not params:
                 raise ParseError(sig.span, "define needs at least one parameter")
-            env2[name] = me = fe.fresh_var(name)
+            env2[name] = me = Var(name, 0)
             lam = fe.curry(params, body, env2)
         fe.run()  # lower the body now, so its errors precede later forms'
         if name in env:
             raise ParseError(sx.span, f"duplicate define {name!r}")
-        env[name] = v = fe.fresh_var(name)
+        env[name] = v = Var(name, 0)
         defines.append((v, [me, [], ("ret", lam)]))
     if top_sx is None:
         raise ParseError((0, 0), "program has no top-level expression")

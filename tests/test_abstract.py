@@ -34,7 +34,9 @@ def test_aalloc_policies():
     ctx = (7, (7,))  # exp label, history
     a_mono = aalloc(Mono(), X, *ctx)
     assert a_mono.tag == "mono" and a_mono.var == X and a_mono.extra == ()
-    assert aalloc(Mono(), Var("x", 1), *ctx) is a_mono  # interned by value
+    assert aalloc(Mono(), X, *ctx) is a_mono  # interned
+    # another binder with X's name and id is another Var, so another address
+    assert aalloc(Mono(), Var("x", 1), *ctx) is not a_mono
     a_1cfa = aalloc(OneCFA(), X, *ctx)
     assert a_1cfa.extra == (7,)
     a_k = aalloc(KCFA(2), X, 7, (7, 9, 11))

@@ -83,7 +83,7 @@ def test_step_is_deterministic_along_fig1():
     c = inject(e)
     for _ in range(50):
         s1, s2 = step(c), step(c)
-        assert s1 == s2
+        assert vars(s1) == vars(s2)  # a Step equals only itself
         if s1.kind != "next":
             break
         c = s1.conf

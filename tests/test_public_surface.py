@@ -26,7 +26,8 @@ ORACLE_NAMES = (
     "free_vars", "ControlState", "PState", "OPState", "FState", "finject",
     "kaddr_skey", "PolySplit", "Lam", "Call", "BenchmarkEntry", "BY_NAME",
     "AExp", "Ref", "Lit", "PrimRef", "analyze_pdcfa", "analyze_gc_precise",
-    "analyze_gc_approx", "analyze_pdcfa_widened", "analyze_finite")
+    "analyze_gc_approx", "analyze_pdcfa_widened", "analyze_finite",
+    "_tokenize")
 
 
 def test_readme_library_use_runs_as_written():

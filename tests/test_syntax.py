@@ -88,7 +88,7 @@ def test_normalize_labels_and_binders_unique():
         labels = [x.label for x in nodes]
         assert len(labels) == len(set(labels))
         bs = binders(e)
-        assert len(bs) == len(set(bs))
+        assert len(bs) == len({v.skey() for v in bs})
 
 
 def test_normalize_closed():
@@ -158,15 +158,19 @@ def test_stored_free_sets_and_var_hashes_match_a_walk(name):
         for ae in atoms(x):
             if isinstance(ae, Lambda):
                 assert ae.free == _ref_free(ae)
-    for v in binders(e):
-        assert hash(v) == hash((v.name, v.id))
+    # a Var hashes and compares by identity, and each reference is its
+    # binder's own object
+    bound = set(binders(e))
+    for v in bound:
+        assert hash(v) == object.__hash__(v) and v != Var(v.name, v.id)
+    for x in walk(e):
+        assert {ae for ae in atoms(x) if type(ae) is Var} <= bound
 
 
-def test_vars_are_values_exps_are_not():
+def test_vars_and_exps_equal_only_themselves():
     v = Var("x", 3)
-    assert v == Var("x", 3) and hash(v) == hash(Var("x", 3))
-    assert v != Var("x", 4) and v != Var("y", 3) and v != ("x", 3)
-    assert {v: 1}[Var("x", 3)] == 1
+    assert v == v and {v: 1}[v] == 1
+    assert v != Var("x", 3) and Var("x", 3) not in {v: 1}
     e1, e2 = parse_and_normalize("(+ 1 2)"), parse_and_normalize("(+ 1 2)")
     assert alpha_equiv(e1, e2) and e1 == e1 and e1 != e2
 
@@ -282,6 +286,44 @@ def test_quote_is_reported_unsupported(src):
         parse_program(src)
 
 
+def _shape(sx):
+    """An SExpr as (span, atom), or (span, [item shapes]) for a list."""
+    if sx.is_atom:
+        return (sx.span, sx.atom)
+    return (sx.span, [_shape(x) for x in sx.items])
+
+
+# a column counts characters from the line's start: a tab or \r is one
+READS = [
+    ("\t(f\r\n\tx)", [((1, 2), [((1, 3), "f"), ((2, 2), "x")])]),
+    ("  \t\r\n \ty", [((2, 3), "y")]),
+    ("(a\vb c\f)", [((1, 1), [((1, 2), "a\vb"), ((1, 6), "c\f")])]),
+    ("x ; note", [((1, 1), "x")]),
+    ("x;c(\n[y]", [((1, 1), "x"), ((2, 1), [((2, 2), "y")])]),
+    ("(λ\t1)", [((1, 1), [((1, 2), "λ"), ((1, 4), "1")])]),
+    ("a'b \v'c", [((1, 1), "a'b"), ((1, 5), "\v'c")]),
+    ("", []),
+]
+
+
+@pytest.mark.parametrize("text, shapes", READS)
+def test_read_sexprs_spans(text, shapes):
+    assert [_shape(sx) for sx in read_sexprs(text)] == shapes
+
+
+@pytest.mark.parametrize("text, span, msg", [
+    ("[a)", (1, 3), "mismatched bracket"),
+    ("\t'x", (1, 2), "quote is not supported"),
+    ("(\t(\r\n", (1, 3), "unclosed parenthesis"),
+    ("x\r\n\t)", (2, 2), "unexpected closing bracket"),
+    ("; c\n(a] ;", (2, 3), "mismatched bracket"),
+])
+def test_read_sexprs_errors(text, span, msg):
+    with pytest.raises(ParseError) as ei:
+        read_sexprs(text)
+    assert (ei.value.span, ei.value.message) == (span, msg)
+
+
 REJECTIONS = [
     (")", (1, 1), "unexpected closing bracket"),
     ("(f\n  x]", (2, 4), "mismatched bracket"),
@@ -294,6 +336,11 @@ REJECTIONS = [
     ("1\n  2", (2, 3), "multiple top-level expressions"),
     ("1 (define (f x) x)", (1, 3), "define after top expression"),
     ("(define f)", (1, 1), "define expects 2 parts"),
+    ("(define (f x) x) (f)", (1, 18), "application needs an argument"),
+    # `else` is a keyword only as a cond clause's test
+    ("(else)", (1, 2), "misplaced keyword 'else'"),
+    ("(else 1)", (1, 2), "misplaced keyword 'else'"),
+    ("(if (else) 1 2)", (1, 6), "misplaced keyword 'else'"),
     ("(define f 1) 1", (1, 11), "define value must be a lambda"),
     ("(define () 1) 1", (1, 9), "bad define signature"),
     ("(define (f) 1) 1", (1, 9), "define needs at least one parameter"),
